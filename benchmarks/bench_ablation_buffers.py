@@ -4,16 +4,14 @@ ACE's two ping-pong buffers versus one buffer per layer: the memory
 saving that lets deep models fit beside their weights in FRAM.
 """
 
-from repro.experiments import render_buffer_ablation, run_buffer_ablation
-
-from benchmarks.conftest import run_once
+from benchmarks.conftest import run_study_once
 
 
 def test_ablation_buffers(benchmark):
-    rows = run_once(benchmark, run_buffer_ablation)
-    print()
-    print(render_buffer_ablation(rows))
-    for task, row in rows.items():
-        assert row.circular_bytes <= row.per_layer_bytes
-        assert row.saving > 0.25, f"{task}: expected a real saving"
-        benchmark.extra_info[f"{task}_saving_pct"] = round(100 * row.saving, 1)
+    table = run_study_once(benchmark, "ablation-buffers")
+    for row in table:
+        task = row["task"]
+        saving = 1.0 - row["circular_bytes"] / row["per_layer_bytes"]
+        assert row["circular_bytes"] <= row["per_layer_bytes"]
+        assert saving > 0.25, f"{task}: expected a real saving"
+        benchmark.extra_info[f"{task}_saving_pct"] = round(100 * saving, 1)

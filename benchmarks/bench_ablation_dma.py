@@ -5,17 +5,16 @@ improvement over CPU-based data transfer."  Disabling the DMA engine
 must cost both time and energy.
 """
 
-from repro.experiments import render_dma_ablation, run_dma_ablation
-
-from benchmarks.conftest import run_once
+from benchmarks.conftest import run_study_once
 
 
 def test_ablation_dma(benchmark):
-    rows = run_once(benchmark, run_dma_ablation)
-    print()
-    print(render_dma_ablation(rows))
-    for task, row in rows.items():
-        assert row.time_saving > 1.05, f"{task}: DMA must be faster"
-        assert row.energy_saving > 1.05, f"{task}: DMA must be cheaper"
-        benchmark.extra_info[f"{task}_time_saving"] = round(row.time_saving, 2)
-        benchmark.extra_info[f"{task}_energy_saving"] = round(row.energy_saving, 2)
+    table = run_study_once(benchmark, "ablation-dma")
+    for row in table:
+        task = row["task"]
+        time_saving = row["cpu_ms"] / row["dma_ms"]
+        energy_saving = row["cpu_mj"] / row["dma_mj"]
+        assert time_saving > 1.05, f"{task}: DMA must be faster"
+        assert energy_saving > 1.05, f"{task}: DMA must be cheaper"
+        benchmark.extra_info[f"{task}_time_saving"] = round(time_saving, 2)
+        benchmark.extra_info[f"{task}_energy_saving"] = round(energy_saving, 2)

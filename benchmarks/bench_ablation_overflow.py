@@ -5,21 +5,18 @@ pipeline produces accurate results with zero saturation; disabling it
 ("none") corrupts the outputs — the motivation for Algorithm 1.
 """
 
-from repro.experiments import render_overflow_ablation, run_overflow_ablation
-
-from benchmarks.conftest import run_once
+from benchmarks.conftest import run_study_once
 
 
 def test_ablation_overflow(benchmark):
-    rows = run_once(benchmark, lambda: run_overflow_ablation("mnist", n_samples=32))
-    print()
-    print(render_overflow_ablation(rows))
-    assert rows["stage"].overflow_events == 0
-    assert rows["prescale"].overflow_events == 0
-    assert rows["none"].overflow_events > 100
-    assert rows["stage"].max_rel_error < 0.10
-    assert rows["none"].max_rel_error > 3 * rows["stage"].max_rel_error
-    assert rows["stage"].argmax_agreement >= rows["none"].argmax_agreement
+    table = run_study_once(benchmark, "ablation-overflow")  # MNIST, 32 samples
+    rows = {r["mode"]: r for r in table}
+    assert rows["stage"]["overflow_events"] == 0
+    assert rows["prescale"]["overflow_events"] == 0
+    assert rows["none"]["overflow_events"] > 100
+    assert rows["stage"]["max_rel_error"] < 0.10
+    assert rows["none"]["max_rel_error"] > 3 * rows["stage"]["max_rel_error"]
+    assert rows["stage"]["argmax_agreement"] >= rows["none"]["argmax_agreement"]
     for mode, row in rows.items():
-        benchmark.extra_info[f"{mode}_overflows"] = row.overflow_events
-        benchmark.extra_info[f"{mode}_err"] = round(row.max_rel_error, 4)
+        benchmark.extra_info[f"{mode}_overflows"] = row["overflow_events"]
+        benchmark.extra_info[f"{mode}_err"] = round(row["max_rel_error"], 4)

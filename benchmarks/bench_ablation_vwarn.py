@@ -6,22 +6,19 @@ late thresholds risk more rollback.  The bench verifies the monotone
 cost relationship and that every threshold still completes correctly.
 """
 
-from repro.experiments import render_vwarn_ablation, run_vwarn_ablation
-
-from benchmarks.conftest import run_once
+from benchmarks.conftest import run_study_once
 
 
 def test_ablation_vwarn(benchmark):
-    rows = run_once(benchmark, run_vwarn_ablation)
-    print()
-    print(render_vwarn_ablation(rows))
+    table = run_study_once(benchmark, "ablation-vwarn")
+    rows = {r["v_warn"]: r for r in table}
     thresholds = sorted(rows)
     for v in thresholds:
-        assert rows[v].completed
+        assert rows[v]["completed"]
     # Checkpoint energy must rise with eagerness of the trigger.
-    energies = [rows[v].checkpoint_energy_j for v in thresholds]
+    energies = [rows[v]["checkpoint_uj"] for v in thresholds]
     assert energies == sorted(energies)
     for v in thresholds:
         benchmark.extra_info[f"vwarn_{v}_ckpt_uj"] = round(
-            rows[v].checkpoint_energy_j * 1e6, 2
+            rows[v]["checkpoint_uj"], 2
         )

@@ -4,26 +4,21 @@ Paper: worst-case checkpoint cost <= 0.033 mJ; total overhead 1% / 1.25%
 / 0.8% for MNIST / HAR / OKG.
 """
 
-from repro.experiments import (
-    PAPER_MAX_COST_MJ,
-    render_checkpoint_overhead,
-    run_checkpoint_overhead,
-)
+from repro.experiments import PAPER_MAX_COST_MJ
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import run_study_once
 
 
 def test_checkpoint_overhead(benchmark):
-    rows = run_once(benchmark, run_checkpoint_overhead)
-    print()
-    print(render_checkpoint_overhead(rows))
-    for task, row in rows.items():
-        assert row.completed
-        assert row.worst_checkpoint_mj <= PAPER_MAX_COST_MJ
-        assert row.total_overhead < 0.10  # same order as the paper's ~1%
+    table = run_study_once(benchmark, "overhead")
+    for row in table:
+        task = row["task"]
+        assert row["completed"]
+        assert row["worst_ckpt_mj"] <= PAPER_MAX_COST_MJ
+        assert row["total_overhead"] < 0.10  # same order as the paper's ~1%
         benchmark.extra_info[f"{task}_overhead_pct"] = round(
-            100 * row.total_overhead, 2
+            100 * row["total_overhead"], 2
         )
         benchmark.extra_info[f"{task}_worst_ckpt_mj"] = round(
-            row.worst_checkpoint_mj, 5
+            row["worst_ckpt_mj"], 5
         )

@@ -5,37 +5,30 @@ complete (the "X" bars); SONIC / TAILS / ACE+FLEX complete, with ACE+FLEX
 fastest and only a small latency/energy penalty versus continuous power.
 """
 
-from repro.experiments import (
-    PAPER_FIG7B_SPEEDUPS,
-    TASKS,
-    render_fig7b,
-    run_fig7,
-)
+from repro.experiments import PAPER_FIG7B_SPEEDUPS
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import run_study_once
 
 
 def test_fig7b_intermittent(benchmark):
-    results = run_once(
-        benchmark, lambda: {t: run_fig7(t, intermittent=True) for t in TASKS}
-    )
-    print()
-    print(render_fig7b(results))
-    for task, res in results.items():
-        inter = res.intermittent
-        assert not inter["BASE"].completed, f"{task}: BASE must DNF"
-        assert not inter["ACE"].completed, f"{task}: plain ACE must DNF"
+    table = run_study_once(benchmark, "fig7")
+    for task, group in table.group_by("task").items():
+        inter = {r["runtime"]: r for r in group
+                 if r["regime"] == "intermittent"}
+        assert not inter["BASE"]["completed"], f"{task}: BASE must DNF"
+        assert not inter["ACE"]["completed"], f"{task}: plain ACE must DNF"
         for name in ("SONIC", "TAILS", "ACE+FLEX"):
-            assert inter[name].completed, f"{task}: {name} must complete"
+            assert inter[name]["completed"], f"{task}: {name} must complete"
         flex = inter["ACE+FLEX"]
         for name in ("SONIC", "TAILS"):
-            speedup = inter[name].active_time_s / flex.active_time_s
+            speedup = inter[name]["active_ms"] / flex["active_ms"]
             assert speedup > 1.2
             benchmark.extra_info[f"{task}_{name}_speedup"] = round(speedup, 2)
             benchmark.extra_info[f"{task}_{name}_paper"] = (
                 PAPER_FIG7B_SPEEDUPS[task][name]
             )
         # Latency/energy penalty vs continuous stays small (paper: 1-2%).
-        cont = res.continuous["ACE+FLEX"]
-        assert flex.active_time_s <= cont.active_time_s * 1.10
-        benchmark.extra_info[f"{task}_flex_reboots"] = flex.reboots
+        cont = {r["runtime"]: r for r in group
+                if r["regime"] == "continuous"}["ACE+FLEX"]
+        assert flex["active_ms"] <= cont["active_ms"] * 1.10
+        benchmark.extra_info[f"{task}_flex_reboots"] = flex["reboots"]

@@ -5,38 +5,26 @@ SONIC and 4.31x/5.26x/3.05x vs TAILS (we assert generous bands around the
 orderings), and the LEA/DMA path shifts energy off the CPU.
 """
 
-from repro.experiments import (
-    PAPER_FIG7C_SAVINGS,
-    TASKS,
-    render_fig7c,
-    run_fig7,
-)
+from repro.experiments import PAPER_FIG7C_SAVINGS
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import run_study_once
 
 
 def test_fig7c_energy_breakdown(benchmark):
-    results = run_once(
-        benchmark,
-        lambda: {t: run_fig7(t, intermittent=False) for t in TASKS},
-    )
-    print()
-    print(render_fig7c(results))
-    for task, res in results.items():
-        cont = res.continuous
-        flex_e = cont["ACE+FLEX"].energy_j
-        sonic_saving = cont["SONIC"].energy_j / flex_e
-        tails_saving = cont["TAILS"].energy_j / flex_e
+    table = run_study_once(benchmark, "fig7")
+    cont = table.filter(lambda r: r["regime"] == "continuous")
+    for task, group in cont.group_by("task").items():
+        rows = {r["runtime"]: r for r in group}
+        flex_e = rows["ACE+FLEX"]["energy_mj"]
+        sonic_saving = rows["SONIC"]["energy_mj"] / flex_e
+        tails_saving = rows["TAILS"]["energy_mj"] / flex_e
         assert 4.0 <= sonic_saving <= 14.0
         assert 1.3 <= tails_saving <= 6.0
         benchmark.extra_info[f"{task}_sonic_saving"] = round(sonic_saving, 2)
         benchmark.extra_info[f"{task}_tails_saving"] = round(tails_saving, 2)
         benchmark.extra_info[f"{task}_paper"] = PAPER_FIG7C_SAVINGS[task]
         # The accelerated runtimes move energy off the CPU.
-        assert (
-            cont["ACE+FLEX"].energy_by_component.get("cpu", 0.0)
-            < cont["SONIC"].energy_by_component.get("cpu", 0.0)
-        )
+        assert rows["ACE+FLEX"]["cpu_mj"] < rows["SONIC"]["cpu_mj"]
         # LEA energy exists only for LEA-capable runtimes.
-        assert cont["BASE"].energy_by_component.get("lea", 0.0) == 0.0
-        assert cont["ACE+FLEX"].energy_by_component.get("lea", 0.0) > 0.0
+        assert rows["BASE"]["lea_mj"] == 0.0
+        assert rows["ACE+FLEX"]["lea_mj"] > 0.0

@@ -1,23 +1,20 @@
 """T2 — Table II: train + compress the three models, report accuracy.
 
-Uses the FAST profile (smaller synthetic datasets / fewer epochs) so the
-benchmark completes in tens of seconds; EXPERIMENTS.md records a FULL run.
+Uses the FAST profile (smaller synthetic datasets / fewer epochs; the
+study's default) so the benchmark completes in tens of seconds.
 """
 
-from repro.experiments import FAST, render_table2, run_table2
-
-from benchmarks.conftest import run_once
+from benchmarks.conftest import run_study_once
 
 
 def test_table2_models(benchmark):
-    rows = run_once(benchmark, lambda: run_table2(FAST))
-    print()
-    print(render_table2(rows))
-    for task, row in rows.items():
+    table = run_study_once(benchmark, "table2")
+    for row in table:
+        task = row["task"]
         # Compression + quantization must retain useful accuracy.
-        assert row.quantized_accuracy > 0.5
-        assert row.quantized_accuracy >= row.float_accuracy - 0.15
+        assert row["quantized_acc"] > 0.5
+        assert row["quantized_acc"] >= row["float_acc"] - 0.15
         benchmark.extra_info[f"{task}_quantized_acc"] = round(
-            row.quantized_accuracy, 4
+            row["quantized_acc"], 4
         )
-        benchmark.extra_info[f"{task}_paper_acc"] = row.paper_accuracy
+        benchmark.extra_info[f"{task}_paper_acc"] = row["paper_acc"]

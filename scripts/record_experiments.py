@@ -1,86 +1,33 @@
 #!/usr/bin/env python3
-"""Regenerate every paper artifact and dump the tables to stdout.
+"""Regenerate every registered study and dump its artifact to stdout.
 
-Used to produce the numbers recorded in EXPERIMENTS.md:
+One loop over the study registry (``repro list``); the full training
+profile goes to the studies that declare one (Table II) unless
+``--fast`` is given::
 
-    python scripts/record_experiments.py [--fast]
+    PYTHONPATH=src python scripts/record_experiments.py [--fast]
 """
 
 import argparse
 import time
 
-from repro.experiments import (
-    FAST,
-    FULL,
-    TASKS,
-    render_buffer_ablation,
-    render_checkpoint_overhead,
-    render_dma_ablation,
-    render_fig7a,
-    render_fig7b,
-    render_fig7c,
-    render_fig8,
-    render_compression_ablation,
-    render_overflow_ablation,
-    render_table1,
-    render_vwarn_ablation,
-    render_table2,
-    run_buffer_ablation,
-    run_checkpoint_overhead,
-    run_compression_ablation,
-    run_dma_ablation,
-    run_fig7,
-    run_fig8,
-    run_overflow_ablation,
-    run_table2,
-    run_vwarn_ablation,
-)
-
-
-def section(title):
-    print(f"\n{'=' * 72}\n{title}\n{'=' * 72}")
+from repro.study import Profile, get_study, run_study, study_names
 
 
 def main() -> None:
     parser = argparse.ArgumentParser()
     parser.add_argument("--fast", action="store_true",
-                        help="use the small profile (quick sanity run)")
+                        help="use the small training profile (quick sanity run)")
     args = parser.parse_args()
-    profile = FAST if args.fast else FULL
 
     t0 = time.time()
-    section("Table I")
-    print(render_table1())
-
-    section("Table II")
-    print(render_table2(run_table2(profile)))
-    print(f"[table2 done at {time.time() - t0:.0f}s]")
-
-    section("Figure 7")
-    fig7 = {task: run_fig7(task) for task in TASKS}
-    print(render_fig7a(fig7))
-    print()
-    print(render_fig7b(fig7))
-    print()
-    print(render_fig7c(fig7))
-
-    section("Figure 8")
-    print(render_fig8(run_fig8()))
-
-    section("Checkpoint overhead (IV-A.5)")
-    print(render_checkpoint_overhead(run_checkpoint_overhead()))
-
-    section("Ablations")
-    print(render_overflow_ablation(run_overflow_ablation("mnist")))
-    print()
-    print(render_buffer_ablation(run_buffer_ablation()))
-    print()
-    print(render_dma_ablation(run_dma_ablation()))
-    print()
-    print(render_vwarn_ablation(run_vwarn_ablation()))
-    print()
-    print(render_compression_ablation(run_compression_ablation()))
-    print(f"\n[total: {time.time() - t0:.0f}s]")
+    for name in study_names():
+        study = get_study(name)
+        profile = Profile(full="full" in study.params and not args.fast)
+        print(f"\n{'=' * 72}\n{name}: {study.artifact or study.title}\n"
+              f"{'=' * 72}")
+        print(run_study(name, profile=profile).render())
+        print(f"[{name} done at {time.time() - t0:.0f}s]")
 
 
 if __name__ == "__main__":

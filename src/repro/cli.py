@@ -10,22 +10,13 @@ The CLI is a thin face over the study registry
                                 [--task ...] [--seed N] [--full]
                                 [--samples K] [--corpus [NAME ...]]
 
-plus the classic per-artifact subcommands, kept as thin aliases so
-existing invocations and benchmarks keep working::
+Every paper artifact is one registered study (``repro run table1``,
+``repro run fig7``, ``repro run sweep-power``, ...); there are no
+per-artifact subcommands.  The power-trace corpus has its own tool::
 
-    python -m repro table1
-    python -m repro table2 [--fast]
-    python -m repro fig7 [--task mnist|har|okg]
-    python -m repro fig8
-    python -m repro overhead
-    python -m repro ablations
-    python -m repro sweep [--axis capacitor|power|trace] [--task ...]
-    python -m repro fleet [--task ...] [--workers N] [--serial] [--samples K]
-                          [--engine reference|fast] [--corpus [NAME ...]]
     python -m repro traces list
     python -m repro traces describe NAME [--seed N]
     python -m repro traces export NAME --out FILE.{csv,npz} [--seed N]
-    python -m repro all [--fast]
 
 and the observability surface (see :mod:`repro.obs`)::
 
@@ -60,41 +51,16 @@ from repro.errors import ConfigurationError, ReproError
 #: Hook for fault-injection tests: the opener artifact sinks go through.
 _open_artifact = open
 
-#: The classic per-axis sweep subcommand, mapped onto the sweep studies.
-_SWEEP_STUDIES = {
-    "capacitor": "sweep-capacitor",
-    "power": "sweep-power",
-    "trace": "sweep-trace",
-}
-
-#: ``repro ablations`` renders these three studies (A1-A3), in order.
-_ABLATION_STUDIES = ("ablation-overflow", "ablation-buffers", "ablation-dma")
-
 
 def _profile_from_args(args) -> "Profile":
     from repro.study import Profile
 
     return Profile(
-        tasks=tuple(args.task) if getattr(args, "task", None) else None,
-        seed=getattr(args, "seed", 0),
-        full=getattr(args, "full", False),
-        samples=getattr(args, "samples", 4),
-        corpus=(tuple(args.corpus)
-                if getattr(args, "corpus", None) is not None else None),
-    )
-
-
-def _execute(name: str, args, *, store=None, on_error: str = "raise") -> "StudyRun":
-    from repro.study import run_study
-
-    return run_study(
-        name,
-        engine=getattr(args, "engine", "reference"),
-        workers=getattr(args, "workers", None),
-        parallel=not getattr(args, "serial", False),
-        profile=_profile_from_args(args),
-        store=store,
-        on_error=on_error,
+        tasks=tuple(args.task) if args.task else None,
+        seed=args.seed,
+        full=args.full,
+        samples=args.samples,
+        corpus=tuple(args.corpus) if args.corpus is not None else None,
     )
 
 
@@ -214,7 +180,7 @@ def _cmd_run(args) -> None:
     import json as _json
 
     from repro import faults, obs
-    from repro.study import get_study
+    from repro.study import get_study, run_study
 
     faulted = _install_faults(args)
     store = _open_store(args)
@@ -260,7 +226,15 @@ def _cmd_run(args) -> None:
                         if store is not None
                         and get_study(args.study).fleet_executed
                         else "raise")
-            run = _execute(args.study, args, store=store, on_error=on_error)
+            run = run_study(
+                args.study,
+                engine=args.engine,
+                workers=args.workers,
+                parallel=not args.serial,
+                profile=_profile_from_args(args),
+                store=store,
+                on_error=on_error,
+            )
         except BaseException:
             for sink in sinks:
                 sink.discard()
@@ -283,52 +257,6 @@ def _cmd_run(args) -> None:
                 f"repro: warning: {run.report.failures} scenario(s) FAILED "
                 "(recorded as error rows; re-run with --resume to retry "
                 "them)", file=sys.stderr)
-
-
-# -- classic aliases ----------------------------------------------------------
-
-
-def _cmd_table1(args) -> None:
-    print(_execute("table1", args).render())
-
-
-def _cmd_table2(args) -> None:
-    # The classic subcommand trains the FULL profile unless --fast;
-    # 'repro run table2' defaults to the FAST profile (use --full).
-    args.full = not args.fast
-    print(_execute("table2", args).render())
-
-
-def _cmd_fig7(args) -> None:
-    args.task = [args.task] if args.task else None
-    print(_execute("fig7", args).render())
-
-
-def _cmd_fig8(args) -> None:
-    print(_execute("fig8", args).render())
-
-
-def _cmd_overhead(args) -> None:
-    print(_execute("overhead", args).render())
-
-
-def _cmd_ablations(args) -> None:
-    parts = [_execute(name, args).render() for name in _ABLATION_STUDIES]
-    print("\n\n".join(parts))
-
-
-def _cmd_sweep(args) -> None:
-    args.task = [args.task] if args.task else None
-    print(_execute(_SWEEP_STUDIES[args.axis], args).render())
-
-
-def _cmd_fleet(args) -> None:
-    run = _execute("fleet", args)
-    # The classic fleet output: the full report (with wall-clock and
-    # worker metadata) plus the model-cache summary.
-    print(run.report.render(per_scenario=not args.no_scenarios))
-    print()
-    print(run.cache.summary())
 
 
 def _cmd_traces(args) -> None:
@@ -525,20 +453,6 @@ def _cmd_submit(args) -> None:
     print(get_study(args.study).render(table))
 
 
-def _cmd_all(args) -> None:
-    _cmd_table1(args)
-    print()
-    _cmd_table2(args)
-    print()
-    _cmd_fig7(argparse.Namespace(task=None))
-    print()
-    _cmd_fig8(args)
-    print()
-    _cmd_overhead(args)
-    print()
-    _cmd_ablations(args)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -596,44 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--trace", metavar="OUT",
                     help="enable observability and write spans as Chrome "
                          "trace-event JSON (open in Perfetto)")
-
-    sub.add_parser("table1", help="Table I: BCM storage reduction")
-
-    p2 = sub.add_parser("table2", help="Table II: model accuracy (trains!)")
-    p2.add_argument("--fast", action="store_true", help="small profile")
-
-    p7 = sub.add_parser("fig7", help="Figure 7: runtime comparison")
-    p7.add_argument("--task", choices=("mnist", "har", "okg"))
-
-    sub.add_parser("fig8", help="Figure 8: FC1 vs BCM block size")
-    sub.add_parser("overhead", help="Section IV-A.5: checkpoint overhead")
-    sub.add_parser("ablations", help="design-choice ablations A1-A3")
-
-    ps = sub.add_parser("sweep", help="design-space sweeps")
-    ps.add_argument("--axis", choices=("capacitor", "power", "trace"),
-                    default="power")
-    ps.add_argument("--task", choices=("mnist", "har", "okg"))
-
-    pf = sub.add_parser("fleet", help="fleet study: parallel scenario grid")
-    pf.add_argument("--task", choices=("mnist", "har", "okg"), nargs="+",
-                    help="tasks to sweep (default: mnist)")
-    pf.add_argument("--workers", type=int, default=None,
-                    help="worker processes (default: available CPUs)")
-    pf.add_argument("--serial", action="store_true",
-                    help="force the serial fallback")
-    pf.add_argument("--samples", type=int, default=4,
-                    help="samples per scenario session")
-    pf.add_argument("--seed", type=int, default=0, help="grid base seed")
-    pf.add_argument("--engine", choices=("reference", "fast"),
-                    default="reference",
-                    help="simulation engine (fast = precompiled replay, "
-                         "bit-identical results)")
-    pf.add_argument("--no-scenarios", action="store_true",
-                    help="omit the per-scenario table")
-    pf.add_argument("--corpus", nargs="*", metavar="NAME", default=None,
-                    help="sweep corpus-backed supplies instead of the "
-                         "analytic default traces (no names = whole corpus; "
-                         "see 'repro traces list')")
 
     pt = sub.add_parser("traces",
                         help="power-trace corpus: list/describe/export")
@@ -719,28 +595,17 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write the final job resource (state, dedup, "
                          "timings) as JSON")
 
-    pa = sub.add_parser("all", help="everything (slow)")
-    pa.add_argument("--fast", action="store_true")
     return parser
 
 
 _COMMANDS = {
     "list": _cmd_list,
     "run": _cmd_run,
-    "table1": _cmd_table1,
-    "table2": _cmd_table2,
-    "fig7": _cmd_fig7,
-    "fig8": _cmd_fig8,
-    "overhead": _cmd_overhead,
-    "ablations": _cmd_ablations,
-    "sweep": _cmd_sweep,
-    "fleet": _cmd_fleet,
     "traces": _cmd_traces,
     "stats": _cmd_stats,
     "bench": _cmd_bench,
     "serve": _cmd_serve,
     "submit": _cmd_submit,
-    "all": _cmd_all,
 }
 
 

@@ -1,24 +1,20 @@
-"""Experiment drivers: one module per paper table/figure plus ablations.
+"""Experiment drivers and the paper's published numbers.
 
-See DESIGN.md's experiment index for the mapping to paper artifacts."""
+The registered studies (:mod:`repro.study.studies`) are the one
+implementation of each paper artifact; the direct ones call the
+``run_*`` drivers here.  See DESIGN.md's experiment index for the
+mapping to paper artifacts."""
 
 from repro.experiments.ablations import (
-    render_compression_ablation,
-    render_vwarn_ablation,
     run_compression_ablation,
     run_buffer_ablation,
     run_vwarn_ablation,
     run_dma_ablation,
     run_overflow_ablation,
-    render_buffer_ablation,
-    render_dma_ablation,
-    render_overflow_ablation,
 )
 from repro.experiments.checkpoint_overhead import (
     PAPER_MAX_COST_MJ,
     PAPER_OVERHEAD,
-    run_checkpoint_overhead,
-    render_checkpoint_overhead,
     worst_case_checkpoint_mj,
 )
 from repro.experiments.common import (
@@ -38,28 +34,14 @@ from repro.experiments.fig7 import (
     PAPER_FIG7A_SPEEDUPS,
     PAPER_FIG7B_SPEEDUPS,
     PAPER_FIG7C_SAVINGS,
-    Fig7Result,
-    run_fig7,
-    run_fig7_all,
-    render_fig7a,
-    render_fig7b,
-    render_fig7c,
 )
-from repro.experiments.fig8 import BLOCK_SIZES, Fig8Point, run_fig8, render_fig8
+from repro.experiments.fig8 import BLOCK_SIZES, Fig8Point, run_fig8
 from repro.experiments.planner import DeploymentPlan, plan_deployment
 from repro.experiments.reporting import ascii_voltage_plot, format_table, ratio
-from repro.experiments.sweeps import (
-    SweepCell,
-    capacitor_sweep,
-    power_sweep,
-    render_sweep,
-    trace_sweep,
-)
-from repro.experiments.table1 import PAPER_TABLE1, render_table1, run_table1
+from repro.experiments.table1 import PAPER_TABLE1, run_table1
 from repro.experiments.table2 import (
     PAPER_ACCURACY,
     Table2Row,
-    render_table2,
     run_table2,
 )
 
@@ -68,7 +50,6 @@ __all__ = [
     "ExperimentProfile",
     "FAST",
     "FULL",
-    "Fig7Result",
     "Fig8Point",
     "PAPER_ACCURACY",
     "PAPER_FIG7A_SPEEDUPS",
@@ -78,12 +59,7 @@ __all__ = [
     "PAPER_OVERHEAD",
     "PAPER_TABLE1",
     "RUNTIME_ORDER",
-    "SweepCell",
-    "capacitor_sweep",
     "plan_deployment",
-    "power_sweep",
-    "render_sweep",
-    "trace_sweep",
     "TASKS",
     "Table2Row",
     "DeploymentPlan",
@@ -94,29 +70,14 @@ __all__ = [
     "paper_harvester",
     "prepare_quantized",
     "ratio",
-    "render_buffer_ablation",
-    "render_checkpoint_overhead",
-    "render_dma_ablation",
-    "render_fig7a",
-    "render_fig7b",
-    "render_fig7c",
-    "render_fig8",
-    "render_overflow_ablation",
-    "render_table1",
-    "render_table2",
     "run_all_runtimes",
     "run_buffer_ablation",
-    "run_checkpoint_overhead",
     "run_dma_ablation",
-    "run_fig7",
-    "run_fig7_all",
     "run_fig8",
     "run_inference",
     "run_overflow_ablation",
     "run_vwarn_ablation",
     "run_compression_ablation",
-    "render_compression_ablation",
-    "render_vwarn_ablation",
     "run_table1",
     "run_table2",
     "worst_case_checkpoint_mj",

@@ -23,7 +23,6 @@ import numpy as np
 from repro.ace import AceRuntime, circular_plan, per_layer_plan
 from repro.ace.runtime import _numel
 from repro.experiments.common import TASKS, make_dataset, prepare_quantized
-from repro.experiments.reporting import format_table
 from repro.fixedpoint import OverflowMonitor
 from repro.hw.board import msp430fr5994
 from repro.sim import IntermittentMachine
@@ -67,18 +66,6 @@ def run_overflow_ablation(task: str = "mnist", *, seed: int = 0,
     return rows
 
 
-def render_overflow_ablation(rows: Dict[str, OverflowAblationRow]) -> str:
-    return format_table(
-        ["BCM scaling", "Overflow events", "Max rel err", "Argmax agreement"],
-        [
-            (r.mode, r.overflow_events, f"{r.max_rel_error:.4f}",
-             f"{100 * r.argmax_agreement:.1f}%")
-            for r in rows.values()
-        ],
-        title="A1 — overflow-aware computation (Algorithm 1 scaling)",
-    )
-
-
 # --- A2: circular buffer convolution ------------------------------------------
 
 
@@ -106,18 +93,6 @@ def run_buffer_ablation(tasks=TASKS, *, seed: int = 0) -> Dict[str, BufferAblati
             per_layer_bytes=per_layer_plan(io_sizes).total_bytes,
         )
     return rows
-
-
-def render_buffer_ablation(rows: Dict[str, BufferAblationRow]) -> str:
-    return format_table(
-        ["Task", "Circular (B)", "Per-layer (B)", "Saving"],
-        [
-            (r.task.upper(), r.circular_bytes, r.per_layer_bytes,
-             f"{100 * r.saving:.1f}%")
-            for r in rows.values()
-        ],
-        title="A2 — circular-buffer convolution memory footprint",
-    )
 
 
 # --- A4: FLEX voltage-warning threshold --------------------------------------------
@@ -166,20 +141,6 @@ def run_vwarn_ablation(
     return rows
 
 
-def render_vwarn_ablation(rows: Dict[float, VwarnAblationRow]) -> str:
-    return format_table(
-        ["v_warn (V)", "Completed", "Wall (ms)", "Ckpt energy (uJ)",
-         "Wasted cycles", "Reboots"],
-        [
-            (f"{r.v_warn:.1f}", r.completed, f"{r.wall_time_s * 1e3:.1f}",
-             f"{r.checkpoint_energy_j * 1e6:.2f}", f"{r.wasted_cycles:.0f}",
-             r.reboots)
-            for r in rows.values()
-        ],
-        title="A4 — FLEX on-demand checkpoint threshold sweep",
-    )
-
-
 # --- A3: DMA vs CPU data movement ----------------------------------------------
 
 
@@ -190,14 +151,6 @@ class DmaAblationRow:
     cpu_time_s: float
     dma_energy_j: float
     cpu_energy_j: float
-
-    @property
-    def time_saving(self) -> float:
-        return self.cpu_time_s / self.dma_time_s
-
-    @property
-    def energy_saving(self) -> float:
-        return self.cpu_energy_j / self.dma_energy_j
 
 
 def run_dma_ablation(tasks=TASKS, *, seed: int = 0) -> Dict[str, DmaAblationRow]:
@@ -221,20 +174,6 @@ def run_dma_ablation(tasks=TASKS, *, seed: int = 0) -> Dict[str, DmaAblationRow]
     return rows
 
 
-def render_dma_ablation(rows: Dict[str, DmaAblationRow]) -> str:
-    return format_table(
-        ["Task", "DMA time (ms)", "CPU time (ms)", "time saving",
-         "energy saving"],
-        [
-            (r.task.upper(), f"{r.dma_time_s * 1e3:.1f}",
-             f"{r.cpu_time_s * 1e3:.1f}", f"{r.time_saving:.2f}x",
-             f"{r.energy_saving:.2f}x")
-            for r in rows.values()
-        ],
-        title="A3 — DMA vs CPU-driven data movement (ACE)",
-    )
-
-
 # --- A5: compression contribution ------------------------------------------------
 
 
@@ -245,14 +184,6 @@ class CompressionAblationRow:
     compressed_time_s: float
     dense_bytes: int
     compressed_bytes: int
-
-    @property
-    def speedup(self) -> float:
-        return self.dense_time_s / self.compressed_time_s
-
-    @property
-    def size_reduction(self) -> float:
-        return 1.0 - self.compressed_bytes / self.dense_bytes
 
 
 def run_compression_ablation(task: str = "mnist", *, seed: int = 0) -> CompressionAblationRow:
@@ -277,18 +208,4 @@ def run_compression_ablation(task: str = "mnist", *, seed: int = 0) -> Compressi
         compressed_time_s=results["compressed"].wall_time_s,
         dense_bytes=dense.weight_bytes,
         compressed_bytes=comp.weight_bytes,
-    )
-
-
-def render_compression_ablation(row: CompressionAblationRow) -> str:
-    return format_table(
-        ["Task", "Dense (ms)", "Compressed (ms)", "Speedup", "Size reduction"],
-        [(
-            row.task.upper(),
-            f"{row.dense_time_s * 1e3:.1f}",
-            f"{row.compressed_time_s * 1e3:.1f}",
-            f"{row.speedup:.2f}x",
-            f"{100 * row.size_reduction:.1f}%",
-        )],
-        title="A5 — RAD compression contribution (same ACE runtime)",
     )

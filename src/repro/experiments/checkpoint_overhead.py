@@ -4,40 +4,20 @@ The paper reports a worst-case per-checkpoint cost of 0.033 mJ (hit when
 a power failure lands mid-BCM) and total overheads of 1% / 1.25% / 0.8%
 for MNIST / HAR / OKG.  This experiment measures both quantities on the
 simulated testbed: the worst-case cost from the largest possible FLEX
-snapshot, and the total from the intermittent runs' meters.
+snapshot (:func:`worst_case_checkpoint_mj`), and the total from the
+intermittent runs' meters (the registered ``overhead`` study).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict
-
 import numpy as np
 
-from repro.experiments.common import (
-    TASKS,
-    make_dataset,
-    paper_harvester,
-    prepare_quantized,
-    run_inference,
-)
-from repro.experiments.reporting import format_table
 from repro.flex.checkpoint import BcmStage, FlexCheckpoint
 from repro.rad.quantize import QuantBCM
 
 #: Overheads printed in the paper.
 PAPER_OVERHEAD = {"mnist": 0.01, "har": 0.0125, "okg": 0.008}
 PAPER_MAX_COST_MJ = 0.033
-
-
-@dataclass
-class OverheadRow:
-    task: str
-    worst_checkpoint_mj: float
-    total_overhead: float  # fraction of total energy
-    reboots: int
-    completed: bool
-    paper_overhead: float
 
 
 def worst_case_checkpoint_mj(qmodel) -> float:
@@ -56,44 +36,3 @@ def worst_case_checkpoint_mj(qmodel) -> float:
             )
             cost = max(cost, snap.cost_mj())
     return cost
-
-
-def run_checkpoint_overhead(tasks=TASKS, *, seed: int = 0) -> Dict[str, OverheadRow]:
-    """Measure FLEX checkpoint costs per task under intermittent power."""
-    rows: Dict[str, OverheadRow] = {}
-    for task in tasks:
-        qmodel = prepare_quantized(task, seed=seed)
-        ds = make_dataset(task, 16, seed=seed)
-        result = run_inference(
-            "ACE+FLEX", qmodel, ds.x[0], harvester=paper_harvester()
-        )
-        rows[task] = OverheadRow(
-            task=task,
-            worst_checkpoint_mj=worst_case_checkpoint_mj(qmodel),
-            total_overhead=result.checkpoint_overhead,
-            reboots=result.reboots,
-            completed=result.completed,
-            paper_overhead=PAPER_OVERHEAD[task],
-        )
-    return rows
-
-
-def render_checkpoint_overhead(rows: Dict[str, OverheadRow]) -> str:
-    table = []
-    for task, row in rows.items():
-        table.append(
-            (
-                task.upper(),
-                f"{row.worst_checkpoint_mj:.4f}",
-                f"{PAPER_MAX_COST_MJ:.3f}",
-                f"{100 * row.total_overhead:.2f}%",
-                f"{100 * row.paper_overhead:.2f}%",
-                row.reboots,
-            )
-        )
-    return format_table(
-        ["Task", "Worst ckpt (mJ)", "Paper bound (mJ)", "Total overhead",
-         "Paper overhead", "Reboots"],
-        table,
-        title="Checkpoint/restore overhead of FLEX (Section IV-A.5)",
-    )

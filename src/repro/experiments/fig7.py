@@ -1,22 +1,10 @@
-"""Figure 7: inference time under continuous (a) and intermittent (b)
-power, plus the per-component energy breakdown (c)."""
+"""Figure 7's published numbers: inference time under continuous (a) and
+intermittent (b) power, and the energy savings (c).
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import Dict, Optional
-
-
-from repro.experiments.common import (
-    RUNTIME_ORDER,
-    TASKS,
-    make_dataset,
-    paper_harvester,
-    prepare_quantized,
-    run_inference,
-)
-from repro.experiments.reporting import format_table
-from repro.sim import RunResult
+The measurement itself is the registered ``fig7`` study
+(:mod:`repro.study.studies`); these constants are what its render and
+the benchmarks compare against.
+"""
 
 #: Paper speedups of ACE+FLEX over (BASE, SONIC, TAILS), continuous power.
 PAPER_FIG7A_SPEEDUPS = {
@@ -38,128 +26,3 @@ PAPER_FIG7C_SAVINGS = {
     "har": {"SONIC": 10.9, "TAILS": 5.26},
     "okg": {"SONIC": 6.25, "TAILS": 3.05},
 }
-
-
-@dataclass
-class Fig7Result:
-    """All Figure 7 measurements for one task."""
-
-    task: str
-    continuous: Dict[str, RunResult] = field(default_factory=dict)
-    intermittent: Dict[str, RunResult] = field(default_factory=dict)
-
-    def speedup_continuous(self, baseline: str) -> float:
-        """ACE+FLEX speedup over ``baseline`` under continuous power."""
-        flex = self.continuous["ACE+FLEX"]
-        return self.continuous[baseline].wall_time_s / flex.wall_time_s
-
-    def speedup_intermittent(self, baseline: str) -> Optional[float]:
-        """ACE+FLEX active-time speedup under intermittent power (None if
-        the baseline did not finish)."""
-        base = self.intermittent[baseline]
-        flex = self.intermittent["ACE+FLEX"]
-        if not base.completed or not flex.completed:
-            return None
-        return base.active_time_s / flex.active_time_s
-
-    def energy_saving(self, baseline: str) -> Optional[float]:
-        base = self.intermittent[baseline]
-        flex = self.intermittent["ACE+FLEX"]
-        if not base.completed or not flex.completed:
-            return None
-        return base.energy_j / flex.energy_j
-
-
-def run_fig7(
-    task: str,
-    *,
-    seed: int = 0,
-    intermittent: bool = True,
-    sample_index: int = 0,
-) -> Fig7Result:
-    """Run all five runtimes on one input under both power regimes."""
-    qmodel = prepare_quantized(task, seed=seed)
-    ds = make_dataset(task, max(16, sample_index + 1), seed=seed)
-    x = ds.x[sample_index]
-    result = Fig7Result(task=task)
-    for name in RUNTIME_ORDER:
-        result.continuous[name] = run_inference(name, qmodel, x)
-    if intermittent:
-        for name in RUNTIME_ORDER:
-            result.intermittent[name] = run_inference(
-                name, qmodel, x, harvester=paper_harvester()
-            )
-    return result
-
-
-def run_fig7_all(tasks=TASKS, **kwargs) -> Dict[str, Fig7Result]:
-    return {task: run_fig7(task, **kwargs) for task in tasks}
-
-
-def render_fig7a(results: Dict[str, Fig7Result]) -> str:
-    rows = []
-    for task, res in results.items():
-        flex = res.continuous["ACE+FLEX"]
-        for name in RUNTIME_ORDER:
-            r = res.continuous[name]
-            paper = PAPER_FIG7A_SPEEDUPS[task].get(name)
-            rows.append(
-                (
-                    task.upper(),
-                    name,
-                    f"{r.wall_time_s * 1e3:.1f}",
-                    f"{r.wall_time_s / flex.wall_time_s:.2f}x",
-                    f"{paper:.1f}x" if paper else "-",
-                )
-            )
-    return format_table(
-        ["Task", "Runtime", "Time (ms)", "vs ACE+FLEX", "Paper"],
-        rows,
-        title="Figure 7(a) — inference time on continuous power",
-    )
-
-
-def render_fig7b(results: Dict[str, Fig7Result]) -> str:
-    rows = []
-    for task, res in results.items():
-        for name in RUNTIME_ORDER:
-            r = res.intermittent[name]
-            paper = PAPER_FIG7B_SPEEDUPS[task].get(name)
-            if r.completed:
-                speed = res.speedup_intermittent(name)
-                rows.append(
-                    (
-                        task.upper(),
-                        name,
-                        f"{r.wall_time_s * 1e3:.1f}",
-                        f"{r.reboots}",
-                        f"{speed:.2f}x" if speed else "-",
-                        f"{paper:.1f}x" if paper else "-",
-                    )
-                )
-            else:
-                rows.append((task.upper(), name, "DNF (X)", f"{r.reboots}", "-",
-                             "X" if name in ("BASE", "ACE") else "-"))
-    return format_table(
-        ["Task", "Runtime", "Wall time (ms)", "Reboots", "active vs FLEX", "Paper"],
-        rows,
-        title="Figure 7(b) — inference time on intermittent power (100 uF)",
-    )
-
-
-def render_fig7c(results: Dict[str, Fig7Result]) -> str:
-    components = ("cpu", "lea", "dma", "fram", "sram")
-    rows = []
-    for task, res in results.items():
-        for name in RUNTIME_ORDER:
-            r = res.continuous[name]
-            breakdown = [f"{r.energy_by_component.get(c, 0.0) * 1e3:.3f}"
-                         for c in components]
-            rows.append((task.upper(), name, f"{r.energy_j * 1e3:.3f}",
-                         *breakdown, f"{r.checkpoint_energy_j * 1e3:.4f}"))
-    return format_table(
-        ["Task", "Runtime", "Total (mJ)", *[c.upper() for c in components],
-         "Checkpoint (mJ)"],
-        rows,
-        title="Figure 7(c) — energy breakdown (continuous power)",
-    )

@@ -18,7 +18,6 @@ from repro.hw.board import msp430fr5994
 from repro.nn import BCMDense, Dense, Sequential
 from repro.rad.quantize import quantize_model
 from repro.sim import make_machine
-from repro.experiments.reporting import format_table
 
 #: MNIST first FC layer geometry (Table II).
 IN_FEATURES = 256
@@ -64,25 +63,3 @@ def run_fig8(*, seed: int = 0,
             weight_bytes=qmodel.weight_bytes,
         )
     return points
-
-
-def render_fig8(points: Dict[Optional[int], Fig8Point]) -> str:
-    dense = points[None]
-    rows = []
-    for block, pt in points.items():
-        rows.append(
-            (
-                "dense" if block is None else f"BCM {block}",
-                f"{pt.latency_s * 1e3:.2f}",
-                f"{dense.latency_s / pt.latency_s:.1f}x",
-                f"{pt.energy_j * 1e6:.2f}",
-                f"{dense.energy_j / pt.energy_j:.1f}x",
-                pt.weight_bytes,
-            )
-        )
-    return format_table(
-        ["Variant", "Latency (ms)", "speedup", "Energy (uJ)", "saving",
-         "Weights (B)"],
-        rows,
-        title="Figure 8 — first FC layer of MNIST vs BCM block size",
-    )

@@ -5,25 +5,11 @@ from __future__ import annotations
 from typing import List
 
 from repro.bcm import CompressionRow, compression_table
-from repro.experiments.reporting import format_table
 
 
 def run_table1() -> List[CompressionRow]:
     """Compute the paper's Table I rows (block sizes 16..256)."""
     return compression_table(512, 512)
-
-
-def render_table1(rows=None) -> str:
-    rows = rows if rows is not None else run_table1()
-    return format_table(
-        ["Kernel Size (B)", "Block size", "Compressed kernel (B)", "Storage reduction"],
-        [
-            (r.kernel_bytes, r.block_size, r.compressed_bytes,
-             f"{100 * r.storage_reduction:.2f}%")
-            for r in rows
-        ],
-        title="Table I — BCM compression for 512x512 fully connected layer",
-    )
 
 
 #: The numbers printed in the paper, for verification.

@@ -14,7 +14,6 @@ from typing import Dict, List
 import numpy as np
 
 from repro.experiments.common import ExperimentProfile, FAST, TASKS, make_dataset
-from repro.experiments.reporting import format_table
 from repro.nn.data import train_test_split
 from repro.nn.layers import BCMDense, Conv2D
 from repro.rad import RADConfig, RADResult, run_rad
@@ -82,24 +81,3 @@ def run_table2(
             paper_accuracy=PAPER_ACCURACY[task],
         )
     return rows
-
-
-def render_table2(rows: Dict[str, Table2Row]) -> str:
-    table_rows = []
-    for task, row in rows.items():
-        table_rows.append(
-            (
-                task.upper(),
-                "; ".join(row.structure),
-                f"{100 * row.float_accuracy:.1f}%",
-                f"{100 * row.quantized_accuracy:.1f}%",
-                f"{100 * row.paper_accuracy:.0f}%",
-                row.fram_bytes,
-            )
-        )
-    return format_table(
-        ["Task", "Structure", "Float acc", "Quantized acc", "Paper acc",
-         "Weights (B)"],
-        table_rows,
-        title="Table II — structure and accuracy of the DNN models",
-    )

@@ -18,7 +18,7 @@ diverse power conditions?  It has four parts:
   per-runtime throughput/energy/reboot distributions, percentiles, and
   DNF rates.
 
-``python -m repro fleet`` drives the default grid from the shell;
+``python -m repro run fleet`` drives the default grid from the shell;
 ``examples/fleet_study.py`` shows the library API.
 """
 
@@ -31,7 +31,7 @@ from repro.fleet.grid import (
     scenario_grid,
     scenario_seed,
 )
-from repro.fleet.report import FleetReport, RuntimeAggregate, ScenarioResult
+from repro.fleet.report import FleetReport, ScenarioResult
 from repro.fleet.runner import FleetRunner, execute_scenario, run_fleet
 from repro.fleet.scenario import TRACE_KINDS, Scenario, TraceSpec
 
@@ -41,7 +41,6 @@ __all__ = [
     "FleetReport",
     "FleetRunner",
     "ModelCache",
-    "RuntimeAggregate",
     "Scenario",
     "ScenarioResult",
     "TRACE_KINDS",

@@ -17,7 +17,7 @@ live report), and :meth:`FleetReport.render` is built on both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.fleet.scenario import Scenario
@@ -56,54 +56,6 @@ class ScenarioResult:
             return 0.0
         return self.stats.accuracy(list(self.labels))
 
-    def row(self) -> Tuple:
-        """Per-scenario table row (see ``FleetReport.render``)."""
-        s = self.stats
-        return (
-            self.scenario.name,
-            f"{s.completed}/{s.inferences}",
-            f"{s.throughput_hz:.2f}",
-            f"{s.total_energy_j * 1e3:.2f}",
-            f"{s.total_reboots}",
-        )
-
-
-@dataclass
-class RuntimeAggregate:
-    """Distribution summary of every scenario sharing one runtime."""
-
-    runtime: str
-    scenarios: int = 0
-    inferences: int = 0
-    completed: int = 0
-    throughput_hz: List[float] = field(default_factory=list)
-    energy_mj_per_inf: List[float] = field(default_factory=list)
-    reboots_per_inf: List[float] = field(default_factory=list)
-
-    @property
-    def dnf_rate(self) -> float:
-        """Fraction of attempted inferences that never finished."""
-        if self.inferences == 0:
-            return 0.0
-        return 1.0 - self.completed / self.inferences
-
-    def percentile(self, values: Sequence[float], q: float) -> float:
-        from repro.study.table import percentile
-
-        return percentile(values, q)
-
-    def row(self) -> Tuple:
-        return (
-            self.runtime,
-            f"{self.scenarios}",
-            f"{100 * self.dnf_rate:.1f}%",
-            f"{self.percentile(self.throughput_hz, 50):.2f}",
-            f"{self.percentile(self.throughput_hz, 10):.2f}",
-            f"{self.percentile(self.energy_mj_per_inf, 50):.2f}",
-            f"{self.percentile(self.energy_mj_per_inf, 90):.2f}",
-            f"{self.percentile(self.reboots_per_inf, 50):.1f}",
-        )
-
 
 @dataclass
 class FleetReport:
@@ -137,25 +89,6 @@ class FleetReport:
         for r in self.results:
             groups.setdefault(r.scenario.runtime, []).append(r)
         return groups
-
-    def aggregate(self) -> Dict[str, RuntimeAggregate]:
-        """Per-runtime distribution summaries."""
-        out: Dict[str, RuntimeAggregate] = {}
-        for runtime, results in self.by_runtime().items():
-            agg = RuntimeAggregate(runtime=runtime)
-            for r in results:
-                s = r.stats
-                agg.scenarios += 1
-                agg.inferences += s.inferences
-                agg.completed += s.completed
-                agg.throughput_hz.append(s.throughput_hz)
-                if s.completed:
-                    agg.energy_mj_per_inf.append(
-                        s.total_energy_j * 1e3 / s.completed
-                    )
-                    agg.reboots_per_inf.append(s.total_reboots / s.completed)
-            out[runtime] = agg
-        return out
 
     @property
     def total_inferences(self) -> int:
@@ -253,7 +186,7 @@ class FleetReport:
             )
         return out
 
-    def render(self, *, per_scenario: bool = True) -> str:
+    def render(self) -> str:
         """Text report: per-runtime distributions, then per-scenario rows."""
         scenarios = self.scenario_table()
         title = (
@@ -266,10 +199,10 @@ class FleetReport:
             title += f", {self.from_cache} from cache"
         if self.failures:
             title += f", {self.failures} FAILED"
-        parts = [render_runtime_table(self.runtime_table(scenarios), title=title)]
-        if per_scenario:
-            parts.append(render_scenario_table(scenarios))
-        return "\n\n".join(parts)
+        return "\n\n".join([
+            render_runtime_table(self.runtime_table(scenarios), title=title),
+            render_scenario_table(scenarios),
+        ])
 
 
 def _percentile(values: Sequence[float], q: float) -> float:

@@ -23,7 +23,9 @@ GET     /metrics                :mod:`repro.obs` snapshot JSON
 Error responses are JSON ``{"error": ..., "type": ...}`` with the repro
 exception class name, so clients can distinguish a bad spec (400) from
 a closed service (503) from an execution failure (500) without parsing
-prose.  The result endpoint streams the *exact* ``to_json`` bytes —
+prose.  A ``POST /jobs`` whose ``Content-Length`` is not a non-negative
+integer is 400, and one above :data:`MAX_BODY_BYTES` is 413; neither
+body is read.  The result endpoint streams the *exact* ``to_json`` bytes —
 two clients fetching a deduped job get byte-equal payloads.
 """
 
@@ -42,6 +44,10 @@ from repro.serve.service import StudyService
 
 #: Cap on ?timeout= waits so a client cannot pin a server thread forever.
 MAX_WAIT_S = 300.0
+
+#: Largest ``POST /jobs`` body accepted (a JobSpec is a few hundred bytes);
+#: a bigger declared ``Content-Length`` is answered 413 without reading.
+MAX_BODY_BYTES = 64 * 1024
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):
@@ -89,6 +95,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -97,8 +105,33 @@ class _Handler(BaseHTTPRequestHandler):
             status, {"error": str(exc), "type": type(exc).__name__}
         )
 
-    def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+    def _body_length(self) -> Optional[int]:
+        """The declared body size, or ``None`` after refusing the request.
+
+        A malformed or negative ``Content-Length`` is 400 and one above
+        :data:`MAX_BODY_BYTES` is 413.  The body is never read then, so
+        the connection is closed rather than reused mid-body.
+        """
+        declared = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0:
+            status, reason = 400, (
+                f"Content-Length must be a non-negative integer, "
+                f"got {declared!r}")
+        elif length > MAX_BODY_BYTES:
+            status, reason = 413, (
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit")
+        else:
+            return length
+        self.close_connection = True
+        self._send_error_json(status, ConfigurationError(reason))
+        return None
+
+    def _read_body(self, length: int) -> dict:
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise ConfigurationError("request body must be a JSON object")
@@ -114,8 +147,11 @@ class _Handler(BaseHTTPRequestHandler):
         if path != "/jobs":
             self._send_json(404, {"error": f"no such route: POST {path}"})
             return
+        length = self._body_length()
+        if length is None:
+            return
         try:
-            spec = JobSpec.from_dict(self._read_body())
+            spec = JobSpec.from_dict(self._read_body(length))
             job = self.service.submit(spec)
         except ServiceClosedError as exc:
             self._send_error_json(503, exc)

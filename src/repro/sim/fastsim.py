@@ -28,6 +28,8 @@ from precomputed tables.  :class:`FastMachine` exploits that in two ways:
   recurrence, but from precompiled per-atom cost tables with the supply,
   meter, and monitor state inlined into local variables — the same
   arithmetic with none of the per-atom call/dispatch overhead.
+  ``_run_harvested`` batches everything around that recurrence; it is
+  the only harvested replay, and its oracle is the reference machine.
 
 The compiled cumulative-energy table still powers
 :func:`analytic_brownout_index`, a ``searchsorted``-based estimator of
@@ -53,7 +55,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.concurrency import ForkSafeLock
-from repro.errors import ConfigurationError, InferenceAborted
+from repro.errors import ConfigurationError
 from repro.hw import constants as C
 from repro.hw.energymeter import EnergyMeter
 from repro.power.capacitor import Capacitor
@@ -959,345 +961,6 @@ class FastMachine:
         if _obs.ENABLED:
             _obs.count("machine.runs")
             _obs.count("machine.completed")
-        return result, needs
-
-    def _run_harvested_reference(self, x, defer_logits: bool) -> Tuple[RunResult, bool]:
-        # The exact-replay scalar loop — the differential midpoint between
-        # the reference machine and the segment-batched ``_run_harvested``
-        # (kept callable so the conformance suite can triangulate a
-        # mismatch).  Local-variable mirrors of the supply, meter and
-        # monitor state; every expression matches its reference
-        # counterpart operation for operation (see module docstring).
-        p = self._program
-        device = self.device
-        supply = device.supply
-        cap = supply.capacitor
-        trace = supply.trace
-        eff = supply.efficiency
-        meter = device.meter
-        runtime = self.runtime
-        monitor = self.monitor
-
-        cap_f = cap.capacitance_f
-        v_max = cap.v_max
-        v_off = cap.v_off
-        v_off_sq = v_off ** 2
-        half_c = 0.5 * cap_f
-        const_power = trace.power_w if type(trace) is ConstantTrace else None
-        trace_energy = trace.energy
-
-        e_by = dict(meter.energy_j)
-        t_by = dict(meter.time_s)
-        p_by = dict(meter.purpose_energy_j)
-        start_e = dict(e_by)
-        start_t = dict(t_by)
-        start_p = dict(p_by)
-
-        v = cap.voltage
-        clock = supply.clock_s
-        failures = supply.failures
-        clock_start = clock
-        charge_start = supply.charge_time_s
-
-        snapshot_on = p.snapshot_on_warning and monitor is not None
-        v_warn = monitor.v_warn if monitor is not None else 0.0
-        mon_warnings = monitor.warnings if monitor is not None else 0
-        # Observability baselines (event counts publish as deltas at run
-        # end; the replay arithmetic is untouched).
-        _rec = _obs.ENABLED
-        _failures0 = failures
-        _mon0 = mon_warnings
-        n_restores = 0
-
-        e_get = e_by.get
-        t_get = t_by.get
-        p_get = p_by.get
-
-        def draw(bookings, time_s, total_j):
-            """``Device._draw_and_record`` + ``EnergyHarvester.draw`` +
-            ``Capacitor.charge``/``draw`` + the meter records, inlined."""
-            nonlocal v, clock, failures
-            avail = half_c * (v ** 2 - v_off_sq)
-            if avail < 0.0:
-                avail = 0.0
-            if const_power is not None:
-                harvested = (const_power * time_s) * eff
-            else:
-                harvested = trace_energy(clock, time_s) * eff
-            clock += time_s
-            new_sq = v ** 2 + 2.0 * harvested / cap_f
-            root = math.sqrt(new_sq)
-            v = root if root < v_max else v_max
-            usable = half_c * (v ** 2 - v_off_sq)
-            if usable < 0.0:
-                usable = 0.0
-            if total_j > usable:
-                v = v_off
-                failures += 1
-                spent = avail + harvested
-                if total_j < spent:
-                    spent = total_j
-                scale = spent / total_j if total_j > 0 else 0.0
-                for compo, t, e, purpose in bookings:
-                    t = t * scale
-                    e = e * scale
-                    e_by[compo] = e_get(compo, 0.0) + e
-                    t_by[compo] = t_get(compo, 0.0) + t
-                    p_by[purpose] = p_get(purpose, 0.0) + e
-                return False
-            new_sq = v ** 2 - 2.0 * total_j / cap_f
-            if new_sq < v_off_sq:
-                new_sq = v_off_sq
-            v = math.sqrt(new_sq)
-            for compo, t, e, purpose in bookings:
-                e_by[compo] = e_get(compo, 0.0) + e
-                t_by[compo] = t_get(compo, 0.0) + t
-                p_by[purpose] = p_get(purpose, 0.0) + e
-            return True
-
-        n_atoms = p.n_atoms
-        cycles_l = p.cycles
-        power_l = p.power_w
-        purpose_l = p.purpose
-        component_l = p.component
-        divisible_l = p.divisible
-        iterations_l = p.iterations
-        per_iter_l = p.per_iter
-        e_iter_l = p.e_iter
-        mem_unit_l = p.mem_unit
-        fram_unit_l = p.fram_unit
-        sram_count_l = p.sram_count
-        exec_bookings_l = p.exec_bookings
-        exec_time_l = p.exec_time
-        exec_total_l = p.exec_total
-        commit_flag_l = p.commit_flag
-        commit_time_l = p.commit_time
-        commit_cpu_l = p.commit_cpu
-        commit_fram_l = p.commit_fram
-        commit_total_l = p.commit_total
-        commit_bookings_l = p.commit_bookings
-        volatile_words_l = p.volatile_words
-        volatile_prev_l = p.volatile_prev
-
-        durable_atom = 0
-        durable_it = 0
-        cursor_atom = 0
-        cursor_it = 0
-        executed_cycles = 0.0
-        reboots = 0
-        stall = 0
-        last_da, last_di = -1, -1
-        dnf_reason = ""
-        completed = False
-
-        while True:
-            # === the reference's _run_from(atoms, cursor, durable) ===
-            sub_exec = 0.0
-            browned = False
-            while cursor_atom < n_atoms:
-                ca = cursor_atom
-                if snapshot_on and (
-                    durable_atom < ca
-                    or (durable_atom == ca and durable_it < cursor_it)
-                ):
-                    low = v <= v_warn
-                    if low:
-                        mon_warnings += 1
-                        vol = 0 if cursor_it > 0 else volatile_prev_l[ca]
-                        words = vol + C.FLEX_COMMIT_WORDS
-                        ct, ce, cf = _commit_cost(words)
-                        ck_cpu = ce - cf
-                        if not draw(
-                            [("cpu", ct, ck_cpu, "checkpoint"),
-                             ("fram", 0.0, cf, "checkpoint")],
-                            ct,
-                            ck_cpu + cf,
-                        ):
-                            browned = True
-                            break
-                        durable_atom, durable_it = ca, cursor_it
-
-                if divisible_l[ca]:
-                    # === _run_divisible ===
-                    iters = iterations_l[ca]
-                    per_iter = per_iter_l[ca]
-                    e_iter = e_iter_l[ca]
-                    e_iter_floor = e_iter if e_iter > 1e-18 else 1e-18
-                    a_cycles = cycles_l[ca]
-                    a_power = power_l[ca]
-                    a_purpose = purpose_l[ca]
-                    a_comp = component_l[ca]
-                    a_mem = mem_unit_l[ca]
-                    a_fram = fram_unit_l[ca]
-                    a_sram = sram_count_l[ca]
-                    committing = commit_flag_l[ca]
-                    div_exec = 0.0
-                    chunk_failed = False
-                    while cursor_it < iters:
-                        remaining = iters - cursor_it
-                        usable_now = half_c * (v ** 2 - v_off_sq)
-                        if usable_now < 0.0:
-                            usable_now = 0.0
-                        chunk = int(usable_now / e_iter_floor)
-                        if chunk > remaining:
-                            chunk = remaining
-                        if chunk < 1:
-                            chunk = 1
-                        f = chunk * per_iter
-                        time_s = a_cycles * f * C.EFFECTIVE_CYCLE_S
-                        core_j = a_power * time_s
-                        energy_j = core_j + f * a_mem
-                        fram_j = f * a_fram
-                        sram_j = f * a_sram * C.SRAM_ACCESS_J
-                        core_booked = energy_j - fram_j - sram_j
-                        bookings = [(a_comp, time_s, core_booked, a_purpose)]
-                        total = core_booked
-                        if fram_j:
-                            bookings.append(("fram", 0.0, fram_j, a_purpose))
-                            total = total + fram_j
-                        if sram_j:
-                            bookings.append(("sram", 0.0, sram_j, a_purpose))
-                            total = total + sram_j
-                        if not draw(bookings, time_s, total):
-                            chunk_failed = True
-                            break
-                        div_exec += a_cycles * chunk * per_iter
-                        if committing:
-                            count = chunk
-                            tt = commit_time_l[ca] * count
-                            ce_b = commit_cpu_l[ca] * count
-                            cf_b = commit_fram_l[ca] * count
-                            if not draw(
-                                [("cpu", tt, ce_b, "checkpoint"),
-                                 ("fram", 0.0, cf_b, "checkpoint")],
-                                tt,
-                                ce_b + cf_b,
-                            ):
-                                chunk_failed = True
-                                break
-                        cursor_it += chunk
-                        if committing and volatile_words_l[ca] == 0:
-                            durable_atom = ca
-                            durable_it = cursor_it
-                    if chunk_failed:
-                        browned = True
-                        break
-                    sub_exec += div_exec
-                    cursor_atom = ca + 1
-                    cursor_it = 0
-                    if committing and volatile_words_l[ca] == 0:
-                        durable_atom, durable_it = cursor_atom, 0
-                else:
-                    if not draw(exec_bookings_l[ca], exec_time_l[ca], exec_total_l[ca]):
-                        browned = True
-                        break
-                    sub_exec += cycles_l[ca]
-                    cursor_atom = ca + 1
-                    cursor_it = 0
-                    if commit_flag_l[ca]:
-                        if not draw(
-                            commit_bookings_l[ca],
-                            commit_time_l[ca],
-                            commit_total_l[ca],
-                        ):
-                            browned = True
-                            break
-                        if volatile_words_l[ca] == 0:
-                            durable_atom, durable_it = cursor_atom, 0
-
-            if not browned:
-                executed_cycles = executed_cycles + sub_exec
-                completed = True
-                break
-
-            # === the reference's PowerFailureError handler ===
-            reboots += 1
-            device.on_power_failure()
-            if reboots >= self.max_reboots:
-                dnf_reason = f"exceeded max_reboots={self.max_reboots}"
-                break
-            if durable_atom == last_da and durable_it == last_di:
-                stall += 1
-                if stall >= self.stall_limit:
-                    dnf_reason = (
-                        f"no durable progress across {stall} power cycles"
-                    )
-                    break
-            else:
-                stall = 0
-            last_da, last_di = durable_atom, durable_it
-            cap.voltage = v
-            supply.clock_s = clock
-            supply.failures = failures
-            try:
-                supply.recharge()
-            except InferenceAborted as exc:
-                v = cap.voltage
-                clock = supply.clock_s
-                dnf_reason = str(exc)
-                break
-            v = cap.voltage
-            clock = supply.clock_s
-            restore = runtime.restore_words()
-            if restore:
-                vol = 0 if durable_it > 0 else volatile_prev_l[durable_atom]
-                words = restore + vol
-                rcycles = C.COMMIT_BASE_CYCLES + words * C.COMMIT_CYCLES_PER_WORD
-                rtime = rcycles * C.CYCLE_S
-                rcpu = C.CPU_ACTIVE_W * rtime
-                rfram = words * C.FRAM_READ_RAW_J
-                if not draw(
-                    [("cpu", rtime, rcpu, "checkpoint"),
-                     ("fram", 0.0, rfram, "checkpoint")],
-                    rtime,
-                    rcpu + rfram,
-                ):
-                    continue  # pathological: failed during restore
-                n_restores += 1
-            cursor_atom, cursor_it = durable_atom, durable_it
-
-        # === write back state and assemble the RunResult ===
-        cap.voltage = v
-        supply.clock_s = clock
-        supply.failures = failures
-        if monitor is not None:
-            monitor.warnings = mon_warnings
-        for key, val in e_by.items():
-            meter.energy_j[key] = val
-        for key, val in t_by.items():
-            meter.time_s[key] = val
-        for key, val in p_by.items():
-            meter.purpose_energy_j[key] = val
-
-        diff_e = self._diff(start_e, e_by, [k for k in e_by if k not in start_e])
-        diff_t = self._diff(start_t, t_by, [k for k in t_by if k not in start_t])
-        diff_p = self._diff(start_p, p_by, [k for k in p_by if k not in start_p])
-
-        if _rec:
-            self._record_machine_events(
-                completed, reboots, n_restores,
-                failures - _failures0, mon_warnings - _mon0,
-            )
-        logits, pred, needs = self._finish_logits(x, completed, defer_logits)
-        active = sum(diff_t.values())
-        charge = supply.charge_time_s - charge_start
-        wall = supply.clock_s - clock_start
-        result = RunResult(
-            runtime=runtime.name,
-            completed=completed,
-            logits=logits,
-            predicted_class=pred,
-            wall_time_s=wall,
-            active_time_s=active,
-            charge_time_s=charge,
-            energy_j=sum(diff_e.values()),
-            energy_by_component=diff_e,
-            checkpoint_energy_j=diff_p.get("checkpoint", 0.0),
-            reboots=reboots,
-            executed_cycles=executed_cycles,
-            program_cycles=p.program_cycles,
-            dnf_reason=dnf_reason,
-        )
         return result, needs
 
     def _run_harvested(self, x, defer_logits: bool) -> Tuple[RunResult, bool]:

@@ -23,8 +23,8 @@ This package is the single front door to every experiment in the repo:
       payload = run.table.to_json()   # lossless; from_json() restores it
 
 ``python -m repro run <study>`` and ``python -m repro list`` are the CLI
-faces of the same registry; the classic subcommands (``table1``,
-``fig7``, ...) are thin aliases over it.
+faces of the same registry, and the only way to run a study from the
+shell.
 """
 
 from repro.study.core import (

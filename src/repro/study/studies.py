@@ -57,7 +57,7 @@ def _single_task(ctx: StudyContext, study_name: str) -> str:
 
 
 def _table1_run(ctx: StudyContext) -> ResultTable:
-    from repro.bcm import compression_table
+    from repro.experiments.table1 import run_table1
 
     table = ResultTable((
         ("kernel_bytes", "int"),
@@ -65,7 +65,7 @@ def _table1_run(ctx: StudyContext) -> ResultTable:
         ("compressed_bytes", "int"),
         ("reduction_pct", "float"),
     ))
-    for r in compression_table(512, 512):
+    for r in run_table1():
         table.append(
             kernel_bytes=r.kernel_bytes,
             block_size=r.block_size,

@@ -90,24 +90,30 @@ class TestRunCommand:
 
 
 class TestAliases:
+    """The per-artifact subcommands are gone; each has one spelling,
+    'repro run <study>', taking the same flags."""
+
     def test_alias_parsers_accept_classic_argv(self):
         parser = build_parser()
-        for argv in (["table1"], ["table2", "--fast"], ["fig7", "--task",
-                     "har"], ["fig8"], ["overhead"], ["ablations"],
-                     ["sweep", "--axis", "capacitor"], ["all", "--fast"]):
-            assert parser.parse_args(argv).command == argv[0]
+        for argv in (["table1"], ["table2", "--full"],
+                     ["fig7", "--task", "har"], ["fig8"], ["overhead"],
+                     ["ablation-overflow"], ["sweep-capacitor"],
+                     ["fleet", "--samples", "1", "--engine", "fast"]):
+            args = parser.parse_args(["run", *argv])
+            assert args.command == "run" and args.study == argv[0]
 
     def test_sweep_alias_runs_study(self, capsys):
-        assert main(["sweep", "--axis", "trace"]) == 0
+        assert main(["run", "sweep-trace"]) == 0
         out = capsys.readouterr().out
         assert "square-wave" in out and "bursty-rf" in out
 
-    def test_fleet_alias_keeps_report_and_cache_summary(self, capsys):
-        assert main(["fleet", "--serial", "--samples", "1", "--engine",
-                     "fast", "--no-scenarios"]) == 0
-        out = capsys.readouterr().out
-        assert "Fleet report:" in out
-        assert "model cache:" in out
+    def test_removed_aliases_exit_2(self, capsys):
+        for alias in ("table1", "table2", "fig7", "fig8", "overhead",
+                      "ablations", "sweep", "fleet", "all"):
+            with pytest.raises(SystemExit) as exc:
+                main([alias])
+            assert exc.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
 
 
 class TestVersionAndErrors:

@@ -1,4 +1,5 @@
-"""Tests for the experiment drivers (tables, figures, ablations)."""
+"""Tests for the experiment drivers and the paper-artifact studies built
+on them (tables, figures, ablations)."""
 
 import numpy as np
 import pytest
@@ -11,24 +12,14 @@ from repro.experiments import (
     make_dataset,
     prepare_quantized,
     ratio,
-    render_buffer_ablation,
-    render_checkpoint_overhead,
-    render_dma_ablation,
-    render_fig7a,
-    render_fig7b,
-    render_fig7c,
-    render_fig8,
-    render_overflow_ablation,
-    render_table1,
-    run_buffer_ablation,
-    run_checkpoint_overhead,
-    run_dma_ablation,
-    run_fig7,
     run_fig8,
     run_overflow_ablation,
     run_table1,
 )
 from repro.errors import ConfigurationError
+from repro.study import Profile, run_study
+
+MNIST = Profile(tasks=("mnist",))
 
 
 class TestReporting:
@@ -55,33 +46,47 @@ class TestTable1:
             )
 
     def test_render_contains_all_blocks(self):
-        text = render_table1()
+        text = run_study("table1").render()
         for block in PAPER_TABLE1:
             assert str(block) in text
 
 
 class TestFig7:
     @pytest.fixture(scope="class")
-    def mnist_result(self):
-        return run_fig7("mnist", seed=0)
+    def mnist_run(self):
+        return run_study("fig7", profile=MNIST)
 
-    def test_all_runtimes_present(self, mnist_result):
-        assert set(mnist_result.continuous) == set(RUNTIME_ORDER)
-        assert set(mnist_result.intermittent) == set(RUNTIME_ORDER)
+    @staticmethod
+    def _rows(run, regime):
+        return {r["runtime"]: r for r in run.table
+                if r["regime"] == regime}
 
-    def test_speedup_helpers(self, mnist_result):
-        assert mnist_result.speedup_continuous("SONIC") > 1.0
-        assert mnist_result.speedup_intermittent("SONIC") > 1.0
-        assert mnist_result.energy_saving("SONIC") > 1.0
+    def test_all_runtimes_present(self, mnist_run):
+        assert set(self._rows(mnist_run, "continuous")) == set(RUNTIME_ORDER)
+        assert set(self._rows(mnist_run, "intermittent")) == set(RUNTIME_ORDER)
 
-    def test_dnf_speedup_is_none(self, mnist_result):
-        assert mnist_result.speedup_intermittent("BASE") is None
+    def test_speedup_helpers(self, mnist_run):
+        """ACE+FLEX beats SONIC: continuous time, intermittent active
+        time, and intermittent energy."""
+        cont = self._rows(mnist_run, "continuous")
+        inter = self._rows(mnist_run, "intermittent")
+        assert cont["SONIC"]["wall_ms"] / cont["ACE+FLEX"]["wall_ms"] > 1.0
+        assert inter["SONIC"]["active_ms"] / inter["ACE+FLEX"]["active_ms"] > 1.0
+        assert inter["SONIC"]["energy_mj"] / inter["ACE+FLEX"]["energy_mj"] > 1.0
 
-    def test_renderers(self, mnist_result):
-        results = {"mnist": mnist_result}
-        assert "DNF" in render_fig7b(results)
-        assert "ACE+FLEX" in render_fig7a(results)
-        assert "LEA" in render_fig7c(results)
+    def test_dnf_speedup_is_none(self, mnist_run):
+        """BASE never finishes on harvested power: no speedup to report."""
+        base = self._rows(mnist_run, "intermittent")["BASE"]
+        assert not base["completed"]
+        (line,) = [line for line in mnist_run.render().splitlines()
+                   if "| BASE" in line and "DNF" in line]
+        assert line.split("|")[4].strip() == "-"  # the "active vs FLEX" cell
+
+    def test_renderers(self, mnist_run):
+        text = mnist_run.render()
+        assert "DNF" in text
+        assert "ACE+FLEX" in text
+        assert "LEA" in text
 
 
 class TestFig8:
@@ -104,18 +109,19 @@ class TestFig8:
     def test_weights_shrink(self, points):
         assert points[128].weight_bytes < points[32].weight_bytes < points[None].weight_bytes
 
-    def test_render(self, points):
-        assert "BCM 128" in render_fig8(points)
+    def test_render(self):
+        assert "BCM 128" in run_study("fig8").render()
 
 
 class TestCheckpointOverheadExperiment:
     def test_rows_and_bounds(self):
-        rows = run_checkpoint_overhead(("mnist",), seed=0)
-        row = rows["mnist"]
-        assert row.completed
-        assert row.worst_checkpoint_mj <= 0.033
-        assert 0.0 < row.total_overhead < 0.10
-        assert "MNIST" in render_checkpoint_overhead(rows)
+        run = run_study("overhead", profile=MNIST)
+        (row,) = run.table
+        assert row["task"] == "mnist"
+        assert row["completed"]
+        assert row["worst_ckpt_mj"] <= 0.033
+        assert 0.0 < row["total_overhead"] < 0.10
+        assert "MNIST" in run.render()
 
 
 class TestAblations:
@@ -124,21 +130,22 @@ class TestAblations:
         assert rows["stage"].overflow_events == 0
         assert rows["none"].overflow_events > 0
         assert rows["none"].max_rel_error > rows["stage"].max_rel_error
-        assert "A1" in render_overflow_ablation(rows)
+        assert "A1" in run_study("ablation-overflow").render()
 
     def test_buffer_ablation(self):
-        rows = run_buffer_ablation(("mnist", "okg"), seed=0)
-        for row in rows.values():
-            assert row.circular_bytes <= row.per_layer_bytes
-            assert row.saving > 0.2
-        assert "Circular" in render_buffer_ablation(rows)
+        run = run_study("ablation-buffers",
+                        profile=Profile(tasks=("mnist", "okg")))
+        for row in run.table:
+            assert row["circular_bytes"] <= row["per_layer_bytes"]
+            assert 1.0 - row["circular_bytes"] / row["per_layer_bytes"] > 0.2
+        assert "Circular" in run.render()
 
     def test_dma_ablation(self):
-        rows = run_dma_ablation(("mnist",), seed=0)
-        row = rows["mnist"]
-        assert row.time_saving > 1.0  # DMA must beat CPU copies
-        assert row.energy_saving > 1.0
-        assert "DMA" in render_dma_ablation(rows)
+        run = run_study("ablation-dma", profile=MNIST)
+        (row,) = run.table
+        assert row["cpu_ms"] / row["dma_ms"] > 1.0  # DMA must beat CPU copies
+        assert row["cpu_mj"] / row["dma_mj"] > 1.0
+        assert "DMA" in run.render()
 
 
 class TestCommonHelpers:

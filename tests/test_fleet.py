@@ -17,6 +17,7 @@ from repro.fleet import (
     scenario_grid,
     scenario_seed,
 )
+from repro.fleet.report import render_scenario_table
 from repro.power import (
     ConstantTrace,
     SolarTrace,
@@ -262,8 +263,8 @@ class TestRunner:
                 else:
                     assert np.array_equal(ra.logits, rb.logits)
         # Identical numbers render identical tables (timing metadata aside).
-        assert [r.row() for r in reference.results] == \
-            [r.row() for r in fast.results]
+        assert render_scenario_table(reference.scenario_table()) == \
+            render_scenario_table(fast.scenario_table())
 
     def test_corpus_grid_fast_identical_to_reference(self):
         """The acceptance bar for corpus supplies: a grid over >= 4
@@ -320,17 +321,25 @@ def _synthetic_report():
     ], workers=2, wall_s=0.5, unique_models=1)
 
 
+def _runtime_rows(report):
+    """Per-runtime summary rows of ``report``, keyed by runtime."""
+    return {r["runtime"]: r
+            for r in FleetReport.runtime_table(report.scenario_table())}
+
+
 class TestReport:
     def test_aggregate_distributions(self):
         report = _synthetic_report()
-        agg = report.aggregate()
+        agg = _runtime_rows(report)
         assert set(agg) == {"ACE+FLEX", "SONIC"}
         flex = agg["ACE+FLEX"]
-        assert flex.dnf_rate == 0.0
-        assert flex.percentile(flex.throughput_hz, 50) == pytest.approx(1.0)
+        assert flex["dnf_rate"] == 0.0
+        assert flex["throughput_hz_p50"] == pytest.approx(1.0)
         sonic = agg["SONIC"]
-        assert sonic.dnf_rate == pytest.approx(0.5)
-        assert sonic.energy_mj_per_inf == [pytest.approx(10.0)]
+        assert sonic["dnf_rate"] == pytest.approx(0.5)
+        # One completed inference: its energy is the whole distribution.
+        assert sonic["mj_per_inf_p50"] == pytest.approx(10.0)
+        assert sonic["mj_per_inf_p90"] == pytest.approx(10.0)
         assert report.total_inferences == 4
         assert report.total_completed == 3
 
@@ -354,12 +363,15 @@ class TestReport:
             ScenarioResult(Scenario(name="dead", runtime="BASE", n_samples=2),
                            stats, labels=(0, 1)),
         ])
-        agg = report.aggregate()["BASE"]
-        assert agg.dnf_rate == 1.0
-        assert agg.energy_mj_per_inf == []
-        assert agg.reboots_per_inf == []
-        assert agg.percentile(agg.energy_mj_per_inf, 50) == 0.0
-        assert agg.throughput_hz == [0.0]
+        agg = _runtime_rows(report)["BASE"]
+        assert agg["dnf_rate"] == 1.0
+        assert agg["scenarios"] == 1
+        # Empty energy/reboot distributions percentile to 0.0.
+        assert agg["mj_per_inf_p50"] == 0.0
+        assert agg["mj_per_inf_p90"] == 0.0
+        assert agg["reboots_per_inf_p50"] == 0.0
+        assert agg["throughput_hz_p50"] == 0.0
+        assert agg["throughput_hz_p10"] == 0.0
         assert report.results[0].accuracy == 0.0
         assert report.total_completed == 0
         text = report.render()
@@ -381,56 +393,60 @@ class TestReport:
             ScenarioResult(Scenario(name="solo", runtime="TAILS", n_samples=1),
                            one, labels=(0,)),
         ])
-        agg = report.aggregate()["TAILS"]
+        scenarios = report.scenario_table()
         for q in (0, 10, 50, 90, 100):
-            assert agg.percentile(agg.throughput_hz, q) == pytest.approx(0.5)
-            assert agg.percentile(agg.energy_mj_per_inf, q) == pytest.approx(4.0)
-            assert agg.percentile(agg.reboots_per_inf, q) == pytest.approx(3.0)
-        assert agg.dnf_rate == 0.0
+            assert scenarios.percentile("throughput_hz", q) == pytest.approx(0.5)
+        agg = _runtime_rows(report)["TAILS"]
+        assert agg["throughput_hz_p50"] == pytest.approx(0.5)
+        assert agg["throughput_hz_p10"] == pytest.approx(0.5)
+        assert agg["mj_per_inf_p50"] == pytest.approx(4.0)
+        assert agg["mj_per_inf_p90"] == pytest.approx(4.0)
+        assert agg["reboots_per_inf_p50"] == pytest.approx(3.0)
+        assert agg["dnf_rate"] == 0.0
 
     def test_render_contains_tables(self):
         text = _synthetic_report().render()
         assert "Fleet report: 2 scenarios" in text
         assert "Per-scenario results" in text
         assert "SONIC" in text and "ACE+FLEX" in text
-        compact = _synthetic_report().render(per_scenario=False)
-        assert "Per-scenario results" not in compact
 
 
 class TestCli:
     def test_parser_accepts_fleet(self):
         args = build_parser().parse_args(
-            ["fleet", "--serial", "--workers", "2", "--samples", "1",
+            ["run", "fleet", "--serial", "--workers", "2", "--samples", "1",
              "--task", "mnist", "har"]
         )
-        assert args.command == "fleet"
+        assert args.command == "run" and args.study == "fleet"
         assert args.serial and args.workers == 2
         assert args.task == ["mnist", "har"]
         assert args.engine == "reference"
-        fast = build_parser().parse_args(["fleet", "--engine", "fast"])
+        fast = build_parser().parse_args(["run", "fleet", "--engine", "fast"])
         assert fast.engine == "fast"
 
     def test_fleet_fast_engine_smoke(self, capsys):
-        assert main(["fleet", "--serial", "--samples", "1", "--engine",
-                     "fast", "--no-scenarios"]) == 0
-        assert "Fleet report:" in capsys.readouterr().out
+        assert main(["run", "fleet", "--serial", "--samples", "1",
+                     "--engine", "fast"]) == 0
+        assert "Fleet study:" in capsys.readouterr().out
 
     def test_fleet_corpus_smoke(self, capsys):
-        assert main(["fleet", "--serial", "--samples", "1", "--engine",
-                     "fast", "--corpus", "rf-markov", "mixed-day"]) == 0
+        assert main(["run", "fleet", "--serial", "--samples", "1",
+                     "--engine", "fast", "--corpus", "rf-markov",
+                     "mixed-day"]) == 0
         out = capsys.readouterr().out
         assert "corpus:rf-markov" in out
         assert "corpus:mixed-day" in out
 
     def test_fleet_corpus_rejects_unknown_entry(self, capsys):
         """Configuration errors exit 1 with a one-line stderr message."""
-        assert main(["fleet", "--serial", "--corpus", "no-such-entry"]) == 1
+        assert main(["run", "fleet", "--serial", "--corpus",
+                     "no-such-entry"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("repro: error:") and "no-such-entry" in err
 
     def test_fleet_smoke(self, capsys):
-        assert main(["fleet", "--serial", "--samples", "1",
-                     "--no-scenarios"]) == 0
+        assert main(["run", "fleet", "--serial", "--samples", "1"]) == 0
         out = capsys.readouterr().out
-        assert "Fleet report:" in out
-        assert "model cache: 1 unique models" in out
+        assert "Fleet study:" in out
+        assert "1 unique models" in out
+

@@ -119,15 +119,15 @@ class TestSearchEnumeration:
 
 class TestCliPaths:
     def test_overhead_command(self, capsys):
-        assert main(["overhead"]) == 0
+        assert main(["run", "overhead"]) == 0
         out = capsys.readouterr().out
         assert "MNIST" in out and "Paper bound" in out
 
     def test_fig7_single_task(self, capsys):
-        assert main(["fig7", "--task", "har"]) == 0
+        assert main(["run", "fig7", "--task", "har"]) == 0
         out = capsys.readouterr().out
         assert "HAR" in out and "DNF" in out
 
     def test_sweep_power_axis(self, capsys):
-        assert main(["sweep", "--axis", "power", "--task", "mnist"]) == 0
+        assert main(["run", "sweep-power", "--task", "mnist"]) == 0
         assert "harvest power" in capsys.readouterr().out

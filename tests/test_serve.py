@@ -479,6 +479,47 @@ class TestHTTP:
             urllib.request.urlopen(server.url + "/nope")
         assert err.value.code == 404
 
+    @staticmethod
+    def _post_with_length(server, content_length):
+        """POST /jobs declaring ``content_length`` and sending no body;
+        returns (status, decoded JSON error payload)."""
+        import http.client
+
+        conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                          timeout=10)
+        try:
+            conn.putrequest("POST", "/jobs")
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", content_length)
+            conn.endheaders()
+            resp = conn.getresponse()
+            return resp.status, json.loads(resp.read())
+        finally:
+            conn.close()
+
+    def test_non_integer_content_length_is_400(self, server):
+        status, payload = self._post_with_length(server, "twelve")
+        assert status == 400
+        assert payload["type"] == "ConfigurationError"
+        assert "Content-Length" in payload["error"]
+
+    def test_negative_content_length_is_400_without_blocking(self, server):
+        status, payload = self._post_with_length(server, "-1")
+        assert status == 400
+        assert "non-negative" in payload["error"]
+
+    def test_oversized_body_is_413_without_reading(self, server):
+        from repro.serve.http import MAX_BODY_BYTES
+
+        status, payload = self._post_with_length(server,
+                                                 str(MAX_BODY_BYTES + 1))
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in payload["error"]
+        # The server is still healthy and accepts a normal submission.
+        client = ServeClient(server.url)
+        job = client.submit(_spec(seed=2))
+        assert client.wait(job["id"], timeout=10)["state"] == "done"
+
     def test_submit_after_close_is_503(self, toy_study):
         svc = StudyService(workers=1)
         server = serve_http(svc)

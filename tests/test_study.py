@@ -190,16 +190,17 @@ class TestStudyRegistry:
             assert expected in names
 
     def test_cli_artifact_subcommands_resolve_to_studies(self):
-        """Acceptance: every classic artifact subcommand maps onto the
-        registry (ablations and sweep fan out to per-axis studies)."""
-        from repro.cli import _ABLATION_STUDIES, _SWEEP_STUDIES
+        """Acceptance: every paper artifact and extension is one registered
+        study, reachable as 'repro run <study>'."""
+        from repro.cli import build_parser
 
-        for name in ("table1", "table2", "fig7", "fig8", "overhead", "fleet"):
-            assert get_study(name).name == name
-        for name in _ABLATION_STUDIES:
-            assert get_study(name).name == name
-        for axis, study in _SWEEP_STUDIES.items():
-            assert get_study(study).name == study
+        artifacts = ("table1", "table2", "fig7", "fig8", "overhead",
+                     "ablation-overflow", "ablation-buffers", "ablation-dma",
+                     "sweep-capacitor", "sweep-power", "sweep-trace", "fleet")
+        assert set(artifacts) <= set(study_names())
+        for name in study_names():
+            args = build_parser().parse_args(["run", name])
+            assert get_study(args.study).name == name
 
     def test_unknown_study(self):
         with pytest.raises(ConfigurationError, match="unknown study"):
@@ -321,22 +322,27 @@ class TestFleetReportTables:
         assert table.meta["workers"] == "2"
 
     def test_runtime_table_matches_aggregate(self):
-        """The table-based aggregation must agree with the legacy
-        RuntimeAggregate path bit-for-bit."""
+        """The table-based aggregation must agree bit-for-bit with a
+        direct aggregation over the live per-scenario session stats."""
+        from repro.study.table import percentile
+
         report = _synthetic_fleet_report()
-        agg = report.aggregate()
         derived = {r["runtime"]: r
                    for r in FleetReport.runtime_table(report.scenario_table())}
-        for runtime, legacy in agg.items():
+        for runtime, results in report.by_runtime().items():
+            stats = [r.stats for r in results]
+            done = [s for s in stats if s.completed]
+            inferences = sum(s.inferences for s in stats)
+            completed = sum(s.completed for s in stats)
             got = derived[runtime]
-            assert got["scenarios"] == legacy.scenarios
-            assert got["dnf_rate"] == legacy.dnf_rate
+            assert got["scenarios"] == len(results)
+            assert got["dnf_rate"] == 1.0 - completed / inferences
             assert got["throughput_hz_p50"] == \
-                legacy.percentile(legacy.throughput_hz, 50)
-            assert got["mj_per_inf_p50"] == \
-                legacy.percentile(legacy.energy_mj_per_inf, 50)
-            assert got["reboots_per_inf_p50"] == \
-                legacy.percentile(legacy.reboots_per_inf, 50)
+                percentile([s.throughput_hz for s in stats], 50)
+            assert got["mj_per_inf_p50"] == percentile(
+                [s.total_energy_j * 1e3 / s.completed for s in done], 50)
+            assert got["reboots_per_inf_p50"] == percentile(
+                [s.total_reboots / s.completed for s in done], 50)
 
     def test_runtime_table_survives_serialization(self):
         """Aggregating a table loaded from JSON equals aggregating live."""
@@ -390,23 +396,6 @@ class TestScenarioStudies:
         # the study actually went through the fleet
         assert fast.report is not None and len(fast.report) == 10
         assert fast.cache.misses == 1  # one model, shared across 10 cells
-
-    def test_fig7_table_matches_legacy_driver(self):
-        """The study's numbers are the legacy driver's numbers: same
-        machine construction, same seeds, same floats."""
-        from repro.experiments import run_fig7
-
-        legacy = run_fig7("mnist", seed=0)
-        table = run_study("fig7", workers=1,
-                          profile=Profile(tasks=("mnist",))).table
-        for row in table:
-            pool = (legacy.continuous if row["regime"] == "continuous"
-                    else legacy.intermittent)
-            r = pool[row["runtime"]]
-            assert row["completed"] == r.completed
-            assert row["wall_ms"] == r.wall_time_s * 1e3
-            assert row["energy_mj"] == r.energy_j * 1e3
-            assert row["reboots"] == r.reboots
 
     def test_fig7_render_marks_dnf(self):
         table = ResultTable(
