@@ -107,6 +107,17 @@ class TestAliases:
         out = capsys.readouterr().out
         assert "square-wave" in out and "bursty-rf" in out
 
+    def test_fleet_alias_keeps_report_and_cache_summary(self, capsys):
+        """'repro run fleet' with the old alias's flags still prints the
+        per-runtime report and the model-cache count in its header."""
+        assert main(["run", "fleet", "--serial", "--samples", "1",
+                     "--engine", "fast"]) == 0
+        out = capsys.readouterr().out
+        assert "Fleet study: 18 scenarios, 1 unique models" in out
+        for runtime in ("SONIC", "TAILS", "ACE+FLEX"):
+            assert runtime in out
+        assert "Per-scenario results" in out
+
     def test_removed_aliases_exit_2(self, capsys):
         for alias in ("table1", "table2", "fig7", "fig8", "overhead",
                       "ablations", "sweep", "fleet", "all"):
