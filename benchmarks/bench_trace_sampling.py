@@ -16,12 +16,19 @@ fast path makes this roughly ``1x`` in practice; the assertion guards
 the *class* of regression where energy lookups fall back to per-call
 binary searches or numpy scalar overhead.
 
+Also asserted: the bursty-RF sweep started at t=500 s (``rf-late``)
+stays within ``2x`` of the same sweep at t=0.  ``StochasticRFTrace``
+bisects its ~20k pre-generated segments, so a lookup costs the same
+anywhere in the horizon; a lookup whose cost grows with ``t`` (the
+linear first-match scan it replaced measures 100-300x in this sweep)
+fails.
+
 Also checked here (timing-free, runs in CI smoke): the corpus round
 trip — ``export`` (CSV and NPZ) -> re-import -> bit-identical energies —
 the contract that makes exported recordings exchangeable artifacts.
 
 Smoke mode (``REPRO_BENCH_SMOKE=1``) shrinks the call counts; the
-relative 2x assertion still holds (both sides are measured on the same
+relative 2x assertions still hold (both sides are measured on the same
 host in the same process).
 """
 
@@ -46,6 +53,7 @@ N_CALLS = 20_000 if SMOKE else 200_000
 REPEATS = 3 if SMOKE else 5
 MAX_RATIO = 2.0
 SWEEP_DT = 2e-4  # a typical atom-draw window
+RF_LATE_START = 500.0  # deep into StochasticRFTrace's 600 s horizon
 
 
 def _sweep_ns(trace, n=N_CALLS, dt=SWEEP_DT, start=0.0):
@@ -88,6 +96,7 @@ def test_trace_sampling_throughput(benchmark):
 
     def run():
         rows = {name: _sweep_ns(tr) for name, tr in rows_spec.items()}
+        rows["rf-late"] = _sweep_ns(rows_spec["rf"], start=RF_LATE_START)
         stress = {
             "empirical-random": _random_ns(empirical, empirical.duration_s),
             "empirical-looped": _sweep_ns(
@@ -111,9 +120,18 @@ def test_trace_sampling_throughput(benchmark):
     benchmark.extra_info["empirical_vs_constant"] = round(ratio, 2)
     print(f"empirical / constant: {ratio:.2f}x (must be <= {MAX_RATIO}x)")
 
+    rf_ratio = rows["rf-late"] / rows["rf"]
+    benchmark.extra_info["rf_late_vs_rf"] = round(rf_ratio, 2)
+    print(f"rf-late / rf: {rf_ratio:.2f}x (must be <= {MAX_RATIO}x)")
+
     assert ratio <= MAX_RATIO, (
         f"EmpiricalTrace.energy is {ratio:.2f}x ConstantTrace "
         f"(budget {MAX_RATIO}x): the prefix-sum fast path regressed"
+    )
+    assert rf_ratio <= MAX_RATIO, (
+        f"StochasticRFTrace.energy at t={RF_LATE_START:g} s is "
+        f"{rf_ratio:.2f}x its cost at t=0 (budget {MAX_RATIO}x): the "
+        f"segment lookup's cost grows with t again"
     )
 
 

@@ -14,7 +14,8 @@ reproducible.
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from bisect import bisect_right
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -243,13 +244,23 @@ class StochasticRFTrace(PowerTrace):
             t += dur
             on = not on
         self.horizon_s = t
+        # Segment i ends at the very float segment i + 1 starts at, so the
+        # segments tile [0, horizon_s) and a bisect over their starts picks
+        # the one segment a first-match scan would: O(log n) per lookup.
+        self._starts = [start for start, _, _ in self._segments]
+
+    def _segment_at(self, local: float) -> Optional[Tuple[float, float, float]]:
+        """The segment containing ``local``; ``None`` outside ``[0, horizon_s)``."""
+        i = bisect_right(self._starts, local) - 1
+        if i >= 0:
+            segment = self._segments[i]
+            if segment[0] <= local < segment[1]:
+                return segment
+        return None
 
     def power(self, t: float) -> float:
-        t = math.fmod(t, self.horizon_s)
-        for start, end, p in self._segments:
-            if start <= t < end:
-                return p
-        return 0.0
+        segment = self._segment_at(math.fmod(t, self.horizon_s))
+        return 0.0 if segment is None else segment[2]
 
     def energy(self, t: float, dt: float) -> float:
         if dt < 0:
@@ -260,17 +271,19 @@ class StochasticRFTrace(PowerTrace):
         while remaining > 1e-12:
             base = math.floor(cur / self.horizon_s) * self.horizon_s
             local = cur - base
-            advanced = False
-            for start, end, p in self._segments:
-                if start <= local < end:
-                    take = min(end - local, remaining)
-                    total += p * take
-                    cur += take
-                    remaining -= take
-                    advanced = True
-                    break
-            if not advanced:  # numeric edge: snap to next segment
+            segment = self._segment_at(local)
+            if segment is None:  # numeric edge: snap to next segment
                 cur = base + self.horizon_s
+                continue
+            _, end, p = segment
+            take = min(end - local, remaining)
+            total += p * take
+            # Past the first horizon ``cur`` carries a coarser ulp than
+            # ``local``, so a sliver under half of it leaves ``cur + take ==
+            # cur`` and the loop would spin in place: step one ulp instead.
+            advanced = cur + take
+            cur = advanced if advanced != cur else math.nextafter(cur, math.inf)
+            remaining -= take
         return total
 
 

@@ -48,7 +48,9 @@ class TestTraces:
         a = StochasticRFTrace(1e-3, seed=3)
         b = StochasticRFTrace(1e-3, seed=3)
         assert a.power(0.123) == b.power(0.123)
-        assert a.energy(0.0, 1.0) == pytest.approx(b.energy(0.0, 1.0))
+        assert a.energy(0.0, 1.0) == b.energy(0.0, 1.0)
+        assert a.power(500.123) == b.power(500.123)
+        assert a.energy(499.7, 1.0) == b.energy(499.7, 1.0)
 
     def test_stochastic_mean_power_reasonable(self):
         tr = StochasticRFTrace(2e-3, seed=1, horizon_s=100.0)

@@ -15,6 +15,7 @@ conformance diff deep inside a harvested replay.
 """
 
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -47,12 +48,20 @@ FAMILIES = {
 }
 
 
-def random_windows(rng, n=200):
+# Families whose lookup depends on how far into the trace a window
+# starts: half their windows start late, past the horizon wrap included.
+LATE_STARTS = {"rf": (100.0, 1200.0)}
+
+
+def random_windows(rng, n=200, late=None):
     """Starts/dts shaped like the replay's: atom draws (us..ms), recharge
-    steps (1 ms), zero-length windows, and period-straddling spans."""
+    steps (1 ms), zero-length windows, and period-straddling spans.
+    ``late=(lo, hi)`` moves the second half of the starts into ``[lo, hi)``."""
     starts = rng.uniform(0.0, 2.0, n)
     dts = rng.choice(
         [0.0, 1e-6, 3.7e-5, 1e-3, 2.3e-3, 0.049, 0.31], n)
+    if late is not None:
+        starts[n // 2:] = rng.uniform(*late, n - n // 2)
     return starts, dts
 
 
@@ -62,7 +71,7 @@ class TestEnergyBatchPinsScalar:
     def test_elementwise_bitwise_equal(self, family, seed):
         trace = FAMILIES[family]()
         rng = np.random.default_rng(10 * seed + 3)
-        starts, dts = random_windows(rng)
+        starts, dts = random_windows(rng, late=LATE_STARTS.get(family))
         batch = trace.energy_batch(starts, dts)
         assert batch.shape == starts.shape
         for i, (t, d) in enumerate(zip(starts, dts)):
@@ -180,3 +189,124 @@ class TestSegmentTableRecurrences:
             assert x + 0.0 == x
             assert x + (-0.0) == x
         assert (0.0 + (-0.0)) == 0.0 and math.copysign(1.0, 0.0 + (-0.0)) > 0
+
+
+def _scan_segment(trace, local):
+    """The first-match linear scan ``StochasticRFTrace`` used before its
+    bisect lookup: the oracle the bisect must agree with everywhere."""
+    for segment in trace._segments:
+        if segment[0] <= local < segment[1]:
+            return segment
+    return None
+
+
+def scan_power(trace, t):
+    segment = _scan_segment(trace, math.fmod(t, trace.horizon_s))
+    return 0.0 if segment is None else segment[2]
+
+
+def scan_energy(trace, t, dt):
+    """``StochasticRFTrace.energy``'s loop, with each segment found by the scan."""
+    total = 0.0
+    remaining = dt
+    cur = t
+    while remaining > 1e-12:
+        base = math.floor(cur / trace.horizon_s) * trace.horizon_s
+        local = cur - base
+        segment = _scan_segment(trace, local)
+        if segment is None:
+            cur = base + trace.horizon_s
+            continue
+        _, end, p = segment
+        take = min(end - local, remaining)
+        total += p * take
+        advanced = cur + take
+        cur = advanced if advanced != cur else math.nextafter(cur, math.inf)
+        remaining -= take
+    return total
+
+
+class TestStochasticRFLookup:
+    """The bisect over segment starts picks the scan's segment, bit for bit."""
+
+    @staticmethod
+    def _assert_matches(trace, t, dt):
+        assert trace.power(t) == scan_power(trace, t), t
+        got = trace.energy(t, dt)
+        want = scan_energy(trace, t, dt)
+        assert got == want, f"energy({t!r}, {dt!r}) = {got!r} != scan {want!r}"
+
+    def test_segments_tile_the_horizon(self):
+        # The bisect's premise: each segment ends on the very float the
+        # next one starts at, from 0.0 up to horizon_s.
+        trace = FAMILIES["rf"]()
+        segments = trace._segments
+        assert segments[0][0] == 0.0
+        assert segments[-1][1] == trace.horizon_s
+        for (_, end, _), (start, _, _) in zip(segments, segments[1:]):
+            assert end == start
+
+    @pytest.mark.parametrize("dt", [0.0, 1e-6, 1e-3, 0.049, 0.7])
+    def test_every_segment_edge_and_its_neighbours(self, dt):
+        trace = StochasticRFTrace(1.5e-3, seed=4, horizon_s=2.0)
+        h = trace.horizon_s
+        for start, end, _ in trace._segments:
+            for x in (start, end):
+                for t in (math.nextafter(x, -math.inf), x,
+                          math.nextafter(x, math.inf)):
+                    self._assert_matches(trace, t, dt)
+        self._assert_matches(trace, math.nextafter(h, 0.0), dt)
+
+    @pytest.mark.parametrize("dt", [1e-6, 0.049, 0.7, 2.5])
+    def test_horizon_multiples_and_wrapping_windows(self, dt):
+        trace = StochasticRFTrace(1.5e-3, seed=4, horizon_s=2.0)
+        h = trace.horizon_s
+        for k in range(1, 6):
+            for t in (k * h, math.nextafter(k * h, 0.0), k * h - 0.3 * dt):
+                self._assert_matches(trace, t, dt)
+
+    def test_late_starts(self):
+        # 100 s .. 1200 s on the default 600 s horizon: where the scan was
+        # slowest and where windows wrap onto a coarser clock ulp.
+        trace = FAMILIES["rf"]()
+        rng = np.random.default_rng(17)
+        starts = rng.uniform(100.0, 1200.0, 60)
+        dts = rng.choice([1e-6, 1e-3, 0.049, 0.31], 60)
+        for t, dt in zip(starts, dts):
+            self._assert_matches(trace, float(t), float(dt))
+
+    def test_window_past_the_horizon_advances_the_clock(self):
+        # Past the first horizon, ``cur + take`` can round back onto
+        # ``cur`` at a segment end; energy() must still finish, with the
+        # first pass's value up to rounding of the clock.
+        trace = StochasticRFTrace(1.5e-3, mean_on_s=0.02, mean_off_s=0.04,
+                                  seed=0)
+        t = 1057.2513109603542  # stalls at a segment end at ~1057.487 s
+        local = t - trace.horizon_s
+
+        def spinning(signum, frame):
+            raise AssertionError(f"energy({t!r}, 0.3) spins in place")
+
+        # A regression spins for hours: fail after 10 s instead.
+        previous = signal.signal(signal.SIGALRM, spinning)
+        signal.alarm(10)
+        try:
+            late = trace.energy(t, 0.3)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert late == pytest.approx(trace.energy(local, 0.3), rel=1e-9)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: ~30+ horizons in, floor(cur / horizon_s) can round "
+        "below a multiple that cur sits on, and the snap branch then "
+        "leaves cur unchanged (energy() spins); see ROADMAP"))
+    def test_snap_branch_always_moves_the_clock(self):
+        trace = StochasticRFTrace(1.5e-3, mean_on_s=0.02, mean_off_s=0.04,
+                                  seed=0)
+        h = trace.horizon_s
+        for k in range(1, 200):
+            cur = k * h
+            base = math.floor(cur / h) * h
+            if not 0.0 <= cur - base < h:  # energy() snaps to base + h
+                assert base + h != cur, f"energy({k} * horizon_s) spins"
