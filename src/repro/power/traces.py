@@ -273,8 +273,15 @@ class StochasticRFTrace(PowerTrace):
             local = cur - base
             segment = self._segment_at(local)
             if segment is None:  # numeric edge: snap to next segment
-                cur = base + self.horizon_s
-                continue
+                snapped = base + self.horizon_s
+                if snapped != cur:
+                    cur = snapped
+                    continue
+                # ``floor`` rounded one multiple low and ``cur`` already
+                # sits on the next one (the snap would spin in place):
+                # read it as that horizon's start.
+                local = 0.0
+                segment = self._segments[0]
             _, end, p = segment
             take = min(end - local, remaining)
             total += p * take

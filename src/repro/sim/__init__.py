@@ -15,7 +15,6 @@ from repro.sim.fastsim import (
     CompiledProgram,
     FastMachine,
     ProgramCache,
-    analytic_brownout_index,
     compile_program,
     make_machine,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "RunResult",
     "SensingSession",
     "SessionStats",
-    "analytic_brownout_index",
     "compile_program",
     "make_machine",
     "total_cycles",

@@ -21,23 +21,19 @@ from precomputed tables.  :class:`FastMachine` exploits that in two ways:
 * **Harvested power**: brown-out points *cannot* be located analytically
   without breaking bit-equality.  ``Capacitor.charge``/``draw`` round-trip
   the voltage through ``sqrt(v**2 +/- 2E/C)`` on every draw; each trip
-  rounds, so skipping "certainly safe" atoms (e.g. via
-  :func:`analytic_brownout_index`) leaves the capacitor a few ulps away
-  from the reference trajectory and can flip a borderline brown-out
-  comparison.  The fast path therefore *replays* the exact scalar
+  rounds, so skipping "certainly safe" atoms leaves the capacitor a few
+  ulps away from the reference trajectory and can flip a borderline
+  brown-out comparison.  The fast path therefore *replays* the exact scalar
   recurrence, but from precompiled per-atom cost tables with the supply,
   meter, and monitor state inlined into local variables — the same
   arithmetic with none of the per-atom call/dispatch overhead.
-  ``_run_harvested`` batches everything around that recurrence; it is
-  the only harvested replay, and its oracle is the reference machine.
+  ``_run_harvested`` drives the phases of ``_Replay``, which batch
+  everything around that recurrence; it is the only harvested replay,
+  and its oracle is the reference machine.
 
-The compiled cumulative-energy table still powers
-:func:`analytic_brownout_index`, a ``searchsorted``-based estimator of
-the brown-out atom for planners and benchmarks; it is harvest-blind and
-rounding-blind by construction (accurate to about one atom), which is
-exactly why it is an estimator and not the execution path — see
-DESIGN.md's fast-engine section and the differential conformance suite
-(``tests/test_fastsim_conformance.py``) for the equivalence contract.
+See DESIGN.md's fast-engine section and the differential conformance
+suite (``tests/test_fastsim_conformance.py``) for the equivalence
+contract.
 
 ``FastMachine`` silently delegates to the reference machine for
 configurations it cannot replay exactly (subclassed device/supply/
@@ -155,9 +151,6 @@ class CompiledProgram:
     sram_count: List[float] = field(default_factory=list)
     volatile_words: List[int] = field(default_factory=list)
     volatile_prev: List[int] = field(default_factory=list)  # len n_atoms + 1
-    exec_bookings: List[list] = field(default_factory=list)
-    exec_time: List[float] = field(default_factory=list)
-    exec_total: List[float] = field(default_factory=list)
     #: Per-series cumsum output buffers for the continuous replay (the
     #: hot loop reuses them instead of allocating per run per key).
     _cumsum_scratch: Dict[str, np.ndarray] = field(default_factory=dict)
@@ -165,12 +158,6 @@ class CompiledProgram:
     commit_time: List[float] = field(default_factory=list)
     commit_cpu: List[float] = field(default_factory=list)
     commit_fram: List[float] = field(default_factory=list)
-    commit_total: List[float] = field(default_factory=list)
-    commit_bookings: List[Optional[list]] = field(default_factory=list)
-
-    #: Cumulative full-execution draw energy; ``cum_draw_energy[i]`` is the
-    #: supply draw of completing atoms ``[0, i)`` (commit draws included).
-    cum_draw_energy: np.ndarray = field(default_factory=lambda: np.zeros(1))
 
     # -- harvested segment-replay event tables ------------------------------
     # One *event* per supply draw of a full pass over the non-divisible
@@ -229,16 +216,8 @@ class CompiledProgram:
     #: list mirrors serve the short-range scalar-add path in ``flush``.
     key_items: List[Tuple] = field(default_factory=list)
     purpose_items: List[Tuple] = field(default_factory=list)  # (key, cnt, pos, e_arr, e_list)
-    #: Per-capacitance discharge tables: ``(2.0 * ev_total) / cap_f``
-    #: elementwise, exactly the ``Capacitor.draw`` subtrahend per event.
-    _draw_tables: Dict[float, List[float]] = field(default_factory=dict)
-    #: Cumulative variant (len ``n_events + 1``, head 0.0): total
-    #: squared-voltage drain of events ``< j`` assuming zero harvest — a
-    #: lower bound on the live trajectory, used to size batches and to
-    #: bound the span walk's provably trigger-free prefix.
-    _draw_cums: Dict[float, np.ndarray] = field(default_factory=dict)
-    #: Largest single-event entry of :meth:`draw_table` per capacitance.
-    _draw_maxes: Dict[float, float] = field(default_factory=dict)
+    #: Per-capacitance discharge tables (see :meth:`draw_tables`).
+    _draw_tables: Dict[float, Tuple] = field(default_factory=dict)
     #: Python-list mirrors of the continuous per-key term series (index 0
     #: head slot excluded): short series replay faster through a scalar
     #: accumulation loop than through a ``np.cumsum`` call (same adds,
@@ -253,43 +232,31 @@ class CompiledProgram:
     def ck_draws(self) -> List[Tuple]:
         """Checkpoint draw arguments per atom (see ``_ck_draws``)."""
         if not self._ck_draws and self.n_atoms:
-            for a in range(self.n_atoms):
-                ct, ce, cf = _commit_cost(
-                    self.volatile_prev[a] + C.FLEX_COMMIT_WORDS)
-                ck_cpu = ce - cf
-                self._ck_draws.append((
-                    [("cpu", ct, ck_cpu, "checkpoint"),
-                     ("fram", 0.0, cf, "checkpoint")],
-                    ct, ck_cpu + cf))
+            self._ck_draws = [
+                _checkpoint_draw(self.volatile_prev[a] + C.FLEX_COMMIT_WORDS)
+                for a in range(self.n_atoms)]
         return self._ck_draws
 
-    def draw_table(self, cap_f: float) -> List[float]:
-        """Discharge term per event for a ``cap_f``-farad capacitor."""
-        table = self._draw_tables.get(cap_f)
-        if table is None:
-            table = ((2.0 * self.ev_total) / cap_f).tolist()
-            self._draw_tables[cap_f] = table
-        return table
+    def draw_tables(self, cap_f: float) -> Tuple[List[float], np.ndarray,
+                                                   float]:
+        """Discharge tables for a ``cap_f``-farad capacitor.
 
-    def draw_cum(self, cap_f: float) -> np.ndarray:
-        """Prefix sums of :meth:`draw_table` (len ``n_events + 1``)."""
-        cum = self._draw_cums.get(cap_f)
-        if cum is None:
+        ``(drw, cum, max)``: the per-event ``Capacitor.draw`` subtrahend
+        ``(2.0 * ev_total) / cap_f`` (elementwise, as a list); its prefix
+        sums (len ``n_events + 1``, head 0.0) — the squared-voltage drain
+        of events ``< j`` assuming zero harvest, a lower bound on the live
+        trajectory used to size batches and to bound the provably
+        trigger-free prefix; and its largest entry (0.0 with no events).
+        """
+        tables = self._draw_tables.get(cap_f)
+        if tables is None:
+            drw = (2.0 * self.ev_total) / cap_f
             cum = np.zeros(self.n_events + 1, dtype=np.float64)
-            np.cumsum((2.0 * self.ev_total) / cap_f, out=cum[1:])
-            self._draw_cums[cap_f] = cum
-        return cum
-
-    def draw_max(self, cap_f: float) -> float:
-        """Largest single-event discharge term (0.0 with no events)."""
-        m = self._draw_maxes.get(cap_f)
-        if m is None:
-            m = (
-                float((2.0 * self.ev_total).max() / cap_f)
-                if self.n_events else 0.0
-            )
-            self._draw_maxes[cap_f] = m
-        return m
+            np.cumsum(drw, out=cum[1:])
+            tables = (drw.tolist(), cum,
+                      float(drw.max()) if self.n_events else 0.0)
+            self._draw_tables[cap_f] = tables
+        return tables
 
 
 def _commit_cost(words: int) -> Tuple[float, float, float]:
@@ -300,6 +267,16 @@ def _commit_cost(words: int) -> Tuple[float, float, float]:
     energy = C.CPU_ACTIVE_W * time_s + words * C.FRAM_WRITE_RAW_J
     fram_j = words * C.FRAM_WRITE_RAW_J
     return time_s, energy, fram_j
+
+
+def _checkpoint_draw(words: int) -> Tuple[list, float, float]:
+    """``(bookings, time_s, total_j)`` of one ``words``-word checkpoint —
+    the exact draw the reference's ``Device.checkpoint`` makes."""
+    ct, ce, cf = _commit_cost(words)
+    ck_cpu = ce - cf
+    bookings = [("cpu", ct, ck_cpu, "checkpoint"),
+                ("fram", 0.0, cf, "checkpoint")]
+    return bookings, ct, ck_cpu + cf
 
 
 def _execute_costs(atom, fraction: float):
@@ -356,7 +333,12 @@ def compile_program(runtime: InferenceRuntime) -> CompiledProgram:
     # --- continuous-path event stream (the exact reference booking order) --
     events: List[Tuple[str, float, float, str]] = []  # (key, time, energy, purpose)
     exec_sub = 0.0
-    cum_draw = [0.0]
+    # Compile-only per-atom draws, consumed by the event tables below.
+    exec_bookings: List[list] = []
+    exec_time: List[float] = []
+    exec_total: List[float] = []
+    commit_total: List[float] = []
+    commit_bookings: List[Optional[list]] = []
     for atom in atoms:
         committing = commit_on and atom.commit
 
@@ -384,16 +366,16 @@ def compile_program(runtime: InferenceRuntime) -> CompiledProgram:
             p.commit_time.append(ct)
             p.commit_cpu.append(ck_cpu)
             p.commit_fram.append(cf)
-            p.commit_total.append(ck_cpu + cf)
-            p.commit_bookings.append(
+            commit_total.append(ck_cpu + cf)
+            commit_bookings.append(
                 [("cpu", ct, ck_cpu, "checkpoint"), ("fram", 0.0, cf, "checkpoint")]
             )
         else:
             p.commit_time.append(0.0)
             p.commit_cpu.append(0.0)
             p.commit_fram.append(0.0)
-            p.commit_total.append(0.0)
-            p.commit_bookings.append(None)
+            commit_total.append(0.0)
+            commit_bookings.append(None)
 
         if atom.divisible:
             per_iter = 1.0 / atom.iterations
@@ -415,14 +397,13 @@ def compile_program(runtime: InferenceRuntime) -> CompiledProgram:
             fraction = 1.0
 
         bookings, time_s, total = _exec_booking_list(atom, fraction)
-        p.exec_bookings.append(bookings)
-        p.exec_time.append(time_s)
-        p.exec_total.append(total)
+        exec_bookings.append(bookings)
+        exec_time.append(time_s)
+        exec_total.append(total)
 
         # Continuous-path events: execute, then commit (per reference order).
         for key, t, e, purpose in bookings:
             events.append((key, t, e, purpose))
-        atom_draw = total
         if atom.divisible:
             exec_sub += atom.cycles * atom.iterations * p.per_iter[-1]
             if committing:
@@ -432,16 +413,12 @@ def compile_program(runtime: InferenceRuntime) -> CompiledProgram:
                 cf_b = p.commit_fram[-1] * count
                 events.append(("cpu", tt, ce_b, "checkpoint"))
                 events.append(("fram", 0.0, cf_b, "checkpoint"))
-                atom_draw = atom_draw + (ce_b + cf_b)
         else:
             exec_sub += atom.cycles
             if committing:
                 events.append(("cpu", p.commit_time[-1], p.commit_cpu[-1], "checkpoint"))
                 events.append(("fram", 0.0, p.commit_fram[-1], "checkpoint"))
-                atom_draw = atom_draw + p.commit_total[-1]
-        cum_draw.append(cum_draw[-1] + atom_draw)
     p.cont_executed_cycles = 0.0 + exec_sub
-    p.cum_draw_energy = np.asarray(cum_draw, dtype=np.float64)
 
     p.volatile_prev = [0] + [a.volatile_words for a in atoms]
 
@@ -486,24 +463,24 @@ def compile_program(runtime: InferenceRuntime) -> CompiledProgram:
         p.atom_event_lo.append(len(ev_dt))
         if atom.divisible:
             continue
-        ev_dt.append(p.exec_time[i])
-        ev_total.append(p.exec_total[i])
+        ev_dt.append(exec_time[i])
+        ev_total.append(exec_total[i])
         ev_cycles.append(p.cycles[i])
         p.ev_atom.append(i)
         p.ev_is_exec.append(True)
         p.ev_durable_to.append(-1)
-        p.ev_bookings.append(p.exec_bookings[i])
-        book_stream.extend(p.exec_bookings[i])
+        p.ev_bookings.append(exec_bookings[i])
+        book_stream.extend(exec_bookings[i])
         p.ev_book_start.append(len(book_stream))
         if p.commit_flag[i]:
             ev_dt.append(p.commit_time[i])
-            ev_total.append(p.commit_total[i])
+            ev_total.append(commit_total[i])
             ev_cycles.append(0.0)
             p.ev_atom.append(i)
             p.ev_is_exec.append(False)
             p.ev_durable_to.append(i + 1 if atom.volatile_words == 0 else -1)
-            p.ev_bookings.append(p.commit_bookings[i])
-            book_stream.extend(p.commit_bookings[i])
+            p.ev_bookings.append(commit_bookings[i])
+            book_stream.extend(commit_bookings[i])
             p.ev_book_start.append(len(book_stream))
     p.atom_event_lo.append(len(ev_dt))
     p.n_events = len(ev_dt)
@@ -575,32 +552,6 @@ def compile_program(runtime: InferenceRuntime) -> CompiledProgram:
         for key in ppos
     ]
     return p
-
-
-def analytic_brownout_index(
-    program: CompiledProgram, budget_j: float, start_atom: int = 0
-) -> int:
-    """Estimate the first atom that cannot complete within ``budget_j``.
-
-    ``searchsorted`` over the compiled cumulative draw-energy table: the
-    largest prefix of atoms (whole atoms; commit draws included) whose
-    total supply draw fits in the budget.  Returns ``program.n_atoms``
-    when everything fits.  This is an *estimator*: it ignores harvest
-    credited during execution (it under-predicts on live supplies) and
-    the capacitor's per-draw rounding (so it can be off by one atom even
-    on a dead supply).  The exact brown-out location is only defined by
-    the replay itself — see the module docstring.
-    """
-    if not 0 <= start_atom <= program.n_atoms:
-        raise ConfigurationError(
-            f"start_atom must be in [0, {program.n_atoms}], got {start_atom}"
-        )
-    if budget_j < 0:
-        raise ConfigurationError("budget_j must be non-negative")
-    cum = program.cum_draw_energy
-    target = cum[start_atom] + budget_j
-    idx = int(np.searchsorted(cum, target, side="right")) - 1
-    return min(idx, program.n_atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -686,6 +637,841 @@ class ProgramCache:
 
 #: Process-wide default cache (fleet workers each get their own process copy).
 PROGRAM_CACHE = ProgramCache()
+
+
+# ---------------------------------------------------------------------------
+# The harvested replay
+# ---------------------------------------------------------------------------
+
+
+def _square_wave_energy(trace: SquareWaveTrace):
+    """Scalar twin of ``trace.energy`` for the replay's scalar draws.
+
+    The same operations in the same order as
+    :meth:`SquareWaveTrace.energy` (bit-identical), minus method dispatch,
+    attribute reloads, and the ``dt >= 0`` check (every replay dt is
+    ``>= 0``).  Single-period fast path: most storm/checkpoint windows
+    live inside the period the previous call ended in.  The cached bounds
+    are shrunk by a relative ``1e-13`` (~450 ulps) per side so both
+    scalar floors provably land on the cached period index, making the
+    one-term evaluation bit-equal to the general loop.
+    """
+    power = trace.power_w
+    period = trace.period_s
+    on_len = trace.duty * trace.period_s
+    c_on = 0.0
+    c_lo = 1.0
+    c_hi = 0.0  # empty guard window: the first call takes the loop
+
+    def energy(t, dt, _floor=math.floor, _max=max, _min=min):
+        nonlocal c_on, c_lo, c_hi
+        end = t + dt
+        if c_lo <= t and end < c_hi:
+            hi = end if end < c_on else c_on
+            if hi > t:
+                return power * (hi - t)
+            return power * 0.0
+        total_on = 0.0
+        k1 = int(_floor(end / period))
+        for k in range(int(_floor(t / period)), k1 + 1):
+            p0 = k * period
+            lo = _max(t, p0)
+            hi = _min(end, p0 + on_len)
+            if hi > lo:
+                total_on += hi - lo
+        p0 = k1 * period
+        c_on = p0 + on_len
+        c_lo = p0 * (1.0 + 1e-13 if p0 > 0.0 else 1.0 - 1e-13)
+        p1 = (k1 + 1) * period
+        c_hi = p1 * (1.0 - 1e-13 if p1 > 0.0 else 1.0 + 1e-13)
+        return power * total_on
+
+    return energy
+
+
+class _Replay:
+    """One harvested run's replay state and the phases that advance it.
+
+    The capacitor recurrence (``sqrt(v**2 +/- 2E/C)`` per draw) is
+    inherently sequential, so it stays scalar — but everything *around*
+    it batches.  Non-divisible atoms between two divisible atoms form a
+    *span* whose draw sequence is known at compile time (the event tables
+    on :class:`CompiledProgram`): :meth:`batch` precomputes a stretch of
+    event clocks and harvests, the walks keep a ~15-op scalar loop per
+    event, and meter bookings are deferred to :meth:`flush`.  Divisible
+    atoms, checkpoint storms and restores keep the scalar :meth:`draw`
+    (their timing depends on the live voltage); recharge gaps batch in
+    blocks of fixed steps.
+
+    The *state* is the capacitor voltage ``v``; the supply's ``clock``,
+    ``failures`` and ``charge_time``; the monitor's ``warnings``; the
+    ``durable_*``/``cursor_*`` positions; the current pass's executed
+    cycles ``sub_exec``; and the meter accumulators ``e_by``/``t_by``/
+    ``p_by``.  Every other attribute is a per-run constant.  A phase reads
+    the state on entry and writes it back on exit.  Phases run per span,
+    batch, storm event, divisible chunk, restore or recharge — never per
+    walked event — so the per-event loops keep their state in locals.
+
+    Every phase relies on two invariants:
+
+    * ``v >= v_off``.  Brown-outs reset ``v`` to ``v_off``, draws clamp at
+      it, and charge only raises it.  Squaring and rounding are monotone,
+      so ``v**2 - v_off**2 >= 0`` and the reference's ``max(0, .)``
+      clamps on usable and available energy are dead (``x - x == +0.0``).
+    * A zero charge leaves ``v`` bit-unchanged: the correctly rounded
+      ``sqrt`` of the rounded square returns ``v`` exactly (relative error
+      below 1/4 ulp), so a zero-harvest charge update is skipped.
+    """
+
+    def __init__(self, program: CompiledProgram, supply: EnergyHarvester,
+                 meter: EnergyMeter,
+                 monitor: Optional[VoltageMonitor]) -> None:
+        p = self.p = program
+        cap = supply.capacitor
+        trace = supply.trace
+        cap_f = self.cap_f = cap.capacitance_f
+        self.v_max = cap.v_max
+        self.v_off = cap.v_off
+        self.v_on = cap.v_on
+        self.v_off_sq = cap.v_off ** 2
+        self.half_c = 0.5 * cap_f
+        eff = self.eff = supply.efficiency
+        step = self.step = supply.charge_step_s
+        self.timeout_s = supply.charge_timeout_s
+        self.trace_energy = (_square_wave_energy(trace)
+                             if type(trace) is SquareWaveTrace
+                             else trace.energy)
+        # The replay always hands ``energy_batch`` float64 arrays of one
+        # shape with non-negative dts, so traces exporting a trusted
+        # (validation-free) twin get called through it.
+        self.energy_batch = getattr(trace, "energy_batch_trusted",
+                                    trace.energy_batch)
+        # Where the trace family has a closed form: the long-run mean
+        # harvest per recharge step (sizes the first recharge block — an
+        # estimate; correctness never depends on it) and the largest
+        # single-step charge term (see ``no_clamp_recharge``).
+        if type(trace) is SquareWaveTrace:
+            self.mean_step_j = trace.power_w * trace.duty * step * eff
+            step_chg = (2.0 * ((trace.power_w * step) * eff)) / cap_f
+        else:
+            self.mean_step_j = 0.0
+            step_chg = float("inf")
+        # The recharge loop exits at the first ``v >= v_on``, so every
+        # step enters below ``v_on``; when a single step's charge cannot
+        # lift ``v_on**2`` past ``v_max**2``, the v_max clamp is provably
+        # dead for the whole walk (margin covers fl drift).
+        self.no_clamp_recharge = (
+            self.v_on * self.v_on + step_chg * 1.000001 + 1e-9
+            < self.v_max * self.v_max
+        )
+        # Constant-dt operand for the recharge ``energy_batch`` calls
+        # (``np.broadcast_to`` costs more than the batch at these sizes).
+        self.step_fill = None
+        snapshot_on = self.snapshot_on = (
+            p.snapshot_on_warning and monitor is not None)
+        self.v_warn = monitor.v_warn if monitor is not None else 0.0
+        # Single-compare storm guard: v >= v_off > -1 always, so the
+        # sentinel disables the low-voltage peek when snapshots are off.
+        self.sv_warn = self.v_warn if snapshot_on else -1.0
+        self.warn_sq = self.sv_warn * self.sv_warn
+        self.drw_l, self.drw_cum, drw_max = p.draw_tables(cap_f)
+        self.v_off_sq_safe = self.v_off_sq + drw_max + 1e-9
+        self.ck_draws = p.ck_draws() if snapshot_on else None
+        # Scratch for flush cumsums: every range it accumulates is bounded
+        # by the booking stream (and the event count never exceeds it).
+        self.kbuf = np.empty(len(p.book_stream) + 2)
+
+        self.v = cap.voltage
+        self.clock = supply.clock_s
+        self.failures = supply.failures
+        self.charge_time = supply.charge_time_s
+        self.warnings = monitor.warnings if monitor is not None else 0
+        self.e_by = dict(meter.energy_j)
+        self.t_by = dict(meter.time_s)
+        self.p_by = dict(meter.purpose_energy_j)
+        self.durable_atom = self.durable_it = 0
+        self.cursor_atom = self.cursor_it = 0
+        self.sub_exec = 0.0
+
+    # -- scalar draws -------------------------------------------------------
+
+    def draw(self, bookings, time_s: float, total_j: float,
+             _sqrt=math.sqrt) -> bool:
+        """One ``Device._draw_and_record``: harvest over ``time_s``, then
+        draw ``total_j`` and book ``bookings``; ``False`` on a brown-out.
+
+        Serves divisible chunks, checkpoints, storm events and restores.
+        Relies on both invariants: ``usable`` needs no clamp, and a zero
+        harvest skips the charge update.  A storm event's discharge term
+        ``2.0 * total_j / cap_f`` is the very float its
+        :meth:`CompiledProgram.draw_tables` entry holds.
+        """
+        v = pv = self.v
+        clock = self.clock
+        harvested = self.trace_energy(clock, time_s) * self.eff
+        self.clock = clock + time_s
+        cap_f = self.cap_f
+        if harvested != 0.0:
+            root = _sqrt(v ** 2 + 2.0 * harvested / cap_f)
+            v_max = self.v_max
+            v = root if root < v_max else v_max
+        v_off_sq = self.v_off_sq
+        if total_j > self.half_c * (v ** 2 - v_off_sq):
+            self._brownout(bookings, pv, harvested, total_j)
+            return False
+        new_sq = v ** 2 - 2.0 * total_j / cap_f
+        if new_sq < v_off_sq:
+            new_sq = v_off_sq
+        self.v = _sqrt(new_sq)
+        e_by = self.e_by
+        t_by = self.t_by
+        p_by = self.p_by
+        for compo, t, e, purpose in bookings:
+            e_by[compo] = e_by.get(compo, 0.0) + e
+            t_by[compo] = t_by.get(compo, 0.0) + t
+            p_by[purpose] = p_by.get(purpose, 0.0) + e
+        return True
+
+    def _brownout(self, bookings, pv: float, harvested: float,
+                  total_j: float) -> None:
+        """Book a browned-out draw the reference's way.
+
+        ``v`` drops to ``v_off`` and each booking is scaled to the energy
+        actually spent: ``avail + harvested``, capped at ``total_j``.
+        ``avail`` is recomputed from the pre-charge voltage ``pv`` (the
+        same float, hence the same bits); ``pv >= v_off`` keeps it
+        non-negative, so the reference's clamp on it is dead.
+        """
+        self.v = self.v_off
+        self.failures += 1
+        spent = self.half_c * (pv ** 2 - self.v_off_sq) + harvested
+        if total_j < spent:
+            spent = total_j
+        scale = spent / total_j if total_j > 0 else 0.0
+        e_by = self.e_by
+        t_by = self.t_by
+        p_by = self.p_by
+        for compo, t, e, purpose in bookings:
+            t = t * scale
+            e = e * scale
+            e_by[compo] = e_by.get(compo, 0.0) + e
+            t_by[compo] = t_by.get(compo, 0.0) + t
+            p_by[purpose] = p_by.get(purpose, 0.0) + e
+
+    def checkpoint(self, atom: int, it: int) -> bool:
+        """FLEX checkpoint-on-warning at position ``(atom, it)``.
+
+        Counts the monitor warning and draws the reference's snapshot:
+        the live volatile words plus ``FLEX_COMMIT_WORDS`` — the compiled
+        per-atom draw at the top of an atom, the bare commit mid-loop
+        (loop state is index-resumable).  On success the position becomes
+        durable; ``False`` on a brown-out.
+        """
+        self.warnings += 1
+        if it:
+            bookings, time_s, total_j = _checkpoint_draw(C.FLEX_COMMIT_WORDS)
+        else:
+            bookings, time_s, total_j = self.ck_draws[atom]
+        if not self.draw(bookings, time_s, total_j):
+            return False
+        self.durable_atom, self.durable_it = atom, it
+        return True
+
+    def storm(self, e: int, e_end: int) -> int:
+        """A checkpoint storm: span events from ``e`` (a snapshot
+        candidate) on the scalar path while the monitor stays low.
+
+        Every candidate — an exec event whose atom's progress is not
+        durable — checkpoints before it executes; the checkpoint shifts
+        every later event clock, so no batch can run across it.  The
+        events in between draw on the same scalar path, which is the
+        walk's arithmetic (``draw``'s discharge term is the draw-table
+        float, its bookings are the ones :meth:`flush` would replay), so
+        batching resumes exactly where the voltage recovers.  Returns the
+        event index after the storm, or ``-1`` on a brown-out (the cursor
+        then holds the reference's resume point).
+        """
+        p = self.p
+        draw = self.draw
+        ev_atom = p.ev_atom
+        ev_exec = p.ev_is_exec
+        ev_bookings = p.ev_bookings
+        ev_dt_l = p.ev_dt_l
+        ev_total_l = p.ev_total_l
+        ev_durable = p.ev_durable_to
+        snap_l = p.ev_snap_atom
+        sv_warn = self.sv_warn
+        while e < e_end and self.v <= sv_warn:
+            a = ev_atom[e]
+            if self.durable_atom < snap_l[e] and not self.checkpoint(a, 0):
+                self.cursor_atom, self.cursor_it = a, 0
+                return -1
+            if not draw(ev_bookings[e], ev_dt_l[e], ev_total_l[e]):
+                self.cursor_atom = a if ev_exec[e] else a + 1
+                self.cursor_it = 0
+                return -1
+            if ev_exec[e]:
+                self.sub_exec += p.cycles[a]
+            dto = ev_durable[e]
+            if dto >= 0:
+                self.durable_atom, self.durable_it = dto, 0
+            e += 1
+        return e
+
+    def divisible(self, ca: int) -> bool:
+        """``_run_divisible``: run loop atom ``ca`` from ``cursor_it`` in
+        chunks sized by the live usable energy (no clamp: ``v >= v_off``),
+        each followed by its bulk progress commit.  ``False`` on a
+        brown-out, with ``cursor_it`` at the chunk that failed.
+        """
+        p = self.p
+        iters = p.iterations[ca]
+        per_iter = p.per_iter[ca]
+        e_iter = p.e_iter[ca]
+        e_iter_floor = e_iter if e_iter > 1e-18 else 1e-18
+        a_cycles = p.cycles[ca]
+        a_power = p.power_w[ca]
+        a_purpose = p.purpose[ca]
+        a_comp = p.component[ca]
+        a_mem = p.mem_unit[ca]
+        a_fram = p.fram_unit[ca]
+        a_sram = p.sram_count[ca]
+        committing = p.commit_flag[ca]
+        durable_loop = committing and p.volatile_words[ca] == 0
+        half_c = self.half_c
+        v_off_sq = self.v_off_sq
+        draw = self.draw
+        it = self.cursor_it
+        div_exec = 0.0
+        while it < iters:
+            remaining = iters - it
+            chunk = int(half_c * (self.v ** 2 - v_off_sq) / e_iter_floor)
+            if chunk > remaining:
+                chunk = remaining
+            if chunk < 1:
+                chunk = 1
+            f = chunk * per_iter
+            time_s = a_cycles * f * C.EFFECTIVE_CYCLE_S
+            core_j = a_power * time_s
+            energy_j = core_j + f * a_mem
+            fram_j = f * a_fram
+            sram_j = f * a_sram * C.SRAM_ACCESS_J
+            core_booked = energy_j - fram_j - sram_j
+            bookings = [(a_comp, time_s, core_booked, a_purpose)]
+            total = core_booked
+            if fram_j:
+                bookings.append(("fram", 0.0, fram_j, a_purpose))
+                total = total + fram_j
+            if sram_j:
+                bookings.append(("sram", 0.0, sram_j, a_purpose))
+                total = total + sram_j
+            if not draw(bookings, time_s, total):
+                self.cursor_it = it
+                return False
+            div_exec += a_cycles * chunk * per_iter
+            if committing:
+                tt = p.commit_time[ca] * chunk
+                ce_b = p.commit_cpu[ca] * chunk
+                cf_b = p.commit_fram[ca] * chunk
+                if not draw([("cpu", tt, ce_b, "checkpoint"),
+                             ("fram", 0.0, cf_b, "checkpoint")],
+                            tt, ce_b + cf_b):
+                    self.cursor_it = it
+                    return False
+            it += chunk
+            if durable_loop:
+                self.durable_atom, self.durable_it = ca, it
+        self.sub_exec += div_exec
+        self.cursor_atom, self.cursor_it = ca + 1, 0
+        if durable_loop:
+            self.durable_atom, self.durable_it = ca + 1, 0
+        return True
+
+    def restore(self, words: int) -> bool:
+        """Read progress back after a reboot: ``words`` of progress record
+        plus the snapshot's volatile words (none mid-loop).  ``False`` when
+        the restore itself browns out."""
+        if self.durable_it == 0:
+            words += self.p.volatile_prev[self.durable_atom]
+        rcycles = C.COMMIT_BASE_CYCLES + words * C.COMMIT_CYCLES_PER_WORD
+        rtime = rcycles * C.CYCLE_S
+        rcpu = C.CPU_ACTIVE_W * rtime
+        rfram = words * C.FRAM_READ_RAW_J
+        return self.draw([("cpu", rtime, rcpu, "checkpoint"),
+                          ("fram", 0.0, rfram, "checkpoint")],
+                         rtime, rcpu + rfram)
+
+    # -- span replay --------------------------------------------------------
+
+    def span(self, ca: int) -> bool:
+        """Replay the span of non-divisible atoms from ``ca`` up to the next
+        divisible atom; ``False`` on a brown-out.
+
+        Snapshot peek: the reference consults the monitor only at the top
+        of an atom with un-durable progress, so only an exec event with
+        ``durable_atom < atom`` can snapshot (and shift every later batch
+        clock).  Such a candidate under a low monitor starts a
+        :meth:`storm`; every other event — however low the voltage —
+        stays batched, and :meth:`exact_walk` rewinds here the moment a
+        genuine candidate turns low mid-batch.
+        """
+        p = self.p
+        e_idx = p.atom_event_lo[ca]
+        e_end = p.atom_event_lo[p.span_end_atom[ca]]
+        e_flush = e_idx
+        snap_l = p.ev_snap_atom
+        while e_idx < e_end:
+            if self.v <= self.sv_warn and self.durable_atom < snap_l[e_idx]:
+                if e_flush < e_idx:
+                    self.flush(e_flush, e_idx)
+                e_idx = e_flush = self.storm(e_idx, e_end)
+                if e_idx < 0:
+                    return False
+                continue
+            B, k0, chg, clocks, h = self.batch(e_idx, e_end)
+            p0 = self.prefix_walk(e_idx, B, k0, chg) if k0 else 0
+            e_idx, e_flush, browned = self.exact_walk(
+                e_idx, e_flush, p0, B, chg, clocks, h)
+            if browned:
+                return False
+        self.flush(e_flush, e_end)
+        self.cursor_atom, self.cursor_it = p.span_end_atom[ca], 0
+        return True
+
+    def batch(self, e_idx: int, e_end: int):
+        """Size and precompute the next batch of span events from ``e_idx``.
+
+        Returns ``(B, k0, chg, clocks, h)``: the batch length, its
+        provably test-free prefix (:meth:`free_prefix`), the per-event
+        charge terms ``(2.0 * h) / cap_f`` as a list, the event clocks
+        (``B + 1`` of them, from the live clock) and the harvests.  Clocks
+        are ``np.cumsum`` over the event dts — the sequential adds of the
+        scalar ``clock += dt`` chain — and harvests are one
+        ``energy_batch`` call, bitwise ``energy`` per element.  A numpy
+        entry costs a fixed ~20-30us in dispatches while the scalar walk
+        costs ~0.5us per event, so stretches under ~48 events compute the
+        same adds and products in scalar form instead (the short
+        stretch).
+        """
+        p = self.p
+        if self.snapshot_on:
+            # When the nearest place a snapshot could fire — the next
+            # straight-line candidate, or (above the warning level) the
+            # zero-harvest drain horizon, whichever is farther — is within
+            # the break-even window, hop to it in scalar form.  Otherwise
+            # take the whole span; the predictive cut below trims it to
+            # the first *projected* trigger, so a mid-batch snapshot
+            # almost never discards a computed tail.
+            lim = p.ev_next_snap[e_idx + 1]
+            v = self.v
+            if v > self.sv_warn:
+                cum = self.drw_cum
+                g = int(cum.searchsorted(
+                    float(cum[e_idx]) + (v * v - self.warn_sq)))
+                if g > lim:
+                    lim = g
+            if lim > e_end:
+                lim = e_end
+            B = (lim - e_idx) if lim - e_idx <= 48 else e_end - e_idx
+        else:
+            B = e_end - e_idx
+        clock = self.clock
+        eff = self.eff
+        cap_f = self.cap_f
+        if B <= 48:
+            trace_energy = self.trace_energy
+            ev_dt_l = p.ev_dt_l
+            clocks = [clock]
+            h = []
+            chg = []
+            for kk in range(e_idx, e_idx + B):
+                d = ev_dt_l[kk]
+                hv = trace_energy(clock, d) * eff
+                h.append(hv)
+                chg.append((2.0 * hv) / cap_f)
+                clock = clock + d
+                clocks.append(clock)
+            return B, 0, chg, clocks, h
+        k0 = self.free_prefix(self.v, e_idx, B)
+        dts = p.ev_dt[e_idx:e_idx + B]
+        seg = np.empty(B + 1)
+        seg[0] = clock
+        seg[1:] = dts
+        clocks = np.cumsum(seg)
+        h = self.energy_batch(clocks[:B], dts) * eff
+        chg_np = (2.0 * h) / cap_f
+        if self.snapshot_on and k0 < B:
+            # Predictive cut: project the squared voltage over the batch
+            # (charge minus drain, no clamp/rounding — drift is ulps
+            # against a margin of volts) and end the batch just before the
+            # first candidate event projected at or below the warning
+            # level.  The exact walk still decides; a misprediction only
+            # costs one rewind.  A test-free prefix spanning the batch
+            # cannot fire (charge only raises the proven floor), so the
+            # projection is skipped then.
+            cum = self.drw_cum
+            v = self.v
+            pred = (v * v + float(cum[e_idx])) + np.cumsum(chg_np)
+            pred -= cum[e_idx + 1:e_idx + 1 + B]
+            trig = (pred[:B - 1] <= self.warn_sq) \
+                & p.ev_snap_cand[e_idx + 1:e_idx + B]
+            am = int(trig.argmax())
+            if trig[am]:
+                B = am + 1
+                if k0 > B:
+                    k0 = B
+        # Only the per-event charge is walked; clocks and harvests are
+        # read at break points alone, so they stay arrays.
+        return B, k0, chg_np[:B].tolist(), clocks, h
+
+    def free_prefix(self, v: float, e: int, n: int) -> int:
+        """How many of events ``[e, e + n)`` provably fire no test when
+        walked from voltage ``v``.
+
+        Charge only raises the zero-harvest drain floor ``v**2 -
+        cum_drain`` (the ``v_max`` clamp binds only above the start
+        voltage, so it never pulls the trajectory below that floor).
+        While the floor clears every threshold — brown-out and the
+        ``v_off`` clamp by more than the largest single discharge and,
+        with snapshots on, the warning level — a walk needs no per-event
+        tests.  The ``1e-9`` margin dwarfs the prefix-sum association
+        drift (ulps).  Prefixes under 8 events return 0: too short to pay
+        for a second loop.
+        """
+        lim = v * v - self.v_off_sq_safe
+        if self.snapshot_on:
+            lim_w = v * v - self.warn_sq - 1e-9
+            if lim_w < lim:
+                lim = lim_w
+        if lim <= 0.0:
+            return 0
+        cum = self.drw_cum
+        k = int(cum.searchsorted(float(cum[e]) + lim)) - e
+        if k > n:
+            return n
+        return k if k >= 8 else 0
+
+    def prefix_walk(self, e_idx: int, B: int, k0: int, chg) -> int:
+        """Walk the batch's test-free prefix of ``k0`` events; returns the
+        batch offset where the test-free region ends.
+
+        Charge, discharge, durable advance — no brown-out, clamp or
+        warning tests (:meth:`free_prefix` proved none can fire).  When a
+        prefix ends the proof is re-run from the *live* voltage (the
+        zero-harvest floor ignores the charge the walk actually banked),
+        which usually extends the test-free region across most of the
+        batch.
+        """
+        v = self.v
+        v_max = self.v_max
+        drw_l = self.drw_l
+        dto_l = self.p.ev_durable_to
+        sqrt = math.sqrt
+        durable = -1
+        p0 = k0
+        while k0:
+            lo = e_idx + p0 - k0
+            hi = e_idx + p0
+            for chg_k, dr, dto in zip(chg[p0 - k0:p0], drw_l[lo:hi],
+                                      dto_l[lo:hi]):
+                if chg_k != 0.0:
+                    root = sqrt(v ** 2 + chg_k)
+                    v = root if root < v_max else v_max
+                v = sqrt(v ** 2 - dr)
+                if dto >= 0:
+                    durable = dto
+            if p0 >= B:
+                break
+            k0 = self.free_prefix(v, hi, B - p0)
+            p0 += k0
+        self.v = v
+        if durable >= 0:
+            self.durable_atom, self.durable_it = durable, 0
+        return p0
+
+    def exact_walk(self, e_idx: int, e_flush: int, p0: int, B: int, chg,
+                   clocks, h):
+        """Walk batch events ``[p0, B)`` with every test; returns
+        ``(e_idx, e_flush, browned)`` for the span loop.
+
+        Three exits.  The batch completes: the clock jumps to its end.  A
+        snapshot candidate turns low: its checkpoint would shift every
+        later event clock, so flush and rewind to it for :meth:`storm`
+        (same state, same verdict).  A brown-out is bracketed at an event:
+        flush the clean prefix, book the scaled partial draw, and set the
+        reference's cursor.  No ``usable < 0`` clamp: ``v >= v_off``.
+        """
+        p = self.p
+        v = self.v
+        da = self.durable_atom
+        di = self.durable_it
+        sv_warn = self.sv_warn
+        v_max = self.v_max
+        v_off_sq = self.v_off_sq
+        half_c = self.half_c
+        snap_l = p.ev_snap_atom
+        sqrt = math.sqrt
+        lo = e_idx + p0
+        hi = e_idx + B
+        walk = enumerate(zip(chg[p0:], p.ev_total_l[lo:hi], self.drw_l[lo:hi],
+                             p.ev_durable_to[lo:hi]), p0)
+        for k, (chg_k, tot, dr, dto) in walk:
+            if v <= sv_warn and da < snap_l[e_idx + k]:
+                jj = e_idx + k
+                self.v = v
+                self.durable_atom, self.durable_it = da, di
+                self.flush(e_flush, jj)
+                self.clock = float(clocks[k])
+                return jj, jj, False
+            if chg_k != 0.0:
+                pv = v
+                root = sqrt(v ** 2 + chg_k)
+                v = root if root < v_max else v_max
+            vsq = v ** 2
+            if tot > half_c * (vsq - v_off_sq):
+                jj = e_idx + k
+                self.durable_atom, self.durable_it = da, di
+                self.flush(e_flush, jj)
+                # ``pv`` is only captured when a charge step ran; with a
+                # zero charge v is already the pre-charge voltage.
+                if chg_k == 0.0:
+                    pv = v
+                self.clock = float(clocks[k + 1])
+                self._brownout(p.ev_bookings[jj], pv, float(h[k]), tot)
+                a = p.ev_atom[jj]
+                self.cursor_atom = a if p.ev_is_exec[jj] else a + 1
+                self.cursor_it = 0
+                return jj, jj, True
+            new_sq = vsq - dr
+            if new_sq < v_off_sq:
+                new_sq = v_off_sq
+            v = sqrt(new_sq)
+            if dto >= 0:
+                da, di = dto, 0
+        self.v = v
+        self.durable_atom, self.durable_it = da, di
+        self.clock = float(clocks[B])
+        return e_idx + B, e_flush, False
+
+    def flush(self, e0: int, e1: int) -> None:
+        """Apply events ``[e0, e1)``'s deferred meter bookings and
+        executed-cycle adds.
+
+        Dict values are independent accumulators, so each key replays
+        its own adds in stream order — directly for short ranges, else as
+        a ``np.add.accumulate`` seeded with the running value (the same
+        sequential IEEE-754 adds).  Keys new to a dict enter in
+        first-booking order, so the dicts match the reference's key order
+        too.
+        """
+        if e0 >= e1:
+            return
+        p = self.p
+        e_by = self.e_by
+        t_by = self.t_by
+        p_by = self.p_by
+        e_get = e_by.get
+        t_get = t_by.get
+        p_get = p_by.get
+        b0 = p.ev_book_start[e0]
+        b1 = p.ev_book_start[e1]
+        if b1 - b0 <= 80:
+            sub_exec = self.sub_exec
+            cycles_l = p.cycles
+            ev_atom_l = p.ev_atom
+            ev_exec_l = p.ev_is_exec
+            for ev in range(e0, e1):
+                if ev_exec_l[ev]:
+                    sub_exec += cycles_l[ev_atom_l[ev]]
+            self.sub_exec = sub_exec
+            book_stream = p.book_stream
+            for s in range(b0, b1):
+                compo, t, e, purpose = book_stream[s]
+                e_by[compo] = e_get(compo, 0.0) + e
+                t_by[compo] = t_get(compo, 0.0) + t
+                p_by[purpose] = p_get(purpose, 0.0) + e
+            return
+        # Commit events intersperse cycles of 0.0; "+ 0.0" is exact on
+        # the non-negative running sum.
+        self.sub_exec = self._add_seq(self.sub_exec, None, p.ev_cycles, e0, e1)
+        add_seq = self._add_seq
+        e_ins = []
+        t_ins = []
+        p_ins = []
+        for key, cnt, pos, earr, tarr, t_zero, e_tl, t_tl in p.key_items:
+            klo = cnt[e0]
+            khi = cnt[e1]
+            if khi <= klo:
+                continue
+            first = pos[klo]
+            e_val = add_seq(e_get(key, 0.0), e_tl, earr, klo, khi)
+            if key in e_by:
+                e_by[key] = e_val
+            else:
+                e_ins.append((first, key, e_val))
+            if t_zero:
+                # Every term is 0.0 and the accumulator is >= 0, so the
+                # add sequence leaves it bit-unchanged.
+                if key not in t_by:
+                    t_ins.append((first, key, 0.0))
+                continue
+            t_val = add_seq(t_get(key, 0.0), t_tl, tarr, klo, khi)
+            if key in t_by:
+                t_by[key] = t_val
+            else:
+                t_ins.append((first, key, t_val))
+        for key, cnt, pos, earr, e_tl in p.purpose_items:
+            klo = cnt[e0]
+            khi = cnt[e1]
+            if khi <= klo:
+                continue
+            p_val = add_seq(p_get(key, 0.0), e_tl, earr, klo, khi)
+            if key in p_by:
+                p_by[key] = p_val
+            else:
+                p_ins.append((pos[klo], key, p_val))
+        # New keys enter the dicts in first-booking order, matching the
+        # reference's insertion sequence.
+        for ins, by in ((e_ins, e_by), (t_ins, t_by), (p_ins, p_by)):
+            if ins:
+                ins.sort()
+                for _, key, val in ins:
+                    by[key] = val
+
+    def _add_seq(self, start: float, terms_l, terms, lo: int,
+                 hi: int) -> float:
+        """``start`` plus ``terms[lo:hi]``, added left to right.  Few terms
+        take the scalar adds (they beat numpy call overhead); more take a
+        ``np.add.accumulate`` seeded with ``start`` — the same sequential
+        IEEE-754 adds (not ``sum()``, whose compensated summation would
+        not be bit-equal)."""
+        if terms_l is not None and hi - lo <= 48:
+            for x in terms_l[lo:hi]:
+                start = start + x
+            return start
+        kb = self.kbuf[:hi - lo + 1]
+        kb[0] = start
+        kb[1:] = terms[lo:hi]
+        np.add.accumulate(kb, out=kb)
+        return float(kb[-1])
+
+    # -- reboot -------------------------------------------------------------
+
+    def recharge(self) -> bool:
+        """``EnergyHarvester.recharge()``, step-batched; ``False`` when the
+        timeout aborts it (``charge_time`` then stays as it was).
+
+        Step clocks and waits are ``np.cumsum`` chains and step charges
+        one ``energy_batch`` call per block of steps.  Away from the
+        timeout only nonzero-charge steps move ``v`` (a zero charge
+        leaves it bit-unchanged), so the exit walk visits those alone;
+        the reference first observes ``v >= v_on`` at the step *after*
+        the one that crossed it.  With the clamp provably dead
+        (``no_clamp_recharge``) a test-free prefix runs first: the
+        clamp-free chain is monotone and tracks the charge prefix sum to
+        a few ulps per step, so while ``v**2 + cum_charge`` stays a
+        relative ``1e-9`` below ``v_on**2`` (orders of magnitude above
+        the drift) no step can cross ``v_on``.  Blocks that can reach the
+        timeout take every step with both exit tests.
+        """
+        v = self.v
+        clock = self.clock
+        v_on = self.v_on
+        v_max = self.v_max
+        step = self.step
+        timeout_s = self.timeout_s
+        sqrt = math.sqrt
+        waited = 0.0
+        if self.mean_step_j > 0.0:
+            rblock = int(self.half_c * (v_on ** 2 - v ** 2)
+                         / self.mean_step_j) + 8
+            if rblock > 65536:
+                rblock = 65536
+            elif rblock < 64:
+                rblock = 64
+        else:
+            rblock = 512
+        while v < v_on:
+            B = rblock
+            to_timeout = int((timeout_s - waited) / step) + 2
+            if B > to_timeout:
+                B = to_timeout
+            if rblock < 16384:
+                rblock = rblock * 4
+            seg = np.empty(B + 1)
+            seg[0] = clock
+            seg[1:] = step
+            clocks = np.cumsum(seg)
+            seg[0] = waited
+            waiteds = np.cumsum(seg)
+            fill = self.step_fill
+            if fill is None or fill.size < B:
+                fill = self.step_fill = np.full(max(B, 4096), step)
+            h = self.energy_batch(clocks[:B], fill[:B]) * self.eff
+            chg_np = (2.0 * h) / self.cap_f
+            chg = chg_np.tolist()
+            if float(waiteds[B - 1]) < timeout_s:
+                # No step in this block can reach the timeout.  Clocks and
+                # waits are read at the exit step alone, so the arrays are
+                # indexed directly instead of exported wholesale.
+                nz_np = np.nonzero(chg_np)[0]
+                pos = 0
+                if self.no_clamp_recharge:
+                    kf = int(np.cumsum(chg_np).searchsorted(
+                        v_on * v_on * (1.0 - 1e-9) - v * v))
+                    if kf > 0:
+                        pos = int(nz_np.searchsorted(kf))
+                nz = nz_np.tolist()
+                for k in nz[:pos]:
+                    v = sqrt(v ** 2 + chg[k])
+                k1 = B
+                for k in nz[pos:]:
+                    root = sqrt(v ** 2 + chg[k])
+                    v = root if root < v_max else v_max
+                    if v >= v_on:
+                        k1 = k + 1
+                        break
+                clock = float(clocks[k1])
+                waited = float(waiteds[k1])
+                continue
+            clocks_l = clocks.tolist()
+            waiteds_l = waiteds.tolist()
+            for k in range(B):
+                if v >= v_on:
+                    break
+                if waiteds_l[k] >= timeout_s:
+                    self.v = v
+                    self.clock = clocks_l[k]
+                    return False
+                root = sqrt(v ** 2 + chg[k])
+                v = root if root < v_max else v_max
+            else:
+                k = B
+            clock = clocks_l[k]
+            waited = waiteds_l[k]
+        self.v = v
+        self.clock = clock
+        self.charge_time = self.charge_time + waited
+        return True
+
+    # -- finalize -----------------------------------------------------------
+
+    def write_back(self, supply: EnergyHarvester, meter: EnergyMeter,
+                   monitor: Optional[VoltageMonitor]) -> None:
+        """Hand the state back to the simulator objects, leaving them as
+        the reference run would (meter keys keep their dict order)."""
+        supply.capacitor.voltage = self.v
+        supply.clock_s = self.clock
+        supply.failures = self.failures
+        supply.charge_time_s = self.charge_time
+        if monitor is not None:
+            monitor.warnings = self.warnings
+        for key, val in self.e_by.items():
+            meter.energy_j[key] = val
+        for key, val in self.t_by.items():
+            meter.time_s[key] = val
+        for key, val in self.p_by.items():
+            meter.purpose_energy_j[key] = val
 
 
 # ---------------------------------------------------------------------------
@@ -964,808 +1750,55 @@ class FastMachine:
         return result, needs
 
     def _run_harvested(self, x, defer_logits: bool) -> Tuple[RunResult, bool]:
-        """Segment-batched exact replay of a harvested run.
+        """Exact replay of a harvested run, phase by phase (see
+        :class:`_Replay` for the phases and the proofs they rely on).
 
-        The capacitor recurrence itself (``sqrt(v**2 +/- 2E/C)`` per draw)
-        is inherently sequential, so it stays scalar — but everything
-        *around* it batches.  Non-divisible atoms between two divisible
-        atoms form a *span* whose draw sequence is known at compile time
-        (the event tables on :class:`CompiledProgram`): the replay
-        precomputes the event clocks with one ``np.cumsum``, the harvested
-        energies with one ``trace.energy_batch`` call, and the discharge
-        terms from the per-capacitance draw table, leaving a ~15-op scalar
-        loop per event.  Meter bookings are deferred and flushed per span
-        (or up to the brown-out / snapshot event that interrupts it) via
-        per-key cumsums over the compiled booking stream — the same
-        left-to-right additions the reference makes, so every float stays
-        bit-identical.  Recharge gaps batch the same way: the fixed-step
-        charge clock/wait prefix sums and harvest energies are precomputed
-        in blocks around the scalar voltage update.  Divisible atoms,
-        snapshots, and restores keep the scalar ``draw`` path (their
-        timing depends on the live voltage); a snapshot or brown-out
-        inside a span invalidates the precomputed clocks beyond it, so
-        batching simply restarts from that event.
+        This is the reference's ``run`` loop: run from the cursor until
+        the program completes or browns out; after a brown-out count the
+        reboot, check the reboot and stall limits, recharge, restore, and
+        resume from the durable position.
         """
         p = self._program
         device = self.device
         supply = device.supply
-        cap = supply.capacitor
-        trace = supply.trace
-        eff = supply.efficiency
         meter = device.meter
-        runtime = self.runtime
         monitor = self.monitor
-
-        cap_f = cap.capacitance_f
-        v_max = cap.v_max
-        v_off = cap.v_off
-        v_on = cap.v_on
-        v_off_sq = v_off ** 2
-        half_c = 0.5 * cap_f
-        const_power = trace.power_w if type(trace) is ConstantTrace else None
-        trace_energy = trace.energy
-        if type(trace) is SquareWaveTrace:
-            # Specialized scalar twin of SquareWaveTrace.energy for the
-            # storm/short-stretch paths: same operations in the same
-            # order (bit-identical), minus method dispatch, attribute
-            # reloads, and the dt >= 0 check (all dts here are >= 0).
-            _sq_p = trace.power_w
-            _sq_t = trace.period_s
-            _sq_on = trace.duty * trace.period_s
-            # Single-period fast path: most storm/checkpoint windows live
-            # inside the period the previous call ended in.  The cached
-            # bounds are shrunk by ~450 ulps per side so both scalar
-            # floors provably land on the cached period index, making the
-            # one-term evaluation bit-equal to the general loop.
-            _c_p0 = 0.0
-            _c_on = 0.0
-            _c_lo = 1.0
-            _c_hi = 0.0  # empty guard window: first call takes the loop
-
-            def trace_energy(t, dt, _floor=math.floor, _max=max, _min=min):
-                nonlocal _c_p0, _c_on, _c_lo, _c_hi
-                end = t + dt
-                if _c_lo <= t and end < _c_hi:
-                    hi = end if end < _c_on else _c_on
-                    if hi > t:
-                        return _sq_p * (hi - t)
-                    return _sq_p * 0.0
-                total_on = 0.0
-                k1 = int(_floor(end / _sq_t))
-                for k in range(int(_floor(t / _sq_t)), k1 + 1):
-                    p0 = k * _sq_t
-                    lo = _max(t, p0)
-                    hi = _min(end, p0 + _sq_on)
-                    if hi > lo:
-                        total_on += hi - lo
-                _c_p0 = k1 * _sq_t
-                _c_on = _c_p0 + _sq_on
-                _c_lo = _c_p0 * (1.0 + 1e-13 if _c_p0 > 0.0 else 1.0 - 1e-13)
-                p1 = (k1 + 1) * _sq_t
-                _c_hi = p1 * (1.0 - 1e-13 if p1 > 0.0 else 1.0 + 1e-13)
-                return _sq_p * total_on
-
-        # The replay always hands ``energy_batch`` float64 arrays of one
-        # shape with non-negative dts, so traces exporting a trusted
-        # (validation-free) twin get called through it.
-        energy_batch = getattr(trace, "energy_batch_trusted", trace.energy_batch)
-        step = supply.charge_step_s
-        timeout_s = supply.charge_timeout_s
-        # Long-run mean harvest per recharge step, where the trace family
-        # has a closed form — used only to size the first recharge batch
-        # (an estimate; correctness never depends on it).
-        if const_power is not None:
-            mean_step_j = (const_power * step) * eff
-        elif type(trace) is SquareWaveTrace:
-            mean_step_j = trace.power_w * trace.duty * step * eff
-        else:
-            mean_step_j = 0.0
-
-        e_by = dict(meter.energy_j)
-        t_by = dict(meter.time_s)
-        p_by = dict(meter.purpose_energy_j)
-        start_e = dict(e_by)
-        start_t = dict(t_by)
-        start_p = dict(p_by)
-
-        v = cap.voltage
-        clock = supply.clock_s
-        failures = supply.failures
-        charge_time = supply.charge_time_s
-        clock_start = clock
-        charge_start = charge_time
-
-        snapshot_on = p.snapshot_on_warning and monitor is not None
-        v_warn = monitor.v_warn if monitor is not None else 0.0
-        # Single-compare storm guard: v >= v_off > -1 always, so the
-        # sentinel disables the low-voltage peek when snapshots are off.
-        sv_warn = v_warn if snapshot_on else -1.0
-        mon_warnings = monitor.warnings if monitor is not None else 0
+        r = _Replay(p, supply, meter, monitor)
+        clock_start = r.clock
+        charge_start = r.charge_time
         # Observability baselines (event counts publish as deltas at run
         # end; the replay arithmetic is untouched).
         _rec = _obs.ENABLED
-        _failures0 = failures
-        _mon0 = mon_warnings
-        n_restores = 0
-
-        e_get = e_by.get
-        t_get = t_by.get
-        p_get = p_by.get
-        _sqrt = math.sqrt  # local bind: no module-attr lookup in hot loops
-
-        def draw(bookings, time_s, total_j):
-            """Scalar ``Device._draw_and_record`` path (see the reference
-            replay) — used for divisible chunks, snapshots, and restores.
-
-            ``v >= v_off`` is a loop invariant (brown-outs reset to
-            ``v_off``, recharge only raises) and squaring is monotone, so
-            the reference's ``max(0, .)`` clamps on ``avail``/``usable``
-            are dead (``x - x == +0.0``, never negative).  ``avail`` is
-            only read on the brown-out branch, so it is recomputed there
-            from the captured pre-charge voltage — the same float, hence
-            the same bits."""
-            nonlocal v, clock, failures
-            pv = v
-            if const_power is not None:
-                harvested = (const_power * time_s) * eff
-            else:
-                harvested = trace_energy(clock, time_s) * eff
-            clock += time_s
-            if harvested != 0.0:
-                # A zero harvest leaves v bit-unchanged: correctly rounded
-                # sqrt of the rounded square returns v exactly (relative
-                # error < 1/4 ulp), so the charge update can be skipped.
-                new_sq = v ** 2 + 2.0 * harvested / cap_f
-                root = _sqrt(new_sq)
-                v = root if root < v_max else v_max
-            usable = half_c * (v ** 2 - v_off_sq)
-            if total_j > usable:
-                v = v_off
-                failures += 1
-                avail = half_c * (pv ** 2 - v_off_sq)
-                spent = avail + harvested
-                if total_j < spent:
-                    spent = total_j
-                scale = spent / total_j if total_j > 0 else 0.0
-                for compo, t, e, purpose in bookings:
-                    t = t * scale
-                    e = e * scale
-                    e_by[compo] = e_get(compo, 0.0) + e
-                    t_by[compo] = t_get(compo, 0.0) + t
-                    p_by[purpose] = p_get(purpose, 0.0) + e
-                return False
-            new_sq = v ** 2 - 2.0 * total_j / cap_f
-            if new_sq < v_off_sq:
-                new_sq = v_off_sq
-            v = _sqrt(new_sq)
-            for compo, t, e, purpose in bookings:
-                e_by[compo] = e_get(compo, 0.0) + e
-                t_by[compo] = t_get(compo, 0.0) + t
-                p_by[purpose] = p_get(purpose, 0.0) + e
-            return True
-
+        failures0 = r.failures
+        warnings0 = r.warnings
         n_atoms = p.n_atoms
-        cycles_l = p.cycles
-        power_l = p.power_w
-        purpose_l = p.purpose
-        component_l = p.component
         divisible_l = p.divisible
-        iterations_l = p.iterations
-        per_iter_l = p.per_iter
-        e_iter_l = p.e_iter
-        mem_unit_l = p.mem_unit
-        fram_unit_l = p.fram_unit
-        sram_count_l = p.sram_count
-        commit_flag_l = p.commit_flag
-        commit_time_l = p.commit_time
-        commit_cpu_l = p.commit_cpu
-        commit_fram_l = p.commit_fram
-        volatile_words_l = p.volatile_words
-        volatile_prev_l = p.volatile_prev
-
-        drw_l = p.draw_table(cap_f)
-        ev_dt_np = p.ev_dt
-        ev_cycles_np = p.ev_cycles
-        ev_dt_l = p.ev_dt_l
-        ev_total_l = p.ev_total_l
-        ev_atom_l = p.ev_atom
-        ev_exec_l = p.ev_is_exec
-        ev_snap_l = p.ev_snap_atom
-        next_snap_l = p.ev_next_snap
-        snap_cand_np = p.ev_snap_cand
-        drw_cum = p.draw_cum(cap_f)
-        drw_max = p.draw_max(cap_f)
-        ck_draw_l = p.ck_draws() if snapshot_on else None
-        warn_sq = sv_warn * sv_warn
-        v_off_sq_safe = v_off_sq + drw_max + 1e-9
-        # The recharge loop exits at the first ``v >= v_on``, so every
-        # iteration enters below ``v_on``; when a single step's charge
-        # cannot lift ``v_on**2`` past ``v_max**2``, the v_max clamp is
-        # provably dead for the whole walk (margin covers fl drift).
-        if const_power is not None:
-            _step_chg_bound = (2.0 * ((const_power * step) * eff)) / cap_f
-        elif type(trace) is SquareWaveTrace:
-            _step_chg_bound = (2.0 * ((trace.power_w * step) * eff)) / cap_f
-        else:
-            _step_chg_bound = float("inf")
-        no_clamp_recharge = (
-            v_on * v_on + _step_chg_bound * 1.000001 + 1e-9
-            < v_max * v_max
-        )
-        # Constant-dt operand for the recharge ``energy_batch`` calls
-        # (``np.broadcast_to`` costs more than the batch at these sizes).
-        step_fill = None
-
-        def draw_ev(jj):
-            """``draw`` specialized to stream event ``jj``: duration,
-            total, bookings and the discharge subtrahend all come from
-            compiled tables (the storm path replays events one at a time,
-            but their per-event constants never change).  Dead-clamp and
-            deferred-``avail`` reasoning as in ``draw``."""
-            nonlocal v, clock, failures
-            pv = v
-            time_s = ev_dt_l[jj]
-            if const_power is not None:
-                harvested = (const_power * time_s) * eff
-            else:
-                harvested = trace_energy(clock, time_s) * eff
-            clock += time_s
-            if harvested != 0.0:
-                new_sq = v ** 2 + 2.0 * harvested / cap_f
-                root = _sqrt(new_sq)
-                v = root if root < v_max else v_max
-            usable = half_c * (v ** 2 - v_off_sq)
-            total_j = ev_total_l[jj]
-            if total_j > usable:
-                v = v_off
-                failures += 1
-                avail = half_c * (pv ** 2 - v_off_sq)
-                spent = avail + harvested
-                if total_j < spent:
-                    spent = total_j
-                scale = spent / total_j if total_j > 0 else 0.0
-                for compo, t, e, purpose in ev_bookings_l[jj]:
-                    t = t * scale
-                    e = e * scale
-                    e_by[compo] = e_get(compo, 0.0) + e
-                    t_by[compo] = t_get(compo, 0.0) + t
-                    p_by[purpose] = p_get(purpose, 0.0) + e
-                return False
-            new_sq = v ** 2 - drw_l[jj]
-            if new_sq < v_off_sq:
-                new_sq = v_off_sq
-            v = _sqrt(new_sq)
-            for compo, t, e, purpose in ev_bookings_l[jj]:
-                e_by[compo] = e_get(compo, 0.0) + e
-                t_by[compo] = t_get(compo, 0.0) + t
-                p_by[purpose] = p_get(purpose, 0.0) + e
-            return True
-        ev_durable_l = p.ev_durable_to
-        ev_bookings_l = p.ev_bookings
-        ev_book_start_l = p.ev_book_start
-        book_stream = p.book_stream
-        atom_lo_l = p.atom_event_lo
-        span_end_l = p.span_end_atom
-        key_items = p.key_items
-        purpose_items = p.purpose_items
-
-        durable_atom = 0
-        durable_it = 0
-        cursor_atom = 0
-        cursor_it = 0
         executed_cycles = 0.0
-        sub_exec = 0.0
         reboots = 0
         stall = 0
-        last_da, last_di = -1, -1
+        n_restores = 0
+        last_durable = (-1, -1)
         dnf_reason = ""
         completed = False
 
-        # Scratch for flush cumsums: every range it accumulates is bounded
-        # by the booking stream (and the event count never exceeds it).
-        kbuf = np.empty(len(book_stream) + 2)
-
-        def flush(e0, e1):
-            """Apply events ``[e0, e1)``'s deferred meter bookings and
-            executed-cycle adds — the reference's add sequence, replayed
-            either directly (short ranges) or as per-key cumsums."""
-            nonlocal sub_exec
-            if e0 >= e1:
-                return
-            b0 = ev_book_start_l[e0]
-            b1 = ev_book_start_l[e1]
-            if b1 - b0 <= 80:
-                for ev in range(e0, e1):
-                    if ev_exec_l[ev]:
-                        sub_exec += cycles_l[ev_atom_l[ev]]
-                for s in range(b0, b1):
-                    compo, t, e, purpose = book_stream[s]
-                    e_by[compo] = e_get(compo, 0.0) + e
-                    t_by[compo] = t_get(compo, 0.0) + t
-                    p_by[purpose] = p_get(purpose, 0.0) + e
-                return
-            # Commit events intersperse cycles of 0.0; "+ 0.0" is exact
-            # on the non-negative running sum.
-            buf = kbuf[:e1 - e0 + 1]
-            buf[0] = sub_exec
-            buf[1:] = ev_cycles_np[e0:e1]
-            np.add.accumulate(buf, out=buf)
-            sub_exec = float(buf[-1])
-            e_ins = []
-            t_ins = []
-            p_ins = []
-            for key, cnt, pos, earr, tarr, t_zero, e_tl, t_tl in key_items:
-                klo = cnt[e0]
-                khi = cnt[e1]
-                if khi <= klo:
-                    continue
-                first = pos[klo]
-                if khi - klo <= 48:
-                    # Few terms: the sequential adds beat numpy call
-                    # overhead (and are the cumsum's exact definition).
-                    e_val = e_get(key, 0.0)
-                    for x in e_tl[klo:khi]:
-                        e_val = e_val + x
-                    if t_zero:
-                        t_val = None
-                    else:
-                        t_val = t_get(key, 0.0)
-                        for x in t_tl[klo:khi]:
-                            t_val = t_val + x
-                else:
-                    kb = kbuf[:khi - klo + 1]
-                    kb[0] = e_get(key, 0.0)
-                    kb[1:] = earr[klo:khi]
-                    np.add.accumulate(kb, out=kb)
-                    e_val = float(kb[-1])
-                    if t_zero:
-                        t_val = None
-                    else:
-                        kb[0] = t_get(key, 0.0)
-                        kb[1:] = tarr[klo:khi]
-                        np.add.accumulate(kb, out=kb)
-                        t_val = float(kb[-1])
-                if key in e_by:
-                    e_by[key] = e_val
-                else:
-                    e_ins.append((first, key, e_val))
-                if t_val is None:
-                    # Every term is 0.0 and the accumulator is >= 0, so
-                    # the add sequence leaves it bit-unchanged.
-                    if key not in t_by:
-                        t_ins.append((first, key, 0.0))
-                elif key in t_by:
-                    t_by[key] = t_val
-                else:
-                    t_ins.append((first, key, t_val))
-            for key, cnt, pos, earr, e_tl in purpose_items:
-                klo = cnt[e0]
-                khi = cnt[e1]
-                if khi <= klo:
-                    continue
-                if khi - klo <= 48:
-                    p_val = p_get(key, 0.0)
-                    for x in e_tl[klo:khi]:
-                        p_val = p_val + x
-                else:
-                    kb = kbuf[:khi - klo + 1]
-                    kb[0] = p_get(key, 0.0)
-                    kb[1:] = earr[klo:khi]
-                    np.add.accumulate(kb, out=kb)
-                    p_val = float(kb[-1])
-                if key in p_by:
-                    p_by[key] = p_val
-                else:
-                    p_ins.append((pos[klo], key, p_val))
-            # New keys enter the dicts in first-booking order, matching
-            # the reference's insertion sequence.
-            if e_ins:
-                e_ins.sort()
-                for _, key, val in e_ins:
-                    e_by[key] = val
-            if t_ins:
-                t_ins.sort()
-                for _, key, val in t_ins:
-                    t_by[key] = val
-            if p_ins:
-                p_ins.sort()
-                for _, key, val in p_ins:
-                    p_by[key] = val
-
         while True:
             # === the reference's _run_from(atoms, cursor, durable) ===
-            sub_exec = 0.0
-            browned = False
-            while cursor_atom < n_atoms:
-                ca = cursor_atom
+            r.sub_exec = 0.0
+            while r.cursor_atom < n_atoms:
+                ca = r.cursor_atom
                 if not divisible_l[ca]:
-                    # === span replay over [ca, span_end[ca]) ===
-                    e_idx = atom_lo_l[ca]
-                    e_end = atom_lo_l[span_end_l[ca]]
-                    e_flush = e_idx
-                    while e_idx < e_end and not browned:
-                        # Snapshot peek: the reference consults the
-                        # monitor only at the top of an atom with
-                        # un-durable progress, so only an exec event with
-                        # ``durable_atom < atom`` can snapshot (and shift
-                        # every later batch clock).  Handle exactly those
-                        # on the scalar path; every other event — however
-                        # low the voltage — stays batched, and the batch
-                        # body rewinds here the moment a genuine
-                        # candidate turns low mid-stretch.
-                        if v <= sv_warn and durable_atom < ev_snap_l[e_idx]:
-                            jj = e_idx
-                            aa = ev_atom_l[jj]
-                            if e_flush < jj:
-                                flush(e_flush, jj)
-                            mon_warnings += 1
-                            ck_bk, ck_t, ck_tot = ck_draw_l[aa]
-                            if not draw(ck_bk, ck_t, ck_tot):
-                                cursor_atom, cursor_it = aa, 0
-                                browned = True
-                                break
-                            durable_atom, durable_it = aa, 0
-                            if not draw_ev(jj):
-                                cursor_atom, cursor_it = aa, 0
-                                browned = True
-                                break
-                            sub_exec += cycles_l[aa]
-                            e_idx = jj + 1
-                            if commit_flag_l[aa]:
-                                cj = e_idx
-                                if not draw_ev(cj):
-                                    cursor_atom, cursor_it = aa + 1, 0
-                                    browned = True
-                                    break
-                                dto = ev_durable_l[cj]
-                                if dto >= 0:
-                                    durable_atom, durable_it = dto, 0
-                                e_idx = cj + 1
-                            e_flush = e_idx
-                            continue
-                        if snapshot_on:
-                            # Batch-entry sizing.  A numpy entry costs a
-                            # fixed ~20-30us in dispatches regardless of
-                            # size, while the scalar stretch below costs
-                            # ~0.5us per event — the break-even sits near
-                            # 48 events.  When the nearest place a
-                            # snapshot could fire — the next
-                            # straight-line candidate, or (above the
-                            # warning level) the zero-harvest drain
-                            # horizon, whichever is farther — is within
-                            # that window, hop to it in scalar form and
-                            # skip the fixed cost.  Otherwise take the
-                            # whole span; the
-                            # predictive cut after the charge table trims
-                            # it to the first *projected* trigger, so a
-                            # mid-batch snapshot almost never discards a
-                            # computed tail.
-                            lim = next_snap_l[e_idx + 1]
-                            if v > sv_warn:
-                                g = int(drw_cum.searchsorted(
-                                    float(drw_cum[e_idx])
-                                    + (v * v - warn_sq)))
-                                if g > lim:
-                                    lim = g
-                            if lim > e_end:
-                                lim = e_end
-                            B = (lim - e_idx) if lim - e_idx <= 48 \
-                                else e_end - e_idx
-                        else:
-                            B = e_end - e_idx
-                        if B > 48:
-                            # Provably trigger-free prefix (used to slice
-                            # the walk below, and to skip the predictive
-                            # cut when it covers the whole batch): charge
-                            # only raises the zero-harvest drain floor,
-                            # so while ``v**2 - cum_drain`` provably
-                            # clears every threshold — brown-out and the
-                            # v_off clamp (by more than the largest
-                            # single discharge) and, with snapshots on,
-                            # the warning level — the walk needs no
-                            # per-event tests.  The 1e-9 margin dwarfs
-                            # the prefix-sum association drift (ulps),
-                            # and the v_max clamp only lowers the
-                            # trajectory, which is the safe direction for
-                            # every skipped test.
-                            k0 = 0
-                            if B >= 16:
-                                lim = v * v - v_off_sq_safe
-                                if snapshot_on:
-                                    lim_w = v * v - warn_sq - 1e-9
-                                    if lim_w < lim:
-                                        lim = lim_w
-                                if lim > 0.0:
-                                    k0 = int(drw_cum.searchsorted(
-                                        float(drw_cum[e_idx]) + lim)) \
-                                        - e_idx
-                                    if k0 > B:
-                                        k0 = B
-                                    elif k0 < 0:
-                                        k0 = 0
-                            dts = ev_dt_np[e_idx:e_idx + B]
-                            seg = np.empty(B + 1)
-                            seg[0] = clock
-                            seg[1:] = dts
-                            clocks_np = np.cumsum(seg)
-                            if const_power is not None:
-                                h_np = (const_power * dts) * eff
-                            else:
-                                h_np = energy_batch(clocks_np[:B], dts) * eff
-                            chg_np = (2.0 * h_np) / cap_f
-                            if snapshot_on and k0 < B:
-                                # Predictive cut: project the squared
-                                # voltage over the batch (charge minus
-                                # drain, no clamp/rounding — drift is
-                                # ulps against a margin of volts) and end
-                                # the batch just before the first
-                                # candidate event projected at or below
-                                # the warning level.  The exact in-loop
-                                # test still decides; a misprediction
-                                # only costs one rewind.  When the
-                                # trigger-free prefix spans the batch the
-                                # projection cannot fire (charge only
-                                # raises the proven floor), so it is
-                                # skipped outright.
-                                pred = ((v * v + float(drw_cum[e_idx]))
-                                        + np.cumsum(chg_np))
-                                pred -= drw_cum[e_idx + 1:e_idx + 1 + B]
-                                trig = (pred[:B - 1] <= warn_sq) \
-                                    & snap_cand_np[e_idx + 1:e_idx + B]
-                                am = int(trig.argmax())
-                                if trig[am]:
-                                    B = am + 1
-                                    if k0 > B:
-                                        k0 = B
-                            # Only the per-event charge is walked; clocks
-                            # and harvests are read at break points alone,
-                            # so they stay arrays (no bulk export).
-                            chg_l = chg_np[:B].tolist()
-                            clocks_l = clocks_np
-                            h_l = h_np
-                        else:
-                            # Short stretch (snapshot storms fragment the
-                            # span): the numpy call overhead outweighs the
-                            # batch — compute the same sequential adds and
-                            # per-element products in scalar form.
-                            k0 = 0
-                            clocks_l = [clock]
-                            h_l = []
-                            chg_l = []
-                            cc = clock
-                            for kk in range(B):
-                                d = ev_dt_l[e_idx + kk]
-                                if const_power is not None:
-                                    hv = (const_power * d) * eff
-                                else:
-                                    hv = trace_energy(cc, d) * eff
-                                h_l.append(hv)
-                                chg_l.append((2.0 * hv) / cap_f)
-                                cc = cc + d
-                                clocks_l.append(cc)
-                        tot_s = ev_total_l[e_idx:e_idx + B]
-                        drw_s = drw_l[e_idx:e_idx + B]
-                        dto_s = ev_durable_l[e_idx:e_idx + B]
-                        # Trigger-free prefix walk (proof above): charge,
-                        # discharge, durable advance — no brown-out /
-                        # clamp / warning tests.  When a prefix ends the
-                        # proof is re-run from the *live* voltage (the
-                        # zero-harvest floor ignores the charge the walk
-                        # actually banked), which usually extends the
-                        # test-free region across most of the batch; the
-                        # re-proof is one ``searchsorted`` against the
-                        # cached drain prefix table.
-                        p0 = k0
-                        while k0:
-                            for chg_k, dr, dto in zip(
-                                chg_l[p0 - k0:p0],
-                                drw_s[p0 - k0:p0],
-                                dto_s[p0 - k0:p0],
-                            ):
-                                if chg_k != 0.0:
-                                    root = _sqrt(v ** 2 + chg_k)
-                                    v = root if root < v_max else v_max
-                                v = _sqrt(v ** 2 - dr)
-                                if dto >= 0:
-                                    durable_atom, durable_it = dto, 0
-                            if p0 >= B:
-                                break
-                            lim = v * v - v_off_sq_safe
-                            if snapshot_on:
-                                lim_w = v * v - warn_sq - 1e-9
-                                if lim_w < lim:
-                                    lim = lim_w
-                            k0 = 0
-                            if lim > 0.0:
-                                k0 = int(drw_cum.searchsorted(
-                                    float(drw_cum[e_idx + p0]) + lim)) \
-                                    - (e_idx + p0)
-                                if k0 > B - p0:
-                                    k0 = B - p0
-                                elif k0 < 8:
-                                    k0 = 0
-                            p0 += k0
-                        if p0 >= B:
-                            walk = iter(())
-                        elif p0:
-                            walk = enumerate(
-                                zip(chg_l[p0:], tot_s[p0:], drw_s[p0:],
-                                    dto_s[p0:]),
-                                p0,
-                            )
-                        else:
-                            walk = enumerate(zip(chg_l, tot_s, drw_s, dto_s))
-                        for k, (chg_k, tot, dr, dto) in walk:
-                            if v <= sv_warn and durable_atom < ev_snap_l[
-                                    e_idx + k]:
-                                # A snapshot candidate turned low
-                                # mid-batch: its checkpoint draw would
-                                # shift every later event clock, so
-                                # rewind to this event and let the peek
-                                # above take over (same state, same
-                                # verdict) on the scalar path.
-                                jj = e_idx + k
-                                flush(e_flush, jj)
-                                clock = float(clocks_l[k])
-                                e_idx = jj
-                                e_flush = jj
-                                break
-                            if chg_k != 0.0:
-                                # chg == 0.0 leaves v bit-unchanged (the
-                                # sqrt/square round trip is exact).
-                                pv = v
-                                new_sq = v ** 2 + chg_k
-                                root = _sqrt(new_sq)
-                                v = root if root < v_max else v_max
-                            vsq = v ** 2
-                            # No ``usable < 0`` clamp: ``v >= v_off`` is a
-                            # loop invariant and squaring and rounding are
-                            # both monotone, so ``vsq >= v_off_sq`` — the
-                            # clamp would compare ``-0.0 < 0.0`` at worst,
-                            # which is already false.
-                            usable = half_c * (vsq - v_off_sq)
-                            if tot > usable:
-                                jj = e_idx + k
-                                # Brown-out bracketed at this event: flush
-                                # the clean prefix, book the scaled partial
-                                # draw, and record the reference's cursor.
-                                flush(e_flush, jj)
-                                # Pre-charge voltage: ``pv`` is only
-                                # captured when a charge step ran; with a
-                                # zero charge v is already pre-charge.
-                                if chg_k == 0.0:
-                                    pv = v
-                                clock = float(clocks_l[k + 1])
-                                v = v_off
-                                failures += 1
-                                avail = half_c * (pv ** 2 - v_off_sq)
-                                if avail < 0.0:
-                                    avail = 0.0
-                                spent = avail + float(h_l[k])
-                                if tot < spent:
-                                    spent = tot
-                                scale = spent / tot if tot > 0 else 0.0
-                                for compo, t, e, purpose in ev_bookings_l[jj]:
-                                    t = t * scale
-                                    e = e * scale
-                                    e_by[compo] = e_get(compo, 0.0) + e
-                                    t_by[compo] = t_get(compo, 0.0) + t
-                                    p_by[purpose] = p_get(purpose, 0.0) + e
-                                if ev_exec_l[jj]:
-                                    cursor_atom, cursor_it = ev_atom_l[jj], 0
-                                else:
-                                    cursor_atom, cursor_it = ev_atom_l[jj] + 1, 0
-                                browned = True
-                                break
-                            new_sq = vsq - dr
-                            if new_sq < v_off_sq:
-                                new_sq = v_off_sq
-                            v = _sqrt(new_sq)
-                            if dto >= 0:
-                                durable_atom, durable_it = dto, 0
-                        else:
-                            clock = float(clocks_l[B])
-                            e_idx += B
-                    if browned:
+                    if not r.span(ca):
                         break
-                    flush(e_flush, e_end)
-                    cursor_atom = span_end_l[ca]
-                    cursor_it = 0
                     continue
-
-                # === divisible atom: live-voltage chunking stays scalar ===
-                if snapshot_on and (
-                    durable_atom < ca
-                    or (durable_atom == ca and durable_it < cursor_it)
-                ):
-                    low = v <= v_warn
-                    if low:
-                        mon_warnings += 1
-                        if cursor_it > 0:
-                            ct, ce, cf = _commit_cost(C.FLEX_COMMIT_WORDS)
-                            ck_cpu = ce - cf
-                            ck_bk = [("cpu", ct, ck_cpu, "checkpoint"),
-                                     ("fram", 0.0, cf, "checkpoint")]
-                            ck_t, ck_tot = ct, ck_cpu + cf
-                        else:
-                            ck_bk, ck_t, ck_tot = ck_draw_l[ca]
-                        if not draw(ck_bk, ck_t, ck_tot):
-                            browned = True
-                            break
-                        durable_atom, durable_it = ca, cursor_it
-
-                # === _run_divisible ===
-                iters = iterations_l[ca]
-                per_iter = per_iter_l[ca]
-                e_iter = e_iter_l[ca]
-                e_iter_floor = e_iter if e_iter > 1e-18 else 1e-18
-                a_cycles = cycles_l[ca]
-                a_power = power_l[ca]
-                a_purpose = purpose_l[ca]
-                a_comp = component_l[ca]
-                a_mem = mem_unit_l[ca]
-                a_fram = fram_unit_l[ca]
-                a_sram = sram_count_l[ca]
-                committing = commit_flag_l[ca]
-                div_exec = 0.0
-                chunk_failed = False
-                while cursor_it < iters:
-                    remaining = iters - cursor_it
-                    usable_now = half_c * (v ** 2 - v_off_sq)
-                    if usable_now < 0.0:
-                        usable_now = 0.0
-                    chunk = int(usable_now / e_iter_floor)
-                    if chunk > remaining:
-                        chunk = remaining
-                    if chunk < 1:
-                        chunk = 1
-                    f = chunk * per_iter
-                    time_s = a_cycles * f * C.EFFECTIVE_CYCLE_S
-                    core_j = a_power * time_s
-                    energy_j = core_j + f * a_mem
-                    fram_j = f * a_fram
-                    sram_j = f * a_sram * C.SRAM_ACCESS_J
-                    core_booked = energy_j - fram_j - sram_j
-                    bookings = [(a_comp, time_s, core_booked, a_purpose)]
-                    total = core_booked
-                    if fram_j:
-                        bookings.append(("fram", 0.0, fram_j, a_purpose))
-                        total = total + fram_j
-                    if sram_j:
-                        bookings.append(("sram", 0.0, sram_j, a_purpose))
-                        total = total + sram_j
-                    if not draw(bookings, time_s, total):
-                        chunk_failed = True
-                        break
-                    div_exec += a_cycles * chunk * per_iter
-                    if committing:
-                        count = chunk
-                        tt = commit_time_l[ca] * count
-                        ce_b = commit_cpu_l[ca] * count
-                        cf_b = commit_fram_l[ca] * count
-                        if not draw(
-                            [("cpu", tt, ce_b, "checkpoint"),
-                             ("fram", 0.0, cf_b, "checkpoint")],
-                            tt,
-                            ce_b + cf_b,
-                        ):
-                            chunk_failed = True
-                            break
-                    cursor_it += chunk
-                    if committing and volatile_words_l[ca] == 0:
-                        durable_atom = ca
-                        durable_it = cursor_it
-                if chunk_failed:
-                    browned = True
+                # FLEX on-demand snapshot before a loop atom's work.
+                if (r.snapshot_on and r.v <= r.v_warn
+                        and (r.durable_atom, r.durable_it) < (ca, r.cursor_it)
+                        and not r.checkpoint(ca, r.cursor_it)):
                     break
-                sub_exec += div_exec
-                cursor_atom = ca + 1
-                cursor_it = 0
-                if committing and volatile_words_l[ca] == 0:
-                    durable_atom, durable_it = cursor_atom, 0
-
-            if not browned:
-                executed_cycles = executed_cycles + sub_exec
+                if not r.divisible(ca):
+                    break
+            else:
+                executed_cycles = executed_cycles + r.sub_exec
                 completed = True
                 break
 
@@ -1775,7 +1808,8 @@ class FastMachine:
             if reboots >= self.max_reboots:
                 dnf_reason = f"exceeded max_reboots={self.max_reboots}"
                 break
-            if durable_atom == last_da and durable_it == last_di:
+            durable = (r.durable_atom, r.durable_it)
+            if durable == last_durable:
                 stall += 1
                 if stall >= self.stall_limit:
                     dnf_reason = (
@@ -1784,206 +1818,40 @@ class FastMachine:
                     break
             else:
                 stall = 0
-            last_da, last_di = durable_atom, durable_it
-
-            # === supply.recharge(), inlined and step-batched ===
-            waited = 0.0
-            aborted = False
-            if mean_step_j > 0.0:
-                deficit = half_c * (v_on ** 2 - v ** 2)
-                rblock = int(deficit / mean_step_j) + 8
-                if rblock > 65536:
-                    rblock = 65536
-                elif rblock < 64:
-                    rblock = 64
-            else:
-                rblock = 512
-            while v < v_on:
-                B = rblock
-                to_timeout = int((timeout_s - waited) / step) + 2
-                if B > to_timeout:
-                    B = to_timeout
-                if rblock < 16384:
-                    rblock = rblock * 4
-                seg = np.empty(B + 1)
-                seg[0] = clock
-                seg[1:] = step
-                clocks_np = np.cumsum(seg)
-                seg[0] = waited
-                waiteds_np = np.cumsum(seg)
-                if const_power is not None:
-                    # The per-step charge is clock-independent: one scalar.
-                    hv = (const_power * step) * eff
-                    chg = (2.0 * hv) / cap_f
-                    chg_l = None
-                else:
-                    if step_fill is None or step_fill.size < B:
-                        step_fill = np.full(max(B, 4096), step)
-                    h_np = energy_batch(
-                        clocks_np[:B], step_fill[:B]
-                    ) * eff
-                    chg_np = (2.0 * h_np) / cap_f
-                    chg_l = chg_np.tolist()
-                    nz_np = np.nonzero(chg_np)[0]
-                    nz_l = nz_np.tolist()
-                stopped = False
-                if float(waiteds_np[B - 1]) < timeout_s:
-                    # No step in this block can cross the timeout: drop
-                    # the per-step check from the tight loop.  Clocks and
-                    # waits are only read at the exit step, so the arrays
-                    # are indexed directly instead of exported wholesale.
-                    if chg_l is None:
-                        for k in range(B):
-                            if v >= v_on:
-                                clock = float(clocks_np[k])
-                                waited = float(waiteds_np[k])
-                                stopped = True
-                                break
-                            new_sq = v ** 2 + chg
-                            root = _sqrt(new_sq)
-                            v = root if root < v_max else v_max
-                        else:
-                            clock = float(clocks_np[B])
-                            waited = float(waiteds_np[B])
-                    else:
-                        # v changes only at nonzero-charge steps (a zero
-                        # charge's sqrt/square round trip is bit-exact),
-                        # so walk the on-phase steps only.  The reference
-                        # loop would first observe v >= v_on at the step
-                        # *after* the one that crossed it.  With the
-                        # clamp provably dead (see ``no_clamp_recharge``)
-                        # the per-step compare drops out too.
-                        if no_clamp_recharge:
-                            # Test-free prefix: the clamp-free chain is
-                            # monotone and tracks the charge prefix sum to
-                            # a few ulps per step, so while
-                            # ``v**2 + cum_charge`` stays a relative
-                            # 1e-9 below ``v_on**2`` (orders of magnitude
-                            # above the accumulated drift) no step can
-                            # cross ``v_on`` — walk those without the
-                            # exit compare.
-                            kf = int(np.cumsum(chg_np).searchsorted(
-                                v_on * v_on * (1.0 - 1e-9) - v * v))
-                            pos = int(nz_np.searchsorted(kf)) if kf > 0 \
-                                else 0
-                            for k in nz_l[:pos]:
-                                v = _sqrt(v ** 2 + chg_l[k])
-                            for k in nz_l[pos:]:
-                                v = _sqrt(v ** 2 + chg_l[k])
-                                if v >= v_on:
-                                    k1 = k + 1
-                                    if k1 < B:
-                                        clock = float(clocks_np[k1])
-                                        waited = float(waiteds_np[k1])
-                                        stopped = True
-                                    else:
-                                        clock = float(clocks_np[B])
-                                        waited = float(waiteds_np[B])
-                                    break
-                            else:
-                                clock = float(clocks_np[B])
-                                waited = float(waiteds_np[B])
-                        else:
-                            for k in nz_l:
-                                new_sq = v ** 2 + chg_l[k]
-                                root = _sqrt(new_sq)
-                                v = root if root < v_max else v_max
-                                if v >= v_on:
-                                    k1 = k + 1
-                                    if k1 < B:
-                                        clock = float(clocks_np[k1])
-                                        waited = float(waiteds_np[k1])
-                                        stopped = True
-                                    else:
-                                        clock = float(clocks_np[B])
-                                        waited = float(waiteds_np[B])
-                                    break
-                            else:
-                                clock = float(clocks_np[B])
-                                waited = float(waiteds_np[B])
-                else:
-                    clocks_l = clocks_np.tolist()
-                    waiteds_l = waiteds_np.tolist()
-                    for k in range(B):
-                        if v >= v_on:
-                            clock = clocks_l[k]
-                            waited = waiteds_l[k]
-                            stopped = True
-                            break
-                        if waiteds_l[k] >= timeout_s:
-                            clock = clocks_l[k]
-                            aborted = True
-                            stopped = True
-                            break
-                        new_sq = v ** 2 + (chg if chg_l is None else chg_l[k])
-                        root = _sqrt(new_sq)
-                        v = root if root < v_max else v_max
-                    else:
-                        clock = clocks_l[B]
-                        waited = waiteds_l[B]
-                if stopped:
-                    break
-            if aborted:
+            last_durable = durable
+            if not r.recharge():
                 dnf_reason = (
                     f"supply delivered too little energy in "
-                    f"{timeout_s} s to reach v_on"
+                    f"{supply.charge_timeout_s} s to reach v_on"
                 )
                 break
-            charge_time = charge_time + waited
-
-            restore = runtime.restore_words()
+            restore = self.runtime.restore_words()
             if restore:
-                vol = 0 if durable_it > 0 else volatile_prev_l[durable_atom]
-                words = restore + vol
-                rcycles = C.COMMIT_BASE_CYCLES + words * C.COMMIT_CYCLES_PER_WORD
-                rtime = rcycles * C.CYCLE_S
-                rcpu = C.CPU_ACTIVE_W * rtime
-                rfram = words * C.FRAM_READ_RAW_J
-                if not draw(
-                    [("cpu", rtime, rcpu, "checkpoint"),
-                     ("fram", 0.0, rfram, "checkpoint")],
-                    rtime,
-                    rcpu + rfram,
-                ):
+                if not r.restore(restore):
                     continue  # pathological: failed during restore
                 n_restores += 1
-            cursor_atom, cursor_it = durable_atom, durable_it
+            r.cursor_atom, r.cursor_it = durable
 
-        # === write back state and assemble the RunResult ===
-        cap.voltage = v
-        supply.clock_s = clock
-        supply.failures = failures
-        supply.charge_time_s = charge_time
-        if monitor is not None:
-            monitor.warnings = mon_warnings
-        for key, val in e_by.items():
-            meter.energy_j[key] = val
-        for key, val in t_by.items():
-            meter.time_s[key] = val
-        for key, val in p_by.items():
-            meter.purpose_energy_j[key] = val
-
-        diff_e = self._diff(start_e, e_by, [k for k in e_by if k not in start_e])
-        diff_t = self._diff(start_t, t_by, [k for k in t_by if k not in start_t])
-        diff_p = self._diff(start_p, p_by, [k for k in p_by if k not in start_p])
-
+        # === finalize: meter deltas, write-back, the RunResult ===
+        diff_e, diff_t, diff_p = (
+            self._diff(old, new, [k for k in new if k not in old])
+            for old, new in ((meter.energy_j, r.e_by), (meter.time_s, r.t_by),
+                             (meter.purpose_energy_j, r.p_by)))
+        r.write_back(supply, meter, monitor)
         if _rec:
             self._record_machine_events(
                 completed, reboots, n_restores,
-                failures - _failures0, mon_warnings - _mon0,
+                r.failures - failures0, r.warnings - warnings0,
             )
         logits, pred, needs = self._finish_logits(x, completed, defer_logits)
-        active = sum(diff_t.values())
-        charge = charge_time - charge_start
-        wall = clock - clock_start
         result = RunResult(
-            runtime=runtime.name,
+            runtime=self.runtime.name,
             completed=completed,
             logits=logits,
             predicted_class=pred,
-            wall_time_s=wall,
-            active_time_s=active,
-            charge_time_s=charge,
+            wall_time_s=r.clock - clock_start,
+            active_time_s=sum(diff_t.values()),
+            charge_time_s=r.charge_time - charge_start,
             energy_j=sum(diff_e.values()),
             energy_by_component=diff_e,
             checkpoint_energy_j=diff_p.get("checkpoint", 0.0),

@@ -34,8 +34,6 @@ from repro.sim import (
     IntermittentMachine,
     ProgramCache,
     SensingSession,
-    analytic_brownout_index,
-    compile_program,
     make_machine,
 )
 
@@ -528,57 +526,6 @@ class TestFallbackAndPlumbing:
         machine.run(np.zeros(2))
         machine.run(np.zeros(2))  # per-machine memo: one compile, no cache
         assert len(cache) == 0 and cache.misses == 1
-
-
-# ---------------------------------------------------------------------------
-# The analytic searchsorted estimator
-# ---------------------------------------------------------------------------
-
-
-class TestAnalyticEstimator:
-    def _program(self):
-        atoms = [cpu_atom(20000, commit=True, label=f"a{i}", layer=i)
-                 for i in range(30)]
-        return ToyRuntime(atoms), atoms
-
-    def test_brackets_dead_supply_brownout(self):
-        """With zero harvest the estimate must match the replay to ±1 atom
-        (the residual is exactly the capacitor's sqrt round-trip rounding,
-        which is why this is an estimator and not the execution path)."""
-        runtime, atoms = self._program()
-        program = compile_program(runtime)
-        supply = EnergyHarvester(ConstantTrace(0.0), Capacitor(20e-6),
-                                 charge_timeout_s=0.01)
-        budget = supply.available_energy_j
-        predicted = analytic_brownout_index(program, budget)
-        device = Device(supply=supply)
-        actual = 0
-        from repro.errors import PowerFailureError
-        try:
-            for atom in atoms:
-                device.execute(atom)
-                device.checkpoint(atom.commit_words)
-                actual += 1
-        except PowerFailureError:
-            pass
-        assert abs(predicted - actual) <= 1
-        assert 0 < predicted < program.n_atoms
-
-    def test_everything_fits(self):
-        runtime, _ = self._program()
-        program = compile_program(runtime)
-        total = float(program.cum_draw_energy[-1])
-        assert analytic_brownout_index(program, total * 2) == program.n_atoms
-
-    def test_start_offset_and_validation(self):
-        runtime, _ = self._program()
-        program = compile_program(runtime)
-        per_atom = float(program.cum_draw_energy[1])
-        assert analytic_brownout_index(program, per_atom * 2.5, 10) in (12, 13)
-        with pytest.raises(ConfigurationError):
-            analytic_brownout_index(program, 1.0, -1)
-        with pytest.raises(ConfigurationError):
-            analytic_brownout_index(program, -1.0)
 
 
 # ---------------------------------------------------------------------------

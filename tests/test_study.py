@@ -397,6 +397,31 @@ class TestScenarioStudies:
         assert fast.report is not None and len(fast.report) == 10
         assert fast.cache.misses == 1  # one model, shared across 10 cells
 
+    ENGINE_STUDIES = [n for n in study_names()
+                      if get_study(n).fleet_executed
+                      or get_study(n).engine_aware]
+
+    def test_engine_studies_are_the_expected_set(self):
+        assert set(self.ENGINE_STUDIES) == {
+            "fig7", "fig8", "overhead", "sweep-capacitor", "sweep-power",
+            "sweep-trace", "fleet"}
+
+    @pytest.mark.parametrize(
+        "name", [n for n in ENGINE_STUDIES if n != "fig7"])
+    def test_fast_engine_bit_identical_per_study(self, name):
+        """Whole-study engine identity beyond fig7 (above): every study
+        the fast engine can run produces the reference's table."""
+        study = get_study(name)
+        small = {"tasks": ("mnist",), "samples": 1}
+        profile = Profile(**{k: v for k, v in small.items()
+                             if k in study.params})
+        options = {"parallel": False} if study.fleet_executed else {}
+        reference = run_study(name, engine="reference", profile=profile,
+                              **options)
+        fast = run_study(name, engine="fast", profile=profile, **options)
+        assert fast.table.to_json() == reference.table.to_json()
+        assert fast.render() == reference.render()
+
     def test_fig7_render_marks_dnf(self):
         table = ResultTable(
             [(n, d) for n, d in get_study("fig7").collect.__globals__

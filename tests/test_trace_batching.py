@@ -275,6 +275,21 @@ class TestStochasticRFLookup:
         for t, dt in zip(starts, dts):
             self._assert_matches(trace, float(t), float(dt))
 
+    @staticmethod
+    def _energy_or_fail(trace, t, dt):
+        """``trace.energy(t, dt)``, failing after 10 s instead of spinning
+        (a livelock regression spins for hours)."""
+        def spinning(signum, frame):
+            raise AssertionError(f"energy({t!r}, {dt!r}) spins in place")
+
+        previous = signal.signal(signal.SIGALRM, spinning)
+        signal.alarm(10)
+        try:
+            return trace.energy(t, dt)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
     def test_window_past_the_horizon_advances_the_clock(self):
         # Past the first horizon, ``cur + take`` can round back onto
         # ``cur`` at a segment end; energy() must still finish, with the
@@ -283,30 +298,17 @@ class TestStochasticRFLookup:
                                   seed=0)
         t = 1057.2513109603542  # stalls at a segment end at ~1057.487 s
         local = t - trace.horizon_s
-
-        def spinning(signum, frame):
-            raise AssertionError(f"energy({t!r}, 0.3) spins in place")
-
-        # A regression spins for hours: fail after 10 s instead.
-        previous = signal.signal(signal.SIGALRM, spinning)
-        signal.alarm(10)
-        try:
-            late = trace.energy(t, 0.3)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+        late = self._energy_or_fail(trace, t, 0.3)
         assert late == pytest.approx(trace.energy(local, 0.3), rel=1e-9)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "known defect: ~30+ horizons in, floor(cur / horizon_s) can round "
-        "below a multiple that cur sits on, and the snap branch then "
-        "leaves cur unchanged (energy() spins); see ROADMAP"))
     def test_snap_branch_always_moves_the_clock(self):
+        # About 30+ horizons in, ``floor(cur / horizon_s)`` can round below
+        # the multiple ``cur`` sits on (e.g. k = 116); the snap to the next
+        # horizon must still move the clock, and the window reads as the
+        # trace's start up to rounding of the clock.
         trace = StochasticRFTrace(1.5e-3, mean_on_s=0.02, mean_off_s=0.04,
                                   seed=0)
-        h = trace.horizon_s
+        first = trace.energy(0.0, 0.049)
         for k in range(1, 200):
-            cur = k * h
-            base = math.floor(cur / h) * h
-            if not 0.0 <= cur - base < h:  # energy() snaps to base + h
-                assert base + h != cur, f"energy({k} * horizon_s) spins"
+            got = self._energy_or_fail(trace, k * trace.horizon_s, 0.049)
+            assert got == pytest.approx(first, rel=1e-6), k
