@@ -18,9 +18,9 @@ substrates they need:
 
 Three layers sit above the paper systems:
 
-* :mod:`repro.experiments` — the drivers the direct studies call
-  (Tables I/II, Figure 8, ablations), the paper's published numbers,
-  and deployment planning.
+* :mod:`repro.experiments` — the building blocks the studies share
+  (model preparation, datasets, single inferences), the paper's
+  published numbers, and deployment planning.
 * :mod:`repro.fleet` — the fleet-scale scenario engine: declarative
   scenario grids executed in parallel across worker processes, with
   shared model caching and distribution-level reporting.

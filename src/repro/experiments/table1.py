@@ -1,16 +1,5 @@
-"""Table I: BCM compression of a 512x512 FC layer across block sizes."""
-
-from __future__ import annotations
-
-from typing import List
-
-from repro.bcm import CompressionRow, compression_table
-
-
-def run_table1() -> List[CompressionRow]:
-    """Compute the paper's Table I rows (block sizes 16..256)."""
-    return compression_table(512, 512)
-
+"""Table I: BCM compression of a 512x512 FC layer across block sizes
+(computed by the ``table1`` study)."""
 
 #: The numbers printed in the paper, for verification.
 PAPER_TABLE1 = {

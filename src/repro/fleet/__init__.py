@@ -32,7 +32,7 @@ from repro.fleet.grid import (
     scenario_seed,
 )
 from repro.fleet.report import FleetReport, ScenarioResult
-from repro.fleet.runner import FleetRunner, execute_scenario, run_fleet
+from repro.fleet.runner import FleetRunner, execute_scenario
 from repro.fleet.scenario import TRACE_KINDS, Scenario, TraceSpec
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "corpus_traces",
     "default_grid",
     "execute_scenario",
-    "run_fleet",
     "scenario_grid",
     "scenario_seed",
 ]

@@ -412,16 +412,7 @@ class FleetRunner:
             if use_pool:
                 self._run_parallel(to_run, models, commit)
             else:
-                for index, scenario in to_run:
-                    # Serialize per model: the cached model's overflow
-                    # monitor is per-scenario scratch, and with a shared
-                    # ModelCache (repro.serve) another thread's run may
-                    # hold the same model.  Distinct models don't contend.
-                    with self.cache.execution_lock(scenario.model_key):
-                        result = _execute_captured(
-                            scenario, models[scenario.model_key], self.engine
-                        )
-                    commit(index, result)
+                self._run_serial(to_run, models, commit)
         finally:
             # Whatever happens next, finished work is durable now.
             if store is not None:
@@ -439,6 +430,26 @@ class FleetRunner:
             unique_models=len({s.model_key for s in scenarios}),
             from_cache=len(cached),
         )
+
+    def _run_serial(
+        self,
+        items: List[Tuple[int, Scenario]],
+        models: Dict[Tuple, QuantizedModel],
+        commit: Callable[[int, ScenarioResult], None],
+    ) -> None:
+        """Execute ``items`` one at a time in this process.
+
+        Serialize per model: the cached model's overflow monitor is
+        per-scenario scratch, and with a shared ModelCache (repro.serve)
+        another thread's run may hold the same model.  Distinct models
+        don't contend.
+        """
+        for index, scenario in items:
+            with self.cache.execution_lock(scenario.model_key):
+                result = _execute_captured(
+                    scenario, models[scenario.model_key], self.engine
+                )
+            commit(index, result)
 
     def _run_parallel(
         self,
@@ -601,14 +612,7 @@ class FleetRunner:
                     f"{len(remaining)} scenario(s) serially",
                     RuntimeWarning,
                 )
-                for index, scenario in remaining:
-                    with self.cache.execution_lock(scenario.model_key):
-                        result = _execute_captured(
-                            scenario, models[scenario.model_key],
-                            self.engine,
-                        )
-                    done.add(index)
-                    commit(index, result)
+                self._run_serial(remaining, models, commit)
             clean = True
         finally:
             self._teardown(workers, graceful=clean)
@@ -650,18 +654,3 @@ class FleetRunner:
         for w in workers:
             w.conn.close()
 
-
-def run_fleet(
-    scenarios: Sequence[Scenario],
-    *,
-    workers: Optional[int] = None,
-    parallel: bool = True,
-    engine: str = "reference",
-    store=None,
-    on_error: str = "raise",
-    retry: Optional[RetryPolicy] = None,
-) -> FleetReport:
-    """One-call convenience wrapper around :class:`FleetRunner`."""
-    return FleetRunner(
-        workers, parallel=parallel, engine=engine, retry=retry
-    ).run(scenarios, store=store, on_error=on_error)

@@ -32,6 +32,7 @@ hit), never both, decided atomically under the lock.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 import traceback
@@ -100,8 +101,6 @@ class JobSpec:
         return study_table_key(self.study, self.profile, self.engine)
 
     def to_dict(self) -> dict:
-        import dataclasses
-
         payload = dataclasses.asdict(self)
         payload["profile"] = {
             k: (list(v) if isinstance(v, tuple) else v)
@@ -113,11 +112,7 @@ class JobSpec:
     def from_dict(cls, payload: dict) -> "JobSpec":
         if not isinstance(payload, dict):
             raise ConfigurationError("job spec must be a JSON object")
-        known = {
-            "study", "engine", "workers", "parallel", "profile",
-            "on_error", "timeout_s",
-        }
-        unknown = set(payload) - known
+        unknown = set(payload) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigurationError(
                 f"unknown job spec field(s): {', '.join(sorted(unknown))}"
@@ -128,16 +123,15 @@ class JobSpec:
         prof = kwargs.pop("profile", None) or {}
         if not isinstance(prof, dict):
             raise ConfigurationError("profile must be a JSON object")
-        prof_known = {"tasks", "seed", "full", "samples", "corpus"}
-        prof_unknown = set(prof) - prof_known
+        prof_unknown = set(prof) - {f.name for f in dataclasses.fields(Profile)}
         if prof_unknown:
             raise ConfigurationError(
                 f"unknown profile field(s): {', '.join(sorted(prof_unknown))}"
             )
-        for name in ("tasks", "corpus"):
-            if prof.get(name) is not None:
-                prof[name] = tuple(prof[name])
         try:
+            for name in ("tasks", "corpus"):
+                if prof.get(name) is not None:
+                    prof[name] = tuple(prof[name])
             kwargs["profile"] = Profile(**prof)
             return cls(**kwargs)
         except TypeError as exc:

@@ -4,8 +4,8 @@ This package is the single front door to every experiment in the repo:
 
 * :class:`ResultTable` — a typed, columnar result container with a
   declared schema, filtering / group-by / percentile aggregation, and
-  lossless (bit-identical) JSON and NPZ round-trips.  It replaces the
-  ad-hoc dicts the imperative drivers return and is the payload
+  lossless (bit-identical) JSON and NPZ round-trips.  Every study
+  appends its rows to one directly, and it is the payload
   :class:`~repro.fleet.report.FleetReport` is built on.
 * :class:`Study` — a frozen, registered experiment spec: a name, either
   ``run(ctx)`` or ``scenarios(ctx)``+``collect(...)``, and

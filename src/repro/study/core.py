@@ -249,6 +249,11 @@ def check_study_options(
         raise ConfigurationError(
             f"unknown on_error {on_error!r} (expected one of {ON_ERROR})"
         )
+    if workers is not None and (
+        isinstance(workers, bool) or not isinstance(workers, int)
+        or workers < 1
+    ):
+        raise ConfigurationError("workers must be >= 1")
     for field_name, default in _PROFILE_DEFAULTS.items():
         if field_name in study.params:
             continue

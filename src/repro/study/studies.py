@@ -6,14 +6,16 @@ checkpoint-overhead measurement, the design-space sweeps, the fleet
 study) expand into :class:`~repro.fleet.scenario.Scenario` lists and run
 through :class:`~repro.fleet.runner.FleetRunner` — continuous-power cells
 use the ``"mains"`` trace kind (no harvester).  Direct studies (Tables
-I/II, Figure 8, the ablations) wrap the imperative drivers in
-:mod:`repro.experiments` and type their outputs into
-:class:`~repro.study.table.ResultTable`\\ s.
+I/II, Figure 8, the ablations) compute in their own ``run(ctx)`` and
+append each row to their :class:`~repro.study.table.ResultTable` as it
+is measured; :mod:`repro.experiments` only supplies the shared
+building blocks (``prepare_quantized``, ``make_dataset``,
+``run_inference``) and the paper's published numbers.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 from repro.errors import ConfigurationError
 from repro.experiments.common import RUNTIME_ORDER, TASKS
@@ -51,13 +53,29 @@ def _single_task(ctx: StudyContext, study_name: str) -> str:
     return tasks[0]
 
 
+def _distinct_tasks(ctx: StudyContext) -> Tuple[str, ...]:
+    """The profile's tasks (default all three), each once: a per-task
+    table has one row per task even if the profile repeats one."""
+    return tuple(dict.fromkeys(ctx.tasks(TASKS)))
+
+
+def _ace_run(qmodel, x, **runtime_options):
+    """One ACE inference of ``x`` on a fresh, continuously powered board."""
+    from repro.ace import AceRuntime
+    from repro.hw.board import msp430fr5994
+    from repro.sim import IntermittentMachine
+
+    runtime = AceRuntime(qmodel, **runtime_options)
+    return IntermittentMachine(msp430fr5994(), runtime).run(x)
+
+
 # ---------------------------------------------------------------------------
 # Table I — BCM compression
 # ---------------------------------------------------------------------------
 
 
 def _table1_run(ctx: StudyContext) -> ResultTable:
-    from repro.experiments.table1 import run_table1
+    from repro.bcm import compression_table
 
     table = ResultTable((
         ("kernel_bytes", "int"),
@@ -65,7 +83,7 @@ def _table1_run(ctx: StudyContext) -> ResultTable:
         ("compressed_bytes", "int"),
         ("reduction_pct", "float"),
     ))
-    for r in run_table1():
+    for r in compression_table(512, 512):
         table.append(
             kernel_bytes=r.kernel_bytes,
             block_size=r.block_size,
@@ -104,15 +122,40 @@ register(Study(
 # ---------------------------------------------------------------------------
 
 
+def _describe_structure(model) -> str:
+    """Table II's layer inventory of a trained RAD model."""
+    from repro.nn.layers import BCMDense, Conv2D
+
+    lines = []
+    for layer in model.layers:
+        if isinstance(layer, Conv2D):
+            o, i, kh, kw = layer.weight.shape
+            pruned = layer.weight.mask is not None
+            tag = " [structured pruning 2x]" if pruned else ""
+            lines.append(f"Conv {o}x{i}x{kh}x{kw}{tag}")
+        elif isinstance(layer, BCMDense):
+            lines.append(
+                f"FC {layer.in_features}x{layer.out_features} "
+                f"[BCM {layer.block_size}x]"
+            )
+        elif type(layer).__name__ == "Dense":
+            lines.append(f"FC {layer.in_features}x{layer.out_features}")
+    return "; ".join(lines)
+
+
 def _table2_run(ctx: StudyContext) -> ResultTable:
+    """Train, prune, and quantize each task's model (the RAD pipeline)."""
     from dataclasses import replace
 
-    from repro.experiments.common import FAST, FULL
-    from repro.experiments.table2 import run_table2
+    import numpy as np
 
-    base = FULL if ctx.profile.full else FAST
-    rows = run_table2(replace(base, seed=ctx.profile.seed),
-                      tasks=ctx.tasks(TASKS))
+    from repro.experiments.common import FAST, FULL, make_dataset
+    from repro.experiments.table2 import PAPER_ACCURACY
+    from repro.nn.data import train_test_split
+    from repro.rad import RADConfig, run_rad
+
+    profile = replace(FULL if ctx.profile.full else FAST,
+                      seed=ctx.profile.seed)
     table = ResultTable((
         ("task", "str"),
         ("structure", "str"),
@@ -121,14 +164,27 @@ def _table2_run(ctx: StudyContext) -> ResultTable:
         ("paper_acc", "float"),
         ("fram_bytes", "int"),
     ))
-    for task, row in rows.items():
+    for task in _distinct_tasks(ctx):
+        ds = make_dataset(task, profile.n_samples, seed=profile.seed)
+        train, test = train_test_split(
+            ds.x, ds.y, ds.num_classes,
+            rng=np.random.default_rng(profile.seed), name=task,
+        )
+        result = run_rad(RADConfig(
+            task=task,
+            epochs=profile.epochs,
+            admm_iterations=profile.admm_iterations,
+            admm_epochs=profile.admm_epochs,
+            finetune_epochs=profile.finetune_epochs,
+            seed=profile.seed,
+        ), train, test)
         table.append(
             task=task,
-            structure="; ".join(row.structure),
-            float_acc=row.float_accuracy,
-            quantized_acc=row.quantized_accuracy,
-            paper_acc=row.paper_accuracy,
-            fram_bytes=row.fram_bytes,
+            structure=_describe_structure(result.model),
+            float_acc=result.float_accuracy,
+            quantized_acc=result.quantized_accuracy,
+            paper_acc=PAPER_ACCURACY[task],
+            fram_bytes=result.quantized.weight_bytes,
         )
     return table
 
@@ -338,9 +394,22 @@ register(Study(
 
 
 def _fig8_run(ctx: StudyContext) -> ResultTable:
-    from repro.experiments.fig8 import run_fig8
+    """Measure the isolated FC1 layer under each block size, on
+    ``ctx.engine`` (both engines are bit-identical)."""
+    import numpy as np
 
-    points = run_fig8(seed=ctx.profile.seed, engine=ctx.engine)
+    from repro.ace import AceRuntime
+    from repro.experiments.fig8 import BLOCK_SIZES, IN_FEATURES, OUT_FEATURES
+    from repro.hw.board import msp430fr5994
+    from repro.nn import BCMDense, Dense, Sequential
+    from repro.rad.quantize import quantize_model
+    from repro.sim import make_machine
+
+    seed = ctx.profile.seed
+    rng = np.random.default_rng(seed)
+    calib = np.random.default_rng(seed + 1).uniform(
+        -0.9, 0.9, (16, IN_FEATURES)
+    )
     table = ResultTable((
         ("variant", "str"),
         ("block_size", "int"),
@@ -348,13 +417,22 @@ def _fig8_run(ctx: StudyContext) -> ResultTable:
         ("energy_uj", "float"),
         ("weight_bytes", "int"),
     ))
-    for block, pt in points.items():
+    for block in BLOCK_SIZES:
+        if block is None:
+            layer = Dense(IN_FEATURES, OUT_FEATURES, rng=rng)
+        else:
+            layer = BCMDense(IN_FEATURES, OUT_FEATURES, block, rng=rng)
+        model = Sequential([layer], name=f"fc1-{block or 'dense'}")
+        qmodel = quantize_model(model, (IN_FEATURES,), calib)
+        runtime = AceRuntime(qmodel)
+        result = make_machine(msp430fr5994(), runtime,
+                              engine=ctx.engine).run(calib[0])
         table.append(
             variant="dense" if block is None else f"BCM {block}",
             block_size=0 if block is None else block,
-            latency_ms=pt.latency_s * 1e3,
-            energy_uj=pt.energy_j * 1e6,
-            weight_bytes=pt.weight_bytes,
+            latency_ms=result.wall_time_s * 1e3,
+            energy_uj=result.energy_j * 1e6,
+            weight_bytes=qmodel.weight_bytes,
         )
     return table
 
@@ -477,25 +555,53 @@ register(Study(
 
 
 # ---------------------------------------------------------------------------
-# Ablations A1-A5 (direct: each wraps its driver)
+# Ablations A1-A5 of the design choices (direct)
 # ---------------------------------------------------------------------------
+
+#: A1's input batch: the float and fixed-point forward passes both see
+#: this many samples of the task's dataset.
+_OVERFLOW_SAMPLES = 32
+
+#: A4's FLEX voltage-warning thresholds (V), low (late) to high (eager).
+_V_WARNS = (1.9, 2.2, 2.6, 3.0)
 
 
 def _ablation_overflow_run(ctx: StudyContext) -> ResultTable:
-    from repro.experiments.ablations import run_overflow_ablation
+    """A1: run the BCM pipeline with Algorithm 1's scaling on
+    (``stage``/``prescale``) and off (``none``) against the float
+    forward pass; count saturations and the output corruption."""
+    import numpy as np
 
-    rows = run_overflow_ablation(_single_task(ctx, "ablation-overflow"),
-                                 seed=ctx.profile.seed)
+    from repro.experiments.common import make_dataset
+    from repro.fixedpoint import OverflowMonitor
+    from repro.rad.quantize import quantize_model
+    from repro.rad.zoo import INPUT_SHAPES, build_model
+
+    task = _single_task(ctx, "ablation-overflow")
+    seed = ctx.profile.seed
+    ds = make_dataset(task, _OVERFLOW_SAMPLES, seed=seed)
+    model = build_model(task, rng=np.random.default_rng(seed))
+    qmodel = quantize_model(model, INPUT_SHAPES[task], ds.x[:16], name=task)
+    x = ds.x[:_OVERFLOW_SAMPLES]
+    ref = model.forward(x)
+    denom = float(np.max(np.abs(ref))) or 1.0
     table = ResultTable((
         ("mode", "str"),
         ("overflow_events", "int"),
         ("max_rel_error", "float"),
         ("argmax_agreement", "float"),
     ))
-    for r in rows.values():
-        table.append(mode=r.mode, overflow_events=r.overflow_events,
-                     max_rel_error=r.max_rel_error,
-                     argmax_agreement=r.argmax_agreement)
+    for mode in ("stage", "prescale", "none"):
+        monitor = OverflowMonitor()
+        got = qmodel.forward(x, monitor=monitor, bcm_mode=mode)
+        table.append(
+            mode=mode,
+            overflow_events=monitor.total,
+            max_rel_error=float(np.max(np.abs(got - ref))) / denom,
+            argmax_agreement=float(
+                np.mean(np.argmax(got, 1) == np.argmax(ref, 1))
+            ),
+        )
     return table
 
 
@@ -522,19 +628,28 @@ register(Study(
 
 
 def _ablation_buffers_run(ctx: StudyContext) -> ResultTable:
-    from repro.experiments.ablations import run_buffer_ablation
+    """A2: activation memory of the two-buffer plan versus one buffer
+    per layer."""
+    from repro.ace import circular_plan, per_layer_plan
+    from repro.ace.runtime import _numel
+    from repro.experiments.common import prepare_quantized
 
-    rows = run_buffer_ablation(ctx.tasks(TASKS), seed=ctx.profile.seed)
     table = ResultTable((
         ("task", "str"),
         ("circular_bytes", "int"),
         ("per_layer_bytes", "int"),
         ("saving_pct", "float"),
     ))
-    for r in rows.values():
-        table.append(task=r.task, circular_bytes=r.circular_bytes,
-                     per_layer_bytes=r.per_layer_bytes,
-                     saving_pct=100.0 * r.saving)
+    for task in _distinct_tasks(ctx):
+        qmodel = prepare_quantized(task, seed=ctx.profile.seed)
+        io_sizes = [_numel(qmodel.input_shape)] + [
+            _numel(layer.out_shape) for layer in qmodel.layers
+        ]
+        circular = circular_plan(io_sizes).total_bytes
+        per_layer = per_layer_plan(io_sizes).total_bytes
+        table.append(task=task, circular_bytes=circular,
+                     per_layer_bytes=per_layer,
+                     saving_pct=100.0 * (1.0 - circular / per_layer))
     return table
 
 
@@ -561,9 +676,10 @@ register(Study(
 
 
 def _ablation_dma_run(ctx: StudyContext) -> ResultTable:
-    from repro.experiments.ablations import run_dma_ablation
+    """A3: ACE inference time and energy with the DMA engine disabled."""
+    from repro.experiments.common import make_dataset, prepare_quantized
 
-    rows = run_dma_ablation(ctx.tasks(TASKS), seed=ctx.profile.seed)
+    seed = ctx.profile.seed
     table = ResultTable((
         ("task", "str"),
         ("dma_ms", "float"),
@@ -571,10 +687,14 @@ def _ablation_dma_run(ctx: StudyContext) -> ResultTable:
         ("dma_mj", "float"),
         ("cpu_mj", "float"),
     ))
-    for r in rows.values():
-        table.append(task=r.task, dma_ms=r.dma_time_s * 1e3,
-                     cpu_ms=r.cpu_time_s * 1e3, dma_mj=r.dma_energy_j * 1e3,
-                     cpu_mj=r.cpu_energy_j * 1e3)
+    for task in _distinct_tasks(ctx):
+        qmodel = prepare_quantized(task, seed=seed)
+        x = make_dataset(task, 16, seed=seed).x[0]
+        dma = _ace_run(qmodel, x, use_dma=True)
+        cpu = _ace_run(qmodel, x, use_dma=False)
+        table.append(task=task, dma_ms=dma.wall_time_s * 1e3,
+                     cpu_ms=cpu.wall_time_s * 1e3, dma_mj=dma.energy_j * 1e3,
+                     cpu_mj=cpu.energy_j * 1e3)
     return table
 
 
@@ -603,10 +723,21 @@ register(Study(
 
 
 def _ablation_vwarn_run(ctx: StudyContext) -> ResultTable:
-    from repro.experiments.ablations import run_vwarn_ablation
+    """A4: sweep FLEX's on-demand checkpoint trigger under the paper's
+    harvester.  A low threshold checkpoints late (risking rollback if
+    the failure is not predicted); a high one checkpoints eagerly
+    (paying snapshot energy long before it is needed)."""
+    from repro.experiments.common import (
+        make_dataset,
+        paper_harvester,
+        prepare_quantized,
+        run_inference,
+    )
 
-    rows = run_vwarn_ablation(_single_task(ctx, "ablation-vwarn"),
-                              seed=ctx.profile.seed)
+    task = _single_task(ctx, "ablation-vwarn")
+    seed = ctx.profile.seed
+    qmodel = prepare_quantized(task, seed=seed)
+    x = make_dataset(task, 16, seed=seed).x[0]
     table = ResultTable((
         ("v_warn", "float"),
         ("completed", "bool"),
@@ -615,8 +746,10 @@ def _ablation_vwarn_run(ctx: StudyContext) -> ResultTable:
         ("wasted_cycles", "float"),
         ("reboots", "int"),
     ))
-    for r in rows.values():
-        table.append(v_warn=r.v_warn, completed=r.completed,
+    for v_warn in _V_WARNS:
+        r = run_inference("ACE+FLEX", qmodel, x,
+                          harvester=paper_harvester(), v_warn=v_warn)
+        table.append(v_warn=v_warn, completed=r.completed,
                      wall_ms=r.wall_time_s * 1e3,
                      checkpoint_uj=r.checkpoint_energy_j * 1e6,
                      wasted_cycles=r.wasted_cycles, reboots=r.reboots)
@@ -648,10 +781,19 @@ register(Study(
 
 
 def _ablation_compression_run(ctx: StudyContext) -> ResultTable:
-    from repro.experiments.ablations import run_compression_ablation
+    """A5: RAD's contribution alone — the same ACE runtime on the dense
+    backbone and on the RAD-compressed model.  Only MNIST's dense
+    backbone fits FRAM; on HAR/OKG the dense model cannot even deploy,
+    itself the result."""
+    from repro.experiments.common import make_dataset, prepare_quantized
 
-    r = run_compression_ablation(_single_task(ctx, "ablation-compression"),
-                                 seed=ctx.profile.seed)
+    task = _single_task(ctx, "ablation-compression")
+    seed = ctx.profile.seed
+    dense = prepare_quantized(task, compressed=False, pruned=False, seed=seed)
+    comp = prepare_quantized(task, compressed=True, pruned=True, seed=seed)
+    x = make_dataset(task, 16, seed=seed).x[0]
+    dense_s = _ace_run(dense, x, fram_budget_bytes=None).wall_time_s
+    comp_s = _ace_run(comp, x, fram_budget_bytes=None).wall_time_s
     table = ResultTable((
         ("task", "str"),
         ("dense_ms", "float"),
@@ -659,10 +801,10 @@ def _ablation_compression_run(ctx: StudyContext) -> ResultTable:
         ("dense_bytes", "int"),
         ("compressed_bytes", "int"),
     ))
-    table.append(task=r.task, dense_ms=r.dense_time_s * 1e3,
-                 compressed_ms=r.compressed_time_s * 1e3,
-                 dense_bytes=r.dense_bytes,
-                 compressed_bytes=r.compressed_bytes)
+    table.append(task=task, dense_ms=dense_s * 1e3,
+                 compressed_ms=comp_s * 1e3,
+                 dense_bytes=dense.weight_bytes,
+                 compressed_bytes=comp.weight_bytes)
     return table
 
 

@@ -1,5 +1,5 @@
-"""Tests for the experiment drivers and the paper-artifact studies built
-on them (tables, figures, ablations)."""
+"""Tests for the shared experiment helpers and the paper-artifact
+studies (tables, figures, ablations)."""
 
 import numpy as np
 import pytest
@@ -12,9 +12,6 @@ from repro.experiments import (
     make_dataset,
     prepare_quantized,
     ratio,
-    run_fig8,
-    run_overflow_ablation,
-    run_table1,
 )
 from repro.errors import ConfigurationError
 from repro.study import Profile, run_study
@@ -38,10 +35,10 @@ class TestReporting:
 
 class TestTable1:
     def test_matches_paper_exactly(self):
-        rows = {r.block_size: r for r in run_table1()}
+        rows = {r["block_size"]: r for r in run_study("table1").table}
         for block, (comp_bytes, reduction) in PAPER_TABLE1.items():
-            assert rows[block].compressed_bytes == comp_bytes
-            assert rows[block].storage_reduction == pytest.approx(
+            assert rows[block]["compressed_bytes"] == comp_bytes
+            assert rows[block]["reduction_pct"] / 100 == pytest.approx(
                 reduction, abs=1e-3
             )
 
@@ -92,22 +89,24 @@ class TestFig7:
 class TestFig8:
     @pytest.fixture(scope="class")
     def points(self):
-        return run_fig8(seed=0)
+        """The study's rows keyed like ``BLOCK_SIZES`` (dense is None)."""
+        return {r["block_size"] or None: r for r in run_study("fig8").table}
 
     def test_all_variants(self, points):
         assert set(points) == set(BLOCK_SIZES)
 
     def test_latency_monotone_in_block_size(self, points):
         """Bigger BCM blocks => faster FC1 (the paper's Figure 8 trend)."""
-        lat = [points[b].latency_s for b in (None, 32, 64, 128)]
+        lat = [points[b]["latency_ms"] for b in (None, 32, 64, 128)]
         assert lat == sorted(lat, reverse=True)
 
     def test_energy_monotone_in_block_size(self, points):
-        en = [points[b].energy_j for b in (None, 32, 64, 128)]
+        en = [points[b]["energy_uj"] for b in (None, 32, 64, 128)]
         assert en == sorted(en, reverse=True)
 
     def test_weights_shrink(self, points):
-        assert points[128].weight_bytes < points[32].weight_bytes < points[None].weight_bytes
+        assert (points[128]["weight_bytes"] < points[32]["weight_bytes"]
+                < points[None]["weight_bytes"])
 
     def test_render(self):
         assert "BCM 128" in run_study("fig8").render()
@@ -126,11 +125,12 @@ class TestCheckpointOverheadExperiment:
 
 class TestAblations:
     def test_overflow_ablation_story(self):
-        rows = run_overflow_ablation("mnist", seed=0, n_samples=8)
-        assert rows["stage"].overflow_events == 0
-        assert rows["none"].overflow_events > 0
-        assert rows["none"].max_rel_error > rows["stage"].max_rel_error
-        assert "A1" in run_study("ablation-overflow").render()
+        run = run_study("ablation-overflow")
+        rows = {r["mode"]: r for r in run.table}
+        assert rows["stage"]["overflow_events"] == 0
+        assert rows["none"]["overflow_events"] > 0
+        assert rows["none"]["max_rel_error"] > rows["stage"]["max_rel_error"]
+        assert "A1" in run.render()
 
     def test_buffer_ablation(self):
         run = run_study("ablation-buffers",

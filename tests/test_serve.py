@@ -101,6 +101,11 @@ class TestJobSpec:
         with pytest.raises(ConfigurationError, match="JSON object"):
             JobSpec.from_dict([])
 
+    @pytest.mark.parametrize("workers", [0, -1, "2", 1.5, True])
+    def test_bad_workers_rejected_at_construction(self, workers):
+        with pytest.raises(ConfigurationError, match="workers must be >= 1"):
+            JobSpec("fleet", workers=workers)
+
     def test_dedup_key_is_the_store_table_key(self, toy_study):
         spec = _spec(seed=3)
         assert spec.dedup_key() == study_table_key(
@@ -401,6 +406,19 @@ class TestHTTP:
             client.submit({"study": "nope"})
         with pytest.raises(ConfigurationError, match="unknown job spec"):
             client.submit({"study": TOY, "bogus": 1})
+
+    @pytest.mark.parametrize("profile", [{"tasks": 5}, {"corpus": 5}])
+    def test_non_iterable_profile_list_is_400(self, server, profile):
+        client = ServeClient(server.url)
+        with pytest.raises(ConfigurationError, match="bad job spec"):
+            client.submit({"study": "fleet", "profile": profile})
+
+    @pytest.mark.parametrize("workers", [0, "2"])
+    def test_bad_workers_is_400_at_submit(self, server, workers):
+        client = ServeClient(server.url)
+        with pytest.raises(ConfigurationError, match="workers must be >= 1"):
+            client.submit({"study": "fleet", "workers": workers})
+        assert client.health()["counters"]["submitted"] == 0
 
     def test_unknown_job_is_404(self, server):
         client = ServeClient(server.url)
