@@ -33,14 +33,6 @@ class CompressionRow:
     compressed_bytes: int
     storage_reduction: float  # fraction in [0, 1)
 
-    def as_tuple(self) -> Tuple[int, int, int, float]:
-        return (
-            self.kernel_bytes,
-            self.block_size,
-            self.compressed_bytes,
-            self.storage_reduction,
-        )
-
 
 def dense_fc_bytes(in_features: int, out_features: int,
                    bytes_per_weight: int = BYTES_PER_WEIGHT) -> int:

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.errors import CheckpointError
 from repro.hw import constants as C
+from repro.hw.board import commit_cost
 from repro.hw.memory import Fram
 
 
@@ -54,20 +55,10 @@ class FlexCheckpoint:
     def total_words(self) -> int:
         return self.control_words + self.snapshot_words
 
-    def write_energy_j(self) -> float:
-        """FRAM write energy of persisting this record."""
-        return self.total_words * C.FRAM_WRITE_RAW_J
-
-    def write_time_s(self) -> float:
-        cycles = C.COMMIT_BASE_CYCLES + self.total_words * C.COMMIT_CYCLES_PER_WORD
-        return cycles * C.CYCLE_S
-
     def cost_mj(self) -> float:
         """Checkpoint cost in millijoules (CPU time + FRAM writes), the
         quantity the paper bounds at 0.033 mJ."""
-        return (
-            self.write_energy_j() + C.CPU_ACTIVE_W * self.write_time_s()
-        ) * 1e3
+        return commit_cost(self.total_words)[1] * 1e3
 
 
 class CheckpointStore:

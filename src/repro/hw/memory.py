@@ -100,9 +100,5 @@ class Fram(MemoryRegion):
     def delete(self, key: str) -> None:
         self._store.pop(key, None)
 
-    def clear_store(self) -> None:
-        """Forget all key/value content (fresh device image)."""
-        self._store.clear()
-
     def __contains__(self, key: str) -> bool:
         return key in self._store

@@ -18,14 +18,6 @@ def he_normal(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
 
 
-def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
-    """Glorot/Xavier uniform initialization."""
-    if fan_in <= 0 or fan_out <= 0:
-        raise ConfigurationError("fan_in and fan_out must be positive")
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
-
-
 def zeros(shape) -> np.ndarray:
     """All-zero initialization (biases)."""
     return np.zeros(shape, dtype=np.float64)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.errors import ConfigurationError
 from repro.nn.layers import BCMDense, Conv2D, CosineDense, Dense, Flatten, MaxPool2D
 from repro.nn.model import Sequential
 
@@ -141,11 +140,3 @@ def check_fits(model: Sequential, input_shape, budget: DeviceBudget) -> ModelRes
             f"SRAM is {budget.sram_bytes} B"
         )
     return res
-
-
-def validate_input_shape(shape) -> Tuple[int, ...]:
-    """Sanity-check a channel-first input shape."""
-    shape = tuple(int(d) for d in shape)
-    if not shape or any(d <= 0 for d in shape):
-        raise ConfigurationError(f"invalid input shape {shape}")
-    return shape

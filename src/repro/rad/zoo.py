@@ -15,7 +15,6 @@ passing ``None`` produces the dense baseline that SONIC/TAILS run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -44,20 +43,6 @@ NUM_CLASSES = {"mnist": 10, "har": 6, "okg": 12}
 
 #: Paper Table II BCM block sizes per task, in FC-layer order.
 PAPER_BLOCKS = {"mnist": (128,), "har": (128, 64), "okg": (256, 128, 64)}
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """A named model configuration (used by experiments and search)."""
-
-    task: str
-    bcm_blocks: Optional[Tuple[int, ...]]  # None -> dense baseline
-    conv_prune_ratio: float = 0.0  # fraction of filters to structurally prune
-
-    def describe(self) -> str:
-        comp = "dense" if self.bcm_blocks is None else f"BCM{self.bcm_blocks}"
-        prune = f", prune {self.conv_prune_ratio:.0%}" if self.conv_prune_ratio else ""
-        return f"{self.task}:{comp}{prune}"
 
 
 def _fc(in_f: int, out_f: int, block: Optional[int], rng) -> object:

@@ -2,12 +2,15 @@
 
 :class:`~repro.sim.machine.IntermittentMachine` walks a runtime's atom
 program one Python-level step at a time: every atom pays a stack of calls
-(``Device.execute`` -> ``atom_cost`` -> ``_draw_and_record`` ->
+(``Device.execute`` -> ``execute_draw`` -> ``_draw_and_record`` ->
 ``EnergyMeter.record`` x3 -> ``EnergyHarvester.draw`` -> capacitor math),
 so fleet throughput is bounded by interpreter overhead rather than by the
 hardware.  The cost model itself is static — per-atom cycle/energy costs
 are fixed once the program is compiled — which makes the walk replayable
-from precomputed tables.  :class:`FastMachine` exploits that in two ways:
+from precomputed tables.  The tables are built by calling
+:mod:`repro.hw.board`'s draw builders, the same functions ``Device``
+calls, so both engines price every draw with one piece of code.
+:class:`FastMachine` exploits that in two ways:
 
 * **Continuous power** (``device.supply is None``): a run is a pure
   straight-line replay.  At compile time the exact sequence of meter
@@ -46,13 +49,22 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.concurrency import ForkSafeLock
 from repro.errors import ConfigurationError
-from repro.hw import constants as C
+from repro.hw.board import (
+    Device,
+    atom_cost,
+    booking_total,
+    commit_cost,
+    commit_draw,
+    execute_draw,
+    restore_draw,
+)
+from repro.hw.constants import FLEX_COMMIT_WORDS
 from repro.hw.energymeter import EnergyMeter
 from repro.power.capacitor import Capacitor
 from repro.power.empirical import EmpiricalTrace
@@ -71,34 +83,6 @@ from repro.sim.machine import IntermittentMachine
 from repro.sim.results import RunResult
 from repro.sim.runtime import InferenceRuntime
 
-if TYPE_CHECKING:  # avoid a circular import (hw.board uses sim.atoms)
-    from repro.hw.board import Device
-
-#: ``repro.hw.board`` power table, bound lazily for the same reason.
-_POWER_W: Dict[str, float] = {}
-
-#: ``repro.hw.board.Device``, bound lazily for the same reason (used by
-#: the per-run fallback check — a module-level cache keeps the import
-#: lookup out of the session hot loop).
-_DEVICE_CLASS = None
-
-
-def _device_class():
-    global _DEVICE_CLASS
-    if _DEVICE_CLASS is None:
-        from repro.hw.board import Device
-
-        _DEVICE_CLASS = Device
-    return _DEVICE_CLASS
-
-
-def _component_power() -> Dict[str, float]:
-    if not _POWER_W:
-        from repro.hw.board import _COMPONENT_POWER_W
-
-        _POWER_W.update(_COMPONENT_POWER_W)
-    return _POWER_W
-
 #: Engine names understood by :func:`make_machine` and the session/fleet/CLI
 #: ``engine=`` flags.
 ENGINES = ("reference", "fast")
@@ -113,17 +97,16 @@ ENGINES = ("reference", "fast")
 class CompiledProgram:
     """Precompiled cost tables for one runtime's atom program.
 
-    Every numeric entry is computed with the *same expressions, in the
-    same association order*, as the reference ``Device`` cost methods —
-    that is the whole bit-equality argument, so resist "simplifying" the
-    arithmetic here.  The ``_*_series`` arrays keep index 0 free as a
-    scratch head slot for the running meter value (mutated per run; the
-    tables are not safe for concurrent runs in threads, matching the rest
-    of the simulator).
+    Every draw in the tables comes from :mod:`repro.hw.board`'s draw
+    builders, the code ``Device`` meters with, and its total from
+    :func:`~repro.hw.board.booking_total` — so each table float is the
+    reference's, by construction.  The ``_*_series`` arrays keep index 0
+    free as a scratch head slot for the running meter value (mutated per
+    run; the tables are not safe for concurrent runs in threads, matching
+    the rest of the simulator).
     """
 
     atoms: List  # the runtime's atom list, as compiled
-    commit_on: bool
     snapshot_on_warning: bool
     n_atoms: int
     program_cycles: float
@@ -135,29 +118,20 @@ class CompiledProgram:
     _energy_series: Dict[str, np.ndarray] = field(default_factory=dict)
     _time_series: Dict[str, np.ndarray] = field(default_factory=dict)
     _purpose_series: Dict[str, np.ndarray] = field(default_factory=dict)
+    #: Per-series cumsum output buffers for the continuous replay (the
+    #: hot loop reuses them instead of allocating per run per key).
+    _cumsum_scratch: Dict[str, np.ndarray] = field(default_factory=dict)
 
     # -- harvested-path per-atom tables (plain lists: fastest to index from
     #    the scalar replay loop) --------------------------------------------
     cycles: List[float] = field(default_factory=list)
-    component: List[str] = field(default_factory=list)
-    purpose: List[str] = field(default_factory=list)
-    power_w: List[float] = field(default_factory=list)
     divisible: List[bool] = field(default_factory=list)
-    iterations: List[int] = field(default_factory=list)
-    per_iter: List[float] = field(default_factory=list)
-    e_iter: List[float] = field(default_factory=list)
-    mem_unit: List[float] = field(default_factory=list)
-    fram_unit: List[float] = field(default_factory=list)
-    sram_count: List[float] = field(default_factory=list)
-    volatile_words: List[int] = field(default_factory=list)
-    volatile_prev: List[int] = field(default_factory=list)  # len n_atoms + 1
-    #: Per-series cumsum output buffers for the continuous replay (the
-    #: hot loop reuses them instead of allocating per run per key).
-    _cumsum_scratch: Dict[str, np.ndarray] = field(default_factory=dict)
     commit_flag: List[bool] = field(default_factory=list)
-    commit_time: List[float] = field(default_factory=list)
-    commit_cpu: List[float] = field(default_factory=list)
-    commit_fram: List[float] = field(default_factory=list)
+    per_iter: List[float] = field(default_factory=list)
+    #: A divisible atom's energy per iteration, its commit included — the
+    #: divisor the reference sizes chunks with (0.0 for other atoms).
+    e_iter: List[float] = field(default_factory=list)
+    volatile_prev: List[int] = field(default_factory=list)  # len n_atoms + 1
 
     # -- harvested segment-replay event tables ------------------------------
     # One *event* per supply draw of a full pass over the non-divisible
@@ -233,7 +207,7 @@ class CompiledProgram:
         """Checkpoint draw arguments per atom (see ``_ck_draws``)."""
         if not self._ck_draws and self.n_atoms:
             self._ck_draws = [
-                _checkpoint_draw(self.volatile_prev[a] + C.FLEX_COMMIT_WORDS)
+                _priced(commit_draw(self.volatile_prev[a] + FLEX_COMMIT_WORDS))
                 for a in range(self.n_atoms)]
         return self._ck_draws
 
@@ -259,56 +233,11 @@ class CompiledProgram:
         return tables
 
 
-def _commit_cost(words: int) -> Tuple[float, float, float]:
-    """``(time_s, energy_j, fram_j)`` of one progress commit — the exact
-    expressions of :meth:`Device.commit_cost` plus its caller's FRAM split."""
-    cycles = C.COMMIT_BASE_CYCLES + words * C.COMMIT_CYCLES_PER_WORD
-    time_s = cycles * C.CYCLE_S
-    energy = C.CPU_ACTIVE_W * time_s + words * C.FRAM_WRITE_RAW_J
-    fram_j = words * C.FRAM_WRITE_RAW_J
-    return time_s, energy, fram_j
-
-
-def _checkpoint_draw(words: int) -> Tuple[list, float, float]:
-    """``(bookings, time_s, total_j)`` of one ``words``-word checkpoint —
-    the exact draw the reference's ``Device.checkpoint`` makes."""
-    ct, ce, cf = _commit_cost(words)
-    ck_cpu = ce - cf
-    bookings = [("cpu", ct, ck_cpu, "checkpoint"),
-                ("fram", 0.0, cf, "checkpoint")]
-    return bookings, ct, ck_cpu + cf
-
-
-def _execute_costs(atom, fraction: float):
-    """Replicate ``Device.atom_cost`` + ``Device.execute`` cost splits."""
-    time_s = atom.cycles * fraction * C.EFFECTIVE_CYCLE_S
-    core_j = _component_power()[atom.component] * time_s
-    mem_j = fraction * (
-        atom.fram_reads * C.FRAM_READ_J
-        + atom.fram_writes * C.FRAM_WRITE_J
-        + atom.sram_accesses * C.SRAM_ACCESS_J
-    )
-    energy_j = core_j + mem_j
-    fram_j = fraction * (
-        atom.fram_reads * C.FRAM_READ_J + atom.fram_writes * C.FRAM_WRITE_J
-    )
-    sram_j = fraction * atom.sram_accesses * C.SRAM_ACCESS_J
-    core_booked = energy_j - fram_j - sram_j
-    return time_s, core_booked, fram_j, sram_j
-
-
-def _exec_booking_list(atom, fraction: float):
-    """Booking tuples + ``_draw_and_record`` total for one full execute."""
-    time_s, core_booked, fram_j, sram_j = _execute_costs(atom, fraction)
-    bookings = [(atom.component, time_s, core_booked, atom.purpose)]
-    total = core_booked  # sum() over booking energies, left to right
-    if fram_j:
-        bookings.append(("fram", 0.0, fram_j, atom.purpose))
-        total = total + fram_j
-    if sram_j:
-        bookings.append(("sram", 0.0, sram_j, atom.purpose))
-        total = total + sram_j
-    return bookings, time_s, total
+def _priced(draw: Tuple[list, float]) -> Tuple[list, float, float]:
+    """A draw builder's ``(bookings, time_s)`` plus the energy it takes —
+    the argument triple of :meth:`_Replay.draw`."""
+    bookings, time_s = draw
+    return bookings, time_s, booking_total(bookings)
 
 
 def compile_program(runtime: InferenceRuntime) -> CompiledProgram:
@@ -317,170 +246,119 @@ def compile_program(runtime: InferenceRuntime) -> CompiledProgram:
     Atom programs are assumed to be a pure function of the runtime
     instance (every runtime in this repo memoizes ``build_atoms``); the
     reference machine re-requests the program per run, the fast machine
-    compiles it once.
+    compiles it once.  Each table builder below owns one group of tables.
     """
     atoms = runtime.build_atoms()
     validate_program(atoms)
-    commit_on = runtime.commit_enabled
     p = CompiledProgram(
         atoms=atoms,
-        commit_on=commit_on,
         snapshot_on_warning=runtime.snapshot_on_warning,
         n_atoms=len(atoms),
         program_cycles=total_cycles(atoms),
     )
+    draws = _atom_draws(p, runtime.commit_enabled)
+    _continuous_series(p, draws)
+    _event_tables(p, draws)
+    _snapshot_hints(p)
+    _booking_key_index(p)
+    return p
 
-    # --- continuous-path event stream (the exact reference booking order) --
-    events: List[Tuple[str, float, float, str]] = []  # (key, time, energy, purpose)
-    exec_sub = 0.0
-    # Compile-only per-atom draws, consumed by the event tables below.
-    exec_bookings: List[list] = []
-    exec_time: List[float] = []
-    exec_total: List[float] = []
-    commit_total: List[float] = []
-    commit_bookings: List[Optional[list]] = []
-    for atom in atoms:
+
+def _atom_draws(p: CompiledProgram, commit_on: bool) -> List[Tuple]:
+    """Fill the per-atom tables and return each atom's draws.
+
+    Entry ``i`` is ``(exec, commit)``: atom ``i``'s execute draw and its
+    progress-commit draw (``None`` when it does not commit), each priced
+    (:func:`_priced`).  A divisible atom's draws are one whole-loop chunk,
+    which is what the reference books under continuous power; under
+    harvested power its chunks are built live (:meth:`_Replay.divisible`).
+    """
+    draws = []
+    for atom in p.atoms:
         committing = commit_on and atom.commit
-
-        # Per-atom tables for the harvested replay loop.
         p.cycles.append(atom.cycles)
-        p.component.append(atom.component)
-        p.purpose.append(atom.purpose)
-        p.power_w.append(_component_power()[atom.component])
         p.divisible.append(atom.divisible)
-        p.iterations.append(atom.iterations)
-        p.volatile_words.append(atom.volatile_words)
         p.commit_flag.append(committing)
-        p.mem_unit.append(
-            atom.fram_reads * C.FRAM_READ_J
-            + atom.fram_writes * C.FRAM_WRITE_J
-            + atom.sram_accesses * C.SRAM_ACCESS_J
-        )
-        p.fram_unit.append(
-            atom.fram_reads * C.FRAM_READ_J + atom.fram_writes * C.FRAM_WRITE_J
-        )
-        p.sram_count.append(float(atom.sram_accesses))
-        if committing:
-            ct, ce, cf = _commit_cost(atom.commit_words)
-            ck_cpu = ce - cf
-            p.commit_time.append(ct)
-            p.commit_cpu.append(ck_cpu)
-            p.commit_fram.append(cf)
-            commit_total.append(ck_cpu + cf)
-            commit_bookings.append(
-                [("cpu", ct, ck_cpu, "checkpoint"), ("fram", 0.0, cf, "checkpoint")]
-            )
-        else:
-            p.commit_time.append(0.0)
-            p.commit_cpu.append(0.0)
-            p.commit_fram.append(0.0)
-            commit_total.append(0.0)
-            commit_bookings.append(None)
-
         if atom.divisible:
             per_iter = 1.0 / atom.iterations
-            time_i = atom.cycles * per_iter * C.EFFECTIVE_CYCLE_S
-            e_iter = _component_power()[atom.component] * time_i + per_iter * (
-                atom.fram_reads * C.FRAM_READ_J
-                + atom.fram_writes * C.FRAM_WRITE_J
-                + atom.sram_accesses * C.SRAM_ACCESS_J
-            )
+            e_iter = atom_cost(atom, per_iter)[1]
             if committing:
-                _, ce, _ = _commit_cost(atom.commit_words)
-                e_iter += ce
-            p.per_iter.append(per_iter)
-            p.e_iter.append(e_iter)
+                e_iter += commit_cost(atom.commit_words)[1]
+            count = atom.iterations
             fraction = atom.iterations * per_iter  # chunk == all iterations
         else:
-            p.per_iter.append(1.0)
-            p.e_iter.append(0.0)
-            fraction = 1.0
+            per_iter, e_iter, count, fraction = 1.0, 0.0, 1, 1.0
+        p.per_iter.append(per_iter)
+        p.e_iter.append(e_iter)
+        draws.append((
+            _priced(execute_draw(atom, fraction)),
+            _priced(commit_draw(atom.commit_words, count)) if committing
+            else None,
+        ))
+    p.volatile_prev = [0] + [a.volatile_words for a in p.atoms]
+    return draws
 
-        bookings, time_s, total = _exec_booking_list(atom, fraction)
-        exec_bookings.append(bookings)
-        exec_time.append(time_s)
-        exec_total.append(total)
 
-        # Continuous-path events: execute, then commit (per reference order).
-        for key, t, e, purpose in bookings:
-            events.append((key, t, e, purpose))
+def _continuous_series(p: CompiledProgram, draws: List[Tuple]) -> None:
+    """The continuous replay's tables.
+
+    Under continuous power the reference books each atom's execute draw,
+    then its commit draw, in program order.  That booking stream, grouped
+    by meter key and by purpose in first-seen order, is the per-key term
+    series (behind a head slot); the run's executed cycles are summed the
+    reference's way.
+    """
+    stream: List[Tuple] = []
+    executed = 0.0
+    for atom, (ex, commit), per_iter in zip(p.atoms, draws, p.per_iter):
+        stream.extend(ex[0])
+        if commit is not None:
+            stream.extend(commit[0])
         if atom.divisible:
-            exec_sub += atom.cycles * atom.iterations * p.per_iter[-1]
-            if committing:
-                count = atom.iterations
-                tt = p.commit_time[-1] * count
-                ce_b = p.commit_cpu[-1] * count
-                cf_b = p.commit_fram[-1] * count
-                events.append(("cpu", tt, ce_b, "checkpoint"))
-                events.append(("fram", 0.0, cf_b, "checkpoint"))
+            executed += atom.cycles * atom.iterations * per_iter
         else:
-            exec_sub += atom.cycles
-            if committing:
-                events.append(("cpu", p.commit_time[-1], p.commit_cpu[-1], "checkpoint"))
-                events.append(("fram", 0.0, p.commit_fram[-1], "checkpoint"))
-    p.cont_executed_cycles = 0.0 + exec_sub
+            executed += atom.cycles
+    p.cont_executed_cycles = 0.0 + executed
+    by_key, by_purpose = _group_bookings(stream)
+    for key, (_, e_terms, t_terms) in by_key.items():
+        p.comp_keys.append(key)
+        p._energy_series[key] = np.array([0.0] + e_terms, dtype=np.float64)
+        p._time_series[key] = np.array([0.0] + t_terms, dtype=np.float64)
+    for key, (_, e_terms) in by_purpose.items():
+        p.purpose_keys.append(key)
+        p._purpose_series[key] = np.array([0.0] + e_terms, dtype=np.float64)
 
-    p.volatile_prev = [0] + [a.volatile_words for a in atoms]
 
-    # --- group events into per-key series with a head slot -----------------
-    energy_terms: Dict[str, List[float]] = {}
-    time_terms: Dict[str, List[float]] = {}
-    purpose_terms: Dict[str, List[float]] = {}
-    for key, t, e, purpose in events:
-        if key not in energy_terms:
-            p.comp_keys.append(key)
-            energy_terms[key] = []
-            time_terms[key] = []
-        energy_terms[key].append(e)
-        time_terms[key].append(t)
-        if purpose not in purpose_terms:
-            p.purpose_keys.append(purpose)
-            purpose_terms[purpose] = []
-        purpose_terms[purpose].append(e)
-    for key in p.comp_keys:
-        e_arr = np.empty(len(energy_terms[key]) + 1, dtype=np.float64)
-        e_arr[1:] = energy_terms[key]
-        t_arr = np.empty(len(time_terms[key]) + 1, dtype=np.float64)
-        t_arr[1:] = time_terms[key]
-        p._energy_series[key] = e_arr
-        p._time_series[key] = t_arr
-    for key in p.purpose_keys:
-        s_arr = np.empty(len(purpose_terms[key]) + 1, dtype=np.float64)
-        s_arr[1:] = purpose_terms[key]
-        p._purpose_series[key] = s_arr
+def _event_tables(p: CompiledProgram, draws: List[Tuple]) -> None:
+    """The harvested segment-replay event tables.
 
-    # --- harvested segment-replay event tables -----------------------------
-    # One event per supply draw over the non-divisible atoms (the floats
-    # are the *same objects* the scalar tables hold, so the comparison and
-    # discharge arithmetic in the span replay is bit-for-bit the scalar
-    # path's).  Divisible atoms contribute no events and delimit spans.
+    One event per supply draw over the non-divisible atoms — the execute
+    draw, then the commit draw when committing — holding the very floats
+    the per-atom draws hold.  Divisible atoms contribute no events and
+    delimit spans.
+    """
     ev_dt: List[float] = []
     ev_total: List[float] = []
     ev_cycles: List[float] = []
     book_stream: List[Tuple] = []
     p.ev_book_start.append(0)
-    for i, atom in enumerate(atoms):
+    for i, (atom, (ex, commit)) in enumerate(zip(p.atoms, draws)):
         p.atom_event_lo.append(len(ev_dt))
         if atom.divisible:
             continue
-        ev_dt.append(exec_time[i])
-        ev_total.append(exec_total[i])
-        ev_cycles.append(p.cycles[i])
-        p.ev_atom.append(i)
-        p.ev_is_exec.append(True)
-        p.ev_durable_to.append(-1)
-        p.ev_bookings.append(exec_bookings[i])
-        book_stream.extend(exec_bookings[i])
-        p.ev_book_start.append(len(book_stream))
-        if p.commit_flag[i]:
-            ev_dt.append(p.commit_time[i])
-            ev_total.append(commit_total[i])
-            ev_cycles.append(0.0)
+        for draw, is_exec in ((ex, True), (commit, False)):
+            if draw is None:
+                continue
+            bookings, time_s, total_j = draw
+            ev_dt.append(time_s)
+            ev_total.append(total_j)
+            ev_cycles.append(atom.cycles if is_exec else 0.0)
             p.ev_atom.append(i)
-            p.ev_is_exec.append(False)
-            p.ev_durable_to.append(i + 1 if atom.volatile_words == 0 else -1)
-            p.ev_bookings.append(commit_bookings[i])
-            book_stream.extend(commit_bookings[i])
+            p.ev_is_exec.append(is_exec)
+            p.ev_durable_to.append(
+                i + 1 if not is_exec and atom.volatile_words == 0 else -1)
+            p.ev_bookings.append(bookings)
+            book_stream.extend(bookings)
             p.ev_book_start.append(len(book_stream))
     p.atom_event_lo.append(len(ev_dt))
     p.n_events = len(ev_dt)
@@ -489,14 +367,27 @@ def compile_program(runtime: InferenceRuntime) -> CompiledProgram:
     p.ev_cycles = np.asarray(ev_cycles, dtype=np.float64)
     p.ev_dt_l = ev_dt
     p.ev_total_l = ev_total
+    p.book_stream = book_stream
+
+    span_end = [0] * (p.n_atoms + 1)
+    span_end[p.n_atoms] = p.n_atoms
+    for i in range(p.n_atoms - 1, -1, -1):
+        span_end[i] = i if p.divisible[i] else span_end[i + 1]
+    p.span_end_atom = span_end
+
+
+def _snapshot_hints(p: CompiledProgram) -> None:
+    """The snapshot-candidacy operand and the straight-line candidate hints.
+
+    Replay the durable cursor over the events once (commits of
+    volatile-free atoms advance it) and mark the exec events it lags
+    behind — the only places a snapshot can fire when the program runs
+    uninterrupted.
+    """
     p.ev_snap_atom = [
         a if is_exec else -(1 << 30)
         for a, is_exec in zip(p.ev_atom, p.ev_is_exec)
     ]
-    # Straight-line candidate set: replay the durable cursor over the
-    # events once (commits of volatile-free atoms advance it) and mark
-    # the exec events it lags behind — the only places a snapshot can
-    # fire when the program runs uninterrupted.
     cand = [False] * p.n_events
     dur = 0
     for j in range(p.n_events):
@@ -512,46 +403,52 @@ def compile_program(runtime: InferenceRuntime) -> CompiledProgram:
             nxt = j
         p.ev_next_snap[j] = nxt
     p.ev_snap_cand = np.asarray(cand, dtype=bool)
-    p.book_stream = book_stream
 
-    span_end = [0] * (p.n_atoms + 1)
-    span_end[p.n_atoms] = p.n_atoms
-    for i in range(p.n_atoms - 1, -1, -1):
-        span_end[i] = i if atoms[i].divisible else span_end[i + 1]
-    p.span_end_atom = span_end
 
-    kpos: Dict[str, List[int]] = {}
-    ke: Dict[str, List[float]] = {}
-    kt: Dict[str, List[float]] = {}
-    ppos: Dict[str, List[int]] = {}
-    pe: Dict[str, List[float]] = {}
-    for s, (key, t, e, purpose) in enumerate(book_stream):
-        kpos.setdefault(key, []).append(s)
-        ke.setdefault(key, []).append(e)
-        kt.setdefault(key, []).append(t)
-        ppos.setdefault(purpose, []).append(s)
-        pe.setdefault(purpose, []).append(e)
+def _booking_key_index(p: CompiledProgram) -> None:
+    """Index the harvested booking stream by meter key and by purpose
+    (``key_items`` / ``purpose_items``) for :meth:`_Replay.flush`."""
+    by_key, by_purpose = _group_bookings(p.book_stream)
     bounds = np.asarray(p.ev_book_start, dtype=np.int64)
+
+    def counts(pos: List[int]) -> List[int]:
+        return np.searchsorted(np.asarray(pos, dtype=np.int64), bounds).tolist()
+
     p.key_items = [
-        (key,
-         np.searchsorted(np.asarray(kpos[key], dtype=np.int64), bounds).tolist(),
-         kpos[key],
-         np.asarray(ke[key], dtype=np.float64),
-         np.asarray(kt[key], dtype=np.float64),
-         all(t == 0.0 for t in kt[key]),
-         ke[key],
-         kt[key])
-        for key in kpos
+        (key, counts(pos), pos, np.asarray(e_terms, dtype=np.float64),
+         np.asarray(t_terms, dtype=np.float64),
+         all(t == 0.0 for t in t_terms), e_terms, t_terms)
+        for key, (pos, e_terms, t_terms) in by_key.items()
     ]
     p.purpose_items = [
-        (key,
-         np.searchsorted(np.asarray(ppos[key], dtype=np.int64), bounds).tolist(),
-         ppos[key],
-         np.asarray(pe[key], dtype=np.float64),
-         pe[key])
-        for key in ppos
+        (key, counts(pos), pos, np.asarray(e_terms, dtype=np.float64), e_terms)
+        for key, (pos, e_terms) in by_purpose.items()
     ]
-    return p
+
+
+def _group_bookings(stream: List[Tuple]) -> Tuple[Dict, Dict]:
+    """Group booking tuples by meter key and by purpose, keys in
+    first-seen order (the order the reference's meter dicts gain them).
+
+    Returns ``(by_key, by_purpose)``: ``by_key[key]`` is ``(positions,
+    energies, times)`` and ``by_purpose[purpose]`` is ``(positions,
+    energies)``, each list in stream order.
+    """
+    by_key: Dict[str, Tuple[List[int], List[float], List[float]]] = {}
+    by_purpose: Dict[str, Tuple[List[int], List[float]]] = {}
+    for s, (key, t, e, purpose) in enumerate(stream):
+        group = by_key.get(key)
+        if group is None:
+            group = by_key[key] = ([], [], [])
+        group[0].append(s)
+        group[1].append(e)
+        group[2].append(t)
+        group = by_purpose.get(purpose)
+        if group is None:
+            group = by_purpose[purpose] = ([], [])
+        group[0].append(s)
+        group[1].append(e)
+    return by_key, by_purpose
 
 
 # ---------------------------------------------------------------------------
@@ -869,10 +766,10 @@ class _Replay:
         """
         self.warnings += 1
         if it:
-            bookings, time_s, total_j = _checkpoint_draw(C.FLEX_COMMIT_WORDS)
+            ck_draw = _priced(commit_draw(FLEX_COMMIT_WORDS))
         else:
-            bookings, time_s, total_j = self.ck_draws[atom]
-        if not self.draw(bookings, time_s, total_j):
+            ck_draw = self.ck_draws[atom]
+        if not self.draw(*ck_draw):
             return False
         self.durable_atom, self.durable_it = atom, it
         return True
@@ -925,19 +822,13 @@ class _Replay:
         brown-out, with ``cursor_it`` at the chunk that failed.
         """
         p = self.p
-        iters = p.iterations[ca]
+        atom = p.atoms[ca]
+        iters = atom.iterations
         per_iter = p.per_iter[ca]
         e_iter = p.e_iter[ca]
         e_iter_floor = e_iter if e_iter > 1e-18 else 1e-18
-        a_cycles = p.cycles[ca]
-        a_power = p.power_w[ca]
-        a_purpose = p.purpose[ca]
-        a_comp = p.component[ca]
-        a_mem = p.mem_unit[ca]
-        a_fram = p.fram_unit[ca]
-        a_sram = p.sram_count[ca]
         committing = p.commit_flag[ca]
-        durable_loop = committing and p.volatile_words[ca] == 0
+        durable_loop = committing and atom.volatile_words == 0
         half_c = self.half_c
         v_off_sq = self.v_off_sq
         draw = self.draw
@@ -950,34 +841,14 @@ class _Replay:
                 chunk = remaining
             if chunk < 1:
                 chunk = 1
-            f = chunk * per_iter
-            time_s = a_cycles * f * C.EFFECTIVE_CYCLE_S
-            core_j = a_power * time_s
-            energy_j = core_j + f * a_mem
-            fram_j = f * a_fram
-            sram_j = f * a_sram * C.SRAM_ACCESS_J
-            core_booked = energy_j - fram_j - sram_j
-            bookings = [(a_comp, time_s, core_booked, a_purpose)]
-            total = core_booked
-            if fram_j:
-                bookings.append(("fram", 0.0, fram_j, a_purpose))
-                total = total + fram_j
-            if sram_j:
-                bookings.append(("sram", 0.0, sram_j, a_purpose))
-                total = total + sram_j
-            if not draw(bookings, time_s, total):
+            if not draw(*_priced(execute_draw(atom, chunk * per_iter))):
                 self.cursor_it = it
                 return False
-            div_exec += a_cycles * chunk * per_iter
-            if committing:
-                tt = p.commit_time[ca] * chunk
-                ce_b = p.commit_cpu[ca] * chunk
-                cf_b = p.commit_fram[ca] * chunk
-                if not draw([("cpu", tt, ce_b, "checkpoint"),
-                             ("fram", 0.0, cf_b, "checkpoint")],
-                            tt, ce_b + cf_b):
-                    self.cursor_it = it
-                    return False
+            div_exec += atom.cycles * chunk * per_iter
+            if committing and not draw(
+                    *_priced(commit_draw(atom.commit_words, chunk))):
+                self.cursor_it = it
+                return False
             it += chunk
             if durable_loop:
                 self.durable_atom, self.durable_it = ca, it
@@ -993,13 +864,7 @@ class _Replay:
         the restore itself browns out."""
         if self.durable_it == 0:
             words += self.p.volatile_prev[self.durable_atom]
-        rcycles = C.COMMIT_BASE_CYCLES + words * C.COMMIT_CYCLES_PER_WORD
-        rtime = rcycles * C.CYCLE_S
-        rcpu = C.CPU_ACTIVE_W * rtime
-        rfram = words * C.FRAM_READ_RAW_J
-        return self.draw([("cpu", rtime, rcpu, "checkpoint"),
-                          ("fram", 0.0, rfram, "checkpoint")],
-                         rtime, rcpu + rfram)
+        return self.draw(*_priced(restore_draw(words)))
 
     # -- span replay --------------------------------------------------------
 
@@ -1490,7 +1355,7 @@ class FastMachine:
 
     def __init__(
         self,
-        device: "Device",
+        device: Device,
         runtime: InferenceRuntime,
         *,
         monitor: Optional[VoltageMonitor] = None,
@@ -1588,11 +1453,10 @@ class FastMachine:
         Re-evaluated on every run: the checked attributes (supply, trace,
         capacitor, voltage logging) are plain mutable state a caller may
         swap between runs, and each change must re-route to the
-        reference machine.  Only the ``Device`` class lookup is hoisted
-        (module-level lazy import).
+        reference machine.
         """
         device = self.device
-        if type(device) is not _device_class() or type(device.meter) is not EnergyMeter:
+        if type(device) is not Device or type(device.meter) is not EnergyMeter:
             return True
         supply = device.supply
         if supply is not None:
@@ -1869,7 +1733,7 @@ class FastMachine:
 
 
 def make_machine(
-    device: "Device",
+    device: Device,
     runtime: InferenceRuntime,
     *,
     engine: str = "reference",

@@ -169,7 +169,7 @@ class IntermittentMachine:
                 restore = self.runtime.restore_words()
                 if restore:
                     try:
-                        self._pay_restore(restore + self._volatile_at(atoms, durable))
+                        device.restore(restore + self._volatile_at(atoms, durable))
                     except PowerFailureError:
                         continue  # pathological: failed during restore
                     n_restores += 1
@@ -273,7 +273,7 @@ class IntermittentMachine:
             device.execute(atom, chunk * per_iter)
             executed += atom.cycles * chunk * per_iter
             if commit_on and atom.commit:
-                self._bulk_commit(atom.commit_words, chunk)
+                device.checkpoint_bulk(atom.commit_words, chunk)
             cursor.iteration += chunk
             if commit_on and atom.commit and atom.volatile_words == 0:
                 durable.atom = cursor.atom
@@ -283,14 +283,6 @@ class IntermittentMachine:
         if commit_on and atom.commit and atom.volatile_words == 0:
             durable.atom, durable.iteration = cursor.atom, 0
         return executed
-
-    def _bulk_commit(self, words: int, count: int) -> None:
-        """``count`` successive progress commits, booked in one call."""
-        self.device.checkpoint_bulk(words, count)
-
-    def _pay_restore(self, words: int) -> None:
-        """Read back progress (and any snapshot) after a reboot."""
-        self.device.restore(words)
 
     @staticmethod
     def _volatile_at(atoms, cursor: _Cursor) -> int:

@@ -41,18 +41,6 @@ class RunResult:
             return 0.0
         return self.checkpoint_energy_j / self.energy_j
 
-    def speedup_vs(self, other: "RunResult") -> float:
-        """How much faster this run was than ``other`` (wall time)."""
-        if self.wall_time_s <= 0:
-            return float("inf")
-        return other.wall_time_s / self.wall_time_s
-
-    def energy_saving_vs(self, other: "RunResult") -> float:
-        """How much less energy this run used than ``other``."""
-        if self.energy_j <= 0:
-            return float("inf")
-        return other.energy_j / self.energy_j
-
     def summary(self) -> str:
         if not self.completed:
             return (
