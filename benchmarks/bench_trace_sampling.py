@@ -23,12 +23,21 @@ anywhere in the horizon; a lookup whose cost grows with ``t`` (the
 linear first-match scan it replaced measures 100-300x in this sweep)
 fails.
 
+Also asserted: the ``rf-batch`` and ``solar-batch`` rows — ns per
+window of one 1,024-window ``energy_batch`` call clocked like the fast
+engine's recharge walk (``np.cumsum`` over fixed 1 ms steps) — stay
+below their scalar ``rf`` / ``solar`` sweep rows.  Both families batch
+exactly (segment-interior ``p * dt``; ``math.cos`` per element), so a
+batch that costs a scalar call per window means the override fell back
+to the per-window loop.  The RF trace draws its segments lazily, so
+every segment the timed sweeps read is drawn before the first timer.
+
 Also checked here (timing-free, runs in CI smoke): the corpus round
 trip — ``export`` (CSV and NPZ) -> re-import -> bit-identical energies —
 the contract that makes exported recordings exchangeable artifacts.
 
 Smoke mode (``REPRO_BENCH_SMOKE=1``) shrinks the call counts; the
-relative 2x assertions still hold (both sides are measured on the same
+relative assertions still hold (both sides are measured on the same
 host in the same process).
 """
 
@@ -54,6 +63,9 @@ REPEATS = 3 if SMOKE else 5
 MAX_RATIO = 2.0
 SWEEP_DT = 2e-4  # a typical atom-draw window
 RF_LATE_START = 500.0  # deep into StochasticRFTrace's 600 s horizon
+BATCH_WINDOWS = 1024
+RECHARGE_STEP = 1e-3  # EnergyHarvester's default charge step
+BATCH_START = 1.0
 
 
 def _sweep_ns(trace, n=N_CALLS, dt=SWEEP_DT, start=0.0):
@@ -84,6 +96,26 @@ def _random_ns(trace, horizon, n=N_CALLS):
     return best / n * 1e9
 
 
+def _batch_ns(trace, n=BATCH_WINDOWS, step=RECHARGE_STEP,
+              start=BATCH_START):
+    """Best-of-repeats ns/window of one recharge-shaped ``energy_batch``
+    call: ``n`` fixed steps clocked by ``np.cumsum`` from ``start``."""
+    seg = np.empty(n + 1)
+    seg[0] = start
+    seg[1:] = step
+    starts = np.cumsum(seg)[:n]
+    dts = np.full(n, step)
+    energy_batch = trace.energy_batch
+    calls = max(1, N_CALLS // n)
+    best = float("inf")
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            energy_batch(starts, dts)
+        best = min(best, (time.perf_counter() - t0) / calls)
+    return best / n * 1e9
+
+
 def test_trace_sampling_throughput(benchmark):
     empirical = CORPUS.get("rf-markov")  # ~3000 segments
     rows_spec = {
@@ -93,10 +125,13 @@ def test_trace_sampling_throughput(benchmark):
         "solar": SolarTrace(5e-3, period_s=1.0),
         "empirical": empirical,
     }
+    rows_spec["rf"].horizon_s  # draws every segment, outside the timers
 
     def run():
         rows = {name: _sweep_ns(tr) for name, tr in rows_spec.items()}
         rows["rf-late"] = _sweep_ns(rows_spec["rf"], start=RF_LATE_START)
+        rows["rf-batch"] = _batch_ns(rows_spec["rf"])
+        rows["solar-batch"] = _batch_ns(rows_spec["solar"])
         stress = {
             "empirical-random": _random_ns(empirical, empirical.duration_s),
             "empirical-looped": _sweep_ns(
@@ -110,7 +145,7 @@ def test_trace_sampling_throughput(benchmark):
     print(f"trace energy() throughput, {N_CALLS} sequential windows of "
           f"{SWEEP_DT * 1e6:.0f} us{' (smoke)' if SMOKE else ''}:")
     for name, ns in rows.items():
-        print(f"  {name:9s} {ns:8.1f} ns/call")
+        print(f"  {name:11s} {ns:8.1f} ns/call")
         benchmark.extra_info[f"{name}_ns"] = round(ns, 1)
     print("empirical stress (unasserted):")
     for name, ns in stress.items():
@@ -133,6 +168,15 @@ def test_trace_sampling_throughput(benchmark):
         f"{rf_ratio:.2f}x its cost at t=0 (budget {MAX_RATIO}x): the "
         f"segment lookup's cost grows with t again"
     )
+    for family in ("rf", "solar"):
+        batch_ns = rows[f"{family}-batch"]
+        print(f"{family}-batch / {family}: {batch_ns / rows[family]:.2f}x "
+              f"(must be < 1x)")
+        assert batch_ns < rows[family], (
+            f"{family} energy_batch costs {batch_ns:.1f} ns/window, no less "
+            f"than a scalar energy call ({rows[family]:.1f} ns): the exact "
+            f"vectorization fell back to the per-window loop"
+        )
 
 
 def test_corpus_round_trip_bit_identical(tmp_path):

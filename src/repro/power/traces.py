@@ -7,8 +7,8 @@ experiments can stress different intermittency patterns.
 
 A trace answers one question: how much energy arrives in a window
 ``[t, t + dt)``.  Closed forms are used where available; the stochastic
-trace pre-generates piecewise-constant segments from a seed so runs are
-reproducible.
+trace draws piecewise-constant segments from a seed, on first use, so
+runs are reproducible.
 """
 
 from __future__ import annotations
@@ -20,6 +20,19 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
+
+
+def _windows(starts, dts) -> Tuple[np.ndarray, np.ndarray]:
+    """``energy_batch`` operands as 1-D float64 arrays of one shape.
+
+    Raises :class:`ConfigurationError` on a negative window, as the
+    scalar ``energy`` does.
+    """
+    starts = np.asarray(starts, dtype=np.float64)
+    dts_b = np.broadcast_to(np.asarray(dts, dtype=np.float64), starts.shape)
+    if np.any(dts_b < 0):
+        raise ConfigurationError("dt must be non-negative")
+    return starts, dts_b
 
 
 class PowerTrace:
@@ -83,10 +96,7 @@ class ConstantTrace(PowerTrace):
         return self.power_w * dt
 
     def energy_batch(self, starts, dts) -> np.ndarray:
-        starts = np.asarray(starts, dtype=np.float64)
-        dts_b = np.broadcast_to(np.asarray(dts, dtype=np.float64), starts.shape)
-        if np.any(dts_b < 0):
-            raise ConfigurationError("dt must be non-negative")
+        _, dts_b = _windows(starts, dts)
         # Elementwise float64 multiply == the scalar expression per element.
         return self.power_w * dts_b
 
@@ -146,11 +156,7 @@ class SquareWaveTrace(PowerTrace):
         engine's windows are atom draws and millisecond recharge steps,
         never multi-period integrations.
         """
-        starts = np.asarray(starts, dtype=np.float64)
-        dts_b = np.broadcast_to(np.asarray(dts, dtype=np.float64), starts.shape)
-        if np.any(dts_b < 0):
-            raise ConfigurationError("dt must be non-negative")
-        return self.energy_batch_trusted(starts, dts_b)
+        return self.energy_batch_trusted(*_windows(starts, dts))
 
     def energy_batch_trusted(self, starts, dts_b) -> np.ndarray:
         """:meth:`energy_batch` minus input validation (which costs more
@@ -213,7 +219,18 @@ class SquareWaveTrace(PowerTrace):
 
 
 class StochasticRFTrace(PowerTrace):
-    """Bursty ambient-RF-like harvesting: exponential on/off segments."""
+    """Bursty ambient-RF-like harvesting: exponential on/off segments.
+
+    Segments are drawn on first use, in chunks that double in size, from
+    one sequential ``default_rng(seed)`` stream: the same draws in the
+    same order as generating the whole horizon up front, so each segment
+    is the same float whenever it is generated, and a run that reads only
+    the first minute of a 600 s horizon never draws the rest.  A trace is
+    not shared between threads (the chunks extend it in place).
+    """
+
+    #: Segments in the first generation chunk; each later chunk doubles.
+    FIRST_CHUNK = 256
 
     def __init__(
         self,
@@ -226,31 +243,79 @@ class StochasticRFTrace(PowerTrace):
         if mean_power_w < 0 or mean_on_s <= 0 or mean_off_s <= 0 or horizon_s <= 0:
             raise ConfigurationError("invalid stochastic trace parameters")
         self.mean_power_w = mean_power_w
-        rng = np.random.default_rng(seed)
-        # Pre-generate (start, end, power) segments covering the horizon.
+        self._mean_on_s = mean_on_s
+        self._mean_off_s = mean_off_s
+        self._nominal_s = horizon_s
+        # Generation state; ``_rng`` is None once the horizon is covered.
+        self._rng: Optional[np.random.Generator] = np.random.default_rng(seed)
+        self._on = True
+        self._end = 0.0  # where the next segment starts
+        self._chunk = self.FIRST_CHUNK
+        # (start, end, power) segments tiling [0, _end).  Segment i ends at
+        # the very float segment i + 1 starts at, so a bisect over their
+        # starts picks the one segment a first-match scan would.
         self._segments: List[Tuple[float, float, float]] = []
-        t = 0.0
-        on = True
-        while t < horizon_s:
-            dur = float(rng.exponential(mean_on_s if on else mean_off_s))
-            dur = max(dur, 1e-4)
-            power = (
-                float(rng.uniform(0.5, 1.5)) * mean_power_w * (mean_on_s + mean_off_s)
-                / mean_on_s
-                if on
-                else 0.0
-            )
-            self._segments.append((t, t + dur, power))
-            t += dur
-            on = not on
-        self.horizon_s = t
-        # Segment i ends at the very float segment i + 1 starts at, so the
-        # segments tile [0, horizon_s) and a bisect over their starts picks
-        # the one segment a first-match scan would: O(log n) per lookup.
-        self._starts = [start for start, _, _ in self._segments]
+        self._starts: List[float] = []
+        # Array mirror of ``_segments`` for ``energy_batch``, rebuilt when
+        # a chunk lands (geometric chunks keep that amortized O(n)).
+        self._table: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+
+    def _generate(self, local: float) -> None:
+        """Draw segments until one ends past ``local`` or the nominal
+        horizon is covered."""
+        rng = self._rng
+        on_s = self._mean_on_s
+        off_s = self._mean_off_s
+        mean_power_w = self.mean_power_w
+        nominal = self._nominal_s
+        segments = self._segments
+        n0 = len(segments)
+        t = self._end
+        on = self._on
+        while rng is not None and t <= local:
+            for _ in range(self._chunk):
+                dur = float(rng.exponential(on_s if on else off_s))
+                dur = max(dur, 1e-4)
+                power = (
+                    float(rng.uniform(0.5, 1.5)) * mean_power_w * (on_s + off_s)
+                    / on_s
+                    if on
+                    else 0.0
+                )
+                segments.append((t, t + dur, power))
+                t += dur
+                on = not on
+                if t >= nominal:
+                    rng = self._rng = None
+                    break
+            self._chunk *= 2
+        self._starts.extend(start for start, _, _ in segments[n0:])
+        self._end = t
+        self._on = on
+
+    @property
+    def horizon_s(self) -> float:
+        """Length of the trace: the first segment end at or past the
+        requested horizon.  Reading it draws every segment."""
+        if self._rng is not None:
+            self._generate(math.inf)
+        return self._end
+
+    def _base(self, t: float) -> float:
+        """``floor(t / horizon_s) * horizon_s``: where the horizon copy
+        holding ``t`` starts.  On ``[0, nominal horizon)`` that is 0.0
+        without drawing the rest of the trace: ``horizon_s`` is the first
+        segment end at or past the nominal horizon, so ``t < horizon_s``
+        and ``floor(t / horizon_s) == 0`` there."""
+        if 0.0 <= t < self._nominal_s:
+            return 0.0
+        horizon = self.horizon_s
+        return math.floor(t / horizon) * horizon
 
     def _segment_at(self, local: float) -> Optional[Tuple[float, float, float]]:
         """The segment containing ``local``; ``None`` outside ``[0, horizon_s)``."""
+        if local >= self._end and self._rng is not None:
+            self._generate(local)
         i = bisect_right(self._starts, local) - 1
         if i >= 0:
             segment = self._segments[i]
@@ -258,8 +323,17 @@ class StochasticRFTrace(PowerTrace):
                 return segment
         return None
 
+    def _arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(starts, ends, powers)`` of the segments drawn so far."""
+        table = self._table
+        if table is None or table[0].size != len(self._segments):
+            rows = np.array(self._segments, dtype=np.float64)
+            table = self._table = (
+                rows[:, 0].copy(), rows[:, 1].copy(), rows[:, 2].copy())
+        return table
+
     def power(self, t: float) -> float:
-        segment = self._segment_at(math.fmod(t, self.horizon_s))
+        segment = self._segment_at(t - self._base(t))
         return 0.0 if segment is None else segment[2]
 
     def energy(self, t: float, dt: float) -> float:
@@ -269,7 +343,7 @@ class StochasticRFTrace(PowerTrace):
         remaining = dt
         cur = t
         while remaining > 1e-12:
-            base = math.floor(cur / self.horizon_s) * self.horizon_s
+            base = self._base(cur)
             local = cur - base
             segment = self._segment_at(local)
             if segment is None:  # numeric edge: snap to next segment
@@ -292,6 +366,40 @@ class StochasticRFTrace(PowerTrace):
             cur = advanced if advanced != cur else math.nextafter(cur, math.inf)
             remaining -= take
         return total
+
+    def energy_batch(self, starts, dts) -> np.ndarray:
+        """Exact vectorization of :meth:`energy` for windows inside one
+        segment.
+
+        A window starting at ``0 <= t < nominal horizon`` has ``base ==
+        0.0`` and ``local == t`` (see :meth:`_base`).  When it also ends
+        inside the segment holding ``t`` (``end - t >= dt``) the scalar
+        loop runs once with ``take == dt``, so its value is ``0.0 + p *
+        dt``, computed here elementwise after one ``searchsorted`` — the
+        bisect of :meth:`_segment_at`.  A ``dt <= 1e-12`` never enters the
+        loop: 0.0.  Every other window (one crossing a segment end, or
+        starting at or past the nominal horizon, or below 0) goes through
+        the scalar method.
+        """
+        starts, dts_b = _windows(starts, dts)
+        out = np.zeros(starts.size)
+        scalar = dts_b > 1e-12
+        early = np.flatnonzero(
+            scalar & (starts >= 0.0) & (starts < self._nominal_s))
+        if early.size:
+            t = starts[early]
+            self._generate(float(t.max()))
+            seg_starts, seg_ends, seg_powers = self._arrays()
+            i = np.searchsorted(seg_starts, t, side="right") - 1
+            d = dts_b[early]
+            inside = seg_ends[i] - t >= d
+            done = early[inside]
+            out[done] = 0.0 + seg_powers[i[inside]] * d[inside]
+            scalar[done] = False
+        rest = np.flatnonzero(scalar)
+        if rest.size:
+            out[rest] = PowerTrace.energy_batch(self, starts[rest], dts_b[rest])
+        return out
 
 
 class SolarTrace(PowerTrace):
@@ -343,3 +451,39 @@ class SolarTrace(PowerTrace):
                     math.cos(omega * (lo - p0)) - math.cos(omega * (hi - p0))
                 )
         return total
+
+    def energy_batch(self, starts, dts) -> np.ndarray:
+        """Exact vectorization of :meth:`energy` for windows inside one
+        period.
+
+        Such a window takes the scalar method's single-period branch: its
+        ``floor``, ``p0``, ``max``/``min`` and ``hi > lo`` test, then
+        ``0.0 + amplitude * (cos_a - cos_b)``, each computed here
+        elementwise with the same ops in the same order.  The cosines are
+        ``math.cos`` per element — the scalar method's libm call, so no
+        SIMD cosine can differ from it in the last bit.  Windows crossing a
+        period boundary, and ``dt == 0``, go through the scalar method.
+        """
+        starts, dts_b = _windows(starts, dts)
+        period = self.period_s
+        end = starts + dts_b
+        first = np.floor(starts / period)
+        scalar = (first != np.floor(end / period)) | (dts_b == 0.0)
+        p0 = first * period
+        lo = np.maximum(starts, p0)
+        hi = np.minimum(end, p0 + 0.5 * period)
+        lit = np.flatnonzero(~scalar & (hi > lo))
+        out = np.zeros(starts.size)
+        if lit.size:
+            omega = 2 * math.pi / period
+            amplitude = self.peak_power_w / omega
+            p0 = p0[lit]
+            args = np.concatenate(
+                (omega * (lo[lit] - p0), omega * (hi[lit] - p0))).tolist()
+            cos = np.fromiter(map(math.cos, args), dtype=np.float64,
+                              count=len(args))
+            out[lit] = 0.0 + amplitude * (cos[:lit.size] - cos[lit.size:])
+        rest = np.flatnonzero(scalar)
+        if rest.size:
+            out[rest] = PowerTrace.energy_batch(self, starts[rest], dts_b[rest])
+        return out

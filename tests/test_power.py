@@ -52,6 +52,18 @@ class TestTraces:
         assert a.power(500.123) == b.power(500.123)
         assert a.energy(499.7, 1.0) == b.energy(499.7, 1.0)
 
+    def test_stochastic_power_wraps_negative_times(self):
+        # power() reduces t onto the trace as energy() does, so a negative
+        # time reads the tail of the previous horizon copy, not 0.0.
+        tr = StochasticRFTrace(1.5e-3, mean_on_s=0.024, mean_off_s=0.036,
+                               seed=0)
+        for t in (-0.01, -0.05, -1.3, -600.5):
+            local = t - math.floor(t / tr.horizon_s) * tr.horizon_s
+            assert tr.power(t) == tr.power(local)
+        assert tr.power(-0.01) == tr.power(-0.01 + tr.horizon_s) > 0.0
+        assert tr.power(-0.01) == pytest.approx(
+            tr.energy(-0.01, 1e-6) / 1e-6, rel=1e-9)
+
     def test_stochastic_mean_power_reasonable(self):
         tr = StochasticRFTrace(2e-3, seed=1, horizon_s=100.0)
         mean = tr.energy(0.0, 100.0) / 100.0

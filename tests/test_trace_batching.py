@@ -119,6 +119,165 @@ class TestEnergyBatchPinsScalar:
         assert trace.energy_batch_trusted(np.zeros(0), np.zeros(0)).shape == (0,)
 
 
+def assert_bitwise_scalar(trace, starts, dts, context=""):
+    """``energy_batch`` equals the scalar ``energy`` bit for bit (signed
+    zeros included) on every window."""
+    starts = np.asarray(starts, dtype=np.float64)
+    dts = np.broadcast_to(np.asarray(dts, dtype=np.float64), starts.shape)
+    batch = trace.energy_batch(starts, dts)
+    scalar = np.array([trace.energy(float(t), float(d))
+                       for t, d in zip(starts, dts)], dtype=np.float64)
+    bad = np.flatnonzero(batch.view(np.uint64) != scalar.view(np.uint64))
+    assert bad.size == 0, (
+        f"{context}: {bad.size} mismatches, first at (t={starts[bad[0]]!r}, "
+        f"dt={dts[bad[0]]!r}): batch={batch[bad[0]]!r} != "
+        f"energy={scalar[bad[0]]!r}")
+
+
+def recharge_clocks(clock, step, n):
+    """The recharge walk's step clocks: ``np.cumsum`` from ``clock``."""
+    seg = np.empty(n + 1)
+    seg[0] = clock
+    seg[1:] = step
+    return np.cumsum(seg)[:n]
+
+
+class TestRechargeShapedBatches:
+    """The supplies the default fleet study recharges from, batched the
+    way ``_Replay.recharge`` batches them: fixed-step clock blocks."""
+
+    RECHARGE_FAMILIES = {
+        "rf": FAMILIES["rf"],
+        "rf-fleet": lambda: StochasticRFTrace(
+            1.5e-3, mean_on_s=0.024, mean_off_s=0.036, seed=0),
+        "solar": FAMILIES["solar"],
+        "solar-slow": lambda: SolarTrace(4e-3, period_s=60.0),
+    }
+
+    @pytest.mark.parametrize("family", sorted(RECHARGE_FAMILIES))
+    @pytest.mark.parametrize("step", [1e-4, 1e-3, 5e-3])
+    def test_blocks_bitwise_equal_scalar(self, family, step):
+        trace = self.RECHARGE_FAMILIES[family]()
+        rng = np.random.default_rng(int(step * 1e5))
+        for n in (1, 2, 63, 1000, 65536):
+            for clock in (0.0, float(rng.uniform(0.0, 60.0)),
+                          float(rng.uniform(590.0, 610.0))):
+                assert_bitwise_scalar(
+                    trace, recharge_clocks(clock, step, n), step,
+                    f"{family} step={step} n={n} clock={clock!r}")
+
+    def test_rf_segment_edges(self):
+        trace = StochasticRFTrace(1.5e-3, mean_on_s=0.024, mean_off_s=0.036,
+                                  seed=0)
+        nominal = 600.0
+        starts, dts = [], []
+        trace.power(3.0)  # draws the segments up to 3 s
+        for start, end, _ in (s for s in trace._segments if s[0] < 3.0):
+            for t in (start, math.nextafter(start, math.inf),
+                      0.5 * (start + end)):
+                # ending exactly on the segment end, one ulp short of it,
+                # and crossing it
+                for d in (end - t, math.nextafter(end - t, 0.0),
+                          math.nextafter(end - t, math.inf), end - t + 1e-3):
+                    starts.append(t)
+                    dts.append(d)
+        for d in (0.0, 1e-12, math.nextafter(1e-12, math.inf), 1e-3):
+            for t in (0.0, 0.37, math.nextafter(nominal, 0.0), nominal,
+                      trace.horizon_s, 700.0, 1300.0, -0.0, -1e-9, -0.01,
+                      -600.5):
+                starts.append(t)
+                dts.append(d)
+        assert_bitwise_scalar(trace, starts, dts, "rf edges")
+
+    def test_solar_period_edges(self):
+        period = 1.0
+        for peak in (5e-3, 0.0):
+            trace = SolarTrace(peak, period_s=period)
+            starts, dts = [], []
+            for k in (0, 1, 7, 99_999, 100_000):
+                p0 = k * period
+                half = p0 + 0.5 * period
+                for t in (p0, p0 + 0.1, half - 1e-3, math.nextafter(half, 0.0),
+                          half, p0 + 0.9, math.nextafter(p0 + period, 0.0)):
+                    # ending exactly at p0 + T/2, straddling the next
+                    # period's start, and empty
+                    for d in (half - t, p0 + period - t + 1e-3, 0.0, 1e-6,
+                              2.5 * period):
+                        if d >= 0.0:
+                            starts.append(t)
+                            dts.append(d)
+            assert_bitwise_scalar(trace, starts, dts, f"solar peak={peak}")
+
+
+def eager_segments(mean_power_w, mean_on_s=0.05, mean_off_s=0.05, seed=0,
+                   horizon_s=600.0):
+    """``StochasticRFTrace``'s segment generation as it ran before it
+    became lazy: every segment up front, from one sequential rng."""
+    rng = np.random.default_rng(seed)
+    segments = []
+    t = 0.0
+    on = True
+    while t < horizon_s:
+        dur = float(rng.exponential(mean_on_s if on else mean_off_s))
+        dur = max(dur, 1e-4)
+        power = (
+            float(rng.uniform(0.5, 1.5)) * mean_power_w * (mean_on_s + mean_off_s)
+            / mean_on_s
+            if on
+            else 0.0
+        )
+        segments.append((t, t + dur, power))
+        t += dur
+        on = not on
+    return segments
+
+
+class TestLazyRFSegments:
+    """Lazily drawn segments are the eagerly drawn ones, in any order."""
+
+    ARGS = dict(mean_power_w=1.5e-3, mean_on_s=0.024, mean_off_s=0.036,
+                seed=0)
+
+    def test_horizon_read_draws_the_eager_segments(self):
+        for args in (self.ARGS, dict(mean_power_w=1.5e-3, seed=4,
+                                     horizon_s=2.0)):
+            trace = StochasticRFTrace(**args)
+            assert len(trace._segments) == 0  # nothing drawn up front
+            assert trace.horizon_s == eager_segments(**args)[-1][1]
+            assert trace._segments == eager_segments(**args)
+
+    def test_partial_draws_are_an_eager_prefix(self):
+        trace = StochasticRFTrace(**self.ARGS)
+        trace.energy(57.0, 1e-3)
+        drawn = list(trace._segments)
+        assert 0 < len(drawn) < len(eager_segments(**self.ARGS))
+        assert drawn[-1][1] > 57.0
+        assert drawn == eager_segments(**self.ARGS)[:len(drawn)]
+
+    def test_late_first_query_gives_in_order_bits(self):
+        rng = np.random.default_rng(23)
+        starts = np.sort(np.concatenate([
+            rng.uniform(0.0, 600.0, 400),
+            recharge_clocks(float(rng.uniform(0.0, 50.0)), 1e-3, 600),
+        ]))
+        dts = rng.choice([0.0, 1e-6, 1e-3, 0.049, 0.31], starts.size)
+        in_order = StochasticRFTrace(**self.ARGS)
+        want = [in_order.energy(float(t), float(d))
+                for t, d in zip(starts, dts)]
+        want_p = [in_order.power(float(t)) for t in starts]
+        late_first = StochasticRFTrace(**self.ARGS)
+        got = late_first.energy_batch(starts[::-1], dts[::-1])[::-1]
+        assert np.array_equal(np.array(want).view(np.uint64),
+                              got.view(np.uint64))
+        late_first = StochasticRFTrace(**self.ARGS)
+        assert [late_first.power(float(t)) for t in starts[::-1]] \
+            == want_p[::-1]
+        batches = StochasticRFTrace(**self.ARGS)
+        for lo in (900, 500, 0):  # blocks out of order, each drawing more
+            part = batches.energy_batch(starts[lo:], dts[lo:])
+            assert np.array_equal(part, np.array(want[lo:]))
+
+
 class TestSegmentTableRecurrences:
     """The exact identities the replay's tables stand on."""
 
@@ -201,7 +360,10 @@ def _scan_segment(trace, local):
 
 
 def scan_power(trace, t):
-    segment = _scan_segment(trace, math.fmod(t, trace.horizon_s))
+    """``StochasticRFTrace.power`` with the segment found by the scan; ``t``
+    is reduced onto the trace as ``scan_energy`` reduces it."""
+    base = math.floor(t / trace.horizon_s) * trace.horizon_s
+    segment = _scan_segment(trace, t - base)
     return 0.0 if segment is None else segment[2]
 
 
@@ -240,16 +402,17 @@ class TestStochasticRFLookup:
         # The bisect's premise: each segment ends on the very float the
         # next one starts at, from 0.0 up to horizon_s.
         trace = FAMILIES["rf"]()
+        horizon = trace.horizon_s  # draws every segment
         segments = trace._segments
         assert segments[0][0] == 0.0
-        assert segments[-1][1] == trace.horizon_s
+        assert segments[-1][1] == horizon
         for (_, end, _), (start, _, _) in zip(segments, segments[1:]):
             assert end == start
 
     @pytest.mark.parametrize("dt", [0.0, 1e-6, 1e-3, 0.049, 0.7])
     def test_every_segment_edge_and_its_neighbours(self, dt):
         trace = StochasticRFTrace(1.5e-3, seed=4, horizon_s=2.0)
-        h = trace.horizon_s
+        h = trace.horizon_s  # draws every segment before they are read
         for start, end, _ in trace._segments:
             for x in (start, end):
                 for t in (math.nextafter(x, -math.inf), x,
@@ -264,6 +427,16 @@ class TestStochasticRFLookup:
         for k in range(1, 6):
             for t in (k * h, math.nextafter(k * h, 0.0), k * h - 0.3 * dt):
                 self._assert_matches(trace, t, dt)
+
+    def test_power_reads_the_segment_energy_reads(self):
+        # At a rounded horizon multiple (k = 3 here) ``fmod`` puts ``t`` at
+        # the end of the last segment while ``energy`` reads the first:
+        # power reduces ``t`` as energy does.
+        trace = StochasticRFTrace(1.5e-3, seed=4, horizon_s=2.0)
+        for k in range(1, 6):
+            t = k * trace.horizon_s
+            assert trace.power(t) == pytest.approx(
+                trace.energy(t, 1e-7) / 1e-7, rel=1e-6), k
 
     def test_late_starts(self):
         # 100 s .. 1200 s on the default 600 s horizon: where the scan was
