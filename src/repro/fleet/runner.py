@@ -1,15 +1,19 @@
 """Fleet execution: many independent sensing sessions, optionally parallel.
 
-Each scenario is an isolated simulation — its own device, supply, runtime
-instance, and sample stream — so a fleet is embarrassingly parallel.
-:class:`FleetRunner` exploits that with a ``multiprocessing`` pool:
+Each scenario is an isolated simulation — its own device, supply and
+runtime instance; the only thing scenarios share is read-only input — so
+a fleet is embarrassingly parallel.  :class:`FleetRunner` exploits that
+with a pool of worker processes:
 
 1. the parent resolves every distinct :attr:`Scenario.model_key` through a
    :class:`~repro.fleet.cache.ModelCache` (N scenarios pay for U <= N
    model preparations, not N);
-2. the prepared models are shipped to each worker once, via the pool
-   initializer (not once per task);
-3. workers execute scenarios with :func:`execute_scenario` — the *same*
+2. the prepared models are shipped to each worker once, when it starts
+   (not once per task);
+3. each serial loop and each worker draws every distinct
+   :attr:`Scenario.dataset_key` once, on first use, and hands the
+   read-only stream to every later scenario sharing it;
+4. workers execute scenarios with :func:`execute_scenario` — the *same*
    function the serial path uses — so parallel results are bit-identical
    to serial results for the same specs.
 
@@ -71,6 +75,7 @@ from repro.faults.retry import RetryPolicy, call_with_retry
 from repro.fleet.cache import ModelCache
 from repro.fleet.report import FleetReport, ScenarioResult
 from repro.fleet.scenario import Scenario
+from repro.nn.data import Dataset
 from repro.obs import metrics as _obs
 from repro.obs import spans as _spans
 from repro.obs.snapshot import merge_all
@@ -89,7 +94,10 @@ _RESPAWN_SLEEP_CAP_S = 0.5
 
 
 def execute_scenario(
-    scenario: Scenario, qmodel: QuantizedModel, engine: str = "reference"
+    scenario: Scenario,
+    qmodel: QuantizedModel,
+    engine: str = "reference",
+    dataset: Optional[Dataset] = None,
 ) -> ScenarioResult:
     """Run one scenario end to end and return its result record.
 
@@ -97,6 +105,8 @@ def execute_scenario(
     makes the two execution modes produce identical results.  ``engine``
     selects the simulation engine (``"reference"`` or ``"fast"``; see
     :mod:`repro.sim.fastsim` — results are bit-identical either way).
+    ``dataset`` is the scenario's input stream, the draw of
+    :attr:`Scenario.dataset_key`; when ``None`` it is drawn here.
     """
     from repro.experiments.common import make_dataset, make_runtime
     from repro.hw.board import msp430fr5994
@@ -120,8 +130,9 @@ def execute_scenario(
         give_up_after_dnf=scenario.give_up_after_dnf,
         engine=engine,
     )
-    ds = make_dataset(scenario.task, max(scenario.n_samples, 16),
-                      seed=scenario.seed)
+    ds = dataset
+    if ds is None:
+        ds = make_dataset(*scenario.dataset_key)
     # The cached model is shared across scenarios (and, serially, across
     # this whole run); its overflow monitor is per-scenario scratch.
     # Reset it here and snapshot the count into the result so overflow
@@ -156,20 +167,56 @@ def _failure_result(
     )
 
 
+def _shared_dataset(
+    scenario: Scenario, datasets: Dict[Tuple, Dataset]
+) -> Dataset:
+    """The scenario's input stream from one run's ``datasets`` dict.
+
+    Drawn on first use of its :attr:`Scenario.dataset_key` and reused by
+    every later scenario of the run that shares the key.  Its ``x`` and
+    ``y`` are made read-only, so no scenario can change the input of the
+    next.  A draw that raises stores nothing.
+    """
+    key = scenario.dataset_key
+    ds = datasets.get(key)
+    if ds is not None:
+        if _obs.ENABLED:
+            _obs.count("fleet.datasets.reused")
+        return ds
+    # Looked up per call, so a wrapped make_dataset (tracing, tests) is
+    # the one that draws.
+    from repro.experiments.common import make_dataset
+
+    ds = make_dataset(*key)
+    ds.x.setflags(write=False)
+    ds.y.setflags(write=False)
+    datasets[key] = ds
+    if _obs.ENABLED:
+        _obs.count("fleet.datasets.drawn")
+    return ds
+
+
 def _execute_captured(
-    scenario: Scenario, qmodel: QuantizedModel, engine: str
+    scenario: Scenario,
+    qmodel: QuantizedModel,
+    engine: str,
+    datasets: Dict[Tuple, Dataset],
 ) -> ScenarioResult:
     """``execute_scenario`` with exceptions folded into a failure record.
 
-    Only :class:`Exception` is captured — ``KeyboardInterrupt`` and
-    friends still abort the run.  The record (not a raised exception) is
-    what crosses the process boundary, so a broken cell never tears down
-    the pool mid-map, and the failure always names its scenario.
+    ``datasets`` is the calling run's (or worker's) dict of input
+    streams, see :func:`_shared_dataset`.  Only :class:`Exception` is
+    captured — ``KeyboardInterrupt`` and friends still abort the run.
+    The record (not a raised exception) is what crosses the process
+    boundary, so a broken cell never tears down the pool mid-map, and
+    the failure always names its scenario — a failed draw included.
     """
     try:
         with _spans.span("fleet.scenario", scenario=scenario.name,
                          runtime=scenario.runtime):
-            result = execute_scenario(scenario, qmodel, engine=engine)
+            dataset = _shared_dataset(scenario, datasets)
+            result = execute_scenario(scenario, qmodel, engine=engine,
+                                      dataset=dataset)
         if _obs.ENABLED:
             _obs.count("fleet.scenarios")
         return result
@@ -236,6 +283,9 @@ def _supervised_worker(uid, inq, conn, models, engine, obs_on, plan):
         _inject.install(plan)
     else:
         _inject.uninstall()
+    # This worker's input streams: it lives for one run, and a respawned
+    # worker starts empty.
+    datasets: Dict[Tuple, Dataset] = {}
     while True:
         item = inq.get()
         if item is None:
@@ -249,7 +299,8 @@ def _supervised_worker(uid, inq, conn, models, engine, obs_on, plan):
             result = _failure_result(scenario, exc)
         else:
             result = _execute_captured(
-                scenario, _WORKER_MODELS[scenario.model_key], _WORKER_ENGINE
+                scenario, _WORKER_MODELS[scenario.model_key], _WORKER_ENGINE,
+                datasets,
             )
         payload = _obs.snapshot() if _obs.ENABLED else None
         conn.send((uid, index, result, payload))
@@ -442,12 +493,15 @@ class FleetRunner:
         Serialize per model: the cached model's overflow monitor is
         per-scenario scratch, and with a shared ModelCache (repro.serve)
         another thread's run may hold the same model.  Distinct models
-        don't contend.
+        don't contend.  The input streams are this call's own, so no
+        other thread ever sees them.
         """
+        datasets: Dict[Tuple, Dataset] = {}
         for index, scenario in items:
             with self.cache.execution_lock(scenario.model_key):
                 result = _execute_captured(
-                    scenario, models[scenario.model_key], self.engine
+                    scenario, models[scenario.model_key], self.engine,
+                    datasets,
                 )
             commit(index, result)
 

@@ -245,6 +245,16 @@ class Scenario:
         return (self.task, self.compressed, self.pruned, self.model_seed,
                 self.calib_n)
 
+    @property
+    def dataset_key(self) -> Tuple[str, int, int]:
+        """Stream key: the ``make_dataset(task, n, seed)`` arguments.
+
+        Scenarios sharing it run over the identical input stream, so one
+        fleet run draws it once (see
+        :class:`~repro.fleet.runner.FleetRunner`).
+        """
+        return (self.task, max(self.n_samples, 16), self.seed)
+
     def build_harvester(self) -> Optional[EnergyHarvester]:
         """The scenario's supply: its trace into its capacitor.
 

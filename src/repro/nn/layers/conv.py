@@ -33,7 +33,12 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     patches = np.lib.stride_tricks.as_strided(x, shape=shape, strides=strides)
     # (N, out_h, out_w, C, kh, kw) -> (N, out_h*out_w, C*kh*kw)
     patches = patches.transpose(0, 2, 3, 1, 4, 5)
-    return patches.reshape(n, out_h * out_w, c * kh * kw).copy()
+    cols = patches.reshape(n, out_h * out_w, c * kh * kw)
+    # The reshape already copies unless the patches happen to merge into
+    # a strided view of ``x`` (e.g. a 1x1 kernel); copy only then.
+    if np.may_share_memory(cols, x):
+        cols = cols.copy()
+    return cols
 
 
 def col2im(

@@ -1,5 +1,8 @@
 """Tests for the fleet-scale scenario engine."""
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from repro.fleet import (
     scenario_seed,
 )
 from repro.fleet.report import render_scenario_table
+from repro.fleet.runner import _shared_dataset, execute_scenario
 from repro.power import (
     ConstantTrace,
     SolarTrace,
@@ -111,6 +115,17 @@ class TestScenario:
         c = Scenario(name="c", model_seed=7)
         assert c.model_key != a.model_key
 
+    def test_dataset_key_is_the_draw_arguments(self):
+        a = Scenario(name="a", task="har", n_samples=4, seed=9)
+        assert a.dataset_key == ("har", 16, 9)
+        assert Scenario(name="b", n_samples=40, seed=2).dataset_key == \
+            ("mnist", 40, 2)
+        # Supply, capacitor, runtime and model fields leave it alone.
+        c = Scenario(name="c", task="har", n_samples=16, seed=9,
+                     runtime="TAILS", cap_uf=470.0, model_seed=3,
+                     trace=TraceSpec("solar", 5e-3, 1.0))
+        assert c.dataset_key == a.dataset_key
+
     def test_with_runtime(self):
         s = Scenario(name="mnist/square@5mW/100uF/SONIC", runtime="SONIC")
         t = s.with_runtime("TAILS")
@@ -195,6 +210,25 @@ def _small_grid(n_samples=2):
     )
 
 
+def _assert_results_identical(a, b):
+    """Two scenario results agree down to the logits bits."""
+    assert a.scenario == b.scenario
+    assert a.error == b.error
+    assert a.labels == b.labels
+    assert a.overflow_events == b.overflow_events
+    assert len(a.stats.results) == len(b.stats.results)
+    for ra, rb in zip(a.stats.results, b.stats.results):
+        assert ra.completed == rb.completed
+        assert ra.wall_time_s == rb.wall_time_s
+        assert ra.energy_j == rb.energy_j
+        assert ra.reboots == rb.reboots
+        assert ra.predicted_class == rb.predicted_class
+        if ra.logits is None:
+            assert rb.logits is None
+        else:
+            assert np.array_equal(ra.logits, rb.logits)
+
+
 class TestRunner:
     def test_parallel_identical_to_serial(self):
         """The engine's determinism contract, down to the logits bits."""
@@ -204,20 +238,7 @@ class TestRunner:
         assert serial.workers == 1 and parallel.workers == 2
         assert [r.scenario for r in serial.results] == grid
         for a, b in zip(serial.results, parallel.results):
-            assert a.scenario == b.scenario
-            assert a.labels == b.labels
-            assert a.overflow_events == b.overflow_events
-            assert len(a.stats.results) == len(b.stats.results)
-            for ra, rb in zip(a.stats.results, b.stats.results):
-                assert ra.completed == rb.completed
-                assert ra.wall_time_s == rb.wall_time_s
-                assert ra.energy_j == rb.energy_j
-                assert ra.reboots == rb.reboots
-                assert ra.predicted_class == rb.predicted_class
-                if ra.logits is None:
-                    assert rb.logits is None
-                else:
-                    assert np.array_equal(ra.logits, rb.logits)
+            _assert_results_identical(a, b)
 
     def test_parallel_false_forces_serial(self):
         grid = _small_grid(n_samples=1)[:2]
@@ -297,6 +318,177 @@ class TestRunner:
         walls = [sum(r.wall_time_s for r in res.stats.results)
                  for res in reference.results]
         assert len(set(walls)) == len(walls)
+
+
+def _shared_stream_grid():
+    """Eight cells over K = 2 input streams (seeds 1 and 2)."""
+    return [
+        Scenario(name=f"s{seed}/{cap:g}uF/{runtime}", runtime=runtime,
+                 trace=TraceSpec("square", 5e-3, 0.05, 0.3), cap_uf=cap,
+                 n_samples=2, seed=seed)
+        for seed in (1, 2)
+        for cap in (100.0, 220.0)
+        for runtime in ("TAILS", "ACE+FLEX")
+    ]
+
+
+def _warm_cache(grid):
+    """A model cache already holding ``grid``'s models, so the model
+    preparation's own calibration draw is not counted below."""
+    cache = ModelCache()
+    for s in grid:
+        cache.get(s)
+    return cache
+
+
+def _count_draws(monkeypatch, log=None):
+    """Wrap ``make_dataset`` so each draw is recorded: its key in the
+    returned list (this process only) and, when ``log`` is a path, a
+    ``pid key`` line appended to that file (forked workers too)."""
+    import repro.experiments.common as common
+
+    real = common.make_dataset
+    calls = []
+
+    def counting(task, n_samples, seed=0):
+        calls.append((task, n_samples, seed))
+        if log is not None:
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {task} {n_samples} {seed}\n")
+        return real(task, n_samples, seed=seed)
+
+    monkeypatch.setattr(common, "make_dataset", counting)
+    return calls
+
+
+class TestSharedDatasets:
+    """One fleet run draws each input stream once and shares it."""
+
+    def test_serial_run_draws_each_key_once(self, monkeypatch):
+        grid = _shared_stream_grid()
+        keys = {s.dataset_key for s in grid}
+        assert len(keys) == 2
+        cache = _warm_cache(grid)
+        calls = _count_draws(monkeypatch)
+        FleetRunner(workers=1, cache=cache).run(grid)
+        assert sorted(calls) == sorted(keys)
+
+    def test_pooled_run_draws_at_most_k_per_worker(self, monkeypatch,
+                                                   tmp_path):
+        grid = _shared_stream_grid()
+        keys = {s.dataset_key for s in grid}
+        log = tmp_path / "draws.log"
+        cache = _warm_cache(grid)
+        calls = _count_draws(monkeypatch, log)
+        report = FleetRunner(workers=2, cache=cache).run(grid)
+        assert report.workers == 2 and report.failures == 0
+        assert calls == []  # the parent draws nothing
+        per_pid = {}
+        lines = log.read_text().splitlines() if log.exists() else []
+        for line in lines:
+            pid, task, n, seed = line.split()
+            per_pid.setdefault(pid, []).append((task, int(n), int(seed)))
+        assert str(os.getpid()) not in per_pid
+        if multiprocessing.get_start_method() == "fork":
+            # Forked workers inherit the wrapper: every stream was drawn
+            # somewhere, and no worker drew one twice.
+            assert set().union(*per_pid.values()) == keys
+        for drawn in per_pid.values():
+            assert len(drawn) == len(set(drawn)) <= len(keys)
+            assert set(drawn) <= keys
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shared_results_bit_equal_to_standalone(self, workers):
+        grid = _shared_stream_grid()
+        cache = ModelCache()
+        report = FleetRunner(workers=workers, cache=cache).run(grid)
+        for s, shared in zip(grid, report.results):
+            alone = execute_scenario(s, cache.get(s))
+            _assert_results_identical(shared, alone)
+
+    def test_shared_stream_is_read_only_and_reused(self):
+        scenario, twin = _shared_stream_grid()[:2]
+        datasets = {}
+        ds = _shared_dataset(scenario, datasets)
+        assert _shared_dataset(twin, datasets) is ds
+        assert datasets == {scenario.dataset_key: ds}
+        with pytest.raises(ValueError):
+            ds.x[0] = 0.0
+        with pytest.raises(ValueError):
+            ds.x[: scenario.n_samples][0, 0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            ds.y[0] = 0
+
+    def test_failed_draw_is_a_scenario_failure_and_not_kept(
+            self, monkeypatch):
+        import repro.experiments.common as common
+
+        grid = _shared_stream_grid()
+        real = common.make_dataset
+        calls = []
+
+        def flaky(task, n_samples, seed=0):
+            calls.append(seed)
+            if seed == 1:
+                raise OSError("injected draw failure")
+            return real(task, n_samples, seed=seed)
+
+        cache = _warm_cache(grid)
+        monkeypatch.setattr(common, "make_dataset", flaky)
+        report = FleetRunner(workers=1, cache=cache).run(grid,
+                                                         on_error="record")
+        failed = [r for r in report.results if r.error]
+        assert [r.scenario for r in failed] == \
+            [s for s in grid if s.seed == 1]
+        assert all("injected draw failure" in r.error for r in failed)
+        # A failed draw stores nothing: each cell of that stream retries
+        # it, while the healthy stream is drawn once.
+        assert calls.count(1) == len(failed) == 4
+        assert calls.count(2) == 1
+        datasets = {}
+        with pytest.raises(OSError):
+            _shared_dataset(grid[0], datasets)
+        assert datasets == {}
+
+    def test_telemetry_counts_draws_and_reuses(self):
+        from repro import obs
+        from repro.study import run_study
+
+        obs.reset()
+        obs.enable()
+        try:
+            run = run_study("fig7", engine="fast", parallel=False)
+            counters = obs.snapshot()["counters"]
+        finally:
+            obs.reset()
+            obs.disable()
+        assert len(run.report.results) == 30
+        assert counters["fleet.datasets.drawn"] == 3
+        assert counters["fleet.datasets.reused"] == 27
+
+    @pytest.mark.parametrize("study", ["fig7", "sweep-capacitor"])
+    def test_study_tables_byte_equal_pooled_threaded_serial(self, study):
+        import threading
+
+        from repro.study import run_study
+
+        serial = run_study(study, engine="fast", parallel=False)
+        pooled = run_study(study, engine="fast", workers=2)
+        assert pooled.report.workers == 2
+        assert pooled.table.to_json() == serial.table.to_json()
+        threaded = [None, None]
+
+        def work(slot):
+            threaded[slot] = run_study(study, engine="fast", parallel=False)
+
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        for run in threaded:
+            assert run.table.to_json() == serial.table.to_json()
 
 
 def _synthetic_report():

@@ -15,6 +15,7 @@ from repro.nn import (
     ReLU,
     Tanh,
 )
+from repro.nn.layers import im2col
 from tests.gradcheck import check_layer_gradients
 
 
@@ -108,6 +109,51 @@ class TestConv2D:
         conv = Conv2D(1, 1, 5)
         with pytest.raises(ConfigurationError):
             conv.forward(np.zeros((1, 1, 3, 3)))
+
+
+def _im2col_two_copies(x, kh, kw, stride):
+    """Oracle: the unfold as first written, copying the reshape again."""
+    n, c, h, w = x.shape
+    out_h = (h - kh) // stride + 1
+    out_w = (w - kw) // stride + 1
+    patches = np.lib.stride_tricks.as_strided(
+        x,
+        shape=(n, c, out_h, out_w, kh, kw),
+        strides=(x.strides[0], x.strides[1], x.strides[2] * stride,
+                 x.strides[3] * stride, x.strides[2], x.strides[3]),
+    )
+    patches = patches.transpose(0, 2, 3, 1, 4, 5)
+    return patches.reshape(n, out_h * out_w, c * kh * kw).copy()
+
+
+class TestIm2col:
+    @pytest.mark.parametrize("shape, kh, kw, stride", [
+        ((32, 1, 28, 28), 5, 5, 1),    # mnist/okg conv1
+        ((4, 6, 12, 12), 5, 5, 1),     # mnist conv2
+        ((4, 1, 1, 121), 1, 12, 1),    # har conv1
+        ((2, 3, 6, 6), 2, 2, 2),       # strided
+        ((2, 3, 8, 8), 1, 1, 1),       # reshape returns a view of x
+        ((2, 3, 5, 5), 5, 5, 1),       # one patch: also a view of x
+    ])
+    def test_matches_two_copy_oracle(self, shape, kh, kw, stride):
+        x = RNG.normal(size=shape)
+        x_before = x.copy()
+        cols = im2col(x, kh, kw, stride)
+        ref = _im2col_two_copies(x, kh, kw, stride)
+        assert cols.dtype == ref.dtype and cols.shape == ref.shape
+        assert cols.tobytes() == ref.tobytes()
+        assert cols.flags.c_contiguous
+        assert not np.may_share_memory(cols, x)
+        cols[...] = 0.0
+        assert np.array_equal(x, x_before)
+
+    def test_read_only_input(self):
+        x = RNG.normal(size=(2, 3, 8, 8))
+        x.setflags(write=False)
+        for k in (1, 3):
+            cols = im2col(x, k, k, 1)
+            assert cols.flags.writeable
+            assert cols.tobytes() == _im2col_two_copies(x, k, k, 1).tobytes()
 
 
 class TestMaxPool:

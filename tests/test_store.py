@@ -473,7 +473,7 @@ class TestRunnerWithStore:
 
         grid = _small_grid()[:3]
 
-        def boom(scenario, qmodel, engine="reference"):
+        def boom(scenario, qmodel, engine="reference", dataset=None):
             raise RuntimeError("injected fault")
 
         monkeypatch.setattr(runner_mod, "execute_scenario", boom)
@@ -489,10 +489,10 @@ class TestRunnerWithStore:
         real = execute_scenario
         victim = grid[1].name
 
-        def flaky(scenario, qmodel, engine="reference"):
+        def flaky(scenario, qmodel, engine="reference", dataset=None):
             if scenario.name == victim:
                 raise RuntimeError("injected fault")
-            return real(scenario, qmodel, engine=engine)
+            return real(scenario, qmodel, engine=engine, dataset=dataset)
 
         monkeypatch.setattr(runner_mod, "execute_scenario", flaky)
         store = ResultStore(tmp_path / "st")
@@ -522,10 +522,10 @@ class TestRunnerWithStore:
         real = execute_scenario
         victim = grid[2].name
 
-        def flaky(scenario, qmodel, engine="reference"):
+        def flaky(scenario, qmodel, engine="reference", dataset=None):
             if scenario.name == victim:
                 raise RuntimeError("injected fault")
-            return real(scenario, qmodel, engine=engine)
+            return real(scenario, qmodel, engine=engine, dataset=dataset)
 
         monkeypatch.setattr(runner_mod, "execute_scenario", flaky)
         store = ResultStore(tmp_path / "st", shard_rows=1)
@@ -603,10 +603,10 @@ class TestRunStudyWithStore:
 
         real = execute_scenario
 
-        def flaky(scenario, qmodel, engine="reference"):
+        def flaky(scenario, qmodel, engine="reference", dataset=None):
             if scenario.name.endswith("SONIC"):
                 raise RuntimeError("injected fault")
-            return real(scenario, qmodel, engine=engine)
+            return real(scenario, qmodel, engine=engine, dataset=dataset)
 
         monkeypatch.setattr(runner_mod, "execute_scenario", flaky)
         profile = Profile(tasks=("mnist",), samples=1)
