@@ -20,7 +20,7 @@ from repro.datasets.common import (
     add_noise,
     balanced_labels,
     check_counts,
-    draw_polyline,
+    draw_segments,
     jitter_points,
 )
 from repro.nn.data import Dataset
@@ -61,9 +61,14 @@ def render_digit(
         raise ValueError(f"digit must be 0..9, got {digit}")
     img = np.zeros((IMAGE_SIZE, IMAGE_SIZE))
     thickness = rng.uniform(1.1, 1.8)
+    starts: List[Tuple[float, float]] = []
+    ends: List[Tuple[float, float]] = []
     for stroke in _DIGIT_STROKES[digit]:
         pts = jitter_points(stroke, rng, shift=shift, wobble=wobble)
-        draw_polyline(img, pts, thickness=thickness)
+        starts += pts[:-1]
+        ends += pts[1:]
+    # Drawing draws no random numbers, so all strokes go in one pass.
+    draw_segments(img, starts, ends, thickness=thickness)
     return add_noise(img, rng, noise)
 
 

@@ -117,21 +117,33 @@ class Conv2D(Layer):
         return y.transpose(0, 2, 1).reshape(n, self.out_channels, out_h, out_w)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        g = self._param_grads(grad_out)
+        x_shape, _ = self._cache
+        kh, kw = self.kernel_size
+        w_mat = self.weight.data.reshape(self.out_channels, -1)
+        grad_cols = g @ w_mat  # (N, P, C*kh*kw)
+        return col2im(grad_cols, x_shape, kh, kw, self.stride)
+
+    def backward_params(self, grad_out: np.ndarray) -> None:
+        # Skips col2im and the ``g @ w_mat`` product; the weight and
+        # bias grads are the ones backward() accumulates, bit for bit.
+        self._param_grads(grad_out)
+
+    def _param_grads(self, grad_out: np.ndarray) -> np.ndarray:
+        """Accumulate the weight and bias grads; returns ``grad_out`` as
+        ``(N, P, O)``."""
         if self._cache is None:
             raise ConfigurationError("backward called before forward")
         x_shape, cols = self._cache
         n = x_shape[0]
-        kh, kw = self.kernel_size
         g = grad_out.reshape(n, self.out_channels, -1).transpose(0, 2, 1)  # (N, P, O)
-        w_mat = self.weight.data.reshape(self.out_channels, -1)
         # dW: sum over batch and positions.
         grad_w = np.einsum("npo,npk->ok", g, cols)
         self.weight.grad += grad_w.reshape(self.weight.data.shape)
         self.weight.apply_mask()
         if self.bias is not None:
             self.bias.grad += g.sum(axis=(0, 1))
-        grad_cols = g @ w_mat  # (N, P, C*kh*kw)
-        return col2im(grad_cols, x_shape, kh, kw, self.stride)
+        return g
 
     def parameters(self) -> List[Parameter]:
         params = [self.weight]

@@ -76,6 +76,13 @@ class Layer:
         parameter gradients along the way."""
         raise NotImplementedError
 
+    def backward_params(self, grad_out: np.ndarray) -> None:
+        """Accumulate parameter gradients only, for a caller that discards
+        ``dL/d(input)`` (the first layer of a trained model).  Layers that
+        can skip the input-gradient work override this; the default runs
+        the full :meth:`backward`."""
+        self.backward(grad_out)
+
     def parameters(self) -> List[Parameter]:
         """Trainable parameters of this layer (empty by default)."""
         return []

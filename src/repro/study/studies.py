@@ -21,6 +21,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.common import RUNTIME_ORDER, TASKS
 from repro.experiments.reporting import format_table
 from repro.fleet.scenario import Scenario, TraceSpec
+from repro.obs import metrics as _obs
 from repro.study.core import Study, StudyContext, register
 from repro.study.table import ResultTable
 
@@ -143,8 +144,12 @@ def _describe_structure(model) -> str:
     return "; ".join(lines)
 
 
-def _table2_run(ctx: StudyContext) -> ResultTable:
-    """Train, prune, and quantize each task's model (the RAD pipeline)."""
+def _table2_row(task: str, full: bool, seed: int) -> dict:
+    """Train, prune, and quantize one task's model (the RAD pipeline).
+
+    Module level and picklable, so :func:`_table2_run` can run it on its
+    spawned worker; every task draws only from its own seed.
+    """
     from dataclasses import replace
 
     import numpy as np
@@ -154,8 +159,90 @@ def _table2_run(ctx: StudyContext) -> ResultTable:
     from repro.nn.data import train_test_split
     from repro.rad import RADConfig, run_rad
 
-    profile = replace(FULL if ctx.profile.full else FAST,
-                      seed=ctx.profile.seed)
+    profile = replace(FULL if full else FAST, seed=seed)
+    ds = make_dataset(task, profile.n_samples, seed=profile.seed)
+    train, test = train_test_split(
+        ds.x, ds.y, ds.num_classes,
+        rng=np.random.default_rng(profile.seed), name=task,
+    )
+    result = run_rad(RADConfig(
+        task=task,
+        epochs=profile.epochs,
+        admm_iterations=profile.admm_iterations,
+        admm_epochs=profile.admm_epochs,
+        finetune_epochs=profile.finetune_epochs,
+        seed=profile.seed,
+    ), train, test)
+    return dict(
+        task=task,
+        structure=_describe_structure(result.model),
+        float_acc=result.float_accuracy,
+        quantized_acc=result.quantized_accuracy,
+        paper_acc=PAPER_ACCURACY[task],
+        fram_bytes=result.quantized.weight_bytes,
+    )
+
+
+def _table2_worker_row(task: str, full: bool, seed: int, obs_on: bool):
+    """:func:`_table2_row` on the spawned worker, with the worker's
+    cumulative metrics snapshot when obs is on (else ``None``)."""
+    if obs_on:
+        _obs.enable()
+    row = _table2_row(task, full, seed)
+    return row, (_obs.snapshot() if obs_on else None)
+
+
+def _table2_rows(tasks: Tuple[str, ...], full: bool, seed: int) -> List[dict]:
+    """Every task's row, in task order.
+
+    This process trains the first task (MNIST by default, the longest)
+    while one ``spawn``-started worker trains the rest; not ``fork``,
+    because ``repro serve`` runs studies on threads.  A task's exception
+    propagates as in a serial loop.  If the worker is lost, or never
+    starts, this process trains its unfinished tasks itself: the same
+    bits, since each row depends only on ``(task, full, seed)``.
+    """
+    if len(tasks) == 1:
+        return [_table2_row(tasks[0], full, seed)]
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    from multiprocessing import get_context
+
+    first, rest = tasks[0], tasks[1:]
+    snap = None
+    pool = None
+    try:
+        try:
+            pool = ProcessPoolExecutor(1, mp_context=get_context("spawn"))
+            futures = [pool.submit(_table2_worker_row, task, full, seed,
+                                   _obs.ENABLED) for task in rest]
+        except Exception:  # the worker could not start: train here
+            futures = [None] * len(rest)
+        rows = [_table2_row(first, full, seed)]
+        for task, future in zip(rest, futures):
+            try:
+                if future is None:
+                    raise BrokenProcessPool("worker not started")
+                row, worker_snap = future.result()
+            except BrokenProcessPool:
+                row = _table2_row(task, full, seed)
+                if _obs.ENABLED:
+                    _obs.count("faults.recovered")
+                    _obs.count("faults.recovered.table2.worker")
+            else:
+                snap = worker_snap or snap
+            rows.append(row)
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
+    if snap is not None:
+        # Cumulative: the last snapshot holds all of the worker's work.
+        _obs.absorb(snap)
+    return rows
+
+
+def _table2_run(ctx: StudyContext) -> ResultTable:
+    """Train, prune, and quantize each task's model (the RAD pipeline)."""
     table = ResultTable((
         ("task", "str"),
         ("structure", "str"),
@@ -164,28 +251,9 @@ def _table2_run(ctx: StudyContext) -> ResultTable:
         ("paper_acc", "float"),
         ("fram_bytes", "int"),
     ))
-    for task in _distinct_tasks(ctx):
-        ds = make_dataset(task, profile.n_samples, seed=profile.seed)
-        train, test = train_test_split(
-            ds.x, ds.y, ds.num_classes,
-            rng=np.random.default_rng(profile.seed), name=task,
-        )
-        result = run_rad(RADConfig(
-            task=task,
-            epochs=profile.epochs,
-            admm_iterations=profile.admm_iterations,
-            admm_epochs=profile.admm_epochs,
-            finetune_epochs=profile.finetune_epochs,
-            seed=profile.seed,
-        ), train, test)
-        table.append(
-            task=task,
-            structure=_describe_structure(result.model),
-            float_acc=result.float_accuracy,
-            quantized_acc=result.quantized_accuracy,
-            paper_acc=PAPER_ACCURACY[task],
-            fram_bytes=result.quantized.weight_bytes,
-        )
+    for row in _table2_rows(_distinct_tasks(ctx), ctx.profile.full,
+                            ctx.profile.seed):
+        table.append(**row)
     return table
 
 

@@ -13,6 +13,13 @@ from repro.datasets import (
     render_keyword,
     render_window,
 )
+from repro.datasets import synth_mnist
+from repro.datasets.common import (
+    add_noise,
+    draw_segment,
+    draw_segments,
+    jitter_points,
+)
 from repro.errors import ConfigurationError
 from repro.nn import Dense, Flatten, ReLU, Sequential, evaluate_accuracy, fit, SGD
 
@@ -87,6 +94,68 @@ class TestRenderers:
     def test_too_few_samples(self):
         with pytest.raises(ConfigurationError):
             make_mnist(5)
+
+
+def _render_digit_per_segment(digit, rng, *, wobble=0.7, shift=2.0,
+                              noise=0.08):
+    """Oracle: the stroke renderer as first written, one
+    :func:`draw_segment` call per segment."""
+    img = np.zeros((synth_mnist.IMAGE_SIZE, synth_mnist.IMAGE_SIZE))
+    thickness = rng.uniform(1.1, 1.8)
+    for stroke in synth_mnist._DIGIT_STROKES[digit]:
+        pts = jitter_points(stroke, rng, shift=shift, wobble=wobble)
+        for a, b in zip(pts[:-1], pts[1:]):
+            draw_segment(img, a, b, thickness)
+    return add_noise(img, rng, noise)
+
+
+class TestVectorizedStrokes:
+    def test_make_mnist_bytes_equal_to_per_segment_oracle(self, monkeypatch):
+        pairs = [(seed, n) for seed in range(150) for n in (10, 13)]
+        fast = [make_mnist(n, seed=seed) for seed, n in pairs]
+        monkeypatch.setattr(synth_mnist, "render_digit",
+                            _render_digit_per_segment)
+        for (seed, n), ds in zip(pairs, fast):
+            ref = make_mnist(n, seed=seed)
+            assert ds.x.tobytes() == ref.x.tobytes(), (seed, n)
+            assert ds.y.tobytes() == ref.y.tobytes(), (seed, n)
+
+    def test_zero_length_segment_in_a_digit(self, monkeypatch):
+        """With no jitter, a repeated skeleton vertex is an exact
+        zero-length segment: drawn as a dot, as draw_segment does."""
+        strokes = dict(synth_mnist._DIGIT_STROKES)
+        strokes[1] = [[(11, 8), (15, 5), (15, 5), (15, 23)],
+                      [(11, 23), (19, 23)]]
+        monkeypatch.setattr(synth_mnist, "_DIGIT_STROKES", strokes)
+        for seed in range(5):
+            img = render_digit(1, np.random.default_rng(seed),
+                               wobble=0.0, shift=0.0)
+            ref = _render_digit_per_segment(1, np.random.default_rng(seed),
+                                            wobble=0.0, shift=0.0)
+            assert img.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("thickness, intensity",
+                             [(1.2, 1.0), (2.5, 0.7), (1.5, -1.0)])
+    def test_draw_segments_equals_draw_segment_calls(self, thickness,
+                                                     intensity):
+        rng = np.random.default_rng(1)
+        starts = rng.uniform(-3.0, 20.0, (40, 2))
+        ends = starts + rng.normal(0.0, 4.0, (40, 2))
+        starts[:3] = (10.3, 7.6), (4.1, 12.2), (15.7, 3.9)  # in the image
+        ends[0] = starts[0]            # zero length
+        ends[1] = starts[1] + 5e-7     # under the 1e-12 squared cutoff
+        ends[2] = starts[2] + 1e-6     # just over it
+        img = np.zeros((16, 20))
+        ref = img.copy()
+        draw_segments(img, starts, ends, thickness, intensity)
+        for p0, p1 in zip(starts, ends):
+            draw_segment(ref, tuple(p0), tuple(p1), thickness, intensity)
+        assert img.tobytes() == ref.tobytes()
+
+    def test_no_segments_draw_nothing(self):
+        img = np.zeros((4, 4))
+        draw_segments(img, [], [])
+        assert not img.any()
 
 
 class TestLearnability:

@@ -1,5 +1,7 @@
 """Gradient checks and behavioural tests for every layer."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,12 @@ from repro.nn import (
     HardClip,
     MaxPool2D,
     ReLU,
+    Sequential,
     Tanh,
 )
+from repro.nn.layers import conv as conv_module
 from repro.nn.layers import im2col
+from repro.rad.zoo import build_mnist
 from tests.gradcheck import check_layer_gradients
 
 
@@ -181,6 +186,107 @@ class TestMaxPool:
 
     def test_output_shape_helper(self):
         assert MaxPool2D(2).output_shape((6, 24, 24)) == (6, 12, 12)
+
+
+def _maxpool_reshape_max(x, ph=2, pw=2):
+    """Oracle: the general path's ``(out, mask)``, reshape then max."""
+    n, c, h, w = x.shape
+    oh, ow = h // ph, w // pw
+    windows = x.reshape(n, c, oh, ph, ow, pw)
+    out = windows.max(axis=(3, 5))
+    mask = windows == out[:, :, :, None, :, None]
+    flat = mask.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, ph * pw)
+    flat &= np.cumsum(flat, axis=-1) == 1
+    return out, flat.reshape(n, c, oh, ow, ph, pw).transpose(0, 1, 2, 4, 3, 5)
+
+
+def _every_window():
+    """All 1,296 2x2 windows over {0, -0, 1, -1, 2, NaN}, four per 4x4
+    map of a ``(2, 162, 4, 4)`` C-order batch."""
+    values = (0.0, -0.0, 1.0, -1.0, 2.0, np.nan)
+    windows = np.array(list(itertools.product(values, repeat=4)))
+    # (n, c, oh, ow, ph, pw) -> (n, c, oh, ph, ow, pw) -> NCHW
+    windows = windows.reshape(2, 162, 2, 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    return windows.reshape(2, 162, 4, 4)
+
+
+class TestMaxPoolFastPath:
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(4))))
+    def test_matches_reshape_max_in_every_memory_layout(self, order):
+        """Bytes-equal out and mask, -0.0 and NaN included, whatever the
+        axis order in memory (the 2x2 fast path or its fallback)."""
+        base = _every_window()
+        x = np.ascontiguousarray(base.transpose(order)).transpose(
+            np.argsort(order))
+        assert np.array_equal(x, base, equal_nan=True)
+        pool = MaxPool2D(2)
+        out = pool.forward(x)
+        ref_out, ref_mask = _maxpool_reshape_max(x)
+        assert out.tobytes() == ref_out.tobytes()
+        assert out.strides == ref_out.strides
+        mask = pool._cache[1]
+        assert mask.tobytes() == ref_mask.tobytes()
+        assert mask.strides == ref_mask.strides
+
+    def test_conv_output_layout_takes_the_fast_path(self):
+        """Conv2D returns a channels-last view; a 2x2 pool over it is
+        bytes-equal to the oracle over the whole forward."""
+        x = Conv2D(1, 6, 5, rng=np.random.default_rng(0)).forward(
+            RNG.normal(size=(4, 1, 28, 28)))
+        assert not x.flags.c_contiguous and x.strides[2] >= x.strides[3]
+        out = MaxPool2D(2).forward(x)
+        assert out.tobytes() == _maxpool_reshape_max(x)[0].tobytes()
+
+
+def _snapshot_grads(model):
+    return [p.grad.tobytes() for p in model.parameters()]
+
+
+class TestParamOnlyBackward:
+    def test_conv_backward_params_equals_backward(self, monkeypatch):
+        x = RNG.normal(size=(3, 2, 9, 9))
+        g = RNG.normal(size=(3, 4, 5, 5))
+        mask = (RNG.random((4, 2, 5, 5)) > 0.5).astype(float)
+        grads = []
+        for full in (True, False):
+            conv = Conv2D(2, 4, 5, rng=np.random.default_rng(11))
+            conv.weight.set_mask(mask)
+            conv.forward(x)
+            if full:
+                assert conv.backward(g).shape == x.shape
+            else:
+                # No input gradient: col2im is never reached.
+                monkeypatch.setattr(conv_module, "col2im", None)
+                assert conv.backward_params(g) is None
+            grads.append(_snapshot_grads(conv))
+        assert grads[0] == grads[1]
+
+    def test_backward_params_before_forward(self):
+        with pytest.raises(ConfigurationError):
+            Conv2D(1, 1, 3).backward_params(np.zeros((1, 1, 1, 1)))
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_mnist(rng=np.random.default_rng(5)),
+        lambda: Sequential([Dense(6, 5, rng=np.random.default_rng(5)), ReLU(),
+                            Dense(5, 3, rng=np.random.default_rng(6))]),
+    ])
+    def test_sequential_without_input_grad(self, build):
+        """Param grads bytes-equal with and without ``dL/d(input)``, both
+        for a Conv2D first layer and for a layer with no override."""
+        model = build()
+        shape = (4, 1, 28, 28) if isinstance(model.layers[0], Conv2D) else (4, 6)
+        x = RNG.normal(size=shape)
+        g = RNG.normal(size=model.forward(x).shape)
+        grads = []
+        for input_grad in (True, False):
+            model = build()
+            model.forward(x)
+            for _ in range(2):  # grads accumulate across calls
+                dx = model.backward(g, input_grad=input_grad)
+                assert (dx is None) is (not input_grad)
+            grads.append(_snapshot_grads(model))
+        assert grads[0] == grads[1]
+        assert model.backward(g).shape == x.shape  # the default keeps it
 
 
 class TestActivations:
