@@ -95,7 +95,8 @@ def draw_polyline(
     intensity: float = 1.0,
 ) -> None:
     """Draw a connected polyline into a 2-D image, in place."""
-    draw_segments(img, points[:-1], points[1:], thickness, intensity)
+    for a, b in zip(points[:-1], points[1:]):
+        draw_segment(img, a, b, thickness, intensity)
 
 
 def jitter_points(

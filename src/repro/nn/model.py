@@ -26,18 +26,17 @@ class Sequential(Layer):
             x = layer.forward(x)
         return x
 
-    def backward(
-        self, grad_out: np.ndarray, *, input_grad: bool = True
-    ) -> Optional[np.ndarray]:
-        """Backpropagate ``grad_out``; returns ``dL/d(input)``, or ``None``
-        with ``input_grad=False``, where the first layer accumulates its
-        parameter grads only (bit-identical to the full pass)."""
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        for layer in reversed(self.layers):
+            grad_out = layer.backward(grad_out)
+        return grad_out
+
+    def backward_params(self, grad_out: np.ndarray) -> None:
+        # Only the first layer's input gradient is the model's, so only
+        # it may skip that work.
         for layer in reversed(self.layers[1:]):
             grad_out = layer.backward(grad_out)
-        if input_grad:
-            return self.layers[0].backward(grad_out)
         self.layers[0].backward_params(grad_out)
-        return None
 
     def parameters(self) -> List[Parameter]:
         params: List[Parameter] = []
@@ -159,7 +158,7 @@ def fit(
             optimizer.zero_grad()
             logits = model.forward(np.asarray(x_train[idx]))
             loss, grad = loss_fn(logits, np.asarray(y_train[idx]))
-            model.backward(grad, input_grad=False)
+            model.backward_params(grad)
             if extra_grad is not None:
                 extra_grad()
             optimizer.step()

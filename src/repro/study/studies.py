@@ -147,8 +147,8 @@ def _describe_structure(model) -> str:
 def _table2_row(task: str, full: bool, seed: int) -> dict:
     """Train, prune, and quantize one task's model (the RAD pipeline).
 
-    Module level and picklable, so :func:`_table2_run` can run it on its
-    spawned worker; every task draws only from its own seed.
+    Every task draws only from its own seed, so :func:`_table2_rows` can
+    train any task on its spawned worker with the same bits.
     """
     from dataclasses import replace
 
@@ -183,13 +183,21 @@ def _table2_row(task: str, full: bool, seed: int) -> dict:
     )
 
 
-def _table2_worker_row(task: str, full: bool, seed: int, obs_on: bool):
-    """:func:`_table2_row` on the spawned worker, with the worker's
-    cumulative metrics snapshot when obs is on (else ``None``)."""
+def _table2_worker(conn, tasks: Tuple[str, ...], full: bool, seed: int,
+                   obs_on: bool) -> None:
+    """The spawned worker: sends ``(row, snapshot)`` down ``conn`` for
+    each task in order, where ``snapshot`` is the worker's cumulative
+    metrics when obs is on (else ``None``).  A task's exception is sent
+    in place of its row and ends the run."""
     if obs_on:
         _obs.enable()
-    row = _table2_row(task, full, seed)
-    return row, (_obs.snapshot() if obs_on else None)
+    for task in tasks:
+        try:
+            row = _table2_row(task, full, seed)
+        except Exception as exc:
+            conn.send(exc)
+            return
+        conn.send((row, _obs.snapshot() if obs_on else None))
 
 
 def _table2_rows(tasks: Tuple[str, ...], full: bool, seed: int) -> List[dict]:
@@ -197,44 +205,53 @@ def _table2_rows(tasks: Tuple[str, ...], full: bool, seed: int) -> List[dict]:
 
     This process trains the first task (MNIST by default, the longest)
     while one ``spawn``-started worker trains the rest; not ``fork``,
-    because ``repro serve`` runs studies on threads.  A task's exception
-    propagates as in a serial loop.  If the worker is lost, or never
-    starts, this process trains its unfinished tasks itself: the same
-    bits, since each row depends only on ``(task, full, seed)``.
+    because ``repro serve`` runs studies on threads.  The worker is a
+    daemon, so interpreter exit terminates it instead of waiting for its
+    tasks (``repro serve`` exits with timed-out jobs still running).  A
+    task's exception propagates as in a serial loop.  If the worker is
+    lost, or never starts, this process trains its unfinished tasks
+    itself: the same bits, since each row depends only on
+    ``(task, full, seed)``.
     """
     if len(tasks) == 1:
         return [_table2_row(tasks[0], full, seed)]
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
     from multiprocessing import get_context
 
     first, rest = tasks[0], tasks[1:]
+    ctx = get_context("spawn")
+    recv, send = ctx.Pipe(duplex=False)
+    worker = ctx.Process(target=_table2_worker,
+                         args=(send, rest, full, seed, _obs.ENABLED),
+                         name="repro-table2", daemon=True)
     snap = None
-    pool = None
     try:
         try:
-            pool = ProcessPoolExecutor(1, mp_context=get_context("spawn"))
-            futures = [pool.submit(_table2_worker_row, task, full, seed,
-                                   _obs.ENABLED) for task in rest]
-        except Exception:  # the worker could not start: train here
-            futures = [None] * len(rest)
+            worker.start()
+        except Exception:  # the worker cannot start: its tasks train here
+            pass
+        # Only the worker holds the write end now, so recv() raises
+        # EOFError once the worker is gone.
+        send.close()
         rows = [_table2_row(first, full, seed)]
-        for task, future in zip(rest, futures):
+        for task in rest:
             try:
-                if future is None:
-                    raise BrokenProcessPool("worker not started")
-                row, worker_snap = future.result()
-            except BrokenProcessPool:
-                row = _table2_row(task, full, seed)
+                sent = recv.recv()
+            except (EOFError, OSError):
+                # The worker is lost (OSError: mid-message): train here.
+                rows.append(_table2_row(task, full, seed))
                 if _obs.ENABLED:
                     _obs.count("faults.recovered")
                     _obs.count("faults.recovered.table2.worker")
-            else:
-                snap = worker_snap or snap
+                continue
+            if isinstance(sent, Exception):
+                raise sent
+            row, snap = sent
             rows.append(row)
     finally:
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+        recv.close()
+        if worker.pid is not None:
+            worker.terminate()  # its rows are in, or no longer wanted
+            worker.join()
     if snap is not None:
         # Cumulative: the last snapshot holds all of the worker's work.
         _obs.absorb(snap)

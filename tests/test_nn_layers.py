@@ -269,24 +269,34 @@ class TestParamOnlyBackward:
         lambda: build_mnist(rng=np.random.default_rng(5)),
         lambda: Sequential([Dense(6, 5, rng=np.random.default_rng(5)), ReLU(),
                             Dense(5, 3, rng=np.random.default_rng(6))]),
+        lambda: Sequential([build_mnist(rng=np.random.default_rng(5)),
+                            ReLU()]),
     ])
-    def test_sequential_without_input_grad(self, build):
-        """Param grads bytes-equal with and without ``dL/d(input)``, both
-        for a Conv2D first layer and for a layer with no override."""
-        model = build()
-        shape = (4, 1, 28, 28) if isinstance(model.layers[0], Conv2D) else (4, 6)
-        x = RNG.normal(size=shape)
-        g = RNG.normal(size=model.forward(x).shape)
+    def test_sequential_backward_params(self, build):
+        """Param grads bytes-equal to the full backward's, for a Conv2D
+        first layer, a layer with no override and a nested model."""
+        x = g = None
         grads = []
-        for input_grad in (True, False):
+        for params_only in (False, True):
             model = build()
+            first = model.layers[0]
+            while isinstance(first, Sequential):
+                first = first.layers[0]
+            if x is None:
+                shape = (4, 1, 28, 28) if isinstance(first, Conv2D) else (4, 6)
+                x = RNG.normal(size=shape)
+                g = RNG.normal(size=model.forward(x).shape)
             model.forward(x)
+            if params_only and isinstance(first, Conv2D):
+                # The first layer's full backward is never reached.
+                first.backward = None
             for _ in range(2):  # grads accumulate across calls
-                dx = model.backward(g, input_grad=input_grad)
-                assert (dx is None) is (not input_grad)
+                if params_only:
+                    assert model.backward_params(g) is None
+                else:
+                    assert model.backward(g).shape == x.shape
             grads.append(_snapshot_grads(model))
         assert grads[0] == grads[1]
-        assert model.backward(g).shape == x.shape  # the default keeps it
 
 
 class TestActivations:
