@@ -46,9 +46,12 @@ is always safe to request.
 
 from __future__ import annotations
 
+import marshal
 import math
 import weakref
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -78,7 +81,7 @@ from repro.power.traces import (
 )
 from repro.obs import metrics as _obs
 from repro.obs import spans as _spans
-from repro.sim.atoms import total_cycles, validate_program
+from repro.sim.atoms import Atom, total_cycles, validate_program
 from repro.sim.machine import IntermittentMachine
 from repro.sim.results import RunResult
 from repro.sim.runtime import InferenceRuntime
@@ -100,10 +103,16 @@ class CompiledProgram:
     Every draw in the tables comes from :mod:`repro.hw.board`'s draw
     builders, the code ``Device`` meters with, and its total from
     :func:`~repro.hw.board.booking_total` — so each table float is the
-    reference's, by construction.  The ``_*_series`` arrays keep index 0
-    free as a scratch head slot for the running meter value (mutated per
-    run; the tables are not safe for concurrent runs in threads, matching
-    the rest of the simulator).
+    reference's, by construction.
+
+    A program is read-only while it is replayed, so one program serves
+    every machine, model and thread that shares it (see
+    :class:`ProgramCache`).  The ``_*_series`` arrays keep index 0 free
+    for the running meter value; a :class:`FastMachine` writes that head
+    into its own copy of the series, never into the program.  The lazy
+    memos (``_draw_tables``, ``_terms_l``, ``_ck_draws``) are pure
+    functions of the tables, so two threads that fill one at once store
+    equal values.
     """
 
     atoms: List  # the runtime's atom list, as compiled
@@ -118,9 +127,6 @@ class CompiledProgram:
     _energy_series: Dict[str, np.ndarray] = field(default_factory=dict)
     _time_series: Dict[str, np.ndarray] = field(default_factory=dict)
     _purpose_series: Dict[str, np.ndarray] = field(default_factory=dict)
-    #: Per-series cumsum output buffers for the continuous replay (the
-    #: hot loop reuses them instead of allocating per run per key).
-    _cumsum_scratch: Dict[str, np.ndarray] = field(default_factory=dict)
 
     # -- harvested-path per-atom tables (plain lists: fastest to index from
     #    the scalar replay loop) --------------------------------------------
@@ -190,7 +196,8 @@ class CompiledProgram:
     #: list mirrors serve the short-range scalar-add path in ``flush``.
     key_items: List[Tuple] = field(default_factory=list)
     purpose_items: List[Tuple] = field(default_factory=list)  # (key, cnt, pos, e_arr, e_list)
-    #: Per-capacitance discharge tables (see :meth:`draw_tables`).
+    #: Per-capacitance discharge tables (see :meth:`draw_tables`); a lazy
+    #: memo, idempotent like the two below.
     _draw_tables: Dict[float, Tuple] = field(default_factory=dict)
     #: Python-list mirrors of the continuous per-key term series (index 0
     #: head slot excluded): short series replay faster through a scalar
@@ -246,7 +253,11 @@ def compile_program(runtime: InferenceRuntime) -> CompiledProgram:
     Atom programs are assumed to be a pure function of the runtime
     instance (every runtime in this repo memoizes ``build_atoms``); the
     reference machine re-requests the program per run, the fast machine
-    compiles it once.  Each table builder below owns one group of tables.
+    compiles it once.  The tables depend only on what
+    :func:`program_key` spells — the label-free atoms, the runtime's
+    ``snapshot_on_warning`` and ``commit_enabled`` — which is what lets
+    :class:`ProgramCache` share one program across runtimes whose keys
+    are equal.  Each table builder below owns one group of tables.
     """
     atoms = runtime.build_atoms()
     validate_program(atoms)
@@ -456,24 +467,57 @@ def _group_bookings(stream: List[Tuple]) -> Tuple[Dict, Dict]:
 # ---------------------------------------------------------------------------
 
 
-class ProgramCache:
-    """Memoized :func:`compile_program`, shared per model.
+#: Distinct compiled programs the content tier keeps alive.  At the
+#: default profile the seven engine-aware studies together compile 19.
+_SHARED_PROGRAMS = 32
 
-    Mirrors :class:`repro.fleet.cache.ModelCache`: scenarios sharing a
-    quantized model (and runtime type/config) share one compiled program.
-    Keys anchor on the runtime's ``qmodel`` identity plus the attributes
-    that shape its atom program (type, ``use_dma``, ``bcm_mode``); a
-    weakref finalizer evicts entries when the model is collected.
-    Runtimes without a ``qmodel`` attribute (e.g. test toys with ad-hoc
-    atom lists) are compiled uncached — callers keep their own reference.
+_ATOM_CONTENT = attrgetter(
+    *(f.name for f in fields(Atom) if f.name != "label"))
+
+
+def program_key(runtime: InferenceRuntime) -> bytes:
+    """The content key of ``runtime``'s compiled program.
+
+    It spells every input :func:`compile_program` reads — the atoms, the
+    runtime's ``snapshot_on_warning`` and ``commit_enabled`` — except
+    ``Atom.label``, which nothing that builds or replays a program reads
+    (``validate_program`` names it only in an error message).  Models
+    that differ in weights or in the names of their pruned channels
+    therefore share a key.  ``marshal`` format 2 writes each value's type
+    code and a float's exact bits, with no object references, so equal
+    keys mean equally typed, bit-equal inputs (``1`` is not ``1.0``).
+    """
+    return marshal.dumps(
+        (runtime.snapshot_on_warning, runtime.commit_enabled,
+         tuple(map(_ATOM_CONTENT, runtime.build_atoms()))), 2)
+
+
+class ProgramCache:
+    """Memoized :func:`compile_program` in two tiers.
+
+    The *identity* tier mirrors :class:`repro.fleet.cache.ModelCache`:
+    keys anchor on the runtime's ``qmodel`` identity plus the attributes
+    that shape its atom program (type, ``use_dma``, ``bcm_mode``); hits
+    are lock-free, and a weakref finalizer evicts an entry when its model
+    is collected.  On an identity miss the *content* tier looks the
+    program up by :func:`program_key`, so runtimes over models that
+    differ only in weights (another seed) share one program; only a
+    content miss compiles.  The content tier is an LRU of
+    ``_SHARED_PROGRAMS`` programs.  Sharing across models and threads is
+    safe because replay never writes to a program (see
+    :class:`CompiledProgram`).  Runtimes without a ``qmodel`` attribute
+    (e.g. test toys with ad-hoc atom lists) are compiled uncached —
+    callers keep their own reference.
     """
 
     def __init__(self) -> None:
         self._programs: Dict[Tuple, CompiledProgram] = {}
+        self._shared: "OrderedDict[bytes, CompiledProgram]" = OrderedDict()
         self.hits = 0
+        self.shared = 0
         self.misses = 0
         # Double-checked build path: hit lookups stay lock-free; racing
-        # first requests compile exactly once per key (see
+        # first requests resolve exactly once per key (see
         # repro.concurrency for the convention).
         self._lock = ForkSafeLock()
 
@@ -483,13 +527,7 @@ class ProgramCache:
     def get(self, runtime: InferenceRuntime) -> CompiledProgram:
         anchor = getattr(runtime, "qmodel", None)
         if anchor is None:
-            self.misses += 1
-            if _obs.ENABLED:
-                _obs.count("sim.program_cache.misses")
-                with _spans.span("sim.program.compile",
-                                 runtime=runtime.name):
-                    return compile_program(runtime)
-            return compile_program(runtime)
+            return self._compile(runtime)
         key = (
             type(runtime).__module__,
             type(runtime).__qualname__,
@@ -498,37 +536,54 @@ class ProgramCache:
             getattr(runtime, "bcm_mode", None),
         )
         program = self._programs.get(key)
+        if program is None:
+            # Outside the lock: building the atoms costs about as much as
+            # compiling them, and a thread whose program is already shared
+            # should not queue behind another thread's compile.
+            content = program_key(runtime)
+            with self._lock:
+                program = self._programs.get(key)
+                if program is None:
+                    program = self._programs[key] = self._by_content(
+                        runtime, content)
+                    try:
+                        weakref.finalize(anchor, self._programs.pop, key, None)
+                    except TypeError:  # pragma: no cover - non-weakref-able anchor
+                        pass
+                    return program
+        self.hits += 1
+        if _obs.ENABLED:
+            _obs.count("sim.program_cache.hits")
+        return program
+
+    def _by_content(self, runtime: InferenceRuntime,
+                    key: bytes) -> CompiledProgram:
+        """The content tier (the caller holds the lock)."""
+        program = self._shared.get(key)
         if program is not None:
-            self.hits += 1
+            self._shared.move_to_end(key)
+            self.shared += 1
             if _obs.ENABLED:
-                _obs.count("sim.program_cache.hits")
+                _obs.count("sim.program_cache.shared")
             return program
-        with self._lock:
-            program = self._programs.get(key)
-            if program is not None:
-                self.hits += 1
-                if _obs.ENABLED:
-                    _obs.count("sim.program_cache.hits")
-                return program
-            self.misses += 1
-            if _obs.ENABLED:
-                _obs.count("sim.program_cache.misses")
-                with _spans.span("sim.program.compile",
-                                 runtime=runtime.name):
-                    program = compile_program(runtime)
-            else:
-                program = compile_program(runtime)
-            self._programs[key] = program
-            try:
-                weakref.finalize(anchor, self._programs.pop, key, None)
-            except TypeError:  # pragma: no cover - non-weakref-able anchor
-                pass
-            return program
+        program = self._shared[key] = self._compile(runtime)
+        if len(self._shared) > _SHARED_PROGRAMS:
+            self._shared.popitem(last=False)
+        return program
+
+    def _compile(self, runtime: InferenceRuntime) -> CompiledProgram:
+        self.misses += 1
+        if _obs.ENABLED:
+            _obs.count("sim.program_cache.misses")
+            with _spans.span("sim.program.compile", runtime=runtime.name):
+                return compile_program(runtime)
+        return compile_program(runtime)
 
     def summary(self) -> str:
         return (
-            f"program cache: {len(self)} compiled programs, "
-            f"{self.hits} hits / {self.misses} misses"
+            f"program cache: {len(self._shared)} compiled programs for "
+            f"{len(self)} models, {self.hits} hits / {self.shared} shared "
+            f"/ {self.misses} misses"
         )
 
 
@@ -1378,6 +1433,9 @@ class FastMachine:
         self._cache = cache if cache is not None else PROGRAM_CACHE
         self._program: Optional[CompiledProgram] = None
         self._fallback: Optional[IntermittentMachine] = None
+        #: This machine's copy of each long continuous series (the head
+        #: slot it writes) plus its cumsum out-buffer, by series tag.
+        self._own_series: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
 
     # -- public API ---------------------------------------------------------
 
@@ -1500,23 +1558,7 @@ class FastMachine:
         logits = self.runtime.compute_logits(x)
         return logits, int(np.argmax(logits)), False
 
-    @staticmethod
-    def _cumsum_last(program: CompiledProgram, tag: str, series: np.ndarray) -> float:
-        """Last element of ``np.cumsum(series)`` through a reused buffer.
-
-        ``cumsum`` is the bit-equality argument (sequential left-to-right
-        additions); the preallocated ``out=`` buffer only removes the
-        per-run allocation the profiler flagged in session hot loops.
-        """
-        scratch = program._cumsum_scratch.get(tag)
-        if scratch is None:
-            scratch = np.empty_like(series)
-            program._cumsum_scratch[tag] = scratch
-        np.cumsum(series, out=scratch)
-        return float(scratch[-1])
-
-    @staticmethod
-    def _series_total(program: CompiledProgram, tag: str, series: np.ndarray,
+    def _series_total(self, tag: str, series: np.ndarray,
                       head: float) -> float:
         """``head`` plus ``series[1:]``, accumulated left to right.
 
@@ -1525,20 +1567,28 @@ class FastMachine:
         loop *is* the sequential definition of cumsum, so the result is
         bit-identical either way.  (Not ``sum()``: CPython 3.12's builtin
         uses compensated summation, which is *better* than sequential
-        adds and therefore not bit-equal to the reference.)
+        adds and therefore not bit-equal to the reference.)  A long
+        series is cumsummed from this machine's copy, whose head slot
+        takes ``head``; the shared program is never written.
         """
         n = series.shape[0] - 1
         if n <= 64:
-            terms = program._terms_l.get(tag)
+            terms_l = self._program._terms_l
+            terms = terms_l.get(tag)
             if terms is None:
-                terms = series[1:].tolist()
-                program._terms_l[tag] = terms
+                terms = terms_l[tag] = series[1:].tolist()
             total = head
             for term in terms:
                 total = total + term
             return total
-        series[0] = head
-        return FastMachine._cumsum_last(program, tag, series)
+        own = self._own_series.get(tag)
+        if own is None:
+            own = self._own_series[tag] = (series.copy(),
+                                           np.empty_like(series))
+        copy, out = own
+        copy[0] = head
+        np.cumsum(copy, out=out)
+        return float(out[-1])
 
     @staticmethod
     def _record_machine_events(
@@ -1569,14 +1619,14 @@ class FastMachine:
         p_start = meter.purpose_energy_j
         for key in p.comp_keys:
             new_e[key] = series_total(
-                p, "e:" + key, p._energy_series[key], e_start.get(key, 0.0)
+                "e:" + key, p._energy_series[key], e_start.get(key, 0.0)
             )
             new_t[key] = series_total(
-                p, "t:" + key, p._time_series[key], t_start.get(key, 0.0)
+                "t:" + key, p._time_series[key], t_start.get(key, 0.0)
             )
         for key in p.purpose_keys:
             new_p[key] = series_total(
-                p, "p:" + key, p._purpose_series[key], p_start.get(key, 0.0)
+                "p:" + key, p._purpose_series[key], p_start.get(key, 0.0)
             )
 
         diff_e = self._diff(meter.energy_j, new_e, p.comp_keys)

@@ -29,6 +29,7 @@ from repro.kernels.spectra import (
     weight_spectra,
 )
 from repro.kernels.stats import clear_plan_caches
+from repro.sim.atoms import Atom
 from repro.store.cache import ResultStore
 from repro.store.shards import ShardStore
 
@@ -203,8 +204,11 @@ class TestProgramCacheRaces:
             pass
 
         anchor = Anchor()
+        atoms = [Atom("a0", 0, "cpu", 10.0)]
         runtime = types.SimpleNamespace(
-            qmodel=anchor, use_dma=False, bcm_mode="fft", name="toy"
+            qmodel=anchor, use_dma=False, bcm_mode="fft", name="toy",
+            build_atoms=lambda: atoms, snapshot_on_warning=False,
+            commit_enabled=True,
         )
         programs = _hammer(lambda i: cache.get(runtime))
         assert counting.calls == 1
@@ -216,6 +220,81 @@ class TestProgramCacheRaces:
         del anchor, runtime
         if ref() is None:  # pragma: no branch - CPython refcounting
             assert len(cache) == 0
+
+    def test_one_compile_per_distinct_content(self, monkeypatch):
+        """16 threads over 4 models whose atoms differ only in their
+        labels: one compile, every runtime handed the one program."""
+        from repro.sim import fastsim
+
+        compiled = object()
+        counting = _Counting(lambda runtime: compiled)
+        monkeypatch.setattr(fastsim, "compile_program", counting)
+        cache = fastsim.ProgramCache()
+
+        class Anchor:
+            pass
+
+        anchors = [Anchor() for _ in range(4)]
+        runtimes = [
+            types.SimpleNamespace(
+                qmodel=anchors[m], use_dma=False, bcm_mode="fft", name="toy",
+                build_atoms=lambda m=m: [Atom(f"m{m}.conv", 0, "lea", 10.0),
+                                         Atom(f"m{m}.fc", 1, "cpu", 5.0)],
+                snapshot_on_warning=False, commit_enabled=True,
+            )
+            for m in range(4)
+        ]
+        programs = _hammer(lambda i: cache.get(runtimes[i % 4]))
+        assert counting.calls == 1
+        assert all(p is compiled for p in programs)
+        assert cache.misses == 1
+        assert cache.shared == 3
+        assert cache.hits == len(programs) - 4
+        assert len(cache) == 4
+
+
+class TestSharedProgramReplay:
+    """One compiled program replayed by many threads at once."""
+
+    SEEDS = (0, 1, 2, 3)
+    RUNS = 150
+
+    def _runs(self, machine, x):
+        return [repr(machine.run_deferred(x)[0]) for _ in range(self.RUNS)]
+
+    def test_threaded_continuous_replay_matches_serial(self):
+        """4 models of distinct seeds share one MNIST TAILS program; 4
+        threads replay it continuously, each run's meter head different.
+        A head slot written into the shared program would let one
+        thread's cumsum read another's head."""
+        import sys
+
+        from repro.experiments.common import make_runtime, prepare_quantized
+        from repro.hw.board import Device
+        from repro.sim.fastsim import FastMachine, ProgramCache
+
+        cache = ProgramCache()
+        runtimes = [make_runtime("TAILS", prepare_quantized("mnist", seed=s))
+                    for s in self.SEEDS]
+        x = np.zeros((1, 28, 28))
+
+        def machine(i):
+            return FastMachine(Device(), runtimes[i], cache=cache)
+
+        serial = [self._runs(machine(i), x) for i in range(len(runtimes))]
+        assert cache.misses == 1 and cache.shared == len(runtimes) - 1
+        machines = [machine(i) for i in range(len(runtimes))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = _hammer(lambda i: self._runs(machines[i], x),
+                               threads=len(machines))
+        finally:
+            sys.setswitchinterval(interval)
+        assert cache.misses == 1
+        for i, (want, got) in enumerate(zip(serial, threaded)):
+            bad = sum(w != g for w, g in zip(want, got))
+            assert bad == 0, f"model {i}: {bad} of {self.RUNS} runs differ"
 
 
 class TestModelCacheRaces:

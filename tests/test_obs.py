@@ -431,7 +431,12 @@ class TestCli:
         # The run leaves the process observability-off (no state leak).
         assert not obs.enabled()
 
-    def test_stats_renders_snapshot(self, tmp_path, capsys):
+    def test_stats_renders_snapshot(self, tmp_path, capsys, monkeypatch):
+        from repro.sim import fastsim
+
+        # An empty program cache: the process-wide one shares fig8's
+        # programs from any earlier run, and this run must compile.
+        monkeypatch.setattr(fastsim, "PROGRAM_CACHE", fastsim.ProgramCache())
         m = tmp_path / "m.json"
         assert main(["run", "fig8", "--engine", "fast",
                      "--metrics", str(m)]) == 0
