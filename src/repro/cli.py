@@ -416,7 +416,6 @@ def _cmd_submit(args) -> None:
 
     from repro.serve import JobSpec, ServeClient
     from repro.study import get_study
-    from repro.study.table import ResultTable
 
     spec = JobSpec(
         study=args.study,
@@ -442,12 +441,12 @@ def _cmd_submit(args) -> None:
         # Surface the server-side failure as the usual CLI error path.
         client.result(job["id"])  # raises JobFailedError
         raise ReproError(f"job {job['id']} ended {job['state']}")
-    # Fetch the exact bytes the service serialized: --json artifacts are
-    # byte-equal across deduped submissions, by construction.
-    raw = client.result_json(job["id"])
-    table = ResultTable.from_json(raw.decode("utf-8"))
+    # The table round-trips losslessly, so --json writes exactly what
+    # `repro run --json` writes for the same spec.
+    table = client.result(job["id"])
     if args.json:
-        sink = _ArtifactSink(args.json, "wb", lambda fh, _t: fh.write(raw))
+        sink = _ArtifactSink(
+            args.json, "w", lambda fh, t: fh.write(t.to_json(indent=2)))
         sink.commit(table)
         print(f"wrote {args.json}: {table!r}", file=sys.stderr)
     print(get_study(args.study).render(table))

@@ -68,6 +68,11 @@ class ScenarioExecutionError(ReproError):
         self.error = error
         super().__init__(f"scenario {scenario_name!r} failed: {error}")
 
+    def __reduce__(self):
+        # Pickle as itself (a study service's worker pipe carries these),
+        # so a lost fleet worker stays a retryable WorkerLostError.
+        return type(self), (self.scenario_name, self.error)
+
 
 class WorkerLostError(ScenarioExecutionError):
     """A fleet worker process died while executing a scenario.
@@ -87,6 +92,17 @@ class ServiceClosedError(ReproError):
     submit` once shutdown has begun — jobs accepted before the call keep
     running (or drain, per the shutdown mode), but no new work enters
     the queue.
+    """
+
+
+class JobEvictedError(ConfigurationError):
+    """A job id names a finished job whose record was since evicted.
+
+    A study service keeps a bounded number of finished job records
+    (:data:`repro.serve.queue.MAX_FINISHED_JOBS`), dropping the oldest
+    first; the HTTP API answers such an id with ``410 Gone``.  A
+    :class:`ConfigurationError` subclass, so callers that handle an
+    unknown job id handle an evicted one too.
     """
 
 

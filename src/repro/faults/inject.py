@@ -30,9 +30,9 @@ import random
 import signal
 import sys
 import time
-from typing import Dict, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultPlan, FaultRule
 from repro.obs import metrics as _obs
 
 #: The import-time installation door (a JSON :meth:`FaultPlan.to_json`).
@@ -61,6 +61,11 @@ class FaultInjected(OSError):
     def __init__(self, site: str, errno_code: int, message: str) -> None:
         super().__init__(errno_code, message)
         self.site = site
+
+    def __reduce__(self):
+        # Survive a pickle round trip (a serve worker's pipe) as itself,
+        # so retry classification still sees a transient fault.
+        return type(self), (self.site, self.errno, self.strerror)
 
 
 def install(plan: FaultPlan) -> None:
@@ -104,6 +109,33 @@ def fire(site: str, *, path: Optional[str] = None, **_ctx: object) -> None:
     truncate; other context kwargs are accepted and ignored so sites
     can annotate freely.
     """
+    for rule, ordinal in _hits(site):
+        _trigger(rule, site, path, ordinal)
+
+
+def draw(site: str) -> List[Tuple[FaultRule, int]]:
+    """Evaluate ``site``'s rules like :func:`fire`, without triggering.
+
+    Returns each ``(rule, ordinal)`` that fires, for :func:`trigger` to
+    act on elsewhere.  The study service draws ``serve.execute`` in its
+    own process and triggers it in the worker process that runs the
+    job, so the per-rule counts live in the process that survives a
+    ``crash``.
+    """
+    return list(_hits(site))
+
+
+def trigger(rule: FaultRule, site: str, ordinal: int) -> None:
+    """Act out one rule that :func:`draw` returned (see there)."""
+    _trigger(rule, site, None, ordinal)
+
+
+def _hits(site: str) -> Iterator[Tuple[FaultRule, int]]:
+    """Count ``site``'s rules in plan order, yielding those that fire.
+
+    A generator, so :func:`fire` counts a later rule only once the
+    earlier ones have triggered without raising.
+    """
     plan = _PLAN
     if not ENABLED or plan is None:
         return
@@ -123,7 +155,7 @@ def fire(site: str, *, path: Optional[str] = None, **_ctx: object) -> None:
         if _obs.ENABLED:
             _obs.count("faults.injected")
             _obs.count(f"faults.injected.{site}")
-        _trigger(rule, site, path, _FIRED[i])
+        yield rule, _FIRED[i]
 
 
 def _trigger(rule, site: str, path: Optional[str], ordinal: int) -> None:

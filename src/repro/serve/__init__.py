@@ -14,9 +14,11 @@ Layers, bottom up:
   (bounded FIFO workers + in-flight dedup on the store's content keys,
   with *exact* lifecycle counters);
 * :mod:`repro.serve.service` — :class:`StudyService`: the queue wired
-  to one shared :class:`~repro.fleet.cache.ModelCache`, an optional
-  durable :class:`~repro.store.cache.ResultStore`, and a finished-table
-  LRU; timeouts, cancellation, graceful draining shutdown;
+  to worker processes for fleet-executed studies
+  (:mod:`repro.serve.worker`, one per queue thread, so the threads
+  simulate on separate CPUs), an optional durable
+  :class:`~repro.store.cache.ResultStore`, and a finished-table LRU;
+  timeouts, cancellation, graceful draining shutdown;
 * :mod:`repro.serve.http` — a stdlib-only JSON API
   (``POST /jobs`` ... ``GET /metrics``) over ``ThreadingHTTPServer``;
 * :mod:`repro.serve.client` — the urllib client the ``repro submit``

@@ -24,6 +24,7 @@ from typing import Optional
 
 from repro.errors import (
     ConfigurationError,
+    JobEvictedError,
     JobFailedError,
     ReproError,
     ServiceClosedError,
@@ -34,6 +35,7 @@ from repro.study.table import ResultTable
 #: error "type" field -> exception class raised client-side.
 _ERROR_TYPES = {
     "ConfigurationError": ConfigurationError,
+    "JobEvictedError": JobEvictedError,
     "ServiceClosedError": ServiceClosedError,
     "JobFailedError": JobFailedError,
 }

@@ -10,7 +10,9 @@ verb    path                    body / response
 POST    /jobs                   :meth:`JobSpec.to_dict` JSON in; job
                                 resource out (``202``)
 GET     /jobs                   every job resource, submission order
-GET     /jobs/<id>              one job resource (``404`` unknown)
+GET     /jobs/<id>              one job resource (``404`` unknown,
+                                ``410`` evicted: see
+                                :data:`~repro.serve.queue.MAX_FINISHED_JOBS`)
 GET     /jobs/<id>/result       the finished table as lossless
                                 :meth:`ResultTable.to_json` (``409`` if
                                 not finished; ``?timeout=S`` waits)
@@ -37,7 +39,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from repro.errors import ConfigurationError, ReproError, ServiceClosedError
+from repro.errors import (
+    ConfigurationError,
+    JobEvictedError,
+    ReproError,
+    ServiceClosedError,
+)
 from repro.faults import inject as _inject
 from repro.serve.queue import CANCELLED, DONE, FAILED, JobSpec
 from repro.serve.service import StudyService
@@ -104,6 +111,16 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(
             status, {"error": str(exc), "type": type(exc).__name__}
         )
+
+    def _job(self, job_id: str):
+        """The job for ``job_id``, or None once a 404/410 is sent."""
+        try:
+            return self.service.job(job_id)
+        except JobEvictedError as exc:
+            self._send_error_json(410, exc)
+        except ConfigurationError as exc:
+            self._send_error_json(404, exc)
+        return None
 
     def _body_length(self) -> Optional[int]:
         """The declared body size, or ``None`` after refusing the request.
@@ -183,12 +200,9 @@ class _Handler(BaseHTTPRequestHandler):
                 200, {"jobs": [j.to_dict() for j in self.service.jobs()]}
             )
         elif len(parts) == 2 and parts[0] == "jobs":
-            try:
-                job = self.service.job(parts[1])
-            except ConfigurationError as exc:
-                self._send_error_json(404, exc)
-                return
-            self._send_json(200, job.to_dict())
+            job = self._job(parts[1])
+            if job is not None:
+                self._send_json(200, job.to_dict())
         elif len(parts) == 3 and parts[0] == "jobs" and parts[2] == "result":
             self._get_result(parts[1], parsed.query)
         else:
@@ -201,10 +215,8 @@ class _Handler(BaseHTTPRequestHandler):
         if len(parts) != 2 or parts[0] != "jobs":
             self._send_json(404, {"error": "no such route"})
             return
-        try:
-            job = self.service.job(parts[1])
-        except ConfigurationError as exc:
-            self._send_error_json(404, exc)
+        job = self._job(parts[1])
+        if job is None:
             return
         if self.service.cancel(job.id):
             self._send_json(200, job.to_dict())
@@ -216,10 +228,8 @@ class _Handler(BaseHTTPRequestHandler):
             )
 
     def _get_result(self, job_id: str, query: str) -> None:
-        try:
-            job = self.service.job(job_id)
-        except ConfigurationError as exc:
-            self._send_error_json(404, exc)
+        job = self._job(job_id)
+        if job is None:
             return
         wait_s: Optional[float] = None
         params = parse_qs(query)

@@ -40,7 +40,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.errors import ConfigurationError, ServiceClosedError
+from repro.errors import (
+    ConfigurationError,
+    JobEvictedError,
+    ServiceClosedError,
+)
 from repro.faults.retry import RetryPolicy, is_transient
 from repro.obs import metrics as _obs
 from repro.study.core import Profile, check_study_options
@@ -55,6 +59,12 @@ CANCELLED = "cancelled"
 STATES = (QUEUED, RUNNING, DONE, FAILED, CANCELLED)
 #: States a job can never leave.
 TERMINAL = (DONE, FAILED, CANCELLED)
+
+#: Finished (terminal) job records a queue keeps; past this it evicts
+#: the one that finished first, and its id then raises
+#: :class:`~repro.errors.JobEvictedError`.  A finished record holds its
+#: table, so this is what bounds a long-lived service's memory.
+MAX_FINISHED_JOBS = 1024
 
 
 @dataclass(frozen=True)
@@ -238,6 +248,8 @@ class JobQueue:
         self._queue: Deque[Job] = deque()
         self._inflight: Dict[str, Job] = {}
         self._jobs: Dict[str, Job] = {}
+        #: Ids of retained terminal jobs, in the order they finished.
+        self._finished: Deque[str] = deque()
         self._closed = False
         self._seq = 0
         # Exact counters (every increment happens under the lock).
@@ -302,14 +314,28 @@ class JobQueue:
             return job
 
     def job(self, job_id: str) -> Job:
+        """The job record for ``job_id``.
+
+        Raises :class:`~repro.errors.JobEvictedError` for an id this
+        queue issued but no longer keeps (see :data:`MAX_FINISHED_JOBS`),
+        :class:`~repro.errors.ConfigurationError` for any other unknown id.
+        """
         with self._lock:
             job = self._jobs.get(job_id)
-        if job is None:
-            raise ConfigurationError(f"unknown job {job_id!r}")
-        return job
+            issued = self._seq
+        if job is not None:
+            return job
+        seq = job_id.partition("job-")[2]
+        if seq.isdigit() and 0 < int(seq) <= issued \
+                and job_id == f"job-{int(seq):06d}":
+            raise JobEvictedError(
+                f"job {job_id} finished and was evicted (this service "
+                f"keeps the last {MAX_FINISHED_JOBS} finished jobs)"
+            )
+        raise ConfigurationError(f"unknown job {job_id!r}")
 
     def jobs(self) -> List[Job]:
-        """All jobs, in submission order."""
+        """Every job still kept, in submission order."""
         with self._lock:
             return list(self._jobs.values())
 
@@ -408,6 +434,9 @@ class JobQueue:
             if _obs.ENABLED:
                 _obs.count("serve.jobs_cancelled")
         job._done.set()
+        self._finished.append(job.id)
+        while len(self._finished) > MAX_FINISHED_JOBS:
+            self._jobs.pop(self._finished.popleft(), None)
 
     def _worker(self) -> None:
         while True:

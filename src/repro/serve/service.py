@@ -1,31 +1,39 @@
-"""The study service: concurrent ``run_study`` over shared caches.
+"""The study service: concurrent ``run_study`` behind a dedup queue.
 
 :class:`StudyService` glues the dedup queue to the execution stack:
 
-* one shared :class:`~repro.fleet.cache.ModelCache` across every job,
-  so concurrent fleet-executed studies prepare each distinct model once
-  (the cache's per-key build locks make racing first requests build
-  exactly once, and its per-key *execution* locks keep two jobs from
-  running scenarios on the same cached model at the same time);
+* worker processes for fleet-executed studies
+  (:mod:`repro.serve.worker`): each queue thread hands such a job to
+  its own long-lived ``spawn``-started process, which runs
+  :func:`~repro.study.core.run_study` with a
+  :class:`~repro.fleet.cache.ModelCache` of its own, so two threads
+  simulate on two CPUs instead of taking turns on one interpreter lock;
+  direct studies (``fig8``, ``table1``, the ablations, ...) are
+  10-50 ms jobs and run on the thread itself;
 * one optional :class:`~repro.store.cache.ResultStore`, giving jobs
   durable per-scenario resume and a finished-table archive — a service
   restarted over the same store serves archived tables without
-  executing anything;
+  executing anything.  Workers reach it through their pipes, so it
+  has one writer;
 * an in-memory LRU of finished tables keyed by the same content
   address the store uses, which is what makes *resubmitting* a
   completed spec a dedup hit rather than a rerun.
 
-Execution is plain :func:`~repro.study.core.run_study` on a worker
-thread — the same function the CLI and tests call — so a table served
-concurrently is bit-identical to a serial run of the same spec.  Jobs
-with ``timeout_s`` run on a helper thread; on expiry the job fails
-with a captured timeout traceback and the abandoned execution's result
-is discarded (never cached, never published).
+Either way execution is plain ``run_study`` — the same function the CLI
+and tests call — so a table served concurrently is bit-identical to a
+serial run of the same spec.  A fleet-executed study must therefore be
+importable by a fresh interpreter (registered by :mod:`repro.study`);
+one registered at run time can only be served as a direct study.
+``timeout_s`` bounds a job's execution: a worker process past it is
+terminated and joined (the next job respawns it); a direct job runs on
+a helper thread, which is abandoned at expiry with its result
+discarded (never cached, never published).  Either way the job fails
+with a captured timeout traceback.
 
 Shutdown (:meth:`close`) stops intake (further submits raise
 :class:`~repro.errors.ServiceClosedError`), drains or cancels the
-queue, and flushes the store — completed work is durable before
-``close`` returns.
+queue, stops and joins the worker processes, and flushes the store —
+completed work is durable before ``close`` returns.
 """
 
 from __future__ import annotations
@@ -34,21 +42,28 @@ import threading
 from collections import OrderedDict
 from typing import List, Optional, Tuple
 
-from repro.errors import ConfigurationError, JobFailedError
+from repro.errors import (
+    ConfigurationError,
+    JobFailedError,
+    ServiceClosedError,
+)
 from repro.faults import inject as _inject
 from repro.faults.retry import RetryPolicy
-from repro.fleet.cache import ModelCache
 from repro.obs import metrics as _obs
 from repro.serve.queue import DONE, FAILED, Job, JobQueue, JobSpec
+from repro.serve.worker import WorkerProcess
+from repro.study.core import get_study, run_study
 from repro.study.table import ResultTable
 
 
 class StudyService:
     """Concurrent study executor with dedup (see module docstring).
 
-    ``workers`` bounds concurrent executions (each may itself fan out a
-    fleet pool — size the two levels together).  ``store`` attaches a
-    durable :class:`~repro.store.cache.ResultStore`; ``table_cache``
+    ``workers`` is the number of queue threads, so it bounds concurrent
+    executions and the worker processes (one per thread that has run a
+    fleet-executed job; each execution may itself fan out a fleet pool —
+    size the two levels together).  ``store`` attaches a durable
+    :class:`~repro.store.cache.ResultStore`; ``table_cache``
     bounds the in-memory finished-table LRU (0 disables it, leaving
     only in-flight coalescing and the store's archive).
     """
@@ -64,7 +79,6 @@ class StudyService:
         if table_cache < 0:
             raise ConfigurationError("table_cache must be >= 0")
         self.store = store
-        self.model_cache = ModelCache()
         self._table_cache_size = table_cache
         #: Per-job bounded retry on transient failures (worker-lost,
         #: timeout, injected faults).  Other exceptions — bad studies,
@@ -73,6 +87,12 @@ class StudyService:
         #: key -> finished ResultTable; touched only under the queue
         #: lock (the lookup/publish callbacks run with it held).
         self._tables: "OrderedDict[str, ResultTable]" = OrderedDict()
+        #: Each queue thread's worker process, started on its first
+        #: fleet-executed job; ``_procs`` holds them all for close()
+        #: (None once closed).
+        self._local = threading.local()
+        self._procs: Optional[List[WorkerProcess]] = []
+        self._procs_lock = threading.Lock()
         self.queue = JobQueue(
             self._execute,
             workers=workers,
@@ -147,8 +167,13 @@ class StudyService:
     def close(
         self, *, drain: bool = True, timeout: Optional[float] = None
     ) -> None:
-        """Stop intake, drain (or cancel) the queue, flush the store."""
+        """Stop intake, drain (or cancel) the queue, stop the worker
+        processes, flush the store."""
         self.queue.close(drain=drain, timeout=timeout)
+        with self._procs_lock:
+            procs, self._procs = self._procs or [], None
+        for proc in procs:
+            proc.close()
         if self.store is not None:
             self.store.flush()
 
@@ -177,40 +202,39 @@ class StudyService:
     # -- execution (worker threads) -------------------------------------------
 
     def _run_study(self, job: Job) -> Tuple[ResultTable, bool, bool]:
-        from repro.study.core import run_study
-
+        """A direct study, run here on the calling thread."""
         if _inject.ENABLED:
-            # The serve.execute fault site: an exception kind here makes
-            # the attempt fail transiently (and get retried); a crash
-            # kind kills this worker's whole process — the chaos tests
-            # run that variant in a subprocess.
+            # The serve.execute fault site (for a worker-process job it
+            # is drawn in WorkerProcess.run and fired in the worker): an
+            # exception kind fails the attempt transiently (and gets it
+            # retried); a crash kind kills this whole service process.
             _inject.fire("serve.execute", job=job.id, study=job.spec.study)
         spec = job.spec
-        kwargs = dict(
-            engine=spec.engine,
-            profile=spec.profile,
-            store=self.store,
-        )
-        from repro.study.core import get_study
+        run = run_study(spec.study, engine=spec.engine,
+                        profile=spec.profile, store=self.store)
+        return run.table, run.from_table_cache, True
 
-        if get_study(spec.study).fleet_executed:
-            # Execution options only exist for fleet-executed studies
-            # (check_study_options rejected them otherwise).
-            kwargs.update(
-                workers=spec.workers,
-                parallel=spec.parallel,
-                on_error=spec.on_error,
-                cache=self.model_cache,
-            )
-        run = run_study(spec.study, **kwargs)
-        failures = run.report.failures if run.report is not None else 0
-        # A table carrying recorded failures (on_error="record") must
-        # not be served to later submitters as the study's answer.
-        cacheable = failures == 0
-        return run.table, run.from_table_cache, cacheable
+    def _worker_process(self) -> WorkerProcess:
+        """The calling queue thread's worker process handle."""
+        proc = getattr(self._local, "proc", None)
+        if proc is None:
+            proc = WorkerProcess(f"{threading.current_thread().name}-proc")
+            with self._procs_lock:
+                if self._procs is None:
+                    raise ServiceClosedError(
+                        "service is shutting down; worker not started"
+                    )
+                self._procs.append(proc)
+            self._local.proc = proc
+        return proc
 
     def _execute(self, job: Job) -> Tuple[ResultTable, bool, bool]:
         spec = job.spec
+        if get_study(spec.study).fleet_executed:
+            # A table carrying recorded failures (on_error="record")
+            # comes back not cacheable: it must not be served to later
+            # submitters as the study's answer.
+            return self._worker_process().run(job, self.store, spec.timeout_s)
         if spec.timeout_s is None:
             return self._run_study(job)
         outcome: dict = {}

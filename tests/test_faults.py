@@ -46,7 +46,7 @@ from repro.faults import (
 from repro.fleet import FleetRunner, TraceSpec, scenario_grid
 from repro.serve import JobSpec, ServeClient, StudyService, serve_http
 from repro.store.shards import MANIFEST_NAME, SHARD_DIR, ShardStore
-from repro.study import Profile, ResultTable, Study, register
+from repro.study import Profile, ResultTable, Study, register, run_study
 from repro.study.core import _REGISTRY
 
 SMOKE = os.environ.get("REPRO_CHAOS_SMOKE") == "1"
@@ -157,6 +157,28 @@ class TestInject:
         for _ in range(5):  # times=1: exhausted after the hit
             inject.fire("store.flush")
         assert inject.stats()["fired"] == {0: 1}
+
+    def test_draw_counts_here_and_trigger_acts_later(self):
+        """draw() is fire()'s evaluation without the effect; trigger()
+        is the effect (what a serve worker process acts out)."""
+        inject.install(FaultPlan((_rule(site="serve.execute", nth=2),)))
+        assert inject.draw("serve.execute") == []
+        [(rule, ordinal)] = inject.draw("serve.execute")
+        assert (rule.nth, ordinal) == (2, 1)
+        assert inject.draw("serve.execute") == []
+        assert inject.stats() == {"calls": {0: 3}, "fired": {0: 1}}
+        with pytest.raises(FaultInjected, match="fire #1"):
+            inject.trigger(rule, "serve.execute", ordinal)
+
+    def test_fault_injected_pickles_as_itself(self):
+        import pickle
+
+        exc = pickle.loads(pickle.dumps(FaultInjected("store.flush", 28, "x")))
+        assert isinstance(exc, FaultInjected) and is_transient(exc)
+        assert (exc.site, exc.errno, exc.strerror) == ("store.flush", 28, "x")
+        lost = pickle.loads(pickle.dumps(WorkerLostError("cell", "died")))
+        assert isinstance(lost, WorkerLostError) and is_transient(lost)
+        assert (lost.scenario_name, lost.error) == ("cell", "died")
 
     def test_other_sites_unaffected(self):
         inject.install(FaultPlan((_rule(site="serve.execute", nth=1),)))
@@ -671,6 +693,66 @@ class TestServeChaos:
         assert ta.to_json() == tb.to_json()
         assert counters["executions"] == 1
         assert counters["dedup_hits"] == counters["submitted"] - 1
+
+    def test_worker_crash_retries_on_a_respawned_worker(self):
+        """kill -9 of a fleet job's worker process mid-job: the job is
+        retried on a fresh worker and served byte-equal to run_study.
+        The rule's count lives in the service, so the respawned worker
+        does not crash again."""
+        spec = dict(engine="fast", parallel=False)
+        serial = run_study("sweep-trace", **spec).table.to_json()
+        inject.install(FaultPlan((
+            FaultRule(site="serve.execute", kind="crash", nth=1),
+        )))
+        with StudyService(workers=1, retry=FAST) as svc:
+            table = svc.run(JobSpec("sweep-trace", **spec), timeout=120)
+            counters = svc.counters()
+        inject.uninstall()
+        assert table.to_json() == serial
+        assert counters["retried"] == 1
+        assert counters["executions"] == 1
+        assert counters["failed"] == 0
+
+    def test_worker_killed_mid_pool_is_detected_and_reaped(self):
+        """A worker SIGKILLed while its fleet pool runs.  An idle pool
+        worker holds a copy of the worker's pipe and would wait for work
+        forever, so no EOF arrives; the service must notice the death
+        anyway, end the orphaned pool, and retry."""
+        import multiprocessing
+        import signal
+
+        spec = dict(engine="fast", workers=2)
+        serial = run_study("sweep-trace", engine="fast",
+                           parallel=False).table.to_json()
+        # Each pool worker's second cell stalls: of the three cells, the
+        # last stalls on one pool worker while the other sits idle.
+        inject.install(FaultPlan((
+            FaultRule(site="fleet.worker", kind="delay", delay_s=2.0,
+                      nth=2),
+        )))
+        try:
+            with StudyService(workers=1, retry=FAST) as svc:
+                svc.run(JobSpec("sweep-trace", engine="fast", parallel=False,
+                                profile=Profile(seed=9)), timeout=120)
+                [worker] = [p for p in multiprocessing.active_children()
+                            if p.name.endswith("-proc")]
+                job = svc.submit(JobSpec("sweep-trace", **spec))
+                deadline = time.monotonic() + 10
+                while job.state != "running" and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                time.sleep(0.8)  # inside the stalled last cell
+                os.kill(worker.pid, signal.SIGKILL)
+                table = svc.result(job.id, timeout=60)
+                counters = svc.counters()
+        finally:
+            inject.uninstall()
+        assert table.to_json() == serial
+        assert counters["retried"] == 1
+        deadline = time.monotonic() + 10
+        with pytest.raises(ProcessLookupError):  # the orphaned pool too
+            while time.monotonic() < deadline:
+                os.killpg(worker.pid, 0)
+                time.sleep(0.05)
 
     def test_http_get_rides_out_injected_503(self, toy_study):
         svc = StudyService(workers=1)

@@ -371,6 +371,164 @@ class TestAcceptanceIntegration:
         assert tb.to_json() == serial
 
 
+class TestWorkerProcesses:
+    """Fleet-executed jobs run in the service's spawned worker processes."""
+
+    SPEC = dict(engine="fast", parallel=False)
+
+    def test_obs_counts_cross_the_process_boundary(self):
+        """/metrics counts a worker's fleet scenarios as in-process."""
+        obs.reset()
+        obs.enable()
+        try:
+            run_study("fig7", **self.SPEC)
+            expected = obs.snapshot()["counters"]["fleet.scenarios"]
+            obs.reset()
+            with StudyService(workers=1) as svc:
+                svc.run(JobSpec("fig7", **self.SPEC), timeout=120)
+                counters = svc.metrics()["counters"]
+            assert counters["fleet.scenarios"] == expected
+            assert counters["serve.worker_starts"] == 1
+        finally:
+            obs.reset()
+            obs.disable()
+
+    def test_obs_gauges_keep_the_last_value(self):
+        """A gauge (here the fleet pool size) is set, not summed, per job."""
+        obs.reset()
+        obs.enable()
+        try:
+            with StudyService(workers=1) as svc:
+                for seed in (1, 2):
+                    svc.run(JobSpec("sweep-trace", engine="fast", workers=2,
+                                    profile=Profile(seed=seed)), timeout=120)
+                gauges = svc.metrics()["gauges"]
+            assert gauges["fleet.workers"] == 2
+        finally:
+            obs.reset()
+            obs.disable()
+
+    def test_obs_off_ships_nothing(self):
+        with StudyService(workers=1) as svc:
+            svc.run(JobSpec("sweep-trace", **self.SPEC), timeout=120)
+            assert svc.metrics()["counters"] == {}
+
+    def test_pooled_jobs_equal_serial_run_study(self):
+        """Jobs that fork a fleet pool (from the single-threaded worker)
+        keep the bits of serial run_study."""
+        seeds = (1, 2, 3)
+        with StudyService(workers=2) as svc:
+            jobs = [
+                svc.submit(JobSpec("sweep-trace", engine="fast", workers=2,
+                                   profile=Profile(seed=s)))
+                for s in seeds
+            ]
+            tables = [svc.result(j.id, timeout=120) for j in jobs]
+        for seed, table in zip(seeds, tables):
+            serial = run_study("sweep-trace", engine="fast", parallel=False,
+                               profile=Profile(seed=seed))
+            assert table.to_json() == serial.table.to_json()
+
+    def test_store_streams_through_the_worker(self, tmp_path):
+        """The worker's scenario results and table reach the service's
+        store; a restarted service serves the table from the archive."""
+        spec = JobSpec("sweep-trace", profile=Profile(seed=4), **self.SPEC)
+        with StudyService(workers=1, store=ResultStore(tmp_path / "s")) \
+                as svc:
+            first = svc.run(spec, timeout=120)
+        reopened = ResultStore(tmp_path / "s")
+        assert len(reopened) == len(first)  # one scenario per row
+        with StudyService(workers=1, store=reopened) as svc:
+            job = svc.submit(spec)
+            again = svc.result(job.id, timeout=120)
+            assert svc.job(job.id).from_cache is True
+        assert again.to_json() == first.to_json()
+
+    def test_worker_exception_carries_its_traceback(self):
+        """An exception in the worker fails the job with the worker's
+        traceback; its type survives the pipe (so retry still sees it)."""
+        from repro.faults import FaultPlan, FaultRule, RetryPolicy, inject
+
+        inject.install(FaultPlan((
+            FaultRule(site="fleet.model_build", kind="exception",
+                      probability=1.0, times=None),
+        )))
+        try:
+            with StudyService(workers=1,
+                              retry=RetryPolicy(max_attempts=1)) as svc:
+                job = svc.submit(JobSpec("sweep-trace", **self.SPEC))
+                with pytest.raises(JobFailedError,
+                                   match="injected exception"):
+                    svc.result(job.id, timeout=120)
+                error = svc.job(job.id).error
+        finally:
+            inject.uninstall()
+        assert "prepare_models" in error  # a frame from the worker
+        assert "FaultInjected" in error
+
+    def test_timeout_terminates_the_worker(self):
+        from repro.faults import RetryPolicy
+
+        with StudyService(workers=1, retry=RetryPolicy(max_attempts=1)) \
+                as svc:
+            job = svc.submit(JobSpec("sweep-trace", timeout_s=0.001,
+                                     **self.SPEC))
+            with pytest.raises(JobFailedError, match="timeout"):
+                svc.result(job.id, timeout=120)
+            # The next job respawns the worker and runs to the same bits.
+            table = svc.run(JobSpec("sweep-trace", **self.SPEC), timeout=120)
+        serial = run_study("sweep-trace", **self.SPEC).table
+        assert table.to_json() == serial.to_json()
+
+
+class TestJobRetention:
+    def test_finished_jobs_are_bounded(self, toy_study, monkeypatch):
+        from repro.errors import JobEvictedError
+        from repro.serve import queue
+
+        monkeypatch.setattr(queue, "MAX_FINISHED_JOBS", 3)
+        with StudyService(workers=1) as svc:
+            jobs = [svc.submit(_spec(seed=s)) for s in range(5)]
+            for job in jobs:
+                job.wait(10)
+            assert [j.id for j in svc.jobs()] == [j.id for j in jobs[2:]]
+            with pytest.raises(JobEvictedError, match="evicted"):
+                svc.job(jobs[0].id)
+            with pytest.raises(ConfigurationError, match="unknown job"):
+                svc.job("job-000099")
+
+    def test_evicted_job_is_410_over_http(self, toy_study, monkeypatch):
+        import urllib.error
+        import urllib.request
+
+        from repro.serve import queue
+
+        monkeypatch.setattr(queue, "MAX_FINISHED_JOBS", 1)
+        svc = StudyService(workers=1)
+        server = serve_http(svc)
+        try:
+            client = ServeClient(server.url)
+            old = client.submit(_spec(seed=1))
+            client.wait(old["id"], timeout=10)
+            new = client.submit(_spec(seed=2))
+            client.wait(new["id"], timeout=10)
+            for path in (f"/jobs/{old['id']}", f"/jobs/{old['id']}/result"):
+                with pytest.raises(urllib.error.HTTPError) as err:
+                    urllib.request.urlopen(server.url + path)
+                assert err.value.code == 410
+                assert "evicted" in json.loads(err.value.read())["error"]
+            assert client.job(new["id"])["state"] == "done"
+        finally:
+            server.shutdown()
+            svc.close()
+
+    def test_bound_exceeds_a_serve_round(self):
+        """The benchmark's 50-job serve round never evicts a job."""
+        from repro.serve.queue import MAX_FINISHED_JOBS
+
+        assert MAX_FINISHED_JOBS > 50
+
+
 class TestHTTP:
     @pytest.fixture
     def server(self, toy_study):
