@@ -18,8 +18,8 @@ not re-executed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from dataclasses import astuple, dataclass
+from typing import List, Tuple
 
 import numpy as np
 
@@ -329,6 +329,44 @@ def pool_atoms(layer: QuantPool, idx: int, cfg: PlanConfig) -> List[Atom]:
             iterations=chunks,
         )
     ]
+
+
+def layer_signature(layer) -> Tuple:
+    """Everything of ``layer`` an atom planner reads, as plain values.
+
+    The planners here and in :mod:`repro.baselines.cpu_plan` read a
+    layer's kind and shapes and, for a convolution, which output
+    channels have a nonzero kernel; the channel *indices* reach only
+    atom labels, so the signature keeps their count.  Weight values
+    never reach a program.
+    """
+    kind = type(layer).__name__
+    if isinstance(layer, QuantConv):
+        out_c = layer.weight.shape[0]
+        active = np.any(layer.weight.reshape(out_c, -1), axis=1)
+        return (kind, tuple(map(int, layer.weight.shape)),
+                tuple(map(int, layer.out_shape)), int(layer.stride),
+                int(np.count_nonzero(active)))
+    if isinstance(layer, QuantBCM):
+        return (kind, int(layer.block_size), int(layer.p), int(layer.q))
+    if isinstance(layer, QuantDense):
+        return (kind, tuple(map(int, layer.weight.shape)))
+    if isinstance(layer, QuantPool):
+        return (kind, tuple(map(int, layer.out_shape)),
+                tuple(map(int, layer.pool_size)))
+    if isinstance(layer, QuantReLU):
+        return (kind, tuple(map(int, layer.out_shape)))
+    return (kind,)
+
+
+def plan_signature(qmodel: QuantizedModel, cfg: PlanConfig) -> Tuple:
+    """What :func:`build_program` reads of ``qmodel`` and ``cfg``.
+
+    Equal signatures plan atom programs equal up to their labels, so a
+    program cache can key on this without building the atoms.
+    """
+    return ("ace", astuple(cfg),
+            tuple(layer_signature(layer) for layer in qmodel.layers))
 
 
 def build_program(qmodel: QuantizedModel, cfg: PlanConfig) -> List[Atom]:

@@ -8,12 +8,12 @@ DNFs whenever a full inference does not fit one capacitor charge — the
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.ace.buffers import circular_plan
-from repro.ace.plan import PlanConfig, build_program
+from repro.ace.plan import PlanConfig, build_program, plan_signature
 from repro.errors import ResourceExceededError
 from repro.rad.quantize import QuantizedModel
 from repro.sim.atoms import Atom
@@ -57,6 +57,9 @@ class AceRuntime(InferenceRuntime):
         if self._atoms is None:
             self._atoms = build_program(self.qmodel, self._plan_config())
         return self._atoms
+
+    def program_signature(self) -> Tuple:
+        return plan_signature(self.qmodel, self._plan_config())
 
     def compute_logits(self, x: np.ndarray) -> np.ndarray:
         logits = self.qmodel.forward(

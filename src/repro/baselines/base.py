@@ -7,11 +7,11 @@ never completes any inference that exceeds one capacitor charge.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.baselines.cpu_plan import build_cpu_program
+from repro.baselines.cpu_plan import build_cpu_program, cpu_plan_signature
 from repro.rad.quantize import QuantizedModel
 from repro.sim.atoms import Atom
 from repro.sim.runtime import InferenceRuntime
@@ -32,6 +32,9 @@ class BaseRuntime(InferenceRuntime):
         if self._atoms is None:
             self._atoms = build_cpu_program(self.qmodel, sonic=False)
         return self._atoms
+
+    def program_signature(self) -> Tuple:
+        return cpu_plan_signature(self.qmodel, sonic=False)
 
     def compute_logits(self, x: np.ndarray) -> np.ndarray:
         return self.qmodel.forward(np.asarray(x)[None, ...])[0]

@@ -10,10 +10,11 @@ cannot survive power failures.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
+from repro.ace.plan import layer_signature
 from repro.errors import ConfigurationError
 from repro.hw import constants as C
 from repro.rad.quantize import (
@@ -55,6 +56,13 @@ def _loop_atom(
     if iterations >= 2:
         atom_kwargs.update(divisible=True, iterations=iterations)
     return Atom(**atom_kwargs)
+
+
+def cpu_plan_signature(qmodel: QuantizedModel, *, sonic: bool) -> Tuple:
+    """What :func:`build_cpu_program` reads of ``qmodel`` (see
+    :func:`~repro.ace.plan.plan_signature`)."""
+    return ("cpu", bool(sonic),
+            tuple(layer_signature(layer) for layer in qmodel.layers))
 
 
 def build_cpu_program(qmodel: QuantizedModel, *, sonic: bool) -> List[Atom]:

@@ -11,11 +11,11 @@ it is the slowest and most energy-hungry runtime in Figure 7.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.baselines.cpu_plan import build_cpu_program
+from repro.baselines.cpu_plan import build_cpu_program, cpu_plan_signature
 from repro.hw import constants as C
 from repro.rad.quantize import QuantizedModel
 from repro.sim.atoms import Atom
@@ -37,6 +37,9 @@ class SonicRuntime(InferenceRuntime):
         if self._atoms is None:
             self._atoms = build_cpu_program(self.qmodel, sonic=True)
         return self._atoms
+
+    def program_signature(self) -> Tuple:
+        return cpu_plan_signature(self.qmodel, sonic=True)
 
     def compute_logits(self, x: np.ndarray) -> np.ndarray:
         return self.qmodel.forward(np.asarray(x)[None, ...])[0]

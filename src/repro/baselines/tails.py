@@ -15,11 +15,11 @@ FFT->MPY->IFFT chains.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.ace.plan import PlanConfig, build_program
+from repro.ace.plan import PlanConfig, build_program, plan_signature
 from repro.hw import constants as C
 from repro.rad.quantize import QuantizedModel
 from repro.sim.atoms import Atom
@@ -38,19 +38,24 @@ class TailsRuntime(InferenceRuntime):
         self.use_dma = use_dma
         self._atoms = None
 
+    def _plan_config(self) -> PlanConfig:
+        return PlanConfig(
+            use_dma=self.use_dma,
+            commit=True,
+            commit_words=C.TAILS_COMMIT_WORDS,
+            bcm_stage_commits=False,  # loop indices only (Figure 6 left)
+            conv_staging="window",  # per-vector-op staging, no row reuse
+            task_overhead_cycles=C.TAILS_TASK_CYCLES,
+            batched_ops=False,  # one task (and LEA setup) per vector op
+        )
+
     def build_atoms(self) -> List[Atom]:
         if self._atoms is None:
-            cfg = PlanConfig(
-                use_dma=self.use_dma,
-                commit=True,
-                commit_words=C.TAILS_COMMIT_WORDS,
-                bcm_stage_commits=False,  # loop indices only (Figure 6 left)
-                conv_staging="window",  # per-vector-op staging, no row reuse
-                task_overhead_cycles=C.TAILS_TASK_CYCLES,
-                batched_ops=False,  # one task (and LEA setup) per vector op
-            )
-            self._atoms = build_program(self.qmodel, cfg)
+            self._atoms = build_program(self.qmodel, self._plan_config())
         return self._atoms
+
+    def program_signature(self) -> Tuple:
+        return plan_signature(self.qmodel, self._plan_config())
 
     def compute_logits(self, x: np.ndarray) -> np.ndarray:
         return self.qmodel.forward(np.asarray(x)[None, ...])[0]

@@ -14,6 +14,7 @@ features, matching the ``FC 3520x128`` layer of Table II.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -69,12 +70,17 @@ def render_window(activity: int, rng: np.random.Generator, *, noise: float = 0.0
     return np.clip(sig, -0.999, 0.999)
 
 
-def make_har(n_samples: int = 1800, *, seed: int = 0, noise: float = 0.06) -> Dataset:
-    """Generate a synthetic HAR dataset of ``(N, 1, 1, 121)`` windows."""
+def make_har(n_samples: int = 1800, *, seed: int = 0, noise: float = 0.06,
+             render: Optional[int] = None) -> Dataset:
+    """Generate a synthetic HAR dataset of ``(N, 1, 1, 121)`` windows.
+
+    ``render`` keeps only the first ``render`` samples, bit-equal to the
+    full draw's: every label is drawn first, then the windows one by one.
+    """
     check_counts(n_samples, NUM_CLASSES)
     rng = np.random.default_rng(seed)
-    labels = balanced_labels(n_samples, NUM_CLASSES, rng)
-    x = np.zeros((n_samples, 1, 1, WINDOW))
+    labels = balanced_labels(n_samples, NUM_CLASSES, rng)[:render]
+    x = np.zeros((len(labels), 1, 1, WINDOW))
     for i, lab in enumerate(labels):
         x[i, 0, 0] = render_window(int(lab), rng, noise=noise)
     return Dataset(x, labels.astype(np.int64), NUM_CLASSES, name="synth-har")

@@ -12,7 +12,7 @@ Tensor layout matches the paper's MNIST model (Table II): inputs are
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -78,12 +78,17 @@ def make_mnist(
     seed: int = 0,
     wobble: float = 0.7,
     noise: float = 0.08,
+    render: Optional[int] = None,
 ) -> Dataset:
-    """Generate a synthetic-MNIST dataset of ``(N, 1, 28, 28)`` images."""
+    """Generate a synthetic-MNIST dataset of ``(N, 1, 28, 28)`` images.
+
+    ``render`` keeps only the first ``render`` samples, bit-equal to the
+    full draw's: every label is drawn first, then the images one by one.
+    """
     check_counts(n_samples, NUM_CLASSES)
     rng = np.random.default_rng(seed)
-    labels = balanced_labels(n_samples, NUM_CLASSES, rng)
-    images = np.zeros((n_samples, 1, IMAGE_SIZE, IMAGE_SIZE))
+    labels = balanced_labels(n_samples, NUM_CLASSES, rng)[:render]
+    images = np.zeros((len(labels), 1, IMAGE_SIZE, IMAGE_SIZE))
     for i, lab in enumerate(labels):
         images[i, 0] = render_digit(int(lab), rng, wobble=wobble, noise=noise)
     return Dataset(images, labels.astype(np.int64), NUM_CLASSES, name="synth-mnist")

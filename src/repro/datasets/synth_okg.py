@@ -14,7 +14,7 @@ with 6 filters yields ``6 x 24 x 24 = 3456`` features, matching the
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -78,12 +78,17 @@ def render_keyword(label: int, rng: np.random.Generator, *, noise: float = 0.07)
     return add_noise(img, rng, noise)
 
 
-def make_okg(n_samples: int = 2400, *, seed: int = 0, noise: float = 0.07) -> Dataset:
-    """Generate a synthetic OKG dataset of ``(N, 1, 28, 28)`` spectrograms."""
+def make_okg(n_samples: int = 2400, *, seed: int = 0, noise: float = 0.07,
+             render: Optional[int] = None) -> Dataset:
+    """Generate a synthetic OKG dataset of ``(N, 1, 28, 28)`` spectrograms.
+
+    ``render`` keeps only the first ``render`` samples, bit-equal to the
+    full draw's: every label is drawn first, then the patches one by one.
+    """
     check_counts(n_samples, NUM_CLASSES)
     rng = np.random.default_rng(seed)
-    labels = balanced_labels(n_samples, NUM_CLASSES, rng)
-    x = np.zeros((n_samples, 1, IMAGE_SIZE, IMAGE_SIZE))
+    labels = balanced_labels(n_samples, NUM_CLASSES, rng)[:render]
+    x = np.zeros((len(labels), 1, IMAGE_SIZE, IMAGE_SIZE))
     for i, lab in enumerate(labels):
         x[i, 0] = render_keyword(int(lab), rng, noise=noise)
     return Dataset(x, labels.astype(np.int64), NUM_CLASSES, name="synth-okg")

@@ -95,6 +95,16 @@ class ServiceClosedError(ReproError):
     """
 
 
+class QueueFullError(ReproError):
+    """A job was refused because the study service's queue is full.
+
+    A service admits at most :data:`repro.serve.queue.MAX_QUEUED_JOBS`
+    queued executions; a submission that would add one more raises this
+    (a duplicate of a queued or finished job still coalesces).  The HTTP
+    API answers it with ``429 Too Many Requests`` and ``Retry-After``.
+    """
+
+
 class JobEvictedError(ConfigurationError):
     """A job id names a finished job whose record was since evicted.
 

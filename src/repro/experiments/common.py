@@ -59,11 +59,16 @@ FULL = ExperimentProfile(n_samples=2400, epochs=12, admm_iterations=3,
                          admm_epochs=2, finetune_epochs=4, calib_n=64)
 
 
-def make_dataset(task: str, n_samples: int, seed: int = 0) -> Dataset:
-    """Build the synthetic dataset for a task."""
+def make_dataset(task: str, n_samples: int, seed: int = 0, *,
+                 render: Optional[int] = None) -> Dataset:
+    """Build the synthetic dataset for a task.
+
+    ``render`` keeps the first ``render`` samples only, rendering no
+    others; they are bit-equal to the full dataset's.
+    """
     if task not in _DATASET_MAKERS:
         raise ConfigurationError(f"unknown task {task!r}")
-    return _DATASET_MAKERS[task](n_samples, seed=seed)
+    return _DATASET_MAKERS[task](n_samples, seed=seed, render=render)
 
 
 def prepare_quantized(

@@ -11,8 +11,9 @@ with a pool of worker processes:
 2. the prepared models are shipped to each worker once, when it starts
    (not once per task);
 3. each serial loop and each worker draws every distinct
-   :attr:`Scenario.dataset_key` once, on first use, and hands the
-   read-only stream to every later scenario sharing it;
+   :attr:`Scenario.dataset_key` once, on first use, rendering only the
+   samples the run's scenarios read, and hands the read-only stream to
+   every later scenario sharing it;
 4. workers execute scenarios with :func:`execute_scenario` — the *same*
    function the serial path uses — so parallel results are bit-identical
    to serial results for the same specs.
@@ -63,7 +64,9 @@ import time
 import traceback
 import warnings
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
 
 from repro.errors import (
     ConfigurationError,
@@ -132,7 +135,7 @@ def execute_scenario(
     )
     ds = dataset
     if ds is None:
-        ds = make_dataset(*scenario.dataset_key)
+        ds = make_dataset(*scenario.dataset_key, render=scenario.n_samples)
     # The cached model is shared across scenarios (and, serially, across
     # this whole run); its overflow monitor is per-scenario scratch.
     # Reset it here and snapshot the count into the result so overflow
@@ -167,46 +170,58 @@ def _failure_result(
     )
 
 
-def _shared_dataset(
-    scenario: Scenario, datasets: Dict[Tuple, Dataset]
-) -> Dataset:
-    """The scenario's input stream from one run's ``datasets`` dict.
+class _InputStreams:
+    """One run's input streams, or one pool worker's copy of them.
 
-    Drawn on first use of its :attr:`Scenario.dataset_key` and reused by
-    every later scenario of the run that shares the key.  Its ``x`` and
-    ``y`` are made read-only, so no scenario can change the input of the
-    next.  A draw that raises stores nothing.
+    Each :attr:`Scenario.dataset_key` is drawn on first use and reused
+    by every later scenario of ``scenarios`` that shares it.  A draw
+    renders only the largest ``n_samples`` among those scenarios — a
+    scenario reads no more of it — and every rendered sample is
+    bit-equal to the full draw's (see
+    :func:`~repro.experiments.common.make_dataset`).  Its ``x`` and
+    ``y`` are made read-only, so no scenario can change the input of
+    the next.  A draw that raises stores nothing.
     """
-    key = scenario.dataset_key
-    ds = datasets.get(key)
-    if ds is not None:
-        if _obs.ENABLED:
-            _obs.count("fleet.datasets.reused")
-        return ds
-    # Looked up per call, so a wrapped make_dataset (tracing, tests) is
-    # the one that draws.
-    from repro.experiments.common import make_dataset
 
-    ds = make_dataset(*key)
-    ds.x.setflags(write=False)
-    ds.y.setflags(write=False)
-    datasets[key] = ds
-    if _obs.ENABLED:
-        _obs.count("fleet.datasets.drawn")
-    return ds
+    def __init__(self, scenarios: Iterable[Scenario]) -> None:
+        self._renders: Dict[Tuple, int] = {}
+        for scenario in scenarios:
+            key = scenario.dataset_key
+            self._renders[key] = max(self._renders.get(key, 0),
+                                     scenario.n_samples)
+        self._drawn: Dict[Tuple, Dataset] = {}
+
+    def get(self, scenario: Scenario) -> Dataset:
+        key = scenario.dataset_key
+        ds = self._drawn.get(key)
+        if ds is not None:
+            if _obs.ENABLED:
+                _obs.count("fleet.datasets.reused")
+            return ds
+        # Looked up per call, so a wrapped make_dataset (tracing, tests)
+        # is the one that draws.
+        from repro.experiments.common import make_dataset
+
+        ds = make_dataset(*key, render=self._renders[key])
+        ds.x.setflags(write=False)
+        ds.y.setflags(write=False)
+        self._drawn[key] = ds
+        if _obs.ENABLED:
+            _obs.count("fleet.datasets.drawn")
+        return ds
 
 
 def _execute_captured(
     scenario: Scenario,
     qmodel: QuantizedModel,
     engine: str,
-    datasets: Dict[Tuple, Dataset],
+    streams: _InputStreams,
 ) -> ScenarioResult:
     """``execute_scenario`` with exceptions folded into a failure record.
 
-    ``datasets`` is the calling run's (or worker's) dict of input
-    streams, see :func:`_shared_dataset`.  Only :class:`Exception` is
-    captured — ``KeyboardInterrupt`` and friends still abort the run.
+    ``streams`` are the calling run's (or worker's) input streams.  Only
+    :class:`Exception` is captured — ``KeyboardInterrupt`` and friends
+    still abort the run.
     The record (not a raised exception) is what crosses the process
     boundary, so a broken cell never tears down the pool mid-map, and
     the failure always names its scenario — a failed draw included.
@@ -214,9 +229,8 @@ def _execute_captured(
     try:
         with _spans.span("fleet.scenario", scenario=scenario.name,
                          runtime=scenario.runtime):
-            dataset = _shared_dataset(scenario, datasets)
             result = execute_scenario(scenario, qmodel, engine=engine,
-                                      dataset=dataset)
+                                      dataset=streams.get(scenario))
         if _obs.ENABLED:
             _obs.count("fleet.scenarios")
         return result
@@ -255,7 +269,8 @@ def _init_worker(
         _obs.disable()
 
 
-def _supervised_worker(uid, inq, conn, models, engine, obs_on, plan):
+def _supervised_worker(uid, inq, conn, models, engine, obs_on, plan,
+                       streams):
     """One supervised worker process: loop ``inq`` tasks until sentinel.
 
     Tasks are ``(input index, scenario)``; each reply on this worker's
@@ -283,9 +298,9 @@ def _supervised_worker(uid, inq, conn, models, engine, obs_on, plan):
         _inject.install(plan)
     else:
         _inject.uninstall()
-    # This worker's input streams: it lives for one run, and a respawned
-    # worker starts empty.
-    datasets: Dict[Tuple, Dataset] = {}
+    # ``streams`` is this worker's own copy of the run's (never drawn
+    # in the parent): it lives for one run, and a respawned worker
+    # starts empty.
     while True:
         item = inq.get()
         if item is None:
@@ -300,7 +315,7 @@ def _supervised_worker(uid, inq, conn, models, engine, obs_on, plan):
         else:
             result = _execute_captured(
                 scenario, _WORKER_MODELS[scenario.model_key], _WORKER_ENGINE,
-                datasets,
+                streams,
             )
         payload = _obs.snapshot() if _obs.ENABLED else None
         conn.send((uid, index, result, payload))
@@ -426,9 +441,11 @@ class FleetRunner:
             from repro.store.cache import scenario_key
             from repro.store.records import decode_result
 
-            for i, scenario in enumerate(scenarios):
-                keys[i] = scenario_key(scenario, self.engine)
-                payload = store.lookup(keys[i])
+            keys = [scenario_key(s, self.engine) for s in scenarios]
+            # One call for the whole run: a serve worker's store is a
+            # pipe away, and this makes it one round trip.
+            payloads = store.lookup(keys)
+            for i, (scenario, payload) in enumerate(zip(scenarios, payloads)):
                 if payload is None:
                     to_run.append((i, scenario))
                 else:
@@ -496,12 +513,12 @@ class FleetRunner:
         don't contend.  The input streams are this call's own, so no
         other thread ever sees them.
         """
-        datasets: Dict[Tuple, Dataset] = {}
+        streams = _InputStreams(s for _, s in items)
         for index, scenario in items:
             with self.cache.execution_lock(scenario.model_key):
                 result = _execute_captured(
                     scenario, models[scenario.model_key], self.engine,
-                    datasets,
+                    streams,
                 )
             commit(index, result)
 
@@ -530,6 +547,7 @@ class FleetRunner:
         plan = _inject.active_plan()
         if _obs.ENABLED:
             _obs.gauge("fleet.workers", procs)
+        streams = _InputStreams(s for _, s in items)
         pending: Deque[Tuple[int, Scenario]] = deque(items)
         attempts: Dict[int, int] = {}  # index -> worker-lost count
         done: set = set()
@@ -552,7 +570,7 @@ class FleetRunner:
             proc = ctx.Process(
                 target=_supervised_worker,
                 args=(uid, inq, send_end, models, self.engine,
-                      _obs.ENABLED, plan),
+                      _obs.ENABLED, plan, streams),
                 name=f"fleet-worker-{uid}",
                 daemon=True,
             )

@@ -3,7 +3,8 @@
 Mirrors the server's routes one method per route, translating the JSON
 error envelope back into the repro exception hierarchy: a 400 becomes
 :class:`~repro.errors.ConfigurationError`, a 503
-:class:`~repro.errors.ServiceClosedError`, a failed job
+:class:`~repro.errors.ServiceClosedError`, a 429 (queue full)
+:class:`~repro.errors.QueueFullError`, a failed job
 :class:`~repro.errors.JobFailedError` — so driving a remote service
 raises exactly what calling :class:`~repro.serve.service.StudyService`
 in-process would.
@@ -26,6 +27,7 @@ from repro.errors import (
     ConfigurationError,
     JobEvictedError,
     JobFailedError,
+    QueueFullError,
     ReproError,
     ServiceClosedError,
 )
@@ -38,6 +40,7 @@ _ERROR_TYPES = {
     "JobEvictedError": JobEvictedError,
     "ServiceClosedError": ServiceClosedError,
     "JobFailedError": JobFailedError,
+    "QueueFullError": QueueFullError,
 }
 
 #: Transient server-side statuses worth retrying on idempotent requests.
@@ -135,6 +138,8 @@ class ServeClient:
         """POST one job; ``spec`` is a JobSpec or its dict form.
 
         Returns the job resource (``id``, ``state``, ``dedup`` ...).
+        Raises :class:`~repro.errors.QueueFullError` when the service's
+        queue is full; the request is not retried.
         """
         payload = spec if isinstance(spec, dict) else spec.to_dict()
         return self._json("POST", "/jobs", payload)

@@ -8,7 +8,10 @@ concurrency, bit-identity) lives below it in :mod:`repro.serve`:
 verb    path                    body / response
 ======  ======================  ==========================================
 POST    /jobs                   :meth:`JobSpec.to_dict` JSON in; job
-                                resource out (``202``)
+                                resource out (``202``; ``429`` with
+                                ``Retry-After`` when the queue is full:
+                                see :data:`~repro.serve.queue.
+                                MAX_QUEUED_JOBS`)
 GET     /jobs                   every job resource, submission order
 GET     /jobs/<id>              one job resource (``404`` unknown,
                                 ``410`` evicted: see
@@ -42,6 +45,7 @@ from urllib.parse import parse_qs, urlparse
 from repro.errors import (
     ConfigurationError,
     JobEvictedError,
+    QueueFullError,
     ReproError,
     ServiceClosedError,
 )
@@ -55,6 +59,9 @@ MAX_WAIT_S = 300.0
 #: Largest ``POST /jobs`` body accepted (a JobSpec is a few hundred bytes);
 #: a bigger declared ``Content-Length`` is answered 413 without reading.
 MAX_BODY_BYTES = 64 * 1024
+
+#: ``Retry-After`` seconds sent with a ``429`` (queue full) answer.
+RETRY_AFTER_S = 1
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):
@@ -91,15 +98,17 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- plumbing -------------------------------------------------------------
 
-    def _send_json(self, status: int, payload) -> None:
+    def _send_json(self, status: int, payload, headers=()) -> None:
         body = json.dumps(payload).encode("utf-8")
-        self._send_bytes(status, body)
+        self._send_bytes(status, body, headers=headers)
 
     def _send_bytes(
         self, status: int, body: bytes,
-        content_type: str = "application/json",
+        content_type: str = "application/json", headers=(),
     ) -> None:
         self.send_response(status)
+        for name, value in headers:
+            self.send_header(name, value)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         if self.close_connection:
@@ -107,9 +116,12 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_error_json(self, status: int, exc: Exception) -> None:
+    def _send_error_json(
+        self, status: int, exc: Exception, headers=()
+    ) -> None:
         self._send_json(
-            status, {"error": str(exc), "type": type(exc).__name__}
+            status, {"error": str(exc), "type": type(exc).__name__},
+            headers,
         )
 
     def _job(self, job_id: str):
@@ -172,6 +184,11 @@ class _Handler(BaseHTTPRequestHandler):
             job = self.service.submit(spec)
         except ServiceClosedError as exc:
             self._send_error_json(503, exc)
+            return
+        except QueueFullError as exc:
+            self._send_error_json(
+                429, exc, (("Retry-After", str(RETRY_AFTER_S)),)
+            )
             return
         except ReproError as exc:
             self._send_error_json(400, exc)

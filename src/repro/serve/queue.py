@@ -43,6 +43,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 from repro.errors import (
     ConfigurationError,
     JobEvictedError,
+    QueueFullError,
     ServiceClosedError,
 )
 from repro.faults.retry import RetryPolicy, is_transient
@@ -65,6 +66,12 @@ TERMINAL = (DONE, FAILED, CANCELLED)
 #: :class:`~repro.errors.JobEvictedError`.  A finished record holds its
 #: table, so this is what bounds a long-lived service's memory.
 MAX_FINISHED_JOBS = 1024
+
+#: Queued executions a queue admits; a submission that would queue one
+#: more raises :class:`~repro.errors.QueueFullError`.  Dedup hits add
+#: none, and a retried job keeps its place, so this bounds the pending
+#: work (and memory) a burst of distinct submissions can pile up.
+MAX_QUEUED_JOBS = 256
 
 
 @dataclass(frozen=True)
@@ -277,7 +284,9 @@ class JobQueue:
         The returned job may already be ``done`` (completed-table cache
         hit) or coalesced onto an in-flight execution — both count as
         dedup hits.  Raises :class:`~repro.errors.ServiceClosedError`
-        once :meth:`close` has begun.
+        once :meth:`close` has begun, and
+        :class:`~repro.errors.QueueFullError` when the spec would queue
+        an execution past :data:`MAX_QUEUED_JOBS`.
         """
         key = spec.dedup_key()
         with self._cond:
@@ -285,13 +294,22 @@ class JobQueue:
                 raise ServiceClosedError(
                     "service is shutting down; job not accepted"
                 )
+            cached = self._lookup(key) if self._lookup is not None else None
+            primary = None if cached is not None else self._inflight.get(key)
+            if (cached is None and primary is None
+                    and len(self._queue) >= MAX_QUEUED_JOBS):
+                if _obs.ENABLED:
+                    _obs.count("serve.jobs_refused")
+                raise QueueFullError(
+                    f"queue full ({MAX_QUEUED_JOBS} jobs queued); "
+                    "retry later"
+                )
             self._seq += 1
             job = Job(f"job-{self._seq:06d}", spec, key)
             self._jobs[job.id] = job
             self.submitted += 1
             if _obs.ENABLED:
                 _obs.count("serve.jobs_submitted")
-            cached = self._lookup(key) if self._lookup is not None else None
             if cached is not None:
                 job.table = cached
                 job.from_cache = True
@@ -300,7 +318,6 @@ class JobQueue:
                 if _obs.ENABLED:
                     _obs.count("serve.dedup_hits")
                 return job
-            primary = self._inflight.get(key)
             if primary is not None:
                 job.coalesced_into = primary.id
                 primary.attached.append(job)

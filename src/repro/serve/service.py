@@ -4,11 +4,14 @@
 
 * worker processes for fleet-executed studies
   (:mod:`repro.serve.worker`): each queue thread hands such a job to
-  its own long-lived ``spawn``-started process, which runs
+  its own long-lived process, which runs
   :func:`~repro.study.core.run_study` with a
   :class:`~repro.fleet.cache.ModelCache` of its own, so two threads
-  simulate on two CPUs instead of taking turns on one interpreter lock;
-  direct studies (``fig8``, ``table1``, the ablations, ...) are
+  simulate on two CPUs instead of taking turns on one interpreter lock.
+  The constructor forks them when no other thread is alive — the last
+  moment a fork is safe, since the queue threads start right after —
+  and otherwise each thread spawns its own on its first fleet-executed
+  job; direct studies (``fig8``, ``table1``, the ablations, ...) are
   10-50 ms jobs and run on the thread itself;
 * one optional :class:`~repro.store.cache.ResultStore`, giving jobs
   durable per-scenario resume and a finished-table archive — a service
@@ -38,6 +41,7 @@ completed work is durable before ``close`` returns.
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
 from collections import OrderedDict
 from typing import List, Optional, Tuple
@@ -60,9 +64,12 @@ class StudyService:
     """Concurrent study executor with dedup (see module docstring).
 
     ``workers`` is the number of queue threads, so it bounds concurrent
-    executions and the worker processes (one per thread that has run a
-    fleet-executed job; each execution may itself fan out a fleet pool —
-    size the two levels together).  ``store`` attaches a durable
+    executions and the worker processes (one per thread; each execution
+    may itself fan out a fleet pool — size the two levels together).
+    Built with no other thread alive, the service forks all its worker
+    processes here, before its queue threads exist; otherwise a thread
+    spawns its worker on its first fleet-executed job (see
+    :mod:`repro.serve.worker` for why fork is safe only here).  ``store`` attaches a durable
     :class:`~repro.store.cache.ResultStore`; ``table_cache``
     bounds the in-memory finished-table LRU (0 disables it, leaving
     only in-flight coalescing and the store's archive).
@@ -87,12 +94,24 @@ class StudyService:
         #: key -> finished ResultTable; touched only under the queue
         #: lock (the lookup/publish callbacks run with it held).
         self._tables: "OrderedDict[str, ResultTable]" = OrderedDict()
-        #: Each queue thread's worker process, started on its first
-        #: fleet-executed job; ``_procs`` holds them all for close()
-        #: (None once closed).
+        #: Each queue thread's worker process: one forked here and not
+        #: yet claimed by a thread (``_idle``), or one the thread
+        #: spawns on its first fleet-executed job.  ``_procs`` holds
+        #: them all for close() (None once closed).
         self._local = threading.local()
         self._procs: Optional[List[WorkerProcess]] = []
         self._procs_lock = threading.Lock()
+        self._idle: List[WorkerProcess] = []
+        if (threading.active_count() == 1
+                and "fork" in multiprocessing.get_all_start_methods()):
+            # No other thread exists to hold a lock the fork would copy;
+            # the queue threads start below.
+            ends: list = []
+            for i in range(workers):
+                proc = WorkerProcess(f"serve-worker-{i}-proc")
+                self._procs.append(proc)
+                ends.append(proc.start("fork", ends)[1])
+            self._idle = list(self._procs)
         self.queue = JobQueue(
             self._execute,
             workers=workers,
@@ -218,13 +237,17 @@ class StudyService:
         """The calling queue thread's worker process handle."""
         proc = getattr(self._local, "proc", None)
         if proc is None:
-            proc = WorkerProcess(f"{threading.current_thread().name}-proc")
             with self._procs_lock:
                 if self._procs is None:
                     raise ServiceClosedError(
                         "service is shutting down; worker not started"
                     )
-                self._procs.append(proc)
+                if self._idle:
+                    proc = self._idle.pop()
+                else:
+                    proc = WorkerProcess(
+                        f"{threading.current_thread().name}-proc")
+                    self._procs.append(proc)
             self._local.proc = proc
         return proc
 

@@ -3,10 +3,20 @@
 Simulating a study's scenarios is GIL-bound Python, so two service
 threads running fleet-executed studies side by side share one CPU.
 :class:`StudyService` therefore hands each such job to a long-lived
-worker process: one per queue thread, started with ``spawn`` on that
-thread's first fleet-executed job.  Never ``fork``: the service is
-threaded, and a child forked from it can inherit a mutex another
-thread holds.  Direct studies stay on the thread (see
+worker process, one per queue thread.  How it starts depends on when:
+
+* ``fork``, eagerly, from :class:`StudyService`'s constructor when no
+  other thread is alive.  ``repro serve`` builds its service before
+  ``serve_http`` starts a thread, so its workers start this way: a fork
+  costs tens of milliseconds where a ``spawn`` re-imports numpy and
+  ``repro``.  Fork is safe there and nowhere later: a child forked from
+  a threaded process can inherit a mutex another thread holds.
+* ``spawn``, lazily, on a queue thread's first fleet-executed job, in
+  every other case: a service built while other threads run (a test
+  process, an embedding application), and every respawn after a lost
+  or timed-out worker, since the queue threads are running by then.
+
+Direct studies stay on the thread (see
 :meth:`~repro.serve.service.StudyService._execute`).
 
 The worker runs plain :func:`~repro.study.core.run_study` with one
@@ -16,14 +26,17 @@ process with no other threads.  The service keeps the only
 :class:`~repro.store.cache.ResultStore`: the worker's ``run_study`` gets
 a :class:`_StoreProxy` whose calls travel over the worker's pipe and
 are applied by the dispatching thread, so per-scenario streaming,
-resume and the table archive work as in-process, and the scenarios a
-lost worker finished are already durable.
+resume and the table archive work as in-process.  A fleet run costs
+the pipe one lookup round trip (all its keys in one call) and one
+one-way message per finished scenario (see :class:`_StoreProxy`).
 
 One pipe per worker carries, service to worker: a job ``(spec, rules,
 obs_on, use_store)``, a store call's answer, or ``None`` (stop).
-Worker to service: ``("ready",)`` once imported, a store call, then the
-job's outcome, with its metrics delta when ``obs_on``.  Failures keep
-the fault model of :mod:`repro.faults`:
+Worker to service: ``("ready",)`` once started (awaited at start for a
+spawned worker, whose imports a job's timeout must not count, and
+skipped by a forked worker's first job), store calls and puts, then the
+job's outcome, with its metrics delta when ``obs_on``.
+Failures keep the fault model of :mod:`repro.faults`:
 
 * EOF on the pipe (the worker died) raises
   :class:`~repro.errors.WorkerLostError`, which the retry policy
@@ -47,6 +60,8 @@ from typing import Optional, Tuple
 from repro.errors import ReproError, ServiceClosedError, WorkerLostError
 from repro.faults import inject as _inject
 from repro.obs import metrics as _obs
+from repro.obs import spans as _spans
+from repro.store.cache import encode_record
 
 #: How long :meth:`WorkerProcess.stop` waits for a worker to exit after
 #: its stop message before terminating it.
@@ -79,26 +94,33 @@ def _portable(exc: BaseException) -> BaseException:
 class _StoreProxy:
     """The worker's stand-in for the service's ``ResultStore``.
 
-    Each call is a round trip: the dispatching thread applies it to the
-    real store and answers ``(ok, value)``; a failure there is raised
-    here, where ``run_study`` would have seen it in-process.
+    ``lookup`` (one call per fleet run, for all its keys), ``flush``,
+    ``load_table`` and ``save_table`` are round trips: the dispatching
+    thread applies them to the real store and answers ``(ok, value)``; a
+    failure there is raised here, where ``run_study`` would have seen it
+    in-process.  ``put`` is one way: the result is encoded here (see
+    :func:`~repro.store.cache.encode_record`) and the service appends the
+    record in pipe order.  If that append raises, the service answers
+    the worker's next round trip with the error instead (a fleet run's
+    final ``flush`` is one), so the run fails as it would in-process.
+    Durability is unchanged: a put is only buffered until ``flush``.
     """
 
     def __init__(self, conn) -> None:
         self._conn = conn
 
-    def _call(self, method: str, *args, **kwargs):
-        self._conn.send(("store", method, args, kwargs))
+    def _call(self, method: str, *args):
+        self._conn.send(("store", method, args))
         ok, value = self._conn.recv()
         if not ok:
             raise value
         return value
 
-    def lookup(self, key):
-        return self._call("lookup", key)
+    def lookup(self, keys):
+        return self._call("lookup", keys)
 
     def put(self, key, result, *, engine: str = "") -> None:
-        self._call("put", key, result, engine=engine)
+        self._conn.send(("put", key, encode_record(result), engine))
 
     def flush(self) -> None:
         self._call("flush")
@@ -110,23 +132,31 @@ class _StoreProxy:
         self._call("save_table", key, table)
 
 
-def _worker_main(conn, plan) -> None:
+def _worker_main(conn, plan, inherited=()) -> None:
     """The worker process: run jobs from ``conn`` until told to stop.
 
     ``plan`` is the service's fault plan when the worker started, armed
     here so fault sites inside ``run_study`` (model builds, fleet pool
     workers) fire in this process as they would in the service.
+    ``inherited`` are the service's ends of worker pipes that a fork
+    copied into this process; closing them lets each worker see EOF when
+    the service is gone.
     """
     import multiprocessing
 
     from repro.fleet.cache import ModelCache
-    from repro.obs import spans as _spans
     from repro.study.core import run_study
 
+    for end in inherited:
+        end.close()
     # A spawned process inherits "spawn" as its default start method.
     # Restore the platform's, so a pooled job starts its fleet pool as
     # ``repro run`` does (fork on Linux: this process has no threads).
     multiprocessing.set_start_method(None, force=True)
+    # A forked worker starts with the service's metrics and spans; its
+    # job deltas must count only its own work.
+    _obs.reset_metrics()
+    _spans.clear()
     if hasattr(os, "setpgrp"):
         # Its own process group: a terminal's Ctrl-C reaches only the
         # service, which stops its workers once drained, and a timeout
@@ -225,6 +255,8 @@ class WorkerProcess:
 
     def __init__(self, name: str) -> None:
         self.name = name
+        #: How the current (or last) worker process started.
+        self.start_method: Optional[str] = None
         self._proc = None
         self._conn = None
         self._finalizer = None
@@ -235,21 +267,37 @@ class WorkerProcess:
         """Run ``job`` in the worker: ``(table, from_cache, cacheable)``."""
         proc, conn = self._proc, self._conn
         if proc is None:
-            proc, conn = self._start()
+            proc, conn = self.start()
         spec = job.spec
         rules = _inject.draw("serve.execute") if _inject.ENABLED else ()
         deadline = None if timeout_s is None else time.monotonic() + timeout_s
+        # The first error applying a one-way put; the next round trip
+        # answers with it, and later puts of the run are dropped (the
+        # in-process run would have stopped at that put).
+        put_error = None
         try:
             conn.send((spec, rules, _obs.ENABLED, store is not None))
             while True:
                 msg = _next_message(proc, conn, deadline)
-                if msg is None or msg[0] != "store":
+                if msg is None or msg[0] not in ("store", "put", "ready"):
                     break
-                _, method, args, kwargs = msg
+                if msg[0] == "ready":
+                    continue
+                if msg[0] == "put":
+                    if put_error is None:
+                        _, key, record, engine = msg
+                        try:
+                            store.put(key, record, engine=engine)
+                        except Exception as exc:
+                            put_error = exc
+                    continue
+                _, method, args = msg
                 try:
-                    answer = (True, getattr(store, method)(*args, **kwargs))
+                    answer = (True, getattr(store, method)(*args))
                 except Exception as exc:
                     answer = (False, _portable(exc))
+                if put_error is not None:
+                    answer, put_error = (False, _portable(put_error)), None
                 conn.send(answer)
         except (EOFError, OSError):
             self._lost(proc, f"{job.id} ({spec.study})")
@@ -272,6 +320,8 @@ class WorkerProcess:
         if outcome[0] == "error":
             _, exc, text = outcome
             raise exc from _RemoteTraceback(text)
+        if put_error is not None:
+            raise put_error
         return tuple(outcome[1:])
 
     def stop(self, *, wait_s: float = STOP_WAIT_S) -> None:
@@ -288,18 +338,29 @@ class WorkerProcess:
         self._closed = True
         self.stop()
 
-    def _start(self) -> Tuple:
+    def start(self, method: str = "spawn", inherited=()) -> Tuple:
+        """Start the worker process by ``method``: ``(process, pipe end)``.
+
+        ``fork`` is only safe while the calling process has no other
+        thread (see the module docstring).  ``inherited`` are the
+        service's ends of other workers' pipes, which a fork copies into
+        this worker; it closes them, and its own copy of this one.
+        """
         from multiprocessing import get_context, util
 
         if self._closed:
             raise ServiceClosedError(
                 "service is shutting down; worker not restarted"
             )
-        ctx = get_context("spawn")
+        ctx = get_context(method)
         conn, child = ctx.Pipe()
+        # A spawned worker gets only what it is sent; a forked one holds
+        # a copy of every open pipe end, to be closed.
+        inherited = (conn, *inherited) if method == "fork" else ()
         # Not a daemon: daemonic processes may not start a fleet pool.
         proc = ctx.Process(
-            target=_worker_main, args=(child, _inject.active_plan()),
+            target=_worker_main,
+            args=(child, _inject.active_plan(), inherited),
             name=self.name,
         )
         proc.start()
@@ -307,6 +368,7 @@ class WorkerProcess:
         child.close()
         with self._lock:
             self._proc, self._conn = proc, conn
+            self.start_method = method
             # Interpreter exit without close() stops the worker before
             # multiprocessing joins its non-daemon children.
             self._finalizer = util.Finalize(
@@ -314,10 +376,11 @@ class WorkerProcess:
             )
         if _obs.ENABLED:
             _obs.count("serve.worker_starts")
-        try:
-            conn.recv()  # ("ready",): imports are done
-        except (EOFError, OSError):
-            self._lost(proc, "starting")
+        if method == "spawn":
+            try:
+                conn.recv()  # ("ready",): its imports are done
+            except (EOFError, OSError):
+                self._lost(proc, "starting")
         return proc, conn
 
     def _lost(self, proc, what: str) -> None:

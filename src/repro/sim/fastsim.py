@@ -492,6 +492,25 @@ def program_key(runtime: InferenceRuntime) -> bytes:
          tuple(map(_ATOM_CONTENT, runtime.build_atoms()))), 2)
 
 
+def content_key(runtime: InferenceRuntime) -> bytes:
+    """:class:`ProgramCache`'s content key for ``runtime``.
+
+    A runtime that exposes its planner's signature (see
+    :meth:`~repro.sim.runtime.InferenceRuntime.program_signature`) is
+    keyed on it and the two flags :func:`compile_program` reads, so a
+    lookup builds no atoms; any other runtime (duck-typed ones too) on
+    :func:`program_key`.  Equal signatures plan equal label-free atoms,
+    so either key names one program.
+    """
+    planned = getattr(runtime, "program_signature", None)
+    signature = None if planned is None else planned()
+    if signature is None:
+        return program_key(runtime)
+    return marshal.dumps(
+        ("plan", runtime.snapshot_on_warning, runtime.commit_enabled,
+         signature), 2)
+
+
 class ProgramCache:
     """Memoized :func:`compile_program` in two tiers.
 
@@ -500,9 +519,9 @@ class ProgramCache:
     that shape its atom program (type, ``use_dma``, ``bcm_mode``); hits
     are lock-free, and a weakref finalizer evicts an entry when its model
     is collected.  On an identity miss the *content* tier looks the
-    program up by :func:`program_key`, so runtimes over models that
+    program up by :func:`content_key`, so runtimes over models that
     differ only in weights (another seed) share one program; only a
-    content miss compiles.  The content tier is an LRU of
+    content miss builds atoms and compiles.  The content tier is an LRU of
     ``_SHARED_PROGRAMS`` programs.  Sharing across models and threads is
     safe because replay never writes to a program (see
     :class:`CompiledProgram`).  Runtimes without a ``qmodel`` attribute
@@ -537,10 +556,9 @@ class ProgramCache:
         )
         program = self._programs.get(key)
         if program is None:
-            # Outside the lock: building the atoms costs about as much as
-            # compiling them, and a thread whose program is already shared
+            # Outside the lock: a thread whose program is already shared
             # should not queue behind another thread's compile.
-            content = program_key(runtime)
+            content = content_key(runtime)
             with self._lock:
                 program = self._programs.get(key)
                 if program is None:

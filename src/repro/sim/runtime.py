@@ -18,7 +18,7 @@ ACE+FLEX    compressed, LEA     vector ops       state bits + on-demand
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -42,6 +42,16 @@ class InferenceRuntime:
     def build_atoms(self) -> List[Atom]:
         """Compile one inference into the atom program."""
         raise NotImplementedError
+
+    def program_signature(self) -> Optional[Tuple]:
+        """Plain values that determine :meth:`build_atoms` up to labels.
+
+        Runtimes built on a planner return its signature (e.g.
+        :func:`repro.ace.plan.plan_signature`), which costs far less than
+        the atoms; ``None`` (the default) makes a program cache key on
+        the atoms themselves.
+        """
+        return None
 
     def compute_logits(self, x: np.ndarray) -> np.ndarray:
         """Numeric inference for a single sample ``x`` (no batch dim)."""

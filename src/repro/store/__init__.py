@@ -24,7 +24,9 @@ and reassembles a table bit-identical to an uninterrupted run.
 
 from repro.store.cache import (
     RESULT_COLUMNS,
+    EncodedResult,
     ResultStore,
+    encode_record,
     scenario_key,
     study_table_key,
 )
@@ -32,6 +34,7 @@ from repro.store.records import RECORD_FORMAT, decode_result, encode_result
 from repro.store.shards import MANIFEST_FORMAT, MANIFEST_NAME, ShardStore
 
 __all__ = [
+    "EncodedResult",
     "MANIFEST_FORMAT",
     "MANIFEST_NAME",
     "RECORD_FORMAT",
@@ -39,6 +42,7 @@ __all__ = [
     "ResultStore",
     "ShardStore",
     "decode_result",
+    "encode_record",
     "encode_result",
     "scenario_key",
     "study_table_key",

@@ -29,7 +29,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, List, NamedTuple, Optional, Sequence, Union
 
 from repro import __version__
 from repro.concurrency import ForkSafeLock
@@ -79,6 +79,31 @@ def scenario_key(
         "engine": engine,
         "code": code_version,
     })
+
+
+class EncodedResult(NamedTuple):
+    """A scenario result as :meth:`ResultStore.put` records it."""
+
+    #: The scenario's display name (the record's ``scenario`` column).
+    scenario: str
+    #: :func:`~repro.store.records.encode_result` of the result.
+    payload: str
+
+
+def encode_record(result: ScenarioResult) -> EncodedResult:
+    """Encode ``result`` for :meth:`ResultStore.put`.
+
+    Failed results are refused: caching a failure would serve it as a hit
+    forever instead of retrying the scenario.  A process that is not the
+    store's writer (a :mod:`repro.serve` worker) encodes here and ships
+    the record, so the writer only appends it.
+    """
+    if result.error:
+        raise ConfigurationError(
+            f"refusing to cache failed scenario {result.scenario.name!r}: "
+            f"{result.error}"
+        )
+    return EncodedResult(result.scenario.name, encode_result(result))
 
 
 def study_table_key(
@@ -143,45 +168,53 @@ class ResultStore:
         """Shard names dropped by torn-tail recovery when opening."""
         return tuple(self._shards.recovered)
 
-    def lookup(self, key: str) -> Optional[str]:
-        """The stored payload for ``key``, counting hit or miss."""
-        with self._lock:
-            payload = self._index.get(key)
-            if payload is None:
-                self.misses += 1
-                if _obs.ENABLED:
-                    _obs.count("store.scenario.misses")
-            else:
-                self.hits += 1
-                if _obs.ENABLED:
-                    _obs.count("store.scenario.hits")
-            return payload
+    def lookup(
+        self, keys: Union[str, Sequence[str]]
+    ) -> Union[Optional[str], List[Optional[str]]]:
+        """The stored payload for a key, counting hit or miss.
 
-    def put(self, key: str, result: ScenarioResult, *, engine: str = "") -> None:
+        Given a sequence of keys instead, the list of their payloads
+        (``None`` for each miss), all under one lock: one call per fleet
+        run, which a :mod:`repro.serve` worker makes as one round trip.
+        """
+        batch = [keys] if isinstance(keys, str) else keys
+        with self._lock:
+            payloads = [self._index.get(key) for key in batch]
+            hits = sum(payload is not None for payload in payloads)
+            self.hits += hits
+            self.misses += len(payloads) - hits
+        if _obs.ENABLED:
+            if hits:
+                _obs.count("store.scenario.hits", hits)
+            if len(payloads) > hits:
+                _obs.count("store.scenario.misses", len(payloads) - hits)
+        return payloads[0] if isinstance(keys, str) else payloads
+
+    def put(
+        self, key: str, result: Union[ScenarioResult, EncodedResult], *,
+        engine: str = "",
+    ) -> None:
         """Record one finished scenario (buffered; see :meth:`flush`).
 
-        Failed results are rejected — caching a failure would serve it as
-        a hit forever instead of retrying the scenario.  ``engine`` is
-        recorded alongside the payload for human inspection; the key
-        already encodes it.  Thread-safe: concurrent puts of the same
-        key write one record (the index check and append are atomic).
+        ``result`` is a :class:`ScenarioResult`, encoded here by
+        :func:`encode_record` (which refuses failed results), or a record
+        that function already made.  ``engine`` is recorded alongside the
+        payload for human inspection; the key already encodes it.
+        Thread-safe: concurrent puts of the same key write one record
+        (the index check and append are atomic).
         """
-        if result.error:
-            raise ConfigurationError(
-                f"refusing to cache failed scenario {result.scenario.name!r}: "
-                f"{result.error}"
-            )
+        record = (result if isinstance(result, EncodedResult)
+                  else encode_record(result))
         with self._lock:
             if key in self._index:
                 return
-            payload = encode_result(result)
             self._shards.append(
                 key=key,
-                scenario=result.scenario.name,
+                scenario=record.scenario,
                 engine=engine,
-                payload=payload,
+                payload=record.payload,
             )
-            self._index[key] = payload
+            self._index[key] = record.payload
             if _obs.ENABLED:
                 _obs.count("store.puts")
 

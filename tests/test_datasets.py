@@ -62,6 +62,30 @@ class TestDeterminism:
         assert not np.array_equal(a.x, b.x)
 
 
+class TestRenderedPrefix:
+    """``render=m`` draws every label but renders only the first ``m``
+    samples, each bit-equal to the full draw's (the makers consume their
+    generator label list first, then sample by sample)."""
+
+    @pytest.mark.parametrize("maker", [make_mnist, make_har, make_okg])
+    @pytest.mark.parametrize("seed", [0, 3, 20221])
+    def test_prefix_is_byte_equal_to_the_full_draw(self, maker, seed):
+        full = maker(16, seed=seed)
+        for m in (1, 4, 16):
+            prefix = maker(16, seed=seed, render=m)
+            assert prefix.x.tobytes() == full.x[:m].tobytes()
+            assert prefix.y.tobytes() == full.y[:m].tobytes()
+            assert prefix.num_classes == full.num_classes
+
+    def test_make_dataset_passes_render_through(self):
+        from repro.experiments.common import make_dataset
+
+        full = make_dataset("mnist", 16, seed=5)
+        prefix = make_dataset("mnist", 16, seed=5, render=4)
+        assert len(prefix) == 4
+        assert prefix.x.tobytes() == full.x[:4].tobytes()
+
+
 class TestBalance:
     @pytest.mark.parametrize(
         "maker,classes", [(make_mnist, 10), (make_har, 6), (make_okg, 12)]

@@ -21,7 +21,7 @@ from repro.fleet import (
     scenario_seed,
 )
 from repro.fleet.report import render_scenario_table
-from repro.fleet.runner import _shared_dataset, execute_scenario
+from repro.fleet.runner import _InputStreams, execute_scenario
 from repro.power import (
     ConstantTrace,
     SolarTrace,
@@ -350,12 +350,12 @@ def _count_draws(monkeypatch, log=None):
     real = common.make_dataset
     calls = []
 
-    def counting(task, n_samples, seed=0):
+    def counting(task, n_samples, seed=0, **kw):
         calls.append((task, n_samples, seed))
         if log is not None:
             with open(log, "a") as fh:
                 fh.write(f"{os.getpid()} {task} {n_samples} {seed}\n")
-        return real(task, n_samples, seed=seed)
+        return real(task, n_samples, seed=seed, **kw)
 
     monkeypatch.setattr(common, "make_dataset", counting)
     return calls
@@ -408,10 +408,10 @@ class TestSharedDatasets:
 
     def test_shared_stream_is_read_only_and_reused(self):
         scenario, twin = _shared_stream_grid()[:2]
-        datasets = {}
-        ds = _shared_dataset(scenario, datasets)
-        assert _shared_dataset(twin, datasets) is ds
-        assert datasets == {scenario.dataset_key: ds}
+        streams = _InputStreams([scenario, twin])
+        ds = streams.get(scenario)
+        assert streams.get(twin) is ds
+        assert streams._drawn == {scenario.dataset_key: ds}
         with pytest.raises(ValueError):
             ds.x[0] = 0.0
         with pytest.raises(ValueError):
@@ -427,11 +427,11 @@ class TestSharedDatasets:
         real = common.make_dataset
         calls = []
 
-        def flaky(task, n_samples, seed=0):
+        def flaky(task, n_samples, seed=0, **kw):
             calls.append(seed)
             if seed == 1:
                 raise OSError("injected draw failure")
-            return real(task, n_samples, seed=seed)
+            return real(task, n_samples, seed=seed, **kw)
 
         cache = _warm_cache(grid)
         monkeypatch.setattr(common, "make_dataset", flaky)
@@ -445,10 +445,10 @@ class TestSharedDatasets:
         # it, while the healthy stream is drawn once.
         assert calls.count(1) == len(failed) == 4
         assert calls.count(2) == 1
-        datasets = {}
+        streams = _InputStreams(grid)
         with pytest.raises(OSError):
-            _shared_dataset(grid[0], datasets)
-        assert datasets == {}
+            streams.get(grid[0])
+        assert streams._drawn == {}
 
     def test_telemetry_counts_draws_and_reuses(self):
         from repro import obs

@@ -102,6 +102,39 @@ class TestLabelFreeKey:
         assert len(cache) == len(SEEDS)
 
 
+class TestPlanSignature:
+    """The content tier keys planner runtimes on their plan signature,
+    which must split programs exactly where the label-free atoms do."""
+
+    def test_signature_key_partitions_like_the_atom_key(self):
+        runtimes = [
+            make_runtime(name, prepare_quantized(task, seed=seed))
+            for task in ("mnist", "har", "okg") for seed in range(5)
+            for name in RUNTIMES
+        ]
+        plan_keys = [fastsim.content_key(r) for r in runtimes]
+        # program_key builds the atoms: the oracle the signature replaces.
+        atom_keys = [fastsim.program_key(r) for r in runtimes]
+        assert plan_keys != atom_keys  # the signature path is taken
+        for i in range(len(runtimes)):
+            for j in range(i):
+                assert (plan_keys[i] == plan_keys[j]) == \
+                    (atom_keys[i] == atom_keys[j]), (i, j)
+
+    def test_content_hit_builds_no_atoms(self, models, monkeypatch):
+        cache = ProgramCache()
+        cache.get(make_runtime("ACE+FLEX", models["okg", 0]))
+        twin = make_runtime("ACE+FLEX", models["okg", 1])
+        monkeypatch.setattr(type(twin), "build_atoms", None)
+        assert cache.get(twin) is not None
+        assert cache.shared == 1
+
+    def test_runtimes_without_a_planner_key_on_atoms(self):
+        toy = ModelRuntime(toy_program(100.0))
+        assert toy.program_signature() is None
+        assert fastsim.content_key(toy) == fastsim.program_key(toy)
+
+
 class TestContentLru:
     def test_evicts_least_recently_used_past_the_bound(self):
         cache = ProgramCache()

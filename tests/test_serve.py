@@ -9,6 +9,9 @@ dedup counters.
 """
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -371,8 +374,108 @@ class TestAcceptanceIntegration:
         assert tb.to_json() == serial
 
 
+#: Run by ``forked_service`` in a fresh interpreter, where no other
+#: thread exists when the service is built.  Prints one JSON object.
+_FORK_SCRIPT = r"""
+import json, os, sys, threading
+from repro import obs
+from repro.faults import FaultPlan, FaultRule, RetryPolicy, inject
+from repro.serve import JobSpec, StudyService
+from repro.study import Profile, run_study
+
+spec = dict(engine="fast", parallel=False)
+obs.enable()
+fig7 = run_study("fig7", **spec).table.to_json()
+sweep = run_study("sweep-trace", profile=Profile(seed=3), **spec)
+# The parent's own counters, which a forked worker starts with.
+obs.reset()
+obs.enable()
+run_study("fig7", **spec)
+before = obs.snapshot()["counters"]["fleet.scenarios"]
+# The service's second job is SIGKILLed in its worker as it starts.
+inject.install(FaultPlan((
+    FaultRule(site="serve.execute", kind="crash", nth=2),
+)))
+threads = threading.active_count()
+svc = StudyService(workers=2, retry=RetryPolicy(max_attempts=2,
+                                                backoff_base_s=0.01))
+started = [(p.start_method, p._proc.pid) for p in svc._procs]
+alive = []
+for _, pid in started:
+    os.kill(pid, 0)  # raises if there is no such process
+    alive.append(pid)
+served = svc.run(JobSpec("fig7", **spec), timeout=120).to_json()
+after = obs.snapshot()["counters"]["fleet.scenarios"]
+retried = svc.run(JobSpec("sweep-trace", profile=Profile(seed=3), **spec),
+                  timeout=120).to_json()
+print(json.dumps({
+    "threads": threads, "started": started, "alive": alive,
+    "fig7_equal": served == fig7, "before": before, "after": after,
+    "sweep_equal": retried == sweep.table.to_json(),
+    "counters": svc.counters(),
+    "methods": sorted(p.start_method for p in svc._procs),
+}))
+svc.close()
+"""
+
+
+@pytest.fixture(scope="module")
+def forked_service():
+    """The ``_FORK_SCRIPT`` report: a service built with no other thread."""
+    out = subprocess.run(
+        [sys.executable, "-c", _FORK_SCRIPT], env=dict(os.environ),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+class TestForkedWorkers:
+    """A service built with no other thread alive forks its workers in
+    its constructor; a respawn, or a service built among threads, spawns."""
+
+    def test_thread_free_service_forks_before_its_threads(
+            self, forked_service):
+        assert forked_service["threads"] == 1
+        # Both pids existed before the first submit.
+        assert [m for m, _ in forked_service["started"]] == ["fork"] * 2
+        assert forked_service["alive"] == [
+            pid for _, pid in forked_service["started"]]
+        assert forked_service["fig7_equal"]
+
+    def test_forked_worker_delta_carries_no_parent_counters(
+            self, forked_service):
+        """The worker's first job adds exactly one in-process run's
+        fleet.scenarios, not the parent's counts it was forked with."""
+        before = forked_service["before"]
+        assert before > 0
+        assert forked_service["after"] == 2 * before
+
+    def test_killed_forked_worker_respawns_by_spawn_byte_equal(
+            self, forked_service):
+        counters = forked_service["counters"]
+        assert forked_service["sweep_equal"]
+        assert counters["retried"] == 1
+        assert counters["failed"] == 0
+        assert forked_service["methods"] == ["fork", "spawn"]
+
+    def test_service_built_among_threads_spawns_lazily(self):
+        hold = threading.Event()
+        other = threading.Thread(target=hold.wait, daemon=True)
+        other.start()
+        try:
+            with StudyService(workers=1) as svc:
+                assert svc._procs == []  # nothing started yet
+                svc.run(JobSpec("sweep-trace", engine="fast",
+                                parallel=False), timeout=120)
+                assert [p.start_method for p in svc._procs] == ["spawn"]
+        finally:
+            hold.set()
+            other.join()
+
+
 class TestWorkerProcesses:
-    """Fleet-executed jobs run in the service's spawned worker processes."""
+    """Fleet-executed jobs run in the service's worker processes."""
 
     SPEC = dict(engine="fast", parallel=False)
 
@@ -444,6 +547,42 @@ class TestWorkerProcesses:
             assert svc.job(job.id).from_cache is True
         assert again.to_json() == first.to_json()
 
+    def test_served_store_shards_equal_in_process_run(self, tmp_path):
+        """The records a served job streams through the worker's pipe
+        land in the same shards, byte for byte, as an in-process run's."""
+        spec = JobSpec("fig7", engine="fast", parallel=False)
+        run_study("fig7", engine="fast", parallel=False,
+                  store=ResultStore(tmp_path / "local"))
+        with StudyService(workers=1,
+                          store=ResultStore(tmp_path / "served")) as svc:
+            svc.run(spec, timeout=120)
+        local = sorted((tmp_path / "local").rglob("*.npz"))
+        served = sorted((tmp_path / "served").rglob("*.npz"))
+        assert [p.relative_to(tmp_path / "local") for p in local] == \
+            [p.relative_to(tmp_path / "served") for p in served]
+        assert len(local) >= 2  # record shards and the table archive
+        for a, b in zip(local, served):
+            assert a.read_bytes() == b.read_bytes()
+        assert (tmp_path / "local" / "manifest.json").read_text() == \
+            (tmp_path / "served" / "manifest.json").read_text()
+
+    def test_failed_one_way_put_fails_the_job(self, tmp_path, monkeypatch):
+        """A put the service cannot apply fails the job with its error,
+        raised at the worker's next round trip (the run's flush)."""
+        from repro.faults import RetryPolicy
+
+        def full_disk(self, key, result, *, engine=""):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(ResultStore, "put", full_disk)
+        spec = JobSpec("sweep-trace", engine="fast", parallel=False)
+        with StudyService(workers=1, store=ResultStore(tmp_path / "s"),
+                          retry=RetryPolicy(max_attempts=1)) as svc:
+            job = svc.submit(spec)
+            with pytest.raises(JobFailedError, match="No space left"):
+                svc.result(job.id, timeout=120)
+            assert "OSError" in svc.job(job.id).error
+
     def test_worker_exception_carries_its_traceback(self):
         """An exception in the worker fails the job with the worker's
         traceback; its type survives the pipe (so retry still sees it)."""
@@ -479,6 +618,64 @@ class TestWorkerProcesses:
             table = svc.run(JobSpec("sweep-trace", **self.SPEC), timeout=120)
         serial = run_study("sweep-trace", **self.SPEC).table
         assert table.to_json() == serial.to_json()
+
+
+class TestQueueBound:
+    def test_queue_admits_at_most_the_bound(self, toy_study, monkeypatch):
+        from repro.errors import QueueFullError
+        from repro.serve import queue
+
+        monkeypatch.setattr(queue, "MAX_QUEUED_JOBS", 2)
+        gate = threading.Event()
+        toy_study["gate"] = gate
+        svc = StudyService(workers=1)
+        try:
+            running = svc.submit(_spec(seed=0))
+            deadline = time.monotonic() + 5
+            while not toy_study["runs"] and time.monotonic() < deadline:
+                time.sleep(0.005)
+            queued = [svc.submit(_spec(seed=s)) for s in (1, 2)]
+            with pytest.raises(QueueFullError, match="queue full"):
+                svc.submit(_spec(seed=3))
+            # A duplicate queues nothing, so it still coalesces.
+            dup = svc.submit(_spec(seed=1))
+            assert dup.coalesced_into == queued[0].id
+            counters = svc.counters()
+            assert counters["submitted"] == 4  # the refused one is not
+            assert counters["queued"] == 2
+        finally:
+            gate.set()
+            svc.close()
+        assert svc.job(running.id).state == DONE
+        assert sorted(toy_study["runs"]) == [0, 1, 2]
+
+    def test_full_queue_is_429_with_retry_after(self, toy_study,
+                                                monkeypatch):
+        import urllib.error
+        import urllib.request
+
+        from repro.errors import QueueFullError
+        from repro.serve import queue
+
+        monkeypatch.setattr(queue, "MAX_QUEUED_JOBS", 0)
+        svc = StudyService(workers=1)
+        server = serve_http(svc)
+        try:
+            request = urllib.request.Request(
+                server.url + "/jobs", method="POST",
+                data=json.dumps(_spec(seed=1).to_dict()).encode("utf-8"),
+                headers={"Content-Type": "application/json"},
+            )
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(request)
+            assert err.value.code == 429
+            assert err.value.headers["Retry-After"] == "1"
+            assert json.loads(err.value.read())["type"] == "QueueFullError"
+            with pytest.raises(QueueFullError):
+                ServeClient(server.url).submit(_spec(seed=1))
+        finally:
+            server.shutdown()
+            svc.close()
 
 
 class TestJobRetention:

@@ -32,6 +32,7 @@ from repro.store import (
     ResultStore,
     ShardStore,
     decode_result,
+    encode_record,
     encode_result,
     scenario_key,
     study_table_key,
@@ -364,6 +365,41 @@ class TestResultStore:
         assert store.lookup(key) == encode_result(result)
         assert (store.hits, store.misses) == (1, 1)
         assert len(store) == 1 and key in store
+
+    def test_lookup_takes_a_batch(self, tmp_path):
+        store = ResultStore(tmp_path / "st")
+        scenario = _scenario()
+        key = scenario_key(scenario, "reference")
+        other = scenario_key(scenario, "fast")
+        result = ScenarioResult(
+            scenario=scenario,
+            stats=SessionStats(runtime="ACE+FLEX", results=[_run_result()]),
+        )
+        store.put(key, result)
+        assert store.lookup([other, key, other]) == \
+            [None, encode_result(result), None]
+        assert store.lookup([]) == []
+        assert (store.hits, store.misses) == (1, 2)
+
+    def test_put_of_an_encoded_record_equals_put_of_the_result(
+            self, tmp_path):
+        scenario = _scenario()
+        key = scenario_key(scenario, "reference")
+        result = ScenarioResult(
+            scenario=scenario,
+            stats=SessionStats(runtime="ACE+FLEX", results=[_run_result()]),
+        )
+        for name, value in (("live", result), ("encoded",
+                                               encode_record(result))):
+            store = ResultStore(tmp_path / name)
+            store.put(key, value, engine="reference")
+            store.flush()
+        a, b = (list(ShardStore(tmp_path / n).iter_rows())
+                for n in ("live", "encoded"))
+        assert a == b and len(a) == 1
+        failure = _failure_result(scenario, RuntimeError("transient"))
+        with pytest.raises(ConfigurationError, match="refusing to cache"):
+            encode_record(failure)
 
     def test_put_is_buffered_until_flush(self, tmp_path):
         store = ResultStore(tmp_path / "st", shard_rows=100)
