@@ -37,6 +37,13 @@ system inventory and experiment index.
 
 __version__ = "1.0.0"
 
+#: Version of the simulated bits: every study table and scenario result
+#: the package computes.  Result-store and service cache keys carry it
+#: instead of ``__version__``, so a change that alters any line of
+#: ``tests/golden/study_digests.txt`` bumps it and every result stored
+#: under the old bits misses.
+SIM_SEMANTICS = 1
+
 from repro.errors import (
     CheckpointError,
     ConfigurationError,
@@ -55,5 +62,6 @@ __all__ = [
     "QuantizationError",
     "ReproError",
     "ResourceExceededError",
+    "SIM_SEMANTICS",
     "__version__",
 ]

@@ -376,6 +376,8 @@ def _cmd_bench(args) -> None:
 
 
 def _cmd_serve(args) -> None:
+    import signal
+
     from repro import faults, obs
     from repro.serve import StudyService, serve_http
 
@@ -385,6 +387,18 @@ def _cmd_serve(args) -> None:
         obs.enable()
     store = _open_store(args)
     service = StudyService(workers=args.workers, store=store)
+    def drain(signum, frame):
+        # The first signal starts the drain; later ones are ignored, so a
+        # supervisor repeating SIGTERM cannot cut the store's flush short.
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        raise KeyboardInterrupt
+
+    # After the workers fork, so they keep their own dispositions: SIGINT
+    # interrupts even when the launching shell ignored it (``&``), and
+    # SIGTERM takes the same drain.
+    signal.signal(signal.SIGINT, drain)
+    signal.signal(signal.SIGTERM, drain)
     server = serve_http(service, args.host, args.port, log=args.verbose)
     # One parseable line, flushed before blocking: scripts starting the
     # server on an ephemeral port (--port 0) read the bound URL from it.

@@ -16,7 +16,9 @@ primitives that hardening pass is built on:
     ``os.register_at_fork`` hook swaps in fresh unlocked locks on the
     child side.  (The caches themselves are safe to inherit: a
     half-built entry can only exist in the *building* thread's locals,
-    never in the dict another thread — or a forked child — can see.)
+    never in the dict another thread — or a forked child — can see.
+    The RF segment tables of :mod:`repro.power.traces` grow in place
+    instead, so the child resets any table a fork caught mid-draw.)
 
 :class:`KeyedLocks`
     A lazily populated ``key -> Lock`` table.  Used where one global

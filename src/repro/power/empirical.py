@@ -236,6 +236,31 @@ class EmpiricalTrace(PowerTrace):
             return self._pw * dt
         return self._energy_slow(t, dt)
 
+    def harvest_time(self, t: float, energy_j: float) -> Optional[float]:
+        # F(t) + energy_j, inverted on the prefix-sum table.
+        if t < 0.0:
+            return None
+        if energy_j <= 0.0:
+            return 0.0
+        target = self._cum_at(t) + energy_j
+        cycle = self._cycle_j
+        if target <= cycle:
+            return self._time_at(target) - t
+        if self.end == "loop" and cycle > 0.0:
+            k = math.floor(target / cycle)
+            rest = target - k * cycle
+            x = self._time_at(rest) if rest > 0.0 else 0.0
+            return k * self._duration + x - t
+        last = self._powers_l[-1]
+        if self.end == "hold" and last > 0.0:
+            return self._duration + (target - cycle) / last - t
+        return math.inf
+
+    def _time_at(self, energy_j: float) -> float:
+        """Where ``F`` reaches ``0 < energy_j <= cycle_energy_j``."""
+        i = bisect_left(self._cum_l, energy_j) - 1
+        return self._edges_l[i] + (energy_j - self._cum_l[i]) / self._powers_l[i]
+
     def energy_batch(self, starts, dts) -> np.ndarray:
         """Exact vectorization of :meth:`energy` over the prefix-sum table.
 

@@ -14,11 +14,14 @@ runs are reproducible.
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_right
+from collections import OrderedDict
 from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.concurrency import ForkSafeLock
 from repro.errors import ConfigurationError
 
 
@@ -58,6 +61,16 @@ class PowerTrace:
         trapezoid = getattr(np, "trapezoid", None) or np.trapz
         return float(trapezoid(ps, ts))
 
+    def harvest_time(self, t: float, energy_j: float) -> Optional[float]:
+        """About how long (s) from ``t`` the trace takes to deliver
+        ``energy_j``: ``math.inf`` if it never does, ``None`` if the trace
+        has no cheap answer.
+
+        An estimate, for sizing batches (the fast engine's recharge
+        blocks); a result never depends on it.
+        """
+        return None
+
     def energy_batch(self, starts, dts) -> np.ndarray:
         """Vectorized :meth:`energy`: element ``i`` is *bitwise* equal to
         ``energy(float(starts[i]), float(dts[i]))``.
@@ -94,6 +107,9 @@ class ConstantTrace(PowerTrace):
         if dt < 0:
             raise ConfigurationError("dt must be non-negative")
         return self.power_w * dt
+
+    def harvest_time(self, t: float, energy_j: float) -> Optional[float]:
+        return energy_j / self.power_w if self.power_w > 0.0 else math.inf
 
     def energy_batch(self, starts, dts) -> np.ndarray:
         _, dts_b = _windows(starts, dts)
@@ -144,6 +160,20 @@ class SquareWaveTrace(PowerTrace):
             if hi > lo:
                 total_on += hi - lo
         return self.power_w * total_on
+
+    def harvest_time(self, t: float, energy_j: float) -> Optional[float]:
+        power = self.power_w
+        if power == 0.0:
+            return math.inf
+        on_len = self.duty * self.period_s
+        k = math.floor(t / self.period_s)
+        u = t - k * self.period_s
+        left = power * (on_len - u) if u < on_len else 0.0
+        if energy_j <= left:
+            return energy_j / power
+        # Whole on-phases, then part of one.
+        n, rest = divmod(energy_j - left, power * on_len)
+        return (k + 1 + n) * self.period_s + rest / power - t
 
     def energy_batch(self, starts, dts) -> np.ndarray:
         """Exact vectorization of :meth:`energy`.
@@ -218,19 +248,169 @@ class SquareWaveTrace(PowerTrace):
         return self.power_w * total_on
 
 
-class StochasticRFTrace(PowerTrace):
-    """Bursty ambient-RF-like harvesting: exponential on/off segments.
+#: Most RF segment tables a process keeps (least recently used first out).
+RF_TABLE_LIMIT = 8
+
+
+class _RFSegments:
+    """The segments of one RF parameter tuple, drawn lazily and shared by
+    every :class:`StochasticRFTrace` built with that tuple in a process.
 
     Segments are drawn on first use, in chunks that double in size, from
     one sequential ``default_rng(seed)`` stream: the same draws in the
     same order as generating the whole horizon up front, so each segment
-    is the same float whenever it is generated, and a run that reads only
-    the first minute of a 600 s horizon never draws the rest.  A trace is
-    not shared between threads (the chunks extend it in place).
+    is the same float whenever, and by whichever trace, it is drawn.
+    The table is append-only.  :meth:`extend` draws a chunk into locals
+    under the lock, then appends it and publishes ``end`` (then ``done``)
+    last, so a reader that sees ``local < end`` without the lock finds
+    the segment holding ``local`` already there.  A draw that raises
+    (a ``KeyboardInterrupt`` included) leaves the table and its rng as
+    they were before it; a table a fork catches mid-draw is reset in the
+    child (see :func:`_reset_tables_in_child`).
     """
 
     #: Segments in the first generation chunk; each later chunk doubles.
     FIRST_CHUNK = 256
+
+    def __init__(self, mean_power_w: float, mean_on_s: float,
+                 mean_off_s: float, seed: int, horizon_s: float) -> None:
+        self._params = (mean_power_w, mean_on_s, mean_off_s, horizon_s)
+        self._seed = seed
+        self._lock = ForkSafeLock()
+        self._reset()
+
+    def _reset(self) -> None:
+        """Forget every segment: back to the undrawn table."""
+        self._rng = np.random.default_rng(self._seed)
+        self._on = True
+        self._chunk = self.FIRST_CHUNK
+        # (start, end, power) segments tiling [0, end).  Segment i ends at
+        # the very float segment i + 1 starts at, so a bisect over their
+        # starts picks the one segment a first-match scan would.
+        self.segments: List[Tuple[float, float, float]] = []
+        self.starts: List[float] = []
+        #: ``(starts, ends, powers)`` arrays of the same segments.
+        self.arrays: Tuple[np.ndarray, np.ndarray, np.ndarray] = (
+            np.zeros(0), np.zeros(0), np.zeros(0))
+        #: ``cum[i]``: energy of segments ``[0, i)`` (an estimate's
+        #: table: summed in chunks, so not the scalar adds).
+        self.cum = np.zeros(1)
+        self.end = 0.0  # where the next segment starts
+        #: True once a segment ends at or past the nominal horizon.
+        self.done = False
+
+    def extend(self, local: float) -> None:
+        """Draw segments until one ends past ``local`` or the nominal
+        horizon is covered."""
+        with self._lock:
+            if self.done or local < self.end:
+                return  # another thread drew them first
+            _DRAWING.add(self)
+            try:
+                self._draw(local)
+            finally:
+                _DRAWING.discard(self)
+
+    def _draw(self, local: float) -> None:
+        mean_power_w, on_s, off_s, nominal = self._params
+        rng = self._rng
+        state = rng.bit_generator.state
+        segments = self.segments
+        starts = self.starts
+        n0 = len(segments)
+        try:
+            new = []
+            t = self.end
+            on = self._on
+            chunk = self._chunk
+            done = False
+            while not done and t <= local:
+                for _ in range(chunk):
+                    dur = float(rng.exponential(on_s if on else off_s))
+                    dur = max(dur, 1e-4)
+                    power = (
+                        float(rng.uniform(0.5, 1.5)) * mean_power_w
+                        * (on_s + off_s) / on_s
+                        if on
+                        else 0.0
+                    )
+                    new.append((t, t + dur, power))
+                    t += dur
+                    on = not on
+                    if t >= nominal:
+                        done = True
+                        break
+                chunk *= 2
+            rows = np.array(new, dtype=np.float64).reshape(-1, 3)
+            arrays = tuple(np.concatenate((old, rows[:, j]))
+                           for j, old in enumerate(self.arrays))
+            cum = np.concatenate((self.cum, self.cum[-1] + np.cumsum(
+                rows[:, 2] * (rows[:, 1] - rows[:, 0]))))
+            segments.extend(new)
+            starts.extend(start for start, _, _ in new)
+        except BaseException:
+            del segments[n0:]
+            del starts[n0:]
+            rng.bit_generator.state = state
+            raise
+        self.arrays = arrays
+        self.cum = cum
+        self._on = on
+        self._chunk = chunk
+        self.end = t
+        self.done = done
+
+
+#: Tables some thread is drawing into right now.
+_DRAWING: "set[_RFSegments]" = set()
+
+_RF_TABLES: "OrderedDict[tuple, _RFSegments]" = OrderedDict()
+_RF_TABLES_LOCK = ForkSafeLock()
+
+
+def _reset_tables_in_child() -> None:  # pragma: no cover - runs after fork
+    # POSIX fork keeps only the forking thread, so a table another thread
+    # was drawing into stays half-drawn in the child, its rng ahead of its
+    # published segments.  Start such tables over; the ForkSafeLocks come
+    # back unlocked on their own.
+    for table in list(_DRAWING):
+        table._reset()
+    _DRAWING.clear()
+
+
+if hasattr(os, "register_at_fork"):  # pragma: no branch - CPython >= 3.7
+    os.register_at_fork(after_in_child=_reset_tables_in_child)
+
+
+def _rf_segments(key: tuple) -> _RFSegments:
+    """The process's shared segment table for an RF parameter tuple."""
+    with _RF_TABLES_LOCK:
+        table = _RF_TABLES.get(key)
+        if table is None:
+            table = _RF_TABLES[key] = _RFSegments(*key)
+            if len(_RF_TABLES) > RF_TABLE_LIMIT:
+                _RF_TABLES.popitem(last=False)
+        else:
+            _RF_TABLES.move_to_end(key)
+        return table
+
+
+def clear_rf_segments() -> None:
+    """Forget every shared RF segment table (traces built earlier keep
+    theirs)."""
+    with _RF_TABLES_LOCK:
+        _RF_TABLES.clear()
+
+
+class StochasticRFTrace(PowerTrace):
+    """Bursty ambient-RF-like harvesting: exponential on/off segments.
+
+    The segments are a pure function of the constructor's arguments and
+    live in a table shared by every trace built with the same arguments
+    in the process (see :class:`_RFSegments`), so a fleet whose cells
+    share one supply spec draws them once.  A run that reads only the
+    first minute of a 600 s horizon never draws the rest.
+    """
 
     def __init__(
         self,
@@ -243,63 +423,27 @@ class StochasticRFTrace(PowerTrace):
         if mean_power_w < 0 or mean_on_s <= 0 or mean_off_s <= 0 or horizon_s <= 0:
             raise ConfigurationError("invalid stochastic trace parameters")
         self.mean_power_w = mean_power_w
-        self._mean_on_s = mean_on_s
-        self._mean_off_s = mean_off_s
+        self._args = (mean_power_w, mean_on_s, mean_off_s, seed, horizon_s)
         self._nominal_s = horizon_s
-        # Generation state; ``_rng`` is None once the horizon is covered.
-        self._rng: Optional[np.random.Generator] = np.random.default_rng(seed)
-        self._on = True
-        self._end = 0.0  # where the next segment starts
-        self._chunk = self.FIRST_CHUNK
-        # (start, end, power) segments tiling [0, _end).  Segment i ends at
-        # the very float segment i + 1 starts at, so a bisect over their
-        # starts picks the one segment a first-match scan would.
-        self._segments: List[Tuple[float, float, float]] = []
-        self._starts: List[float] = []
-        # Array mirror of ``_segments`` for ``energy_batch``, rebuilt when
-        # a chunk lands (geometric chunks keep that amortized O(n)).
-        self._table: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._table = _rf_segments(self._args)
 
-    def _generate(self, local: float) -> None:
-        """Draw segments until one ends past ``local`` or the nominal
-        horizon is covered."""
-        rng = self._rng
-        on_s = self._mean_on_s
-        off_s = self._mean_off_s
-        mean_power_w = self.mean_power_w
-        nominal = self._nominal_s
-        segments = self._segments
-        n0 = len(segments)
-        t = self._end
-        on = self._on
-        while rng is not None and t <= local:
-            for _ in range(self._chunk):
-                dur = float(rng.exponential(on_s if on else off_s))
-                dur = max(dur, 1e-4)
-                power = (
-                    float(rng.uniform(0.5, 1.5)) * mean_power_w * (on_s + off_s)
-                    / on_s
-                    if on
-                    else 0.0
-                )
-                segments.append((t, t + dur, power))
-                t += dur
-                on = not on
-                if t >= nominal:
-                    rng = self._rng = None
-                    break
-            self._chunk *= 2
-        self._starts.extend(start for start, _, _ in segments[n0:])
-        self._end = t
-        self._on = on
+    def __reduce__(self):
+        # The segments are rebuilt (or shared) from the arguments.
+        return (type(self), self._args)
+
+    @property
+    def _segments(self) -> List[Tuple[float, float, float]]:
+        """The segments drawn so far (shared, append-only)."""
+        return self._table.segments
 
     @property
     def horizon_s(self) -> float:
         """Length of the trace: the first segment end at or past the
         requested horizon.  Reading it draws every segment."""
-        if self._rng is not None:
-            self._generate(math.inf)
-        return self._end
+        table = self._table
+        if not table.done:
+            table.extend(math.inf)
+        return table.end
 
     def _base(self, t: float) -> float:
         """``floor(t / horizon_s) * horizon_s``: where the horizon copy
@@ -314,23 +458,15 @@ class StochasticRFTrace(PowerTrace):
 
     def _segment_at(self, local: float) -> Optional[Tuple[float, float, float]]:
         """The segment containing ``local``; ``None`` outside ``[0, horizon_s)``."""
-        if local >= self._end and self._rng is not None:
-            self._generate(local)
-        i = bisect_right(self._starts, local) - 1
+        table = self._table
+        if local >= table.end and not table.done:
+            table.extend(local)
+        i = bisect_right(table.starts, local) - 1
         if i >= 0:
-            segment = self._segments[i]
+            segment = table.segments[i]
             if segment[0] <= local < segment[1]:
                 return segment
         return None
-
-    def _arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(starts, ends, powers)`` of the segments drawn so far."""
-        table = self._table
-        if table is None or table[0].size != len(self._segments):
-            rows = np.array(self._segments, dtype=np.float64)
-            table = self._table = (
-                rows[:, 0].copy(), rows[:, 1].copy(), rows[:, 2].copy())
-        return table
 
     def power(self, t: float) -> float:
         segment = self._segment_at(t - self._base(t))
@@ -355,7 +491,7 @@ class StochasticRFTrace(PowerTrace):
                 # sits on the next one (the snap would spin in place):
                 # read it as that horizon's start.
                 local = 0.0
-                segment = self._segments[0]
+                segment = self._table.segments[0]
             _, end, p = segment
             take = min(end - local, remaining)
             total += p * take
@@ -367,39 +503,101 @@ class StochasticRFTrace(PowerTrace):
             remaining -= take
         return total
 
+    def harvest_time(self, t: float, energy_j: float) -> Optional[float]:
+        # Inside the first horizon copy only, off the segment energy table.
+        if not 0.0 <= t < self._nominal_s:
+            return None
+        if energy_j <= 0.0:
+            return 0.0
+        table = self._table
+        if t >= table.end and not table.done:
+            table.extend(t)
+        starts, _, powers = table.arrays
+        i = int(starts.searchsorted(t, side="right")) - 1
+        target = table.cum[i] + powers[i] * (t - starts[i]) + energy_j
+        while target > table.cum[-1]:
+            if table.done:
+                return None  # wraps past the horizon
+            table.extend(table.end)
+        cum = table.cum
+        starts, _, powers = table.arrays
+        j = int(cum.searchsorted(target)) - 1
+        return starts[j] + (target - cum[j]) / powers[j] - t
+
     def energy_batch(self, starts, dts) -> np.ndarray:
-        """Exact vectorization of :meth:`energy` for windows inside one
-        segment.
+        """Exact vectorization of :meth:`energy`.
 
         A window starting at ``0 <= t < nominal horizon`` has ``base ==
-        0.0`` and ``local == t`` (see :meth:`_base`).  When it also ends
-        inside the segment holding ``t`` (``end - t >= dt``) the scalar
-        loop runs once with ``take == dt``, so its value is ``0.0 + p *
-        dt``, computed here elementwise after one ``searchsorted`` — the
-        bisect of :meth:`_segment_at`.  A ``dt <= 1e-12`` never enters the
-        loop: 0.0.  Every other window (one crossing a segment end, or
-        starting at or past the nominal horizon, or below 0) goes through
-        the scalar method.
+        0.0`` and ``local == cur`` for as long as its walk stays below the
+        nominal horizon (see :meth:`_base`), so :meth:`_walk` runs the
+        scalar loop's operations elementwise, in the same order, over the
+        segments each window spans.  A ``dt <= 1e-12`` never enters the
+        loop: 0.0.  Windows starting below 0 or at or past the nominal
+        horizon, and those whose walk reaches it, go through the scalar
+        method.
         """
-        starts, dts_b = _windows(starts, dts)
+        return self.energy_batch_trusted(*_windows(starts, dts))
+
+    def energy_batch_trusted(self, starts, dts_b) -> np.ndarray:
+        """:meth:`energy_batch` minus input validation.  Callers guarantee
+        1-D float64 arrays of one shape with non-negative ``dts_b``."""
         out = np.zeros(starts.size)
         scalar = dts_b > 1e-12
         early = np.flatnonzero(
             scalar & (starts >= 0.0) & (starts < self._nominal_s))
         if early.size:
-            t = starts[early]
-            self._generate(float(t.max()))
-            seg_starts, seg_ends, seg_powers = self._arrays()
-            i = np.searchsorted(seg_starts, t, side="right") - 1
-            d = dts_b[early]
-            inside = seg_ends[i] - t >= d
-            done = early[inside]
-            out[done] = 0.0 + seg_powers[i[inside]] * d[inside]
-            scalar[done] = False
+            out[early], late = self._walk(starts[early], dts_b[early])
+            scalar[early] = late
         rest = np.flatnonzero(scalar)
         if rest.size:
             out[rest] = PowerTrace.energy_batch(self, starts[rest], dts_b[rest])
         return out
+
+    def _walk(self, cur: np.ndarray,
+              remaining: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`energy`'s loop on windows ``[cur, cur + remaining)`` with
+        ``0 <= cur < nominal horizon`` and ``remaining > 1e-12``:
+        ``(energies, late)``.
+
+        Each round is one pass of the scalar loop for every live window:
+        one ``searchsorted`` (the bisect of :meth:`_segment_at`), then
+        ``take``, ``total += p * take``, the advance and ``remaining -=
+        take``, elementwise.  A window leaves when its ``remaining`` drops
+        to ``1e-12``; one whose clock reaches the nominal horizon leaves
+        with ``late`` set and no energy, for the scalar method.  Most
+        windows leave after the first round; the rest span a few segments.
+        """
+        table = self._table
+        nominal = self._nominal_s
+        out = np.zeros(cur.size)
+        late = np.zeros(cur.size, dtype=bool)
+        live = np.arange(cur.size)
+        total = np.zeros(cur.size)
+        while True:
+            last = float(cur.max())
+            if last >= table.end and not table.done:
+                table.extend(last)
+            seg_starts, seg_ends, seg_powers = table.arrays
+            i = seg_starts.searchsorted(cur, side="right") - 1
+            take = np.minimum(seg_ends[i] - cur, remaining)
+            total = total + seg_powers[i] * take
+            advanced = cur + take
+            stuck = advanced == cur
+            if stuck.any():
+                advanced[stuck] = np.nextafter(cur[stuck], math.inf)
+            cur = advanced
+            remaining = remaining - take
+            going = remaining > 1e-12
+            out[live[~going]] = total[~going]
+            past = cur >= nominal
+            late[live[past & going]] = True
+            going &= ~past
+            if not going.any():
+                return out, late
+            live = live[going]
+            cur = cur[going]
+            remaining = remaining[going]
+            total = total[going]
 
 
 class SolarTrace(PowerTrace):
@@ -452,6 +650,24 @@ class SolarTrace(PowerTrace):
                 )
         return total
 
+    def harvest_time(self, t: float, energy_j: float) -> Optional[float]:
+        if self.peak_power_w == 0.0:
+            return math.inf
+        period = self.period_s
+        omega = 2 * math.pi / period
+        amplitude = self.peak_power_w / omega
+        k = math.floor(t / period)
+        u = t - k * period
+        # Energy left in this period's half-wave: A * (cos(wu) - cos(pi)).
+        c = math.cos(omega * u) if u < 0.5 * period else -1.0
+        if energy_j <= amplitude * (c + 1.0):
+            x = max(-1.0, c - energy_j / amplitude)
+            return math.acos(x) / omega - u
+        # Whole half-waves (2A each), then part of one.
+        n, rest = divmod(energy_j - amplitude * (c + 1.0), 2.0 * amplitude)
+        x = max(-1.0, 1.0 - rest / amplitude)
+        return (k + 1 + n) * period + math.acos(x) / omega - t
+
     def energy_batch(self, starts, dts) -> np.ndarray:
         """Exact vectorization of :meth:`energy` for windows inside one
         period.
@@ -460,11 +676,16 @@ class SolarTrace(PowerTrace):
         ``floor``, ``p0``, ``max``/``min`` and ``hi > lo`` test, then
         ``0.0 + amplitude * (cos_a - cos_b)``, each computed here
         elementwise with the same ops in the same order.  The cosines are
-        ``math.cos`` per element — the scalar method's libm call, so no
-        SIMD cosine can differ from it in the last bit.  Windows crossing a
-        period boundary, and ``dt == 0``, go through the scalar method.
+        ``math.cos`` per distinct argument — the scalar method's libm
+        call, so no SIMD cosine can differ from it in the last bit.
+        Windows crossing a period boundary, and ``dt == 0``, go through
+        the scalar method.
         """
-        starts, dts_b = _windows(starts, dts)
+        return self.energy_batch_trusted(*_windows(starts, dts))
+
+    def energy_batch_trusted(self, starts, dts_b) -> np.ndarray:
+        """:meth:`energy_batch` minus input validation.  Callers guarantee
+        1-D float64 arrays of one shape with non-negative ``dts_b``."""
         period = self.period_s
         end = starts + dts_b
         first = np.floor(starts / period)
@@ -478,11 +699,22 @@ class SolarTrace(PowerTrace):
             omega = 2 * math.pi / period
             amplitude = self.peak_power_w / omega
             p0 = p0[lit]
-            args = np.concatenate(
-                (omega * (lo[lit] - p0), omega * (hi[lit] - p0))).tolist()
-            cos = np.fromiter(map(math.cos, args), dtype=np.float64,
-                              count=len(args))
-            out[lit] = 0.0 + amplitude * (cos[:lit.size] - cos[lit.size:])
+            # Arguments interleaved (lo, hi) per window.  A recharge block's
+            # window ends where the next one starts, so its ``hi`` argument
+            # usually repeats as the next ``lo``: each run of equal
+            # arguments takes one ``math.cos``.
+            args = np.empty(2 * lit.size)
+            args[0::2] = omega * (lo[lit] - p0)
+            args[1::2] = omega * (hi[lit] - p0)
+            new = np.empty(args.size, dtype=bool)
+            new[0] = True
+            np.not_equal(args[1:], args[:-1], out=new[1:])
+            distinct = args[new]
+            cos = np.fromiter(map(math.cos, distinct.tolist()),
+                              dtype=np.float64, count=distinct.size)
+            if distinct.size < args.size:
+                cos = cos[np.cumsum(new) - 1]
+            out[lit] = 0.0 + amplitude * (cos[0::2] - cos[1::2])
         rest = np.flatnonzero(scalar)
         if rest.size:
             out[rest] = PowerTrace.energy_batch(self, starts[rest], dts_b[rest])

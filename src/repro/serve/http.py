@@ -87,6 +87,10 @@ class _Handler(BaseHTTPRequestHandler):
     # Quiet by default; the CLI flips this for interactive serving.
     log_to_stderr = False
     protocol_version = "HTTP/1.1"
+    # A response goes out as two writes (headers, then body).  With
+    # Nagle's algorithm on, the body waits for the client's delayed ACK
+    # of the headers: ~40 ms per request on a keep-alive connection.
+    disable_nagle_algorithm = True
 
     def log_message(self, fmt: str, *args) -> None:  # pragma: no cover
         if self.log_to_stderr:

@@ -716,15 +716,13 @@ class _Replay:
         # (validation-free) twin get called through it.
         self.energy_batch = getattr(trace, "energy_batch_trusted",
                                     trace.energy_batch)
-        # Where the trace family has a closed form: the long-run mean
-        # harvest per recharge step (sizes the first recharge block — an
-        # estimate; correctness never depends on it) and the largest
+        # Sizes recharge blocks (an estimate; results never depend on it).
+        self.harvest_time = trace.harvest_time
+        # Where the trace family has a closed form: the largest
         # single-step charge term (see ``no_clamp_recharge``).
         if type(trace) is SquareWaveTrace:
-            self.mean_step_j = trace.power_w * trace.duty * step * eff
             step_chg = (2.0 * ((trace.power_w * step) * eff)) / cap_f
         else:
-            self.mean_step_j = 0.0
             step_chg = float("inf")
         # The recharge loop exits at the first ``v >= v_on``, so every
         # step enters below ``v_on``; when a single step's charge cannot
@@ -1320,22 +1318,24 @@ class _Replay:
         timeout_s = self.timeout_s
         sqrt = math.sqrt
         waited = 0.0
-        if self.mean_step_j > 0.0:
-            rblock = int(self.half_c * (v_on ** 2 - v ** 2)
-                         / self.mean_step_j) + 8
-            if rblock > 65536:
-                rblock = 65536
-            elif rblock < 64:
-                rblock = 64
-        else:
-            rblock = 512
+        rblock = 512
         while v < v_on:
-            B = rblock
+            # Each block covers the steps the trace needs to deliver the
+            # charge still missing (plus rounding slack), when it can say;
+            # otherwise blocks grow geometrically.
+            ahead = self.harvest_time(
+                clock, self.half_c * (v_on * v_on - v * v) / self.eff)
+            if ahead is None:
+                B = rblock
+                if rblock < 16384:
+                    rblock = rblock * 4
+            elif ahead < 65536 * step:
+                B = int(ahead / step) + 4
+            else:
+                B = 65536
             to_timeout = int((timeout_s - waited) / step) + 2
             if B > to_timeout:
                 B = to_timeout
-            if rblock < 16384:
-                rblock = rblock * 4
             seg = np.empty(B + 1)
             seg[0] = clock
             seg[1:] = step

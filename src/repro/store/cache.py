@@ -3,11 +3,12 @@
 Keys follow the :mod:`repro.kernels.spectra` idiom — a BLAKE2b digest of
 *content*, not identity.  Here the content is the frozen simulation
 spec: the full :class:`~repro.fleet.scenario.Scenario` dataclass (trace
-spec included), the engine name, and the code version.  Two runs that
-would produce bit-identical results by the fleet determinism contract
-therefore share a key; anything that could change a single output bit —
-a different seed, capacitor, trace parameter, engine, or library
-release — changes the key and misses.
+spec included), the engine name, and :data:`repro.SIM_SEMANTICS`, the
+version of the simulated bits.  Two runs that would produce
+bit-identical results by the fleet determinism contract therefore share
+a key; anything that could change a single output bit — a different
+seed, capacitor, trace parameter, engine, or simulation semantics —
+changes the key and misses.
 
 :class:`ResultStore` is the durable root directory a study run writes
 into (``repro run <study> --out DIR``)::
@@ -31,7 +32,7 @@ import os
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Union
 
-from repro import __version__
+from repro import SIM_SEMANTICS
 from repro.concurrency import ForkSafeLock
 from repro.errors import ConfigurationError
 from repro.fleet.report import ScenarioResult
@@ -59,7 +60,7 @@ def _digest(payload: object) -> str:
 
 
 def scenario_key(
-    scenario: Scenario, engine: str, *, code_version: str = __version__
+    scenario: Scenario, engine: str, *, semantics: int = SIM_SEMANTICS
 ) -> str:
     """Content address of one scenario's result under one engine.
 
@@ -77,7 +78,7 @@ def scenario_key(
         "format": RECORD_FORMAT,
         "scenario": spec,
         "engine": engine,
-        "code": code_version,
+        "semantics": semantics,
     })
 
 
@@ -107,7 +108,7 @@ def encode_record(result: ScenarioResult) -> EncodedResult:
 
 
 def study_table_key(
-    study: str, profile, engine: str, *, code_version: str = __version__
+    study: str, profile, engine: str, *, semantics: int = SIM_SEMANTICS
 ) -> str:
     """Content address of a finished study table (any study shape)."""
     return _digest({
@@ -116,7 +117,7 @@ def study_table_key(
         "study": study,
         "profile": dataclasses.asdict(profile),
         "engine": engine,
-        "code": code_version,
+        "semantics": semantics,
     })
 
 

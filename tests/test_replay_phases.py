@@ -18,6 +18,7 @@ from repro.hw.board import Device
 from repro.power import (
     Capacitor,
     ConstantTrace,
+    EmpiricalTrace,
     EnergyHarvester,
     SolarTrace,
     SquareWaveTrace,
@@ -145,6 +146,8 @@ class TestRecharge:
         "rf": (lambda: StochasticRFTrace(1.5e-3, seed=3), {}, 600.0),
         "solar": (lambda: SolarTrace(4e-3, period_s=0.5), {}, 600.0),
         "constant": (lambda: ConstantTrace(2e-3), {}, 600.0),
+        "empirical": (lambda: EmpiricalTrace(
+            [0.0, 0.004, 0.01, 0.02], [6e-3, 0.0, 2.5e-3]), {}, 600.0),
         "constant-clamp-binds": (lambda: ConstantTrace(0.5),
                                  {"v_on": 3.6, "v_max": 3.6}, 600.0),
         "dead": (lambda: ConstantTrace(0.0), {}, 0.5),
@@ -178,6 +181,51 @@ class TestRecharge:
         if v0 < 3.0:  # far below v_on: the weak supplies time out
             assert aborted == (kind in ("dead", "weak-timeout",
                                         "square-timeout"))
+
+
+#: Recharge block estimates far too small (4-step blocks), far too
+#: large (65536-step blocks) and absent (geometric growth).
+BLOCK_SIZINGS = {
+    "tiny": lambda self, t, energy_j: 0.0,
+    "huge": lambda self, t, energy_j: math.inf,
+    "unknown": lambda self, t, energy_j: None,
+}
+
+
+@pytest.fixture(params=sorted(BLOCK_SIZINGS))
+def forced_blocks(request, monkeypatch):
+    """Every stock trace answers ``harvest_time`` with one forced sizing."""
+    for cls in (ConstantTrace, EmpiricalTrace, SquareWaveTrace,
+                StochasticRFTrace, SolarTrace):
+        monkeypatch.setattr(cls, "harvest_time",
+                            BLOCK_SIZINGS[request.param])
+    return request.param
+
+
+class TestRechargeBlockSizing:
+    """Recharge block sizes never change a bit."""
+
+    @pytest.mark.parametrize("kind", sorted(TestRecharge.CASES))
+    def test_recharge_matches_harvester(self, forced_blocks, kind):
+        TestRecharge().test_matches_harvester_recharge(kind, 1.8, 0.3137)
+
+    def test_scenario_results_byte_equal_reference(self, forced_blocks):
+        from repro.fleet.cache import ModelCache
+        from repro.fleet.grid import DEFAULT_TRACES, scenario_grid
+        from repro.fleet.runner import FleetRunner
+        from repro.fleet.scenario import TraceSpec
+        from repro.store.records import encode_result
+
+        traces = DEFAULT_TRACES + (TraceSpec("corpus", corpus="rf-markov"),)
+        grid = scenario_grid(runtimes=("TAILS", "ACE+FLEX"), traces=traces,
+                             n_samples=2)
+        cache = ModelCache()
+        reference = FleetRunner(workers=1, cache=cache).run(grid)
+        fast = FleetRunner(workers=1, cache=cache, engine="fast").run(grid)
+        assert reference.failures == 0
+        for a, b in zip(reference.results, fast.results):
+            assert a.scenario == b.scenario
+            assert encode_result(a) == encode_result(b), a.scenario.name
 
 
 class TestFlush:

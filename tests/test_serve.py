@@ -8,12 +8,16 @@ jobs, byte-equal tables against serial ``run_study``, and *exact*
 dedup counters.
 """
 
+import http.client
 import json
 import os
+import re
+import signal
 import subprocess
 import sys
 import threading
 import time
+from urllib.parse import urlparse
 
 import pytest
 
@@ -29,6 +33,7 @@ from repro.serve import (
     DONE,
     FAILED,
     QUEUED,
+    RUNNING,
     JobSpec,
     ServeClient,
     StudyService,
@@ -737,6 +742,23 @@ class TestHTTP:
             server.shutdown()
             svc.close()
 
+    def test_keep_alive_requests_do_not_stall(self, server):
+        """Ten requests on one keep-alive connection finish well under
+        the ~40 ms per request a delayed ACK would cost each."""
+        url = urlparse(server.url)
+        conn = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+        try:
+            t0 = time.perf_counter()
+            for _ in range(10):
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                assert response.status == 200
+                response.read()
+            elapsed = time.perf_counter() - t0
+        finally:
+            conn.close()
+        assert elapsed < 0.2, f"10 keep-alive requests took {elapsed:.3f} s"
+
     def test_submit_wait_result_round_trip(self, server):
         client = ServeClient(server.url)
         job = client.submit(_spec(seed=4))
@@ -903,6 +925,92 @@ class TestHTTP:
                 client.submit(_spec())
         finally:
             server.shutdown()
+
+
+def _children(pid):
+    """Pids of the children of process ``pid`` (Linux ``/proc``)."""
+    kids = []
+    for task in os.listdir(f"/proc/{pid}/task"):
+        with open(f"/proc/{pid}/task/{task}/children") as fh:
+            kids += [int(c) for c in fh.read().split()]
+    return kids
+
+
+#: Starts a command the way a non-interactive shell starts ``cmd &``:
+#: with SIGINT ignored, which ``exec`` keeps.
+_SIGINT_IGNORED = (
+    "import os, signal, sys; signal.signal(signal.SIGINT, signal.SIG_IGN); "
+    "os.execv(sys.executable, [sys.executable] + sys.argv[1:])"
+)
+
+
+@pytest.mark.skipif(
+    not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+    reason="reads children from /proc (Linux)")
+class TestServeSignals:
+    """``repro serve`` stops cleanly on SIGTERM, and on SIGINT although
+    it was started with SIGINT ignored; signals repeated during the drain
+    do not cut it short."""
+
+    @pytest.mark.parametrize("signums", [
+        (signal.SIGTERM,), (signal.SIGINT,),
+        (signal.SIGINT, signal.SIGTERM, signal.SIGTERM, signal.SIGINT),
+    ], ids=["term", "int", "repeated"])
+    def test_signal_drains_the_inflight_fleet_job(self, tmp_path, signums):
+        from repro.serve.worker import STOP_WAIT_S
+
+        # The job's first execution stalls 1.5 s in its worker, so it is
+        # in flight when the signal lands.
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"rules": [
+            {"site": "serve.execute", "kind": "delay", "nth": 1,
+             "delay_s": 1.5}]}))
+        out = tmp_path / "store"
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _SIGINT_IGNORED, "-m", "repro", "serve",
+             "--port", "0", "--workers", "1", "--out", str(out),
+             "--faults", str(plan)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env)
+        try:
+            line = proc.stdout.readline()
+            match = re.search(r"listening on (\S+)", line)
+            assert match, line + proc.stderr.read()
+            workers = _children(proc.pid)
+            assert len(workers) == 1
+            client = ServeClient(match.group(1))
+            spec = JobSpec("fig7", engine="fast", parallel=False,
+                           profile=Profile(tasks=("mnist",)))
+            job = client.submit(spec)
+            deadline = time.monotonic() + 30.0
+            while client.job(job["id"])["state"] != RUNNING:
+                assert time.monotonic() < deadline, "job never started"
+                time.sleep(0.02)
+            for i, signum in enumerate(signums):
+                if i:
+                    time.sleep(0.1)  # the job is still draining
+                proc.send_signal(signum)
+            proc.wait(timeout=STOP_WAIT_S)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+            proc.stderr.close()
+        assert proc.returncode == 0
+        for pid in workers:
+            with pytest.raises(ProcessLookupError):
+                os.killpg(pid, 0)  # no process left in its group
+        table = ResultStore(str(out)).load_table(
+            study_table_key("fig7", spec.profile, "fast"))
+        assert table is not None
+        assert table.to_json() == run_study(
+            "fig7", engine="fast", parallel=False,
+            profile=spec.profile).table.to_json()
 
 
 class TestJobResource:

@@ -20,6 +20,7 @@ import time
 import numpy as np
 import pytest
 
+from repro import SIM_SEMANTICS
 from repro.errors import ConfigurationError, ScenarioExecutionError
 from repro.fleet.grid import default_grid
 from repro.fleet.report import ScenarioResult
@@ -319,7 +320,7 @@ class TestKeys:
         s = _scenario()
         base = scenario_key(s, "fast")
         assert scenario_key(s, "reference") != base
-        assert scenario_key(s, "fast", code_version="999.0") != base
+        assert scenario_key(s, "fast", semantics=SIM_SEMANTICS + 1) != base
         assert scenario_key(dataclasses.replace(s, seed=1), "fast") != base
         assert scenario_key(dataclasses.replace(s, cap_uf=101.0),
                             "fast") != base

@@ -15,7 +15,12 @@ conformance diff deep inside a harvested replay.
 """
 
 import math
+import os
+import pickle
 import signal
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -25,10 +30,13 @@ from repro.power import (
     CORPUS,
     ConstantTrace,
     EmpiricalTrace,
+    PowerTrace,
     SolarTrace,
     SquareWaveTrace,
     StochasticRFTrace,
 )
+from repro.power import traces
+from repro.power.traces import clear_rf_segments
 
 # One representative per trace family (plus each empirical end policy —
 # they take different branches in the vectorized lookup).
@@ -116,6 +124,18 @@ class TestEnergyBatchPinsScalar:
         checked = trace.energy_batch(starts, dts)
         trusted = trace.energy_batch_trusted(starts, dts)
         assert np.array_equal(checked, trusted)
+        assert trace.energy_batch_trusted(np.zeros(0), np.zeros(0)).shape == (0,)
+
+    @pytest.mark.parametrize("family", ["solar", "rf"])
+    def test_trusted_twins_match_checked_entry(self, family):
+        """The solar and RF twins, as the square wave's above."""
+        trace = FAMILIES[family]()
+        rng = np.random.default_rng(7)
+        starts, dts = random_windows(rng, late=LATE_STARTS.get(family))
+        dts = np.asarray(dts, dtype=np.float64)
+        checked = trace.energy_batch(starts, dts)
+        trusted = trace.energy_batch_trusted(starts, dts)
+        assert np.array_equal(checked.view(np.uint64), trusted.view(np.uint64))
         assert trace.energy_batch_trusted(np.zeros(0), np.zeros(0)).shape == (0,)
 
 
@@ -209,6 +229,112 @@ class TestRechargeShapedBatches:
             assert_bitwise_scalar(trace, starts, dts, f"solar peak={peak}")
 
 
+class TestMultiSegmentRFWindows:
+    """RF windows crossing segment ends take the elementwise walk, bit
+    for bit the scalar loop, however many segments they span."""
+
+    def test_windows_spanning_one_or_more_segments(self):
+        trace = StochasticRFTrace(1.5e-3, mean_on_s=0.024, mean_off_s=0.036,
+                                  seed=2)
+        rng = np.random.default_rng(31)
+        starts = rng.uniform(0.0, 50.0, 3000)
+        dts = rng.choice([1e-3, 0.02, 0.07, 0.3, 1.7], starts.size)
+        assert_bitwise_scalar(trace, starts, dts, "rf multi-segment")
+        seg_starts = trace._table.arrays[0]
+        spanned = (np.searchsorted(seg_starts, starts + dts, side="right")
+                   - np.searchsorted(seg_starts, starts, side="right"))
+        # Windows ending in their first segment, in the next one, and
+        # tens of segments later all occur.
+        assert spanned.min() == 0 and (spanned == 1).any()
+        assert spanned.max() >= 20
+
+    def test_walks_reaching_the_nominal_horizon(self):
+        # A 2 s horizon: windows from just below it cross into the next
+        # copy, which only the scalar method reads.
+        trace = StochasticRFTrace(1.5e-3, seed=4, horizon_s=2.0)
+        rng = np.random.default_rng(5)
+        starts = np.concatenate((rng.uniform(1.5, 2.0, 300),
+                                 rng.uniform(0.0, 2.0, 300)))
+        dts = rng.choice([1e-3, 0.05, 0.4, 3.1], starts.size)
+        assert_bitwise_scalar(trace, starts, dts, "rf across the horizon")
+
+    def test_tiny_and_sliver_windows(self):
+        trace = StochasticRFTrace(1.5e-3, mean_on_s=0.024, mean_off_s=0.036,
+                                  seed=0)
+        trace.power(2.0)
+        ends = [end for _, end, _ in trace._segments[:40]]
+        starts, dts = [], []
+        for end in ends:
+            for t in (math.nextafter(end, 0.0), end - 1e-12, end - 3e-12):
+                for d in (1e-12, 2e-12, end - t, 5e-12, 0.061):
+                    starts.append(t)
+                    dts.append(d)
+        assert_bitwise_scalar(trace, starts, dts, "rf slivers")
+
+
+class TestSolarCosineSharing:
+    """Solar batches evaluate each distinct cosine argument once; the
+    shared values are the scalar method's bits."""
+
+    @pytest.mark.parametrize("period", [0.5, 1.0, 60.0])
+    def test_contiguous_and_scattered_windows(self, period):
+        trace = SolarTrace(4e-3, period_s=period)
+        rng = np.random.default_rng(int(period * 10))
+        clocks = recharge_clocks(float(rng.uniform(0.0, 30.0)), 1e-3, 4000)
+        scattered = rng.uniform(0.0, 30.0, 500)
+        starts = np.concatenate((clocks, scattered, clocks[::-1]))
+        dts = np.concatenate((np.full(clocks.size, 1e-3),
+                              rng.choice([0.0, 1e-4, 1e-3], 500),
+                              np.full(clocks.size, 1e-3)))
+        assert_bitwise_scalar(trace, starts, dts, f"solar period={period}")
+
+    def test_each_distinct_argument_takes_one_cosine(self, monkeypatch):
+        calls = []
+        real_cos = math.cos
+        monkeypatch.setattr(traces.math, "cos",
+                            lambda x: calls.append(x) or real_cos(x))
+        trace = SolarTrace(4e-3, period_s=1.0)
+        # 400 contiguous 1 ms windows inside one half-wave: 401 edges.
+        trace.energy_batch(recharge_clocks(0.05, 1e-3, 400), 1e-3)
+        assert len(calls) == len(set(calls)) == 401
+
+
+class TestHarvestTime:
+    """``harvest_time`` estimates how long a trace takes to deliver an
+    energy: the recharge block sizes come from it."""
+
+    @pytest.mark.parametrize("family", sorted(
+        set(FAMILIES) - {"empirical-dead"}))
+    def test_estimate_delivers_the_energy(self, family):
+        trace = FAMILIES[family]()
+        rng = np.random.default_rng(3)
+        for t in rng.uniform(0.0, 40.0, 25):
+            for energy_j in (1e-7, 3e-5, 2e-3):
+                ahead = trace.harvest_time(float(t), energy_j)
+                assert ahead > 0.0
+                assert trace.energy(float(t), ahead) == pytest.approx(
+                    energy_j, rel=1e-6)
+
+    def test_dead_supplies_never_deliver(self):
+        for trace in (ConstantTrace(0.0), SquareWaveTrace(0.0, 0.05),
+                      SolarTrace(0.0)):
+            assert trace.harvest_time(1.0, 1e-6) == math.inf
+        # An unplugged recording delivers what is left of it, then nothing.
+        trace = FAMILIES["empirical-dead"]()
+        ahead = trace.harvest_time(0.001, 1e-6)
+        assert trace.energy(0.001, ahead) == pytest.approx(1e-6, rel=1e-9)
+        assert trace.harvest_time(0.001, 1e-3) == math.inf
+
+    def test_unknown_without_a_cheap_answer(self):
+        class Ramp(PowerTrace):
+            def power(self, t):
+                return 1e-3 * t
+
+        assert Ramp().harvest_time(1.0, 1e-6) is None
+        # RF past its first horizon copy.
+        assert FAMILIES["rf"]().harvest_time(700.0, 1e-6) is None
+
+
 def eager_segments(mean_power_w, mean_on_s=0.05, mean_off_s=0.05, seed=0,
                    horizon_s=600.0):
     """``StochasticRFTrace``'s segment generation as it ran before it
@@ -238,6 +364,14 @@ class TestLazyRFSegments:
     ARGS = dict(mean_power_w=1.5e-3, mean_on_s=0.024, mean_off_s=0.036,
                 seed=0)
 
+    @pytest.fixture(autouse=True)
+    def fresh_tables(self):
+        """Each trace below starts from an undrawn table: the process
+        shares one table per parameter tuple, which other tests fill."""
+        clear_rf_segments()
+        yield
+        clear_rf_segments()
+
     def test_horizon_read_draws_the_eager_segments(self):
         for args in (self.ARGS, dict(mean_power_w=1.5e-3, seed=4,
                                      horizon_s=2.0)):
@@ -265,17 +399,206 @@ class TestLazyRFSegments:
         want = [in_order.energy(float(t), float(d))
                 for t, d in zip(starts, dts)]
         want_p = [in_order.power(float(t)) for t in starts]
+        clear_rf_segments()
         late_first = StochasticRFTrace(**self.ARGS)
         got = late_first.energy_batch(starts[::-1], dts[::-1])[::-1]
         assert np.array_equal(np.array(want).view(np.uint64),
                               got.view(np.uint64))
+        clear_rf_segments()
         late_first = StochasticRFTrace(**self.ARGS)
         assert [late_first.power(float(t)) for t in starts[::-1]] \
             == want_p[::-1]
+        clear_rf_segments()
         batches = StochasticRFTrace(**self.ARGS)
         for lo in (900, 500, 0):  # blocks out of order, each drawing more
             part = batches.energy_batch(starts[lo:], dts[lo:])
             assert np.array_equal(part, np.array(want[lo:]))
+
+
+class TestSharedRFTables:
+    """Traces with one parameter tuple share one append-only table."""
+
+    ARGS = TestLazyRFSegments.ARGS
+
+    @pytest.fixture(autouse=True)
+    def fresh_tables(self):
+        clear_rf_segments()
+        yield
+        clear_rf_segments()
+
+    def test_equal_arguments_share_one_table(self):
+        a = StochasticRFTrace(**self.ARGS)
+        b = StochasticRFTrace(**self.ARGS)
+        other = StochasticRFTrace(**dict(self.ARGS, seed=1))
+        assert a._table is b._table
+        assert other._table is not a._table
+        a.energy(30.0, 1e-3)
+        assert len(b._segments) == len(a._segments) > 0
+
+    def test_threads_extend_to_the_eager_prefix(self):
+        """Four threads (more than the cores CI has) over one table, with
+        a short switch interval: every read matches a private trace's,
+        and the table ends as a prefix of the eager draw."""
+        eager = eager_segments(**self.ARGS)
+        rf = [StochasticRFTrace(**self.ARGS) for _ in range(4)]
+        times = np.linspace(0.0, 400.0, 150)
+        orders = (times, times[::-1], times[::2], times[1::2])
+        clear_rf_segments()
+        private = StochasticRFTrace(**self.ARGS)
+        want = {float(t): (private.energy_batch(np.array([t, t + 0.5]), 1e-3),
+                           private.energy(float(t) + 0.25, 0.07))
+                for t in times}
+        start = threading.Barrier(len(rf))
+        errors = []
+
+        def read(trace, ts):
+            try:
+                start.wait(10.0)
+                for t in ts:
+                    batch = trace.energy_batch(np.array([t, t + 0.5]), 1e-3)
+                    scalar = trace.energy(float(t) + 0.25, 0.07)
+                    assert np.array_equal(batch, want[float(t)][0])
+                    assert scalar == want[float(t)][1]
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=read, args=args)
+                   for args in zip(rf, orders)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[0]
+        table = rf[0]._table
+        assert all(trace._table is table for trace in rf)
+        drawn = table.segments
+        assert drawn == eager[:len(drawn)]
+        assert drawn[-1][1] > 400.5
+        assert table.starts == [seg[0] for seg in drawn]
+        assert np.array_equal(np.column_stack(table.arrays),
+                              np.array(drawn))
+
+    def _stall_rng(self, table, at, action):
+        """Swap ``table``'s rng for one that runs ``action`` at its
+        ``at``-th exponential draw (the middle of a chunk)."""
+        real = table._rng
+        calls = [0]
+
+        class Stalling:
+            def __getattr__(self, name):
+                return getattr(real, name)
+
+            def exponential(self, scale):
+                calls[0] += 1
+                if calls[0] == at:
+                    action()
+                return real.exponential(scale)
+
+        table._rng = Stalling()
+        return real
+
+    def _want(self, t, dt):
+        """``energy(t, dt)`` off a private, freshly drawn table."""
+        clear_rf_segments()
+        want = StochasticRFTrace(**self.ARGS).energy(t, dt)
+        clear_rf_segments()
+        return want
+
+    def _assert_eager_prefix(self, table):
+        drawn = table.segments
+        assert drawn == eager_segments(**self.ARGS)[:len(drawn)]
+        assert table.starts == [seg[0] for seg in drawn]
+        assert np.array_equal(np.column_stack(table.arrays),
+                              np.array(drawn).reshape(-1, 3))
+        assert table.end == (drawn[-1][1] if drawn else 0.0)
+
+    def test_interrupted_draw_leaves_the_table_as_it_was(self):
+        """A draw cut short (Ctrl-C in a notebook) publishes nothing and
+        rewinds the rng, so the next draw still gives the eager bits."""
+        want = self._want(200.0, 1e-3)
+        trace = StochasticRFTrace(**self.ARGS)
+        trace.energy(5.0, 1e-3)  # the first chunk
+        table = trace._table
+        before = list(table.segments)
+
+        def interrupt():
+            raise KeyboardInterrupt
+
+        real = self._stall_rng(table, 100, interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            trace.energy(200.0, 1e-3)
+        assert table.segments == before
+        assert not table.done
+        self._assert_eager_prefix(table)
+        table._rng = real
+        assert trace.energy(200.0, 1e-3) == want
+        self._assert_eager_prefix(table)
+        assert not traces._DRAWING
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_fork_mid_draw_gives_the_child_a_fresh_table(self):
+        """A fork while another thread draws into a table (a fleet pool
+        forking under a serve worker) leaves the child neither a held
+        lock nor a half-drawn table: it reads the eager bits."""
+        want = self._want(200.0, 1e-3)
+        trace = StochasticRFTrace(**self.ARGS)
+        table = trace._table
+        reached, release = threading.Event(), threading.Event()
+
+        def stall():
+            reached.set()
+            release.wait(60.0)
+
+        self._stall_rng(table, 100, stall)
+        drawer = threading.Thread(target=trace.energy, args=(200.0, 1e-3))
+        drawer.start()
+        try:
+            assert reached.wait(30.0)
+            pid = os.fork()
+            if pid == 0:  # the child: report through the exit code only
+                code = 1
+                try:
+                    child = StochasticRFTrace(**self.ARGS)
+                    got = child.energy(200.0, 1e-3)
+                    self._assert_eager_prefix(table)
+                    code = 0 if child._table is table and got == want else 2
+                finally:
+                    os._exit(code)
+        finally:
+            release.set()
+            drawer.join(30.0)
+        deadline = time.monotonic() + 30.0
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the child hangs on the inherited table")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert not drawer.is_alive()
+        self._assert_eager_prefix(table)
+        assert trace.energy(200.0, 1e-3) == want
+
+    def test_registry_is_bounded(self):
+        for seed in range(traces.RF_TABLE_LIMIT + 5):
+            StochasticRFTrace(1.5e-3, seed=seed)
+        assert len(traces._RF_TABLES) == traces.RF_TABLE_LIMIT
+
+    def test_pickle_round_trip_shares_the_table(self):
+        trace = StochasticRFTrace(**self.ARGS)
+        trace.energy(10.0, 0.3)
+        copy = pickle.loads(pickle.dumps(trace))
+        assert copy._table is trace._table
+        assert copy.energy(10.0, 0.3) == trace.energy(10.0, 0.3)
 
 
 class TestSegmentTableRecurrences:
