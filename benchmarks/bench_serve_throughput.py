@@ -17,12 +17,23 @@ underneath it, in host-portable ratios (the regression gate diffs
   the concurrency win; the *identity* half is the real assertion:
   every table the service returns is byte-equal to its serial twin
   (checked in every mode — concurrency must never cost a bit).
+* ``startup_first_fleet_job`` — in a fresh interpreter, constructing a
+  :class:`StudyService` as ``repro serve`` does (``warm=True``: built
+  with no other thread alive, it compiles the fleet studies' default
+  programs and forks its workers) up to the table of its first fleet
+  job, a default-profile fast ``fig7``, vs the same ``fig7`` through a
+  cold in-process :func:`run_study`.  ``repro serve``'s end-to-end
+  benchmark times jobs only after the service listens, so this case is
+  where the constructor's cost shows.
 
 Smoke mode (``REPRO_BENCH_SMOKE=1``) trims the hit count; the ratios
 remain comparable because both sides shrink together.
 """
 
+import json
 import os
+import subprocess
+import sys
 import time
 
 from repro.serve import JobSpec, StudyService
@@ -100,11 +111,58 @@ def _bench_concurrent_mixed():
     return {"median_s": concurrent_s, "reference_median_s": serial_s}
 
 
+#: Timed in a fresh interpreter (so no other thread exists and every
+#: cache is cold); prints ``[seconds, table json, start methods]``.
+_STARTUP_SCRIPT = r"""
+import json, sys, time
+from repro.serve import JobSpec, StudyService
+from repro.study import run_study
+
+spec = dict(engine="fast", parallel=False)
+t0 = time.perf_counter()
+if sys.argv[1] == "service":
+    svc = StudyService(workers=2, warm=True)
+    methods = [p.start_method for p in svc._procs]
+    table = svc.run(JobSpec("fig7", **spec), timeout=300).to_json()
+else:
+    methods = []
+    table = run_study("fig7", **spec).table.to_json()
+elapsed = time.perf_counter() - t0
+if sys.argv[1] == "service":
+    svc.close()
+print(json.dumps([elapsed, table, methods]))
+"""
+
+
+def _startup_run(kind):
+    out = subprocess.run(
+        [sys.executable, "-c", _STARTUP_SCRIPT, kind], env=dict(os.environ),
+        capture_output=True, text=True, timeout=300, check=True,
+    )
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def _bench_startup_first_fleet_job():
+    runs = 1 if SMOKE else 3
+    service, direct = [], []
+    for _ in range(runs):
+        elapsed, table, methods = _startup_run("service")
+        # A thread-free constructor forks its workers (after the warm).
+        assert methods == ["fork", "fork"]
+        service.append(elapsed)
+        elapsed, expected, _ = _startup_run("direct")
+        direct.append(elapsed)
+        assert table == expected
+    return {"median_s": _median(service),
+            "reference_median_s": _median(direct)}
+
+
 def test_serve_throughput(benchmark):
     def run():
         return {
             "dedup_hit": _bench_dedup_hit(),
             "concurrent_mixed": _bench_concurrent_mixed(),
+            "startup_first_fleet_job": _bench_startup_first_fleet_job(),
         }
 
     cases = run_once(benchmark, run)
@@ -112,11 +170,14 @@ def test_serve_throughput(benchmark):
     speedup = cases["dedup_hit"]["speedup_vs_execute"]
     ratio = (cases["concurrent_mixed"]["median_s"]
              / cases["concurrent_mixed"]["reference_median_s"])
+    startup = cases["startup_first_fleet_job"]
     print()
     print(f"serve{' (smoke)' if SMOKE else ''}: dedup hit "
           f"{cases['dedup_hit']['median_s'] * 1e3:.2f} ms vs execute "
           f"{cases['dedup_hit']['reference_median_s'] * 1e3:.1f} ms "
-          f"({speedup:.0f}x); mixed 4-job load {ratio:.2f}x of serial")
+          f"({speedup:.0f}x); mixed 4-job load {ratio:.2f}x of serial; "
+          f"new service to first fig7 {startup['median_s']:.2f} s vs "
+          f"cold run_study {startup['reference_median_s']:.2f} s")
     benchmark.extra_info["dedup_speedup"] = round(speedup, 1)
     benchmark.extra_info["concurrent_vs_serial"] = round(ratio, 3)
     path = record_bench("serve", cases, meta={"smoke": SMOKE})

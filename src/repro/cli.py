@@ -386,7 +386,7 @@ def _cmd_serve(args) -> None:
         obs.reset()
         obs.enable()
     store = _open_store(args)
-    service = StudyService(workers=args.workers, store=store)
+    service = StudyService(workers=args.workers, store=store, warm=True)
     def drain(signum, frame):
         # The first signal starts the drain; later ones are ignored, so a
         # supervisor repeating SIGTERM cannot cut the store's flush short.

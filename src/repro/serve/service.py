@@ -10,9 +10,11 @@
   simulate on two CPUs instead of taking turns on one interpreter lock.
   The constructor forks them when no other thread is alive — the last
   moment a fork is safe, since the queue threads start right after —
-  and otherwise each thread spawns its own on its first fleet-executed
-  job; direct studies (``fig8``, ``table1``, the ablations, ...) are
-  10-50 ms jobs and run on the thread itself;
+  optionally after compiling the fleet studies' default programs for
+  them to inherit (``repro serve`` does); otherwise each thread spawns
+  its own on its first fleet-executed job; direct studies (``fig8``,
+  ``table1``, the ablations, ...) are 10-50 ms jobs and run on the
+  thread itself;
 * one optional :class:`~repro.store.cache.ResultStore`, giving jobs
   durable per-scenario resume and a finished-table archive — a service
   restarted over the same store serves archived tables without
@@ -55,7 +57,7 @@ from repro.faults import inject as _inject
 from repro.faults.retry import RetryPolicy
 from repro.obs import metrics as _obs
 from repro.serve.queue import DONE, FAILED, Job, JobQueue, JobSpec
-from repro.serve.worker import WorkerProcess
+from repro.serve.worker import WorkerProcess, warm_programs
 from repro.study.core import get_study, run_study
 from repro.study.table import ResultTable
 
@@ -69,7 +71,12 @@ class StudyService:
     Built with no other thread alive, the service forks all its worker
     processes here, before its queue threads exist; otherwise a thread
     spawns its worker on its first fleet-executed job (see
-    :mod:`repro.serve.worker` for why fork is safe only here).  ``store`` attaches a durable
+    :mod:`repro.serve.worker` for why fork is safe only here).  With
+    ``warm`` set, a forking service first compiles the fleet studies'
+    default programs (:func:`~repro.serve.worker.warm_programs`, a few
+    tenths of a second) for its workers to inherit: worth it for a
+    long-lived service that runs fleet jobs, as ``repro serve`` is, not
+    for one built for a few direct studies.  ``store`` attaches a durable
     :class:`~repro.store.cache.ResultStore`; ``table_cache``
     bounds the in-memory finished-table LRU (0 disables it, leaving
     only in-flight coalescing and the store's archive).
@@ -82,6 +89,7 @@ class StudyService:
         store=None,
         table_cache: int = 64,
         retry: Optional[RetryPolicy] = None,
+        warm: bool = False,
     ) -> None:
         if table_cache < 0:
             raise ConfigurationError("table_cache must be >= 0")
@@ -106,6 +114,13 @@ class StudyService:
                 and "fork" in multiprocessing.get_all_start_methods()):
             # No other thread exists to hold a lock the fork would copy;
             # the queue threads start below.
+            if warm:
+                try:
+                    warm_programs()
+                except Exception:
+                    # Only a speedup: the workers compile on demand.
+                    if _obs.ENABLED:
+                        _obs.count("serve.warm_failures")
             ends: list = []
             for i in range(workers):
                 proc = WorkerProcess(f"serve-worker-{i}-proc")

@@ -19,8 +19,17 @@ worker process, one per queue thread.  How it starts depends on when:
 Direct studies stay on the thread (see
 :meth:`~repro.serve.service.StudyService._execute`).
 
+Before it forks, a service built with ``warm=True`` (``repro serve``)
+compiles the atom programs of every registered fleet-executed study's
+default scenarios (see
+:func:`warm_programs`), so forked workers inherit them instead of each
+compiling its own; fresh seeds share those programs, since a program
+depends on a model's architecture and masks, not its weights.
+
 The worker runs plain :func:`~repro.study.core.run_study` with one
-:class:`~repro.fleet.cache.ModelCache` that lives as long as it does.
+:class:`~repro.fleet.cache.ModelCache`, replaced by an empty one after
+a job that leaves it holding more than ``WORKER_MODELS`` models (each
+fresh seed is a new model).
 It is single-threaded, so a pooled job forks its fleet pool from a
 process with no other threads.  The service keeps the only
 :class:`~repro.store.cache.ResultStore`: the worker's ``run_study`` gets
@@ -69,6 +78,12 @@ STOP_WAIT_S = 10.0
 
 #: How often a dispatching thread checks that a silent worker is alive.
 _LIVENESS_S = 0.5
+
+#: Models a worker's ModelCache may hold between jobs; past it the
+#: worker starts a fresh cache.  One job needs at most three (fig7's
+#: tasks), and a fresh-seed job shares no model with earlier jobs, so
+#: a reset costs nothing an LRU would keep under fresh-seed traffic.
+WORKER_MODELS = 8
 
 
 class _RemoteTraceback(Exception):
@@ -130,6 +145,33 @@ class _StoreProxy:
 
     def save_table(self, key, table) -> None:
         self._call("save_table", key, table)
+
+
+def warm_programs() -> None:
+    """Compile the programs of every registered fleet-executed study's
+    default-profile, fast-engine scenarios into the process-wide
+    :data:`~repro.sim.fastsim.PROGRAM_CACHE`.
+
+    The models it prepares are its own and dropped on return; only the
+    compiled programs stay.  It passes no fault site (model builds go
+    straight to a :class:`~repro.fleet.cache.ModelCache`, not through
+    :meth:`~repro.fleet.runner.FleetRunner.prepare_models`) and starts
+    no thread, so a fork right after it stays safe.
+    """
+    from repro.experiments.common import make_runtime
+    from repro.fleet.cache import ModelCache
+    from repro.sim.fastsim import PROGRAM_CACHE
+    from repro.study.core import Profile, StudyContext, get_study, study_names
+
+    ctx = StudyContext(Profile(), engine="fast")
+    models = ModelCache()
+    with _spans.span("serve.warm"):
+        for name in study_names():
+            study = get_study(name)
+            if study.fleet_executed:
+                for scenario in study.scenarios(ctx):
+                    PROGRAM_CACHE.get(
+                        make_runtime(scenario.runtime, models.get(scenario)))
 
 
 def _worker_main(conn, plan, inherited=()) -> None:
@@ -194,8 +236,13 @@ def _worker_main(conn, plan, inherited=()) -> None:
             reply = ("done", run.table, run.from_table_cache, failures == 0)
         except Exception as exc:
             reply = ("error", _portable(exc), traceback.format_exc())
+        if len(cache) > WORKER_MODELS:
+            # Between jobs no run holds a model or a keyed lock, so the
+            # whole cache (models, their logits memos, locks) can go.
+            cache = ModelCache()
         snap = None
         if obs_on:
+            _obs.gauge("serve.worker.models", len(cache))
             # This job's delta: the service absorbs it into its registry.
             snap = _obs.snapshot()
             _obs.reset_metrics()

@@ -479,6 +479,140 @@ class TestForkedWorkers:
             other.join()
 
 
+#: Run by ``warmed_service`` in a fresh interpreter: a warming service
+#: forked with no other thread, its first job a default-profile fig7.
+#: With ``fail`` in argv the warm raises; with ``cold`` the service is
+#: built without ``warm``.  Prints one JSON object.
+_WARM_SCRIPT = r"""
+import json, sys, threading
+from repro import obs
+from repro.faults import FaultPlan, FaultRule, inject
+from repro.serve import JobSpec, StudyService, service
+from repro.sim import fastsim
+from repro.study import run_study
+
+spec = dict(engine="fast", parallel=False)
+inject.install(FaultPlan((
+    FaultRule(site="fleet.model_build", kind="exception", nth=1),
+)))
+real_warm, real_start = service.warm_programs, threading.Thread.start
+started = []
+warm = {}
+
+def recording_start(self):
+    started.append(self.name)
+    real_start(self)
+
+def watched_warm():
+    threading.Thread.start = recording_start
+    try:
+        if "fail" in sys.argv:
+            raise RuntimeError("warm exploded")
+        real_warm()
+    finally:
+        threading.Thread.start = real_start
+        warm["threads"] = list(started)
+
+service.warm_programs = watched_warm
+obs.enable()
+svc = StudyService(workers=2, warm="cold" not in sys.argv)
+methods = [p.start_method for p in svc._procs]
+warmed = {"compiled": fastsim.PROGRAM_CACHE.misses,
+          "kept": len(fastsim.PROGRAM_CACHE._shared),
+          "bound": fastsim._SHARED_PROGRAMS}
+fault_calls = inject.stats()["calls"]
+obs.reset()
+obs.enable()
+served = svc.run(JobSpec("fig7", **spec), timeout=120).to_json()
+counters = svc.metrics()["counters"]
+svc.close()
+inject.uninstall()
+print(json.dumps({
+    "warm": warm, "warmed": warmed, "fault_calls": fault_calls,
+    "methods": methods,
+    "counters": counters,
+    "equal": served == run_study("fig7", **spec).table.to_json(),
+}))
+"""
+
+
+def _run_warm_script(*argv):
+    out = subprocess.run(
+        [sys.executable, "-c", _WARM_SCRIPT, *argv], env=dict(os.environ),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def warmed_service():
+    return _run_warm_script()
+
+
+class TestProgramWarm:
+    """A forking service compiles the fleet studies' default programs
+    before its workers fork, so they inherit them."""
+
+    def test_first_default_job_compiles_nothing(self, warmed_service):
+        counters = warmed_service["counters"]
+        assert warmed_service["methods"] == ["fork", "fork"]
+        assert warmed_service["equal"]
+        assert counters.get("sim.program_cache.misses", 0) == 0
+        assert counters["sim.program_cache.shared"] > 0
+
+    def test_warm_starts_no_thread_and_draws_no_fault(self, warmed_service):
+        assert warmed_service["warm"]["threads"] == []
+        assert warmed_service["fault_calls"] == {}
+        # The nth=1 model-build fault still fires in the job (and the
+        # build is retried), so the warm consumed no ordinal of it.
+        counters = warmed_service["counters"]
+        assert counters["faults.injected.fleet.model_build"] == 1
+        assert counters["faults.recovered.fleet.model_build"] == 1
+
+    def test_warmed_set_fits_the_content_lru(self, warmed_service):
+        warmed = warmed_service["warmed"]
+        assert 0 < warmed["compiled"] == warmed["kept"] <= warmed["bound"]
+
+    def test_failed_warm_leaves_the_service_starting(self):
+        report = _run_warm_script("fail")
+        assert report["warmed"]["compiled"] == 0
+        assert report["equal"]
+        assert report["counters"]["sim.program_cache.misses"] > 0
+
+    def test_service_without_warm_compiles_on_demand(self):
+        report = _run_warm_script("cold")
+        assert report["methods"] == ["fork", "fork"]
+        assert report["warm"] == {}  # never called
+        assert report["warmed"]["compiled"] == 0
+        assert report["equal"]
+        assert report["counters"]["sim.program_cache.misses"] > 0
+
+    def test_spawn_path_compiles_on_demand(self, monkeypatch):
+        from repro.serve import service
+
+        calls = []
+        monkeypatch.setattr(service, "warm_programs",
+                            lambda: calls.append(1))
+        hold = threading.Event()
+        other = threading.Thread(target=hold.wait, daemon=True)
+        other.start()
+        obs.reset()
+        obs.enable()
+        try:
+            with StudyService(workers=1, warm=True) as svc:
+                svc.run(JobSpec("sweep-trace", engine="fast",
+                                parallel=False), timeout=120)
+                counters = svc.metrics()["counters"]
+            assert calls == []
+            assert counters["sim.program_cache.misses"] > 0
+        finally:
+            hold.set()
+            other.join()
+            obs.reset()
+            obs.disable()
+
+
 class TestWorkerProcesses:
     """Fleet-executed jobs run in the service's worker processes."""
 
@@ -515,6 +649,33 @@ class TestWorkerProcesses:
         finally:
             obs.reset()
             obs.disable()
+
+    def test_worker_model_cache_stays_bounded(self):
+        """More fresh-seed jobs than the bound: the worker holds at most
+        ``WORKER_MODELS`` models between jobs (it starts a fresh cache
+        past it) and every table equals ``run_study``."""
+        from repro.serve.worker import WORKER_MODELS
+
+        seeds = range(1, WORKER_MODELS + 3)
+        obs.reset()
+        obs.enable()
+        try:
+            with StudyService(workers=1) as svc:
+                held = []
+                for seed in seeds:
+                    table = svc.run(JobSpec("sweep-trace",
+                                            profile=Profile(seed=seed),
+                                            **self.SPEC), timeout=120)
+                    held.append(svc.metrics()["gauges"]["serve.worker.models"])
+                    serial = run_study("sweep-trace",
+                                       profile=Profile(seed=seed), **self.SPEC)
+                    assert table.to_json() == serial.table.to_json()
+        finally:
+            obs.reset()
+            obs.disable()
+        # One model per sweep-trace seed; the job that passes the bound
+        # leaves an empty cache behind.
+        assert held == [*range(1, WORKER_MODELS + 1), 0, 1]
 
     def test_obs_off_ships_nothing(self):
         with StudyService(workers=1) as svc:
