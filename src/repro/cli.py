@@ -186,9 +186,9 @@ def _cmd_run(args) -> None:
     store = _open_store(args)
     obs_on = bool(args.metrics or args.trace)
     if obs_on:
-        # Fresh registry for this run; FleetRunner ships the flag to its
-        # workers and merges their snapshots back, so the artifacts
-        # cover the whole process tree.
+        # Fresh registry for this run; child processes inherit the flag
+        # and ship their metrics deltas back, so the metrics cover the
+        # whole process tree (the trace holds this process's spans).
         obs.reset()
         obs.enable()
     # Open temp files *before* running: a bad path must fail in
@@ -208,7 +208,7 @@ def _cmd_run(args) -> None:
                     args.npz, "wb", lambda fh, t: t.to_npz(fh)))
             if args.metrics:
                 # Snapshot taken at commit time, i.e. after the run (and
-                # after the fleet absorbed its workers' snapshots).
+                # after the fleet absorbed its workers' deltas).
                 sinks.append(_ArtifactSink(
                     args.metrics, "w",
                     lambda fh, _t: _json.dump(

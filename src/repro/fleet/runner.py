@@ -30,16 +30,13 @@ default) stops at the first failure with a
 results committed before it are already safe in the store.
 
 The pool is *supervised* rather than a bare ``multiprocessing.Pool``:
-the parent dispatches exactly one scenario per worker at a time and
-each worker answers on its own pipe, so a worker killed mid-scenario
-(OOM killer, SIGKILL, a ``crash`` fault from :mod:`repro.faults`) is
-detected as EOF on its pipe, its in-flight scenario is re-dispatched
-under a bounded deterministic
+each worker is a :class:`~repro.procs.Child` with its own pipe, and the
+parent dispatches exactly one scenario per worker at a time, so a
+worker killed mid-scenario (OOM killer, SIGKILL, a ``crash`` fault
+from :mod:`repro.faults`) is detected as EOF on its pipe, its
+in-flight scenario is re-dispatched under a bounded deterministic
 :class:`~repro.faults.retry.RetryPolicy`, and the dead worker is
-respawned.  (A *shared* result queue would be fatal here: SIGKILL can
-orphan the queue's write lock and wedge every surviving worker — with
-one pipe per worker a death can only ever corrupt the dead worker's
-own channel, which the parent was about to discard anyway.)  A scenario that exhausts its retry budget becomes
+respawned.  A scenario that exhausts its retry budget becomes
 a :class:`~repro.errors.WorkerLostError` (``error_kind="worker_lost"``
 as an error row under ``on_error="record"``); a pool that keeps
 collapsing past its respawn budget degrades to serial execution in the
@@ -57,8 +54,7 @@ result replayed from a store is bit-identical to re-simulating it.
 
 from __future__ import annotations
 
-import multiprocessing
-import multiprocessing.connection
+import itertools
 import os
 import time
 import traceback
@@ -68,6 +64,7 @@ from typing import (
     Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple,
 )
 
+from repro import procs
 from repro.errors import (
     ConfigurationError,
     ScenarioExecutionError,
@@ -81,15 +78,12 @@ from repro.fleet.scenario import Scenario
 from repro.nn.data import Dataset
 from repro.obs import metrics as _obs
 from repro.obs import spans as _spans
-from repro.obs.snapshot import merge_all
 from repro.rad.quantize import QuantizedModel
 
 #: Accepted failure policies (see :meth:`FleetRunner.run`).
 ON_ERROR = ("raise", "record")
 
-#: Supervisor poll interval: how often an idle parent checks liveness.
-_POLL_S = 0.05
-#: Graceful/forced shutdown budget per escalation step (the watchdog).
+#: How long a clean pool's workers get to exit on their sentinels.
 _JOIN_S = 5.0
 #: Cap on the pre-respawn backoff so one crashy worker cannot stall the
 #: supervisor loop (and the other workers' result handling) for long.
@@ -240,100 +234,32 @@ def _execute_captured(
         return _failure_result(scenario, exc)
 
 
-# -- worker-process plumbing --------------------------------------------------
-#
-# Pool workers receive the prepared models once (initializer) and look
-# them up per scenario; both functions must be module-level picklables.
+def _pool_worker(conn, models: Dict[Tuple, QuantizedModel], engine: str,
+                 streams: _InputStreams) -> None:
+    """One pool worker (a :class:`~repro.procs.Child`): run each
+    scenario the parent sends and reply with its result.
 
-_WORKER_MODELS: Dict[Tuple, QuantizedModel] = {}
-_WORKER_ENGINE = "reference"
-
-
-def _init_worker(
-    models: Dict[Tuple, QuantizedModel],
-    engine: str = "reference",
-    obs_on: bool = False,
-) -> None:
-    global _WORKER_ENGINE
-    _WORKER_MODELS.clear()
-    _WORKER_MODELS.update(models)
-    _WORKER_ENGINE = engine
-    # A forked worker inherits the parent's metric state; reset it so the
-    # snapshots it ships back count only its own work (the parent absorbs
-    # them on top of its own registry — no double counting).
-    _obs.reset_metrics()
-    _spans.clear()
-    if obs_on:
-        _obs.enable()
-    else:
-        _obs.disable()
-
-
-def _supervised_worker(uid, inq, conn, models, engine, obs_on, plan,
-                       streams):
-    """One supervised worker process: loop ``inq`` tasks until sentinel.
-
-    Tasks are ``(input index, scenario)``; each reply on this worker's
-    own ``conn`` pipe is ``(worker uid, index, result, obs
-    snapshot-or-None)``.  ``Connection.send`` writes synchronously in
-    this thread — no feeder thread, no lock shared with other workers —
-    so by the time the worker reads its next task the previous reply is
-    fully in the pipe, and a SIGKILL can never tear a message another
-    worker (or the parent) depends on.  The index rides along so the
-    parent can reassemble unordered arrivals into input order; the uid
-    (stable across the worker's lifetime, unique across respawns —
-    unlike a reused pid) tells the parent whose in-flight slot to clear
-    and whose *cumulative* metrics snapshot to keep (highest ``seq``
-    per uid, merged deterministically at the end).
-
-    ``plan`` re-installs the parent's active fault plan with fresh
+    ``models`` are the prepared models, shipped once at start.
+    ``streams`` is this worker's own copy of the run's input streams
+    (never drawn in the parent): it lives for one run, and a respawned
+    worker starts empty.  The ``fleet.worker`` fault site fires here,
+    inside the child (the parent's fault plan is installed with fresh
     per-rule state, so each worker's fire pattern is a deterministic
-    function of its own call sequence — under fork *and* spawn.  The
-    ``fleet.worker`` fault site fires here, inside the child, which is
-    what lets a ``crash`` rule kill -9 a real worker without ever
-    threatening the parent (serial execution never fires it).
+    function of its own call sequence), which is what lets a ``crash``
+    rule kill -9 a real worker without ever threatening the parent
+    (serial execution never fires it).
     """
-    _init_worker(models, engine, obs_on)
-    if plan is not None:
-        _inject.install(plan)
-    else:
-        _inject.uninstall()
-    # ``streams`` is this worker's own copy of the run's (never drawn
-    # in the parent): it lives for one run, and a respawned worker
-    # starts empty.
-    while True:
-        item = inq.get()
-        if item is None:
-            conn.close()
-            return
-        index, scenario = item
+    def run(scenario: Scenario) -> ScenarioResult:
         try:
             if _inject.ENABLED:
                 _inject.fire("fleet.worker", scenario=scenario.name)
         except Exception as exc:
-            result = _failure_result(scenario, exc)
-        else:
-            result = _execute_captured(
-                scenario, _WORKER_MODELS[scenario.model_key], _WORKER_ENGINE,
-                streams,
-            )
-        payload = _obs.snapshot() if _obs.ENABLED else None
-        conn.send((uid, index, result, payload))
+            return _failure_result(scenario, exc)
+        return _execute_captured(scenario, models[scenario.model_key],
+                                 engine, streams)
 
-
-class _WorkerHandle:
-    """Parent-side view of one worker: process, task pipe, reply pipe."""
-
-    __slots__ = ("uid", "proc", "inq", "conn", "current")
-
-    def __init__(self, uid, proc, inq, conn) -> None:
-        self.uid = uid
-        self.proc = proc
-        self.inq = inq
-        #: Parent-side read end of the worker's private reply pipe.
-        self.conn = conn
-        #: The one (index, scenario) dispatched and not yet answered.
-        self.current: Optional[Tuple[int, Scenario]] = None
+    for scenario in procs.requests(conn):
+        conn.send(procs.reply(run, scenario))
 
 
 class FleetRunner:
@@ -532,112 +458,66 @@ class FleetRunner:
 
         The parent dispatches one scenario per worker at a time — so it
         always knows exactly which scenario a dead worker was holding —
-        and multiplexes the per-worker reply pipes with a short-timeout
-        :func:`multiprocessing.connection.wait`; a worker's death shows
-        up as EOF on its pipe (the parent closes its copy of the write
-        end right after the fork, so the worker holds the only one).
-        Per-scenario dispatch doubles as load balancing (scenarios vary
-        widely in cost: DNF-heavy cells finish early, stall-heavy cells
-        drag), and commit() runs — and the store grows — a scenario at
-        a time, not after the whole map.
+        and waits on every worker's pipe at once; a worker's death shows
+        up as EOF on its pipe (see :mod:`repro.procs`).  Per-scenario
+        dispatch doubles as load balancing (scenarios vary widely in
+        cost: DNF-heavy cells finish early, stall-heavy cells drag), and
+        commit() runs — and the store grows — a scenario at a time, not
+        after the whole map.
         """
-        ctx = multiprocessing.get_context()
-        procs = min(self.workers, len(items))
+        n_workers = min(self.workers, len(items))
         retry = self.retry
-        plan = _inject.active_plan()
         if _obs.ENABLED:
-            _obs.gauge("fleet.workers", procs)
+            _obs.gauge("fleet.workers", n_workers)
         streams = _InputStreams(s for _, s in items)
         pending: Deque[Tuple[int, Scenario]] = deque(items)
         attempts: Dict[int, int] = {}  # index -> worker-lost count
         done: set = set()
-        # Latest cumulative snapshot per worker uid; absorbed into the
-        # parent registry only after a clean run (an aborted fleet does
-        # not half-count worker metrics).
-        worker_snaps: Dict[int, dict] = {}
+        #: worker -> the one (index, scenario) sent and not yet answered
+        inflight: Dict[procs.Child, Tuple[int, Scenario]] = {}
         respawns = 0
-        respawn_budget = max(4, 2 * procs)
+        respawn_budget = max(4, 2 * n_workers)
         degraded = False
-        next_uid = 0
-        by_uid: Dict[int, _WorkerHandle] = {}
+        uids = itertools.count()
 
-        def spawn() -> _WorkerHandle:
-            nonlocal next_uid
-            uid = next_uid
-            next_uid += 1
-            inq = ctx.SimpleQueue()
-            recv_end, send_end = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_supervised_worker,
-                args=(uid, inq, send_end, models, self.engine,
-                      _obs.ENABLED, plan, streams),
-                name=f"fleet-worker-{uid}",
-                daemon=True,
-            )
-            proc.start()
-            # The worker must hold the only write end: that is what
-            # turns its death — clean or kill -9 — into EOF here.
-            send_end.close()
-            handle = _WorkerHandle(uid, proc, inq, recv_end)
-            by_uid[uid] = handle
-            return handle
+        def spawn() -> procs.Child:
+            return procs.Child(_pool_worker, models, self.engine, streams,
+                               name=f"fleet-worker-{next(uids)}").start()
 
-        def handle_msg(msg) -> None:
-            uid, index, result, payload = msg
-            w = by_uid.get(uid)
-            if w is not None and w.current is not None \
-                    and w.current[0] == index:
-                w.current = None
-            if payload is not None:
-                prev = worker_snaps.get(uid)
-                if prev is None or payload["seq"] >= prev["seq"]:
-                    worker_snaps[uid] = payload
-            if index in done:
-                # A duplicate from the lost-then-drained race: the
-                # retried execution was bit-identical, drop it.
-                return
-            done.add(index)
-            if attempts.get(index) and not result.error and _obs.ENABLED:
-                _obs.count("faults.recovered")
-                _obs.count("faults.recovered.fleet.worker")
-            commit(index, result)
-
-        workers = [spawn() for _ in range(procs)]
+        workers = [spawn() for _ in range(n_workers)]
         clean = False
         try:
             with _spans.span("fleet.dispatch", scenarios=len(items),
-                             workers=procs):
+                             workers=n_workers):
                 while len(done) < len(items):
                     for w in workers:
-                        if w.current is None and pending:
-                            w.current = pending.popleft()
-                            w.inq.put(w.current)
-                    ready = multiprocessing.connection.wait(
-                        [w.conn for w in workers], timeout=_POLL_S
-                    )
+                        if w not in inflight and pending:
+                            inflight[w] = pending.popleft()
+                            try:
+                                w.send(inflight[w][1])
+                            except WorkerLostError:
+                                pass  # its EOF is handled below
                     dead = []
-                    for i, w in enumerate(workers):
-                        alive = w.proc.is_alive()
-                        if w.conn not in ready and alive:
-                            continue
-                        # Replies can sit in the pipe ahead of EOF;
-                        # drain before declaring any scenario lost.
+                    for w in procs.wait(workers):
                         try:
-                            while w.conn.poll():
-                                handle_msg(w.conn.recv())
-                        except (EOFError, OSError):
-                            alive = False
-                        if not alive:
-                            dead.append(i)
+                            reply = w.recv()
+                        except WorkerLostError:
+                            dead.append(w)
+                            continue
+                        index, _ = inflight.pop(w)
+                        result = reply.unwrap()
+                        done.add(index)
+                        if attempts.get(index) and not result.error \
+                                and _obs.ENABLED:
+                            _obs.count("faults.recovered")
+                            _obs.count("faults.recovered.fleet.worker")
+                        commit(index, result)
                     if not dead:
                         continue
-                    for i in dead:
-                        w = workers[i]
-                        w.proc.join()
-                        w.conn.close()
-                        lost = w.current
-                        w.current = None
-                        if lost is None or lost[0] in done:
+                    for w in dead:
+                        w.stop(0.0)
+                        lost = inflight.pop(w, None)
+                        if lost is None:
                             continue
                         index, scenario = lost
                         attempts[index] = n = attempts.get(index, 0) + 1
@@ -664,16 +544,14 @@ class FleetRunner:
                         _obs.count("fleet.respawns", len(dead))
                     time.sleep(min(retry.backoff_s(respawns),
                                    _RESPAWN_SLEEP_CAP_S))
-                    for i in dead:
-                        by_uid.pop(workers[i].uid, None)
-                        workers[i] = spawn()
+                    workers = [spawn() if w in dead else w for w in workers]
             if degraded:
                 # The pool keeps collapsing (e.g. a probability-1.0
                 # crash plan, or a host OOM-killing every child): stop
                 # burning respawns and finish in the parent.  Serial
                 # execution never fires the fleet.worker site, so even
                 # an always-crash plan completes here.
-                self._teardown(workers, graceful=False)
+                procs.stop_all(workers, 0.0)
                 workers = []
                 if _obs.ENABLED:
                     _obs.count("fleet.degraded_serial")
@@ -687,42 +565,6 @@ class FleetRunner:
                 self._run_serial(remaining, models, commit)
             clean = True
         finally:
-            self._teardown(workers, graceful=clean)
-        if worker_snaps and _obs.ENABLED:
-            _obs.absorb(merge_all(list(worker_snaps.values())))
-
-    @staticmethod
-    def _teardown(workers: List[_WorkerHandle], *, graceful: bool) -> None:
-        """Stop the pool; never hang (the shutdown watchdog).
-
-        Graceful exit sends each worker a sentinel and joins with a
-        timeout; anything still alive after that — or everything, on
-        the error path — is escalated to ``terminate()`` then
-        ``kill()``, each with its own join budget, so a wedged worker
-        can never hang the parent (or CI).
-        """
-        if not workers:
-            return
-        if graceful:
-            for w in workers:
-                try:
-                    w.inq.put(None)
-                except Exception:  # dead worker's pipe; nothing to stop
-                    pass
-            deadline = time.monotonic() + _JOIN_S
-            for w in workers:
-                w.proc.join(max(0.0, deadline - time.monotonic()))
-        if any(w.proc.is_alive() for w in workers):
-            for w in workers:
-                if w.proc.is_alive():
-                    w.proc.terminate()
-            deadline = time.monotonic() + _JOIN_S
-            for w in workers:
-                w.proc.join(max(0.0, deadline - time.monotonic()))
-            for w in workers:
-                if w.proc.is_alive():  # pragma: no cover - last resort
-                    w.proc.kill()
-                    w.proc.join(1.0)
-        for w in workers:
-            w.conn.close()
-
+            # A clean pool exits on its sentinels; anything else is
+            # terminated (the shutdown watchdog: never hang).
+            procs.stop_all(workers, _JOIN_S if clean else 0.0)

@@ -20,13 +20,12 @@ it never touches simulated arithmetic or operation order.  Every
 simulation output is bit-identical with observability enabled vs
 disabled, on both engines — asserted by ``tests/test_obs.py``.
 
-**Deterministic cross-process merge.**  Counters and durations are
-integers (nanoseconds for time), so merging worker snapshots is exactly
-associative and order-independent; :class:`~repro.fleet.runner.
-FleetRunner` ships each pool worker's cumulative snapshot back through
-the existing result channel and absorbs them into the parent registry
-sorted by pid.  Totals therefore do not depend on scheduling.
-(Gauges are float-summed across processes; see :mod:`.snapshot`.)
+**One cross-process merge rule.**  Every child process (fleet pool
+workers, Table II's worker, serve workers) ships a metrics delta with
+each reply (see :mod:`repro.procs`), and the parent folds it in on
+arrival with :func:`absorb`.  Counters and durations are integers
+(nanoseconds for time), so totals are exact and do not depend on
+scheduling; a gauge takes the last value absorbed.
 
 Typical use::
 
@@ -51,12 +50,7 @@ from repro.obs.metrics import (
     reset_metrics,
     snapshot,
 )
-from repro.obs.snapshot import (
-    SNAPSHOT_SCHEMA,
-    merge,
-    merge_all,
-    validate_snapshot,
-)
+from repro.obs.snapshot import SNAPSHOT_SCHEMA, validate_snapshot
 from repro.obs.spans import events, export_chrome_trace, record, span
 from repro.obs.render import render_snapshot
 
@@ -70,8 +64,6 @@ __all__ = [
     "events",
     "export_chrome_trace",
     "gauge",
-    "merge",
-    "merge_all",
     "observe_ns",
     "record",
     "render_snapshot",

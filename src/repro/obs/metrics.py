@@ -12,16 +12,16 @@ The explicit ``if`` keeps the disabled cost to one module-attribute
 load per site (the recording functions re-check, so ungated calls are
 merely slower, never wrong).
 
-Representation choices are driven by the deterministic-merge contract
-(see :mod:`repro.obs.snapshot`):
+Representation choices are driven by the cross-process merge rule
+(:func:`absorb`):
 
 * counters are Python ints — merging is exact integer addition;
 * durations are integer nanoseconds (``time.perf_counter_ns``) in a
   ``[count, total_ns, min_ns, max_ns, {bucket: n}]`` record with
   power-of-two bucket upper bounds, so histogram merge is elementwise
   integer addition plus min/max;
-* gauges are per-process floats ("last set value"); cross-process merge
-  *sums* them (right for sizes and totals, the only gauges recorded).
+* gauges are floats ("last set value"), and a merged gauge is the last
+  value absorbed.
 
 Nothing here imports numpy or any simulation module, so importing the
 registry from a hot path costs nothing at module load.
@@ -123,9 +123,7 @@ def snapshot() -> dict:
     """A self-describing copy of the registry (see :mod:`.snapshot`).
 
     ``pid``/``seq`` identify the producing process and the snapshot's
-    position in that process's stream — what lets a consumer holding
-    several *cumulative* snapshots from the same worker keep only the
-    latest (:class:`~repro.fleet.runner.FleetRunner` does exactly this).
+    position in that process's stream.
     """
     global _SEQ
     _SEQ += 1
@@ -149,18 +147,19 @@ def snapshot() -> dict:
 
 
 def absorb(snap: dict) -> None:
-    """Fold a snapshot (typically a worker's) into the live registry.
+    """Fold a snapshot (a child process's delta) into the live registry.
 
-    Counter-for-counter integer addition, duration histograms merged
-    elementwise, gauges summed — the in-registry twin of
-    :func:`repro.obs.snapshot.merge`.  No-op while disabled.
+    The one cross-process merge rule: counter-for-counter integer
+    addition, duration histograms merged elementwise (``min``/``max``
+    folded), and each gauge set to the absorbed value, as if the child
+    had set it here last.  No-op while disabled.
     """
     if not ENABLED:
         return
     for key, val in snap.get("counters", {}).items():
         _COUNTERS[key] = _COUNTERS.get(key, 0) + int(val)
     for key, val in snap.get("gauges", {}).items():
-        _GAUGES[key] = _GAUGES.get(key, 0.0) + float(val)
+        _GAUGES[key] = float(val)
     for name, d in snap.get("durations", {}).items():
         h = _DURATIONS.get(name)
         if h is None:

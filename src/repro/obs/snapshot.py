@@ -1,13 +1,14 @@
-"""Snapshot schema, validation, and the deterministic merge.
+"""Snapshot schema and validation.
 
 A snapshot is the JSON-serializable value a process exports from its
-registry (:func:`repro.obs.metrics.snapshot`) and the wire format
-worker processes ship back through FleetRunner's result channel::
+registry (:func:`repro.obs.metrics.snapshot`), the ``--metrics`` file
+format, and the delta a child process ships with each reply (see
+:mod:`repro.procs`)::
 
     {
       "schema": 1,
       "pid": 12345,          # producing process
-      "seq": 3,              # monotone per process; cumulative snapshots
+      "seq": 3,              # monotone per process
       "counters": {"machine.reboots": 17, ...},     # ints
       "gauges": {"kernels.fft_plans": 2.0, ...},    # floats
       "durations": {
@@ -19,19 +20,12 @@ worker processes ship back through FleetRunner's result channel::
       }
     }
 
-**Merge semantics.**  Counters and every duration field are integers,
-so :func:`merge` is exactly associative and commutative on them —
-worker totals are independent of arrival order and scheduling.  Gauges
-are floats and are *summed*; float addition is associative only to the
-ulp, which is why :func:`merge_all` canonicalizes the fold order by
-``(pid, seq)`` — the same input set always folds the same way.  The
-recorded gauges (cache/plan table sizes, worker counts) are small
-integers stored as floats, so in practice even the gauge sum is exact.
+Counters and every duration field are integers, so folding deltas
+(:func:`repro.obs.metrics.absorb`) is exact and independent of arrival
+order; a gauge takes the last value absorbed.
 """
 
 from __future__ import annotations
-
-from typing import Dict, Iterable, List
 
 from repro.errors import ConfigurationError
 
@@ -41,7 +35,7 @@ _DURATION_FIELDS = ("count", "total_ns", "min_ns", "max_ns")
 
 
 def empty_snapshot() -> dict:
-    """The merge identity: an all-empty schema-1 snapshot."""
+    """An all-empty schema-1 snapshot."""
     return {
         "schema": SNAPSHOT_SCHEMA,
         "pid": 0,
@@ -105,49 +99,3 @@ def validate_snapshot(snap: object) -> dict:
                     f"({b!r}: {n!r})"
                 )
     return snap
-
-
-def merge(a: dict, b: dict) -> dict:
-    """Pure two-snapshot merge (neither input is mutated).
-
-    Integer sections add exactly; duration ``min``/``max`` take
-    min/max; gauges sum.  ``pid``/``seq`` of the result are zeroed —
-    a merged snapshot no longer belongs to one process's stream.
-    """
-    out = empty_snapshot()
-    for snap in (a, b):
-        for key, val in snap.get("counters", {}).items():
-            out["counters"][key] = out["counters"].get(key, 0) + int(val)
-        for key, val in snap.get("gauges", {}).items():
-            out["gauges"][key] = out["gauges"].get(key, 0.0) + float(val)
-        for name, d in snap.get("durations", {}).items():
-            tgt = out["durations"].get(name)
-            if tgt is None:
-                out["durations"][name] = {
-                    "count": int(d["count"]),
-                    "total_ns": int(d["total_ns"]),
-                    "min_ns": int(d["min_ns"]),
-                    "max_ns": int(d["max_ns"]),
-                    "buckets": dict(d.get("buckets", {})),
-                }
-                continue
-            tgt["count"] += int(d["count"])
-            tgt["total_ns"] += int(d["total_ns"])
-            tgt["min_ns"] = min(tgt["min_ns"], int(d["min_ns"]))
-            tgt["max_ns"] = max(tgt["max_ns"], int(d["max_ns"]))
-            for bucket, n in d.get("buckets", {}).items():
-                tgt["buckets"][bucket] = tgt["buckets"].get(bucket, 0) + int(n)
-    return out
-
-
-def merge_all(snaps: Iterable[dict]) -> dict:
-    """Merge any number of snapshots, folding in canonical (pid, seq)
-    order so the result is independent of the iteration order handed in.
-    """
-    ordered: List[dict] = sorted(
-        snaps, key=lambda s: (s.get("pid", 0), s.get("seq", 0))
-    )
-    out = empty_snapshot()
-    for snap in ordered:
-        out = merge(out, snap)
-    return out

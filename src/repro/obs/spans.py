@@ -26,7 +26,7 @@ restructuring), :func:`record` closes a region opened at an explicit
 ``time.perf_counter_ns()`` origin.
 
 The trace buffer is process-local.  Worker spans still *aggregate*
-(their ``span.*`` histograms travel in worker snapshots), but their
+(their ``span.*`` histograms travel in worker metrics deltas), but their
 individual events are not shipped across the process boundary — an
 exported trace shows the parent process's timeline.
 """

@@ -57,7 +57,7 @@ from repro.faults import inject as _inject
 from repro.faults.retry import RetryPolicy
 from repro.obs import metrics as _obs
 from repro.serve.queue import DONE, FAILED, Job, JobQueue, JobSpec
-from repro.serve.worker import WorkerProcess, warm_programs
+from repro.serve.worker import ServeWorker, warm_programs
 from repro.study.core import get_study, run_study
 from repro.study.table import ResultTable
 
@@ -107,9 +107,9 @@ class StudyService:
         #: spawns on its first fleet-executed job.  ``_procs`` holds
         #: them all for close() (None once closed).
         self._local = threading.local()
-        self._procs: Optional[List[WorkerProcess]] = []
+        self._procs: Optional[List[ServeWorker]] = []
         self._procs_lock = threading.Lock()
-        self._idle: List[WorkerProcess] = []
+        self._idle: List[ServeWorker] = []
         if (threading.active_count() == 1
                 and "fork" in multiprocessing.get_all_start_methods()):
             # No other thread exists to hold a lock the fork would copy;
@@ -121,11 +121,10 @@ class StudyService:
                     # Only a speedup: the workers compile on demand.
                     if _obs.ENABLED:
                         _obs.count("serve.warm_failures")
-            ends: list = []
             for i in range(workers):
-                proc = WorkerProcess(f"serve-worker-{i}-proc")
+                proc = ServeWorker(f"serve-worker-{i}-proc")
                 self._procs.append(proc)
-                ends.append(proc.start("fork", ends)[1])
+                proc.start("fork")
             self._idle = list(self._procs)
         self.queue = JobQueue(
             self._execute,
@@ -239,7 +238,7 @@ class StudyService:
         """A direct study, run here on the calling thread."""
         if _inject.ENABLED:
             # The serve.execute fault site (for a worker-process job it
-            # is drawn in WorkerProcess.run and fired in the worker): an
+            # is drawn in ServeWorker.run and fired in the worker): an
             # exception kind fails the attempt transiently (and gets it
             # retried); a crash kind kills this whole service process.
             _inject.fire("serve.execute", job=job.id, study=job.spec.study)
@@ -248,7 +247,7 @@ class StudyService:
                         profile=spec.profile, store=self.store)
         return run.table, run.from_table_cache, True
 
-    def _worker_process(self) -> WorkerProcess:
+    def _worker_process(self) -> ServeWorker:
         """The calling queue thread's worker process handle."""
         proc = getattr(self._local, "proc", None)
         if proc is None:
@@ -260,7 +259,7 @@ class StudyService:
                 if self._idle:
                     proc = self._idle.pop()
                 else:
-                    proc = WorkerProcess(
+                    proc = ServeWorker(
                         f"{threading.current_thread().name}-proc")
                     self._procs.append(proc)
             self._local.proc = proc

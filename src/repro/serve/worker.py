@@ -39,12 +39,13 @@ resume and the table archive work as in-process.  A fleet run costs
 the pipe one lookup round trip (all its keys in one call) and one
 one-way message per finished scenario (see :class:`_StoreProxy`).
 
-One pipe per worker carries, service to worker: a job ``(spec, rules,
-obs_on, use_store)``, a store call's answer, or ``None`` (stop).
-Worker to service: ``("ready",)`` once started (awaited at start for a
-spawned worker, whose imports a job's timeout must not count, and
-skipped by a forked worker's first job), store calls and puts, then the
-job's outcome, with its metrics delta when ``obs_on``.
+The worker is a non-daemon :class:`~repro.procs.Child` (its own
+process group, stopped at interpreter exit).  Its pipe carries,
+service to worker: a job ``(spec, rules, obs_on, use_store)``, a store
+call's answer, or ``None`` (stop).  Worker to service: ``("ready",)``
+once started (awaited at start for a spawned worker, whose imports a
+job's timeout must not count, and skipped by a forked worker's first
+job), store calls and puts, then the job's :class:`~repro.procs.Reply`.
 Failures keep the fault model of :mod:`repro.faults`:
 
 * EOF on the pipe (the worker died) raises
@@ -52,58 +53,32 @@ Failures keep the fault model of :mod:`repro.faults`:
   retries on a respawned worker;
 * an exception in the job is re-raised in the service, chained to the
   worker's traceback (what the job's ``error`` shows);
-* a job past its ``timeout_s`` terminates and joins the worker and
-  raises :class:`TimeoutError`; the next job respawns it.
+* a job past its ``timeout_s`` stops the worker (its process group)
+  and raises :class:`TimeoutError`; the next job respawns it.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import signal
 import threading
 import time
-import traceback
 from typing import Optional, Tuple
 
-from repro.errors import ReproError, ServiceClosedError, WorkerLostError
+from repro import procs
+from repro.errors import ServiceClosedError, WorkerLostError
 from repro.faults import inject as _inject
 from repro.obs import metrics as _obs
 from repro.obs import spans as _spans
 from repro.store.cache import encode_record
 
-#: How long :meth:`WorkerProcess.stop` waits for a worker to exit after
+#: How long :meth:`ServeWorker.stop` waits for a worker to exit after
 #: its stop message before terminating it.
 STOP_WAIT_S = 10.0
-
-#: How often a dispatching thread checks that a silent worker is alive.
-_LIVENESS_S = 0.5
 
 #: Models a worker's ModelCache may hold between jobs; past it the
 #: worker starts a fresh cache.  One job needs at most three (fig7's
 #: tasks), and a fresh-seed job shares no model with earlier jobs, so
 #: a reset costs nothing an LRU would keep under fresh-seed traffic.
 WORKER_MODELS = 8
-
-
-class _RemoteTraceback(Exception):
-    """Carries a worker's formatted traceback as an exception's cause."""
-
-    def __init__(self, text: str) -> None:
-        super().__init__(text)
-        self.text = text
-
-    def __str__(self) -> str:
-        return self.text
-
-
-def _portable(exc: BaseException) -> BaseException:
-    """``exc`` if it survives a pickle round trip, else a stand-in."""
-    try:
-        pickle.loads(pickle.dumps(exc))
-        return exc
-    except Exception:
-        return ReproError(f"{type(exc).__name__}: {exc}")
 
 
 class _StoreProxy:
@@ -174,55 +149,28 @@ def warm_programs() -> None:
                         make_runtime(scenario.runtime, models.get(scenario)))
 
 
-def _worker_main(conn, plan, inherited=()) -> None:
+def _worker_main(conn) -> None:
     """The worker process: run jobs from ``conn`` until told to stop.
 
-    ``plan`` is the service's fault plan when the worker started, armed
-    here so fault sites inside ``run_study`` (model builds, fleet pool
-    workers) fire in this process as they would in the service.
-    ``inherited`` are the service's ends of worker pipes that a fork
-    copied into this process; closing them lets each worker see EOF when
-    the service is gone.
+    It starts as a :class:`~repro.procs.Child`, so fault sites inside
+    ``run_study`` (model builds, fleet pool workers) fire here under the
+    service's fault plan, and each job's reply carries its metrics
+    delta.
     """
     import multiprocessing
 
     from repro.fleet.cache import ModelCache
     from repro.study.core import run_study
 
-    for end in inherited:
-        end.close()
     # A spawned process inherits "spawn" as its default start method.
     # Restore the platform's, so a pooled job starts its fleet pool as
     # ``repro run`` does (fork on Linux: this process has no threads).
     multiprocessing.set_start_method(None, force=True)
-    # A forked worker starts with the service's metrics and spans; its
-    # job deltas must count only its own work.
-    _obs.reset_metrics()
-    _spans.clear()
-    if hasattr(os, "setpgrp"):
-        # Its own process group: a terminal's Ctrl-C reaches only the
-        # service, which stops its workers once drained, and a timeout
-        # can terminate this worker together with its fleet pool.
-        os.setpgrp()
-    if plan is not None:
-        _inject.install(plan)
-    else:
-        _inject.uninstall()
     cache = ModelCache()
     store = _StoreProxy(conn)
-    conn.send(("ready",))
-    while True:
-        try:
-            msg = conn.recv()
-        except EOFError:
-            return
-        if msg is None:
-            return
-        spec, rules, obs_on, use_store = msg
-        if obs_on:
-            _obs.enable()
-        else:
-            _obs.disable()
+
+    def job(spec, rules, use_store) -> Tuple:
+        nonlocal cache
         try:
             for rule, ordinal in rules:
                 _inject.trigger(rule, "serve.execute", ordinal)
@@ -233,88 +181,43 @@ def _worker_main(conn, plan, inherited=()) -> None:
                 on_error=spec.on_error, cache=cache,
             )
             failures = run.report.failures if run.report is not None else 0
-            reply = ("done", run.table, run.from_table_cache, failures == 0)
-        except Exception as exc:
-            reply = ("error", _portable(exc), traceback.format_exc())
-        if len(cache) > WORKER_MODELS:
-            # Between jobs no run holds a model or a keyed lock, so the
-            # whole cache (models, their logits memos, locks) can go.
-            cache = ModelCache()
-        snap = None
-        if obs_on:
+            return run.table, run.from_table_cache, failures == 0
+        finally:
+            if len(cache) > WORKER_MODELS:
+                # Between jobs no run holds a model or a keyed lock, so
+                # the whole cache (models, their logits memos, locks)
+                # can go.
+                cache = ModelCache()
             _obs.gauge("serve.worker.models", len(cache))
-            # This job's delta: the service absorbs it into its registry.
-            snap = _obs.snapshot()
-            _obs.reset_metrics()
-            _spans.clear()
-        conn.send(reply + (snap,))
+
+    conn.send(("ready",))
+    for spec, rules, obs_on, use_store in procs.requests(conn):
+        if obs_on:
+            _obs.enable()
+        else:
+            _obs.disable()
+        conn.send(procs.reply(job, spec, rules, use_store))
 
 
-def _next_message(proc, conn, deadline: Optional[float]):
-    """The worker's next message, or None once ``deadline`` passes.
-
-    Raises :class:`EOFError` when the worker has died.  Its pipe alone
-    cannot tell: a fleet pool the worker forked holds a copy of the
-    worker's end, so the worker's death reaches this side as EOF only
-    once the pool is gone too.  Hence the liveness check between polls.
-    """
-    while True:
-        wait = _LIVENESS_S
-        if deadline is not None:
-            wait = min(wait, max(deadline - time.monotonic(), 0.0))
-        if conn.poll(wait):
-            return conn.recv()
-        if not proc.is_alive():
-            raise EOFError
-        if deadline is not None and time.monotonic() >= deadline:
-            return None
-
-
-def _shutdown(proc, conn, wait_s: float) -> None:
-    """Ask a worker to exit, wait up to ``wait_s``, then terminate it.
-
-    A worker that does not exit cleanly in time, or died, gets its
-    process group terminated, so no fleet pool it forked outlives it.
-    Always joins the worker, so it is reaped (and its peak RSS
-    accounted to this process) on return.
-    """
-    try:
-        conn.send(None)
-    except OSError:
-        pass
-    proc.join(wait_s)
-    if proc.exitcode != 0:
-        try:
-            os.killpg(proc.pid, signal.SIGTERM)
-        except (AttributeError, OSError):
-            proc.terminate()
-        proc.join()
-    conn.close()
-
-
-class WorkerProcess:
+class ServeWorker:
     """The service side of one worker process, used by one thread.
 
     :meth:`close` may run on another thread while a job is dispatched
     (a shutdown whose drain timed out); the dispatch then sees the
-    worker's end of the pipe close, like any lost worker.
+    worker's pipe reach EOF, like any lost worker.
     """
 
     def __init__(self, name: str) -> None:
         self.name = name
         #: How the current (or last) worker process started.
         self.start_method: Optional[str] = None
-        self._proc = None
-        self._conn = None
-        self._finalizer = None
+        self._child: Optional[procs.Child] = None
         self._closed = False
         self._lock = threading.Lock()
 
     def run(self, job, store, timeout_s: Optional[float]) -> Tuple:
         """Run ``job`` in the worker: ``(table, from_cache, cacheable)``."""
-        proc, conn = self._proc, self._conn
-        if proc is None:
-            proc, conn = self.start()
+        child = self._child or self.start()
         spec = job.spec
         rules = _inject.draw("serve.execute") if _inject.ENABLED else ()
         deadline = None if timeout_s is None else time.monotonic() + timeout_s
@@ -323,10 +226,10 @@ class WorkerProcess:
         # in-process run would have stopped at that put).
         put_error = None
         try:
-            conn.send((spec, rules, _obs.ENABLED, store is not None))
+            child.send((spec, rules, _obs.ENABLED, store is not None))
             while True:
-                msg = _next_message(proc, conn, deadline)
-                if msg is None or msg[0] not in ("store", "put", "ready"):
+                msg = child.recv(deadline)
+                if msg is None or isinstance(msg, procs.Reply):
                     break
                 if msg[0] == "ready":
                     continue
@@ -342,12 +245,13 @@ class WorkerProcess:
                 try:
                     answer = (True, getattr(store, method)(*args))
                 except Exception as exc:
-                    answer = (False, _portable(exc))
+                    answer = (False, procs.portable(exc))
                 if put_error is not None:
-                    answer, put_error = (False, _portable(put_error)), None
-                conn.send(answer)
-        except (EOFError, OSError):
-            self._lost(proc, f"{job.id} ({spec.study})")
+                    answer = (False, procs.portable(put_error))
+                    put_error = None
+                child.send(answer)
+        except WorkerLostError:
+            self._lost(child, f"{job.id} ({spec.study})")
         if msg is None:
             self.stop(wait_s=0.0)
             if _obs.ENABLED:
@@ -356,82 +260,53 @@ class WorkerProcess:
                 f"job {job.id} ({spec.study}) exceeded its "
                 f"{timeout_s}s timeout"
             )
-        *outcome, snap = msg
-        if snap is not None:
-            # Counters and durations add up; a gauge is a last value, and
-            # summing one job's delta onto the last job's would inflate it.
-            gauges = snap.pop("gauges")
-            _obs.absorb(snap)
-            for name, value in gauges.items():
-                _obs.gauge(name, value)
-        if outcome[0] == "error":
-            _, exc, text = outcome
-            raise exc from _RemoteTraceback(text)
+        outcome = msg.unwrap()
         if put_error is not None:
             raise put_error
-        return tuple(outcome[1:])
+        return outcome
 
     def stop(self, *, wait_s: float = STOP_WAIT_S) -> None:
-        """Stop the worker (see :func:`_shutdown`); a later job respawns it."""
+        """Stop the worker (see :meth:`repro.procs.Child.stop`); a later
+        job respawns it."""
         with self._lock:
-            proc, conn, finalizer = self._proc, self._conn, self._finalizer
-            self._proc = self._conn = self._finalizer = None
-        if proc is not None:
-            finalizer.cancel()
-            _shutdown(proc, conn, wait_s)
+            child, self._child = self._child, None
+        if child is not None:
+            child.stop(wait_s)
 
     def close(self) -> None:
         """Stop the worker for good: later jobs are refused."""
         self._closed = True
         self.stop()
 
-    def start(self, method: str = "spawn", inherited=()) -> Tuple:
-        """Start the worker process by ``method``: ``(process, pipe end)``.
+    def start(self, method: str = "spawn") -> procs.Child:
+        """Start the worker process by ``method``.
 
         ``fork`` is only safe while the calling process has no other
-        thread (see the module docstring).  ``inherited`` are the
-        service's ends of other workers' pipes, which a fork copies into
-        this worker; it closes them, and its own copy of this one.
+        thread (see the module docstring).  The worker is not a daemon
+        (daemonic processes may not start a fleet pool), so it runs in
+        its own process group: a terminal's Ctrl-C reaches only the
+        service, which stops its workers once drained, and a stop ends
+        the worker together with its fleet pool.
         """
-        from multiprocessing import get_context, util
-
         if self._closed:
             raise ServiceClosedError(
                 "service is shutting down; worker not restarted"
             )
-        ctx = get_context(method)
-        conn, child = ctx.Pipe()
-        # A spawned worker gets only what it is sent; a forked one holds
-        # a copy of every open pipe end, to be closed.
-        inherited = (conn, *inherited) if method == "fork" else ()
-        # Not a daemon: daemonic processes may not start a fleet pool.
-        proc = ctx.Process(
-            target=_worker_main,
-            args=(child, _inject.active_plan(), inherited),
-            name=self.name,
-        )
-        proc.start()
-        # The worker holds the only other end: its death is EOF here.
-        child.close()
+        child = procs.Child(_worker_main, method=method, name=self.name,
+                            daemon=False).start()
         with self._lock:
-            self._proc, self._conn = proc, conn
+            self._child = child
             self.start_method = method
-            # Interpreter exit without close() stops the worker before
-            # multiprocessing joins its non-daemon children.
-            self._finalizer = util.Finalize(
-                self, _shutdown, args=(proc, conn, 0.0), exitpriority=10
-            )
         if _obs.ENABLED:
             _obs.count("serve.worker_starts")
         if method == "spawn":
             try:
-                conn.recv()  # ("ready",): its imports are done
-            except (EOFError, OSError):
-                self._lost(proc, "starting")
-        return proc, conn
+                child.recv()  # ("ready",): its imports are done
+            except WorkerLostError:
+                self._lost(child, "starting")
+        return child
 
-    def _lost(self, proc, what: str) -> None:
+    def _lost(self, child: procs.Child, what: str) -> None:
         self.stop(wait_s=0.0)
-        raise WorkerLostError(
-            what, f"serve worker {self.name} exited with code {proc.exitcode}"
-        )
+        raise WorkerLostError(what, f"serve worker {self.name} exited "
+                                    f"with code {child.proc.exitcode}")

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from repro.errors import ConfigurationError
+from repro import procs
+from repro.errors import ConfigurationError, WorkerLostError
 from repro.experiments.common import RUNTIME_ORDER, TASKS
 from repro.experiments.reporting import format_table
 from repro.fleet.scenario import Scenario, TraceSpec
@@ -183,21 +184,15 @@ def _table2_row(task: str, full: bool, seed: int) -> dict:
     )
 
 
-def _table2_worker(conn, tasks: Tuple[str, ...], full: bool, seed: int,
-                   obs_on: bool) -> None:
-    """The spawned worker: sends ``(row, snapshot)`` down ``conn`` for
-    each task in order, where ``snapshot`` is the worker's cumulative
-    metrics when obs is on (else ``None``).  A task's exception is sent
-    in place of its row and ends the run."""
-    if obs_on:
-        _obs.enable()
+def _table2_worker(conn, tasks: Tuple[str, ...], full: bool,
+                   seed: int) -> None:
+    """The spawned worker: replies with each task's row, in task order.
+    A task's exception is its reply and ends the run."""
     for task in tasks:
-        try:
-            row = _table2_row(task, full, seed)
-        except Exception as exc:
-            conn.send(exc)
+        row = procs.reply(_table2_row, task, full, seed)
+        conn.send(row)
+        if row.error is not None:
             return
-        conn.send((row, _obs.snapshot() if obs_on else None))
 
 
 def _table2_rows(tasks: Tuple[str, ...], full: bool, seed: int) -> List[dict]:
@@ -215,46 +210,27 @@ def _table2_rows(tasks: Tuple[str, ...], full: bool, seed: int) -> List[dict]:
     """
     if len(tasks) == 1:
         return [_table2_row(tasks[0], full, seed)]
-    from multiprocessing import get_context
-
     first, rest = tasks[0], tasks[1:]
-    ctx = get_context("spawn")
-    recv, send = ctx.Pipe(duplex=False)
-    worker = ctx.Process(target=_table2_worker,
-                         args=(send, rest, full, seed, _obs.ENABLED),
-                         name="repro-table2", daemon=True)
-    snap = None
+    worker = procs.Child(_table2_worker, rest, full, seed, method="spawn",
+                         name="repro-table2")
     try:
         try:
             worker.start()
         except Exception:  # the worker cannot start: its tasks train here
             pass
-        # Only the worker holds the write end now, so recv() raises
-        # EOFError once the worker is gone.
-        send.close()
         rows = [_table2_row(first, full, seed)]
         for task in rest:
             try:
-                sent = recv.recv()
-            except (EOFError, OSError):
-                # The worker is lost (OSError: mid-message): train here.
+                row = worker.recv()
+            except WorkerLostError:
                 rows.append(_table2_row(task, full, seed))
                 if _obs.ENABLED:
                     _obs.count("faults.recovered")
                     _obs.count("faults.recovered.table2.worker")
                 continue
-            if isinstance(sent, Exception):
-                raise sent
-            row, snap = sent
-            rows.append(row)
+            rows.append(row.unwrap())
     finally:
-        recv.close()
-        if worker.pid is not None:
-            worker.terminate()  # its rows are in, or no longer wanted
-            worker.join()
-    if snap is not None:
-        # Cumulative: the last snapshot holds all of the worker's work.
-        _obs.absorb(snap)
+        worker.stop(0.0)  # its rows are in, or no longer wanted
     return rows
 
 

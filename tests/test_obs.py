@@ -5,8 +5,9 @@ The three contracts under test (see the package docstring):
 1. zero overhead when disabled — disabled sites never touch the
    registry, and the simulation outputs are bit-identical with
    observability on and off, on both engines, harvested and continuous;
-2. deterministic merge — snapshots are associative, commutative
-   integer folds, so parallel fleet totals equal serial totals;
+2. one merge rule — a child's delta is folded in with ``absorb``:
+   counters and durations add exactly (so parallel fleet totals equal
+   serial totals), a gauge takes the last value;
 3. the surfaces — counters, spans, chrome-trace export, StudyRun.obs,
    and the CLI (--metrics / --trace / stats / bench report).
 """
@@ -23,8 +24,6 @@ from repro.fleet import FleetRunner, Scenario, TraceSpec, scenario_grid
 from repro.obs.snapshot import (
     SNAPSHOT_SCHEMA,
     empty_snapshot,
-    merge,
-    merge_all,
     validate_snapshot,
 )
 
@@ -139,58 +138,11 @@ class TestSpans:
         assert args == {"label": "x"}
 
 
-def _random_snapshot(rng):
-    snap = empty_snapshot()
-    for name in rng.choice(list("abcdef"), size=3, replace=False):
-        snap["counters"][str(name)] = int(rng.integers(1, 100))
-    for name in rng.choice(list("xyz"), size=2, replace=False):
-        snap["gauges"][str(name)] = float(rng.integers(1, 10))
-    for name in ("d1", "d2"):
-        ns = [int(v) for v in rng.integers(100, 10_000_000, size=4)]
-        snap["durations"][name] = {
-            "count": len(ns),
-            "total_ns": sum(ns),
-            "min_ns": min(ns),
-            "max_ns": max(ns),
-            "buckets": {str(1 << 20): len(ns)},
-        }
-    return snap
-
-
 class TestMerge:
-    def test_merge_with_empty_is_identity(self):
-        rng = np.random.default_rng(0)
-        snap = _random_snapshot(rng)
-        merged = merge(snap, empty_snapshot())
-        assert merged["counters"] == snap["counters"]
-        assert merged["gauges"] == snap["gauges"]
-        assert merged["durations"] == snap["durations"]
-
-    def test_merge_associative(self):
-        rng = np.random.default_rng(1)
-        a, b, c = (_random_snapshot(rng) for _ in range(3))
-        left = merge(merge(a, b), c)
-        right = merge(a, merge(b, c))
-        assert left["counters"] == right["counters"]
-        assert left["durations"] == right["durations"]
-        # Gauges are float sums: associativity is exact here because the
-        # test values are small integers stored as floats.
-        assert left["gauges"] == right["gauges"]
-
-    def test_merge_all_order_independent(self):
-        rng = np.random.default_rng(2)
-        snaps = [_random_snapshot(rng) for _ in range(5)]
-        for i, s in enumerate(snaps):
-            s["pid"] = 100 + i
-            s["seq"] = i
-        forward = merge_all(list(snaps))
-        backward = merge_all(list(reversed(snaps)))
-        shuffled = list(snaps)
-        np.random.default_rng(3).shuffle(shuffled)
-        scrambled = merge_all(shuffled)
-        assert forward == backward == scrambled
+    """The one cross-process merge rule, :func:`repro.obs.absorb`."""
 
     def test_merge_durations_fold_min_max(self):
+        obs.enable()
         a, b = empty_snapshot(), empty_snapshot()
         a["durations"]["d"] = {
             "count": 1, "total_ns": 10, "min_ns": 10, "max_ns": 10,
@@ -200,11 +152,23 @@ class TestMerge:
             "count": 2, "total_ns": 30, "min_ns": 5, "max_ns": 25,
             "buckets": {"1024": 1, "32768": 1},
         }
-        d = merge(a, b)["durations"]["d"]
+        obs.absorb(a)
+        obs.absorb(b)
+        d = obs.snapshot()["durations"]["d"]
         assert d == {
             "count": 3, "total_ns": 40, "min_ns": 5, "max_ns": 25,
             "buckets": {"1024": 2, "32768": 1},
         }
+
+    def test_merge_gauges_take_the_last_value(self):
+        obs.enable()
+        obs.gauge("g", 5.0)
+        obs.gauge("kept", 1.0)
+        for value in (2.0, 3.0):
+            delta = empty_snapshot()
+            delta["gauges"]["g"] = value
+            obs.absorb(delta)
+        assert obs.snapshot()["gauges"] == {"g": 3.0, "kept": 1.0}
 
     def test_validate_rejects_malformed(self):
         good = empty_snapshot()

@@ -404,7 +404,7 @@ inject.install(FaultPlan((
 threads = threading.active_count()
 svc = StudyService(workers=2, retry=RetryPolicy(max_attempts=2,
                                                 backoff_base_s=0.01))
-started = [(p.start_method, p._proc.pid) for p in svc._procs]
+started = [(p.start_method, p._child.proc.pid) for p in svc._procs]
 alive = []
 for _, pid in started:
     os.kill(pid, 0)  # raises if there is no such process

@@ -11,7 +11,7 @@ import textwrap
 
 import pytest
 
-from repro import obs
+from repro import obs, procs
 from repro.errors import ConfigurationError
 from repro.study import Profile, run_study
 from repro.study import studies
@@ -56,6 +56,7 @@ class _InlineProcess:
         self.body = body
         self.args = args
         self.pid = None
+        self.exitcode = None
         self.calls = []
 
     def start(self):
@@ -66,8 +67,9 @@ class _InlineProcess:
     def terminate(self):
         self.calls.append("terminate")
 
-    def join(self):
+    def join(self, timeout=None):
         self.calls.append("join")
+        self.exitcode = -signal.SIGTERM
 
 
 class _Context:
@@ -82,18 +84,20 @@ class _Context:
         return multiprocessing.Pipe(duplex)
 
     def Process(self, *, target, args, name=None, daemon=None):
-        assert target is studies._table2_worker and daemon is True
-        self.processes.append(_InlineProcess(self.body, args))
+        # ``procs`` starts every child as ``_main(conn, target, args, ...)``.
+        conn, worker, worker_args = args[:3]
+        assert worker is studies._table2_worker and daemon is True
+        self.processes.append(_InlineProcess(self.body, (conn, *worker_args)))
         return self.processes[-1]
 
 
 def _use(monkeypatch, context):
-    monkeypatch.setattr(multiprocessing, "get_context",
+    monkeypatch.setattr(procs, "get_context",
                         lambda method: context if method == "spawn"
                         else pytest.fail(f"{method} context"))
 
 
-def _lost(conn, tasks, full, seed, obs_on):
+def _lost(conn, tasks, full, seed):
     """A worker that dies before sending anything."""
 
 
@@ -107,7 +111,7 @@ def singles():
     """Each task of ``PAIR`` alone, under obs, with a context lookup that
     fails the test if a worker is ever asked for."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(multiprocessing, "get_context",
+        mp.setattr(procs, "get_context",
                    lambda method: pytest.fail("worker started"))
         return [_run((task,), metrics=True) for task in PAIR]
 
@@ -142,8 +146,8 @@ def test_a_lost_worker_leaves_the_table_unchanged(singles, monkeypatch):
 
 
 def test_a_worker_lost_midway_keeps_the_rows_it_sent(monkeypatch):
-    def sends_one(conn, tasks, full, seed, obs_on):
-        studies._table2_worker(conn, tasks[:1], full, seed, obs_on)
+    def sends_one(conn, tasks, full, seed):
+        studies._table2_worker(conn, tasks[:1], full, seed)
 
     trained_here = []
 
@@ -175,9 +179,9 @@ def test_a_worker_that_cannot_start_trains_here(monkeypatch):
 def test_rows_come_back_in_task_order(monkeypatch):
     sent_to_worker = []
 
-    def body(conn, tasks, full, seed, obs_on):
+    def body(conn, tasks, full, seed):
         sent_to_worker.extend(tasks)
-        studies._table2_worker(conn, tasks, full, seed, obs_on)
+        studies._table2_worker(conn, tasks, full, seed)
 
     _use(monkeypatch, _Context(body))
     monkeypatch.setattr(studies, "_table2_row", _fake_row)
