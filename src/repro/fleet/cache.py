@@ -15,18 +15,97 @@ monitor, which :func:`~repro.fleet.runner.execute_scenario` treats as
 per-scenario scratch (reset before each session, snapshotted into the
 :class:`~repro.fleet.report.ScenarioResult`).  Read overflow statistics
 from results, never from a cached model after a fleet run.
+
+A cache also owns a :class:`TrajectoryMemo`: the logits-free session
+trajectories of the fast engine's serial path, which another seed's
+scenario over the same program and supply reuses.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import threading
-from typing import Dict, Tuple
+from collections import OrderedDict
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.concurrency import KeyedLocks
+from repro.concurrency import ForkSafeLock, KeyedLocks
 from repro.fleet.scenario import Scenario
 from repro.obs import metrics as _obs
 from repro.obs import spans as _spans
 from repro.rad.quantize import QuantizedModel
+from repro.sim.results import RunResult
+
+#: Session trajectories a :class:`TrajectoryMemo` keeps.  The six
+#: fleet-executed studies' default profiles replay 90 distinct ones at
+#: one seed, and each further seed adds one (``sweep-trace``'s RF cell).
+TRAJECTORY_MEMO_SIZE = 256
+
+
+def _logits_free(run: RunResult) -> RunResult:
+    """A copy of ``run`` without logits, owning its component dict."""
+    return dataclasses.replace(
+        run, logits=None, predicted_class=None,
+        energy_by_component=dict(run.energy_by_component))
+
+
+class TrajectoryMemo:
+    """Logits-free :class:`~repro.sim.results.RunResult` lists of fast
+    harvested or continuous sessions, keyed on what the replay reads.
+
+    A fast session's trajectory (times, energies, reboots, checkpoints,
+    DNFs) is a function of its compiled program and its supply and
+    session knobs; a sample reaches only its logits.  So the key is the
+    program that :data:`~repro.sim.fastsim.PROGRAM_CACHE` returned (by
+    identity: fresh seeds share it through the content tier, and the
+    entry holds it, so its id is never reused) and the scenario with
+    ``name``, ``seed`` and ``model_seed`` blanked.  A bounded LRU,
+    guarded by one lock; :meth:`get` and :meth:`put` copy, so no caller
+    shares a result object with the memo or with another caller.
+    """
+
+    def __init__(self) -> None:
+        #: key -> (the program, its logits-free results)
+        self._entries: "OrderedDict[Tuple, Tuple]" = OrderedDict()
+        self._lock = ForkSafeLock()
+        self.size = TRAJECTORY_MEMO_SIZE
+        self.hits = 0
+        self.misses = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    @staticmethod
+    def _key(program, scenario: Scenario) -> Tuple:
+        return (id(program), dataclasses.replace(
+            scenario, name="", seed=0, model_seed=0))
+
+    def get(self, program, scenario: Scenario) -> Optional[List[RunResult]]:
+        """Fresh logits-free copies of the trajectory, or ``None``."""
+        key = self._key(program, scenario)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                self.misses += 1
+            else:
+                self._entries.move_to_end(key)
+                self.hits += 1
+        if _obs.ENABLED:
+            _obs.count("fleet.trajectory_memo."
+                       + ("misses" if entry is None else "hits"))
+        if entry is None:
+            return None
+        return [_logits_free(run) for run in entry[1]]
+
+    def put(self, program, scenario: Scenario,
+            results: Sequence[RunResult]) -> None:
+        """Keep ``results`` (copied, logits dropped) under the key."""
+        entry = (program, tuple(_logits_free(run) for run in results))
+        key = self._key(program, scenario)
+        with self._lock:
+            self._entries[key] = entry
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.size:
+                self._entries.popitem(last=False)
 
 
 class ModelCache:
@@ -37,14 +116,20 @@ class ModelCache:
     model), while distinct keys build fully concurrently — model builds
     run for seconds, so one global build lock would serialize a
     service's unrelated jobs.  Hits stay lock-free.
+
+    ``trajectories`` is the :class:`TrajectoryMemo` to own (a fresh one
+    by default): a serve worker that drops its models keeps its memo,
+    which holds no model.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, trajectories: Optional[TrajectoryMemo] = None) -> None:
         self._models: Dict[Tuple, QuantizedModel] = {}
         self.hits = 0
         self.misses = 0
         self._build_locks = KeyedLocks()
         self._execution_locks = KeyedLocks()
+        self.trajectories = (trajectories if trajectories is not None
+                             else TrajectoryMemo())
 
     def __len__(self) -> int:
         return len(self._models)

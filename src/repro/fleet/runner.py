@@ -72,7 +72,7 @@ from repro.errors import (
 )
 from repro.faults import inject as _inject
 from repro.faults.retry import RetryPolicy, call_with_retry
-from repro.fleet.cache import ModelCache
+from repro.fleet.cache import ModelCache, TrajectoryMemo
 from repro.fleet.report import FleetReport, ScenarioResult
 from repro.fleet.scenario import Scenario
 from repro.nn.data import Dataset
@@ -95,6 +95,7 @@ def execute_scenario(
     qmodel: QuantizedModel,
     engine: str = "reference",
     dataset: Optional[Dataset] = None,
+    trajectories: Optional[TrajectoryMemo] = None,
 ) -> ScenarioResult:
     """Run one scenario end to end and return its result record.
 
@@ -104,10 +105,15 @@ def execute_scenario(
     :mod:`repro.sim.fastsim` — results are bit-identical either way).
     ``dataset`` is the scenario's input stream, the draw of
     :attr:`Scenario.dataset_key`; when ``None`` it is drawn here.
+    ``trajectories`` (the serial fast path's) supplies the session's
+    logits-free trajectory when an earlier scenario replayed the same
+    program and supply, and keeps it otherwise; only the fast machine's
+    exact replay reads or fills it, never the reference machine.
     """
     from repro.experiments.common import make_dataset, make_runtime
     from repro.hw.board import msp430fr5994
     from repro.power import VoltageMonitor
+    from repro.sim.fastsim import FastMachine
     from repro.sim.session import SensingSession
 
     harvester = scenario.build_harvester()  # None for mains scenarios
@@ -135,7 +141,18 @@ def execute_scenario(
     # Reset it here and snapshot the count into the result so overflow
     # statistics are scenario-scoped in both execution modes.
     qmodel.monitor.reset()
-    stats = session.run(ds.x[: scenario.n_samples])
+    samples = ds.x[: scenario.n_samples]
+    program = known = None
+    if trajectories is not None and isinstance(session.machine, FastMachine):
+        program = session.machine.replay_program()
+        if program is not None:
+            known = trajectories.get(program, scenario)
+    if known is not None:
+        stats = session.run_known(known, samples)
+    else:
+        stats = session.run(samples)
+        if program is not None:
+            trajectories.put(program, scenario, stats.results)
     labels = tuple(int(y) for y in ds.y[: len(stats.results)])
     return ScenarioResult(scenario=scenario, stats=stats, labels=labels,
                           overflow_events=qmodel.monitor.total)
@@ -210,10 +227,12 @@ def _execute_captured(
     qmodel: QuantizedModel,
     engine: str,
     streams: _InputStreams,
+    trajectories: Optional[TrajectoryMemo] = None,
 ) -> ScenarioResult:
     """``execute_scenario`` with exceptions folded into a failure record.
 
-    ``streams`` are the calling run's (or worker's) input streams.  Only
+    ``streams`` are the calling run's (or worker's) input streams;
+    ``trajectories`` is passed through (the serial path's).  Only
     :class:`Exception` is captured — ``KeyboardInterrupt`` and friends
     still abort the run.
     The record (not a raised exception) is what crosses the process
@@ -224,7 +243,8 @@ def _execute_captured(
         with _spans.span("fleet.scenario", scenario=scenario.name,
                          runtime=scenario.runtime):
             result = execute_scenario(scenario, qmodel, engine=engine,
-                                      dataset=streams.get(scenario))
+                                      dataset=streams.get(scenario),
+                                      trajectories=trajectories)
         if _obs.ENABLED:
             _obs.count("fleet.scenarios")
         return result
@@ -437,14 +457,17 @@ class FleetRunner:
         per-scenario scratch, and with a shared ModelCache (repro.serve)
         another thread's run may hold the same model.  Distinct models
         don't contend.  The input streams are this call's own, so no
-        other thread ever sees them.
+        other thread ever sees them.  The fast engine reuses the cache's
+        trajectory memo (see :class:`~repro.fleet.cache.TrajectoryMemo`).
         """
         streams = _InputStreams(s for _, s in items)
+        trajectories = (self.cache.trajectories if self.engine == "fast"
+                        else None)
         for index, scenario in items:
             with self.cache.execution_lock(scenario.model_key):
                 result = _execute_captured(
                     scenario, models[scenario.model_key], self.engine,
-                    streams,
+                    streams, trajectories,
                 )
             commit(index, result)
 

@@ -44,7 +44,6 @@ _GAUGES: Dict[str, float] = {}
 #: name -> [count, total_ns, min_ns, max_ns, buckets]; buckets maps the
 #: stringified power-of-two upper bound (ns) to an occurrence count.
 _DURATIONS: Dict[str, List] = {}
-_SEQ = 0
 
 #: Bucket exponent clamp: 2**10 ns (~1 us) .. 2**40 ns (~18 min).
 _BUCKET_MIN_EXP = 10
@@ -69,11 +68,9 @@ def enabled() -> bool:
 
 def reset_metrics() -> None:
     """Drop all recorded values (the enabled flag is left as is)."""
-    global _SEQ
     _COUNTERS.clear()
     _GAUGES.clear()
     _DURATIONS.clear()
-    _SEQ = 0
 
 
 def count(name: str, n: int = 1) -> None:
@@ -122,15 +119,11 @@ def observe_ns(name: str, ns: int) -> None:
 def snapshot() -> dict:
     """A self-describing copy of the registry (see :mod:`.snapshot`).
 
-    ``pid``/``seq`` identify the producing process and the snapshot's
-    position in that process's stream.
+    ``pid`` identifies the producing process.
     """
-    global _SEQ
-    _SEQ += 1
     return {
         "schema": SNAPSHOT_SCHEMA,
         "pid": os.getpid(),
-        "seq": _SEQ,
         "counters": dict(_COUNTERS),
         "gauges": dict(_GAUGES),
         "durations": {

@@ -57,6 +57,6 @@ def render_snapshot(snap: dict) -> str:
             title="Durations",
         ))
     if not parts:
-        return (f"empty snapshot (pid {snap['pid']}, seq {snap['seq']}) — "
+        return (f"empty snapshot (pid {snap['pid']}) — "
                 "was observability enabled?")
     return "\n\n".join(parts)

@@ -8,7 +8,6 @@ format, and the delta a child process ships with each reply (see
     {
       "schema": 1,
       "pid": 12345,          # producing process
-      "seq": 3,              # monotone per process
       "counters": {"machine.reboots": 17, ...},     # ints
       "gauges": {"kernels.fft_plans": 2.0, ...},    # floats
       "durations": {
@@ -39,7 +38,6 @@ def empty_snapshot() -> dict:
     return {
         "schema": SNAPSHOT_SCHEMA,
         "pid": 0,
-        "seq": 0,
         "counters": {},
         "gauges": {},
         "durations": {},
@@ -57,9 +55,8 @@ def validate_snapshot(snap: object) -> dict:
             f"unknown snapshot schema {snap.get('schema')!r} "
             f"(this build reads schema {SNAPSHOT_SCHEMA})"
         )
-    for field in ("pid", "seq"):
-        if not isinstance(snap.get(field), int):
-            raise ConfigurationError(f"snapshot {field!r} must be an int")
+    if not isinstance(snap.get("pid"), int):
+        raise ConfigurationError("snapshot 'pid' must be an int")
     for section, kind in (("counters", int), ("gauges", (int, float))):
         table = snap.get(section)
         if not isinstance(table, dict):

@@ -29,7 +29,9 @@ depends on a model's architecture and masks, not its weights.
 The worker runs plain :func:`~repro.study.core.run_study` with one
 :class:`~repro.fleet.cache.ModelCache`, replaced by an empty one after
 a job that leaves it holding more than ``WORKER_MODELS`` models (each
-fresh seed is a new model).
+fresh seed is a new model); the new cache keeps the old one's
+trajectory memo, since a fresh seed replays the trajectories of earlier
+seeds (see :class:`~repro.fleet.cache.TrajectoryMemo`).
 It is single-threaded, so a pooled job forks its fleet pool from a
 process with no other threads.  The service keeps the only
 :class:`~repro.store.cache.ResultStore`: the worker's ``run_study`` gets
@@ -186,9 +188,11 @@ def _worker_main(conn) -> None:
             if len(cache) > WORKER_MODELS:
                 # Between jobs no run holds a model or a keyed lock, so
                 # the whole cache (models, their logits memos, locks)
-                # can go.
-                cache = ModelCache()
+                # can go.  Its trajectory memo holds no model and
+                # serves every later fresh seed: it stays.
+                cache = ModelCache(cache.trajectories)
             _obs.gauge("serve.worker.models", len(cache))
+            _obs.gauge("serve.worker.trajectories", len(cache.trajectories))
 
     conn.send(("ready",))
     for spec, rules, obs_on, use_store in procs.requests(conn):

@@ -1500,6 +1500,11 @@ class FastMachine:
             self._program = self._cache.get(self.runtime)
         return self._program
 
+    def replay_program(self) -> Optional[CompiledProgram]:
+        """The program a run replays now, or ``None`` while runs go to
+        the reference machine (see :meth:`_needs_fallback`)."""
+        return None if self._needs_fallback() else self.program
+
     def warm(self) -> None:
         """Do the one-time setup ahead of the first run.
 

@@ -169,15 +169,7 @@ class SensingSession:
                     consecutive_dnf += 1
                     if consecutive_dnf >= self.give_up_after_dnf:
                         break
-        if pending:
-            with _spans.span("session.compute", runtime=self.runtime.name,
-                             batch=len(pending)):
-                logits = self.runtime.compute_logits_batch(
-                    np.stack([x for _, x in pending])
-                )
-            for (result, _), row in zip(pending, logits):
-                result.logits = row
-                result.predicted_class = int(np.argmax(row))
+        self._fill_logits(pending)
         if _rec:
             _obs.count("session.sessions")
             _obs.count("session.samples", stats.inferences)
@@ -185,3 +177,31 @@ class SensingSession:
                 _obs.count("machine.overflow_saturations",
                            _qmon.total - _overflow0)
         return stats
+
+    def run_known(self, results: List[RunResult],
+                  samples: np.ndarray) -> SessionStats:
+        """:meth:`run`'s stats over ``samples``, given ``results``: the
+        logits-free outcome of a fast run with this session's program,
+        supply and knobs (a :class:`~repro.fleet.cache.TrajectoryMemo`
+        entry).
+
+        Nothing is simulated: a fast trajectory never reads a sample
+        (``x`` reaches only the logits), so only the completed samples'
+        logits are computed, in the one batch :meth:`run` computes.
+        """
+        self._fill_logits(
+            [(r, x) for r, x in zip(results, samples) if r.completed])
+        return SessionStats(runtime=self.runtime.name, results=results)
+
+    def _fill_logits(self, pending) -> None:
+        """Fill each ``(result, sample)`` pair's logits in one batch."""
+        if not pending:
+            return
+        with _spans.span("session.compute", runtime=self.runtime.name,
+                         batch=len(pending)):
+            logits = self.runtime.compute_logits_batch(
+                np.stack([x for _, x in pending])
+            )
+        for (result, _), row in zip(pending, logits):
+            result.logits = row
+            result.predicted_class = int(np.argmax(row))

@@ -13,6 +13,7 @@ The three contracts under test (see the package docstring):
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -66,11 +67,10 @@ class TestMetrics:
         assert d["min_ns"] == 1000 and d["max_ns"] == 3000
         assert sum(d["buckets"].values()) == 2
 
-    def test_snapshot_seq_monotonic(self):
+    def test_snapshot_names_its_process(self):
         obs.enable()
         s1, s2 = obs.snapshot(), obs.snapshot()
-        assert s2["seq"] > s1["seq"]
-        assert s1["pid"] == s2["pid"]
+        assert s1["pid"] == s2["pid"] == os.getpid()
 
     def test_reset_clears_everything(self):
         obs.enable()

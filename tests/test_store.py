@@ -510,7 +510,8 @@ class TestRunnerWithStore:
 
         grid = _small_grid()[:3]
 
-        def boom(scenario, qmodel, engine="reference", dataset=None):
+        def boom(scenario, qmodel, engine="reference", dataset=None,
+                 trajectories=None):
             raise RuntimeError("injected fault")
 
         monkeypatch.setattr(runner_mod, "execute_scenario", boom)
@@ -526,10 +527,12 @@ class TestRunnerWithStore:
         real = execute_scenario
         victim = grid[1].name
 
-        def flaky(scenario, qmodel, engine="reference", dataset=None):
+        def flaky(scenario, qmodel, engine="reference", dataset=None,
+                  trajectories=None):
             if scenario.name == victim:
                 raise RuntimeError("injected fault")
-            return real(scenario, qmodel, engine=engine, dataset=dataset)
+            return real(scenario, qmodel, engine=engine, dataset=dataset,
+                        trajectories=trajectories)
 
         monkeypatch.setattr(runner_mod, "execute_scenario", flaky)
         store = ResultStore(tmp_path / "st")
@@ -559,10 +562,12 @@ class TestRunnerWithStore:
         real = execute_scenario
         victim = grid[2].name
 
-        def flaky(scenario, qmodel, engine="reference", dataset=None):
+        def flaky(scenario, qmodel, engine="reference", dataset=None,
+                  trajectories=None):
             if scenario.name == victim:
                 raise RuntimeError("injected fault")
-            return real(scenario, qmodel, engine=engine, dataset=dataset)
+            return real(scenario, qmodel, engine=engine, dataset=dataset,
+                        trajectories=trajectories)
 
         monkeypatch.setattr(runner_mod, "execute_scenario", flaky)
         store = ResultStore(tmp_path / "st", shard_rows=1)
@@ -640,10 +645,12 @@ class TestRunStudyWithStore:
 
         real = execute_scenario
 
-        def flaky(scenario, qmodel, engine="reference", dataset=None):
+        def flaky(scenario, qmodel, engine="reference", dataset=None,
+                  trajectories=None):
             if scenario.name.endswith("SONIC"):
                 raise RuntimeError("injected fault")
-            return real(scenario, qmodel, engine=engine, dataset=dataset)
+            return real(scenario, qmodel, engine=engine, dataset=dataset,
+                        trajectories=trajectories)
 
         monkeypatch.setattr(runner_mod, "execute_scenario", flaky)
         profile = Profile(tasks=("mnist",), samples=1)

@@ -267,6 +267,9 @@ def test_exit_does_not_wait_for_an_abandoned_worker(tmp_path):
         proc.wait()
         if pid is not None and _alive(pid):
             os.kill(pid, signal.SIGKILL)
-    assert returncode == 0, proc.stderr.read()
+        stderr = proc.stderr.read()
+        proc.stdout.close()
+        proc.stderr.close()
+    assert returncode == 0, stderr
     # The exiting interpreter terminated and reaped its worker.
     assert not worker_alive
