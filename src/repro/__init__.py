@@ -45,7 +45,6 @@ __version__ = "1.0.0"
 SIM_SEMANTICS = 1
 
 from repro.errors import (
-    CheckpointError,
     ConfigurationError,
     InferenceAborted,
     PowerFailureError,
@@ -55,7 +54,6 @@ from repro.errors import (
 )
 
 __all__ = [
-    "CheckpointError",
     "ConfigurationError",
     "InferenceAborted",
     "PowerFailureError",

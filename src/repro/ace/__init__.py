@@ -3,7 +3,6 @@
 from repro.ace.buffers import (
     BufferPlan,
     circular_plan,
-    memory_saving,
     per_layer_plan,
 )
 from repro.ace.plan import (
@@ -16,28 +15,17 @@ from repro.ace.plan import (
     relu_atoms,
 )
 from repro.ace.runtime import AceRuntime
-from repro.ace.scaling import (
-    BCMScalePlan,
-    accumulation_guard_bits,
-    algorithm1_prescale_shift,
-    plan_for,
-)
 
 __all__ = [
     "AceRuntime",
-    "BCMScalePlan",
     "BufferPlan",
     "PlanConfig",
-    "accumulation_guard_bits",
-    "algorithm1_prescale_shift",
     "bcm_atoms",
     "build_program",
     "circular_plan",
     "conv_atoms",
     "dense_atoms",
-    "memory_saving",
     "per_layer_plan",
-    "plan_for",
     "pool_atoms",
     "relu_atoms",
 ]

@@ -61,12 +61,3 @@ def per_layer_plan(layer_io_elems: Sequence[int]) -> BufferPlan:
         assignments=assignments,
         buffer_sizes=tuple(sizes),
     )
-
-
-def memory_saving(layer_io_elems: Sequence[int]) -> float:
-    """Fraction of activation memory saved by the circular plan."""
-    naive = per_layer_plan(layer_io_elems).total_bytes
-    circ = circular_plan(layer_io_elems).total_bytes
-    if naive == 0:
-        return 0.0
-    return 1.0 - circ / naive

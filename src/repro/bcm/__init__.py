@@ -1,41 +1,22 @@
 """Block-circulant matrix (BCM) algebra and compression accounting."""
 
-from repro.bcm.circulant import (
-    approximation_error,
-    bcm_matvec,
-    bcm_to_dense,
-    block_partition,
-    circulant,
-    circulant_matvec,
-    dense_to_bcm,
-    project_to_circulant,
-)
+from repro.bcm.circulant import bcm_matvec, bcm_to_dense
 from repro.bcm.transform import (
     BYTES_PER_WEIGHT,
     TABLE1_BYTES_PER_WEIGHT,
     CompressionRow,
     bcm_fc_bytes,
-    columns_from_spectra,
     compression_table,
     dense_fc_bytes,
-    spectra_from_columns,
 )
 
 __all__ = [
     "BYTES_PER_WEIGHT",
     "TABLE1_BYTES_PER_WEIGHT",
     "CompressionRow",
-    "approximation_error",
     "bcm_fc_bytes",
     "bcm_matvec",
     "bcm_to_dense",
-    "block_partition",
-    "circulant",
-    "circulant_matvec",
-    "columns_from_spectra",
     "compression_table",
     "dense_fc_bytes",
-    "dense_to_bcm",
-    "project_to_circulant",
-    "spectra_from_columns",
 ]

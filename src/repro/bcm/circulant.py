@@ -2,83 +2,18 @@
 
 A circulant matrix is fully determined by its first column ``c``:
 ``C[i, j] = c[(i - j) mod k]``, and ``C @ x`` equals the circular
-convolution ``c (*) x``, computable in ``O(k log k)`` via the FFT.  These
-helpers are the float-domain reference used by training, by tests, and by
-the compression accounting of Table I.
+convolution ``c (*) x``, computable in ``O(k log k)`` via the FFT.
+:func:`bcm_matvec` is that float-domain product for a whole block grid;
+:func:`bcm_to_dense` materializes the dense matrix it stands for, the
+oracle the BCM products are tested against.
 """
 
 from __future__ import annotations
-
-from typing import Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.kernels.spectra import weight_spectra
-
-
-def circulant(first_column: np.ndarray) -> np.ndarray:
-    """Materialize the circulant matrix with the given first column."""
-    c = np.asarray(first_column, dtype=np.float64)
-    if c.ndim != 1 or c.size == 0:
-        raise ConfigurationError("first_column must be a non-empty 1-D array")
-    k = c.size
-    idx = (np.arange(k)[:, None] - np.arange(k)[None, :]) % k
-    return c[idx]
-
-
-def circulant_matvec(first_column: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``circulant(c) @ x`` via FFT (circular convolution)."""
-    c = np.asarray(first_column, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if c.shape[-1] != x.shape[-1]:
-        raise ConfigurationError(
-            f"length mismatch: column {c.shape[-1]} vs vector {x.shape[-1]}"
-        )
-    return np.fft.ifft(np.fft.fft(c) * np.fft.fft(x, axis=-1), axis=-1).real
-
-
-def block_partition(matrix: np.ndarray, block_size: int) -> np.ndarray:
-    """Split ``(m, n)`` into a ``(m/k, n/k, k, k)`` grid of square blocks."""
-    w = np.asarray(matrix, dtype=np.float64)
-    if w.ndim != 2:
-        raise ConfigurationError("matrix must be 2-D")
-    m, n = w.shape
-    k = block_size
-    if k <= 0 or m % k or n % k:
-        raise ConfigurationError(
-            f"block size {k} must divide both dimensions of {w.shape}"
-        )
-    return w.reshape(m // k, k, n // k, k).transpose(0, 2, 1, 3)
-
-
-def project_to_circulant(block: np.ndarray) -> np.ndarray:
-    """First column of the nearest circulant matrix (Frobenius projection).
-
-    The projection averages each circulant diagonal: entry ``d`` of the
-    result is the mean of ``block[i, j]`` over ``(i - j) mod k == d``.  Used
-    when converting a pretrained dense layer to BCM form.
-    """
-    b = np.asarray(block, dtype=np.float64)
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise ConfigurationError(f"block must be square, got {b.shape}")
-    k = b.shape[0]
-    diff = (np.arange(k)[:, None] - np.arange(k)[None, :]) % k
-    col = np.zeros(k)
-    for d in range(k):
-        col[d] = b[diff == d].mean()
-    return col
-
-
-def dense_to_bcm(matrix: np.ndarray, block_size: int) -> np.ndarray:
-    """Project a dense ``(m, n)`` matrix onto BCM form: ``(m/k, n/k, k)``."""
-    blocks = block_partition(matrix, block_size)
-    p, q = blocks.shape[:2]
-    out = np.zeros((p, q, block_size))
-    for i in range(p):
-        for j in range(q):
-            out[i, j] = project_to_circulant(blocks[i, j])
-    return out
 
 
 def bcm_to_dense(weights: np.ndarray) -> np.ndarray:
@@ -113,16 +48,3 @@ def bcm_matvec(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
     # against the same weights skip the weight transform entirely.
     fy = np.einsum("pqk,...qk->...pk", weight_spectra(w), np.fft.fft(xb, axis=-1))
     return np.fft.ifft(fy, axis=-1).real.reshape(x.shape[:-1] + (p * k,))
-
-
-def approximation_error(matrix: np.ndarray, block_size: int) -> Tuple[float, float]:
-    """Relative Frobenius error of projecting ``matrix`` onto BCM form.
-
-    Returns ``(absolute_error, relative_error)``; useful for choosing the
-    largest block size that respects an accuracy budget.
-    """
-    dense = np.asarray(matrix, dtype=np.float64)
-    approx = bcm_to_dense(dense_to_bcm(dense, block_size))
-    err = float(np.linalg.norm(dense - approx))
-    denom = float(np.linalg.norm(dense))
-    return err, err / denom if denom else 0.0

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 
 #: Bytes per stored weight on device (16-bit fixed point).
@@ -79,23 +77,3 @@ def compression_table(
             )
         )
     return rows
-
-
-def spectra_from_columns(weights: np.ndarray) -> np.ndarray:
-    """Precompute per-block FFT spectra from first columns ``(p, q, k)``.
-
-    Returns a complex array of the same shape; on device these are stored
-    quantized (see ``repro.ace.kernels``).
-    """
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 3:
-        raise ConfigurationError("BCM weights must be (p, q, k)")
-    return np.fft.fft(w, axis=-1)
-
-
-def columns_from_spectra(spectra: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`spectra_from_columns` (real first columns)."""
-    s = np.asarray(spectra, dtype=np.complex128)
-    if s.ndim != 3:
-        raise ConfigurationError("BCM spectra must be (p, q, k)")
-    return np.fft.ifft(s, axis=-1).real

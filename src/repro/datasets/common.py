@@ -88,17 +88,6 @@ def draw_segments(
         np.maximum(img, c, out=img)
 
 
-def draw_polyline(
-    img: np.ndarray,
-    points: Sequence[Tuple[float, float]],
-    thickness: float = 1.2,
-    intensity: float = 1.0,
-) -> None:
-    """Draw a connected polyline into a 2-D image, in place."""
-    for a, b in zip(points[:-1], points[1:]):
-        draw_segment(img, a, b, thickness, intensity)
-
-
 def jitter_points(
     points: Sequence[Tuple[float, float]],
     rng: np.random.Generator,

@@ -48,10 +48,6 @@ class InferenceAborted(ReproError):
         )
 
 
-class CheckpointError(ReproError):
-    """Checkpoint data in FRAM was missing or inconsistent on restore."""
-
-
 class ScenarioExecutionError(ReproError):
     """A fleet scenario raised during execution.
 

@@ -1,20 +1,9 @@
 """16-bit fixed-point arithmetic used by the on-device (ACE) kernels.
 
-Exports the Q15 grid helpers, saturating LEA-style primitives, the scaled
-radix-2 FFT, block-exponent vectors, and overflow accounting.
+Exports the Q15 grid helpers, int16 saturation, the scaled radix-2 FFT and
+the real-input FFT, and overflow accounting.
 """
 
-from repro.fixedpoint.arithmetic import (
-    complex_q15_mul,
-    q15_add,
-    q15_mac,
-    q15_mac_columns,
-    q15_mul,
-    q15_neg,
-    q15_shift,
-    q15_sub,
-    requantize_acc,
-)
 from repro.fixedpoint.fft import (
     bit_reversal_permutation,
     fft_reference,
@@ -29,57 +18,31 @@ from repro.fixedpoint.rfft import q15_rfft, q15_rfft_reference, rfft_reference
 from repro.fixedpoint.q15 import (
     INT16_MAX,
     INT16_MIN,
-    INT32_MAX,
-    INT32_MIN,
     Q15_FRAC_BITS,
     Q15_ONE,
     best_frac_bits,
-    fixed_to_float,
-    float_to_fixed,
     float_to_q15,
-    q15_to_float,
-    quantization_step,
     saturate16,
-    saturate32,
 )
-from repro.fixedpoint.vector import QComplexVector, QVector
 
 __all__ = [
     "GLOBAL_MONITOR",
     "INT16_MAX",
     "INT16_MIN",
-    "INT32_MAX",
-    "INT32_MIN",
     "OverflowMonitor",
     "Q15_FRAC_BITS",
     "Q15_ONE",
-    "QComplexVector",
-    "QVector",
     "best_frac_bits",
     "bit_reversal_permutation",
-    "complex_q15_mul",
     "fft_reference",
-    "fixed_to_float",
-    "float_to_fixed",
     "float_to_q15",
-    "q15_add",
     "q15_fft",
     "q15_fft_reference",
     "q15_ifft",
     "q15_ifft_reference",
-    "q15_mac",
-    "q15_mac_columns",
-    "q15_mul",
-    "q15_neg",
     "q15_rfft",
     "q15_rfft_reference",
-    "q15_shift",
-    "q15_sub",
-    "q15_to_float",
     "rfft_reference",
-    "quantization_step",
-    "requantize_acc",
     "saturate16",
-    "saturate32",
     "twiddle_q15",
 ]

@@ -4,7 +4,7 @@ The MSP430's LEA accelerator and the paper's ACE software both operate on
 16-bit signed fixed-point numbers in *Q15* format: an ``int16`` value ``v``
 represents the real number ``v / 2**15`` in the interval ``[-1, 1)``.
 
-This module provides conversion helpers and the saturation primitives used
+This module provides conversion helpers and the int16 saturation used
 throughout the on-device kernels.  All functions accept scalars or numpy
 arrays and return numpy values of the indicated dtype.
 """
@@ -25,19 +25,10 @@ Q15_ONE = 1 << Q15_FRAC_BITS  # 32768
 INT16_MIN = -(1 << 15)
 INT16_MAX = (1 << 15) - 1
 
-#: Representable int32 range (LEA's MAC accumulator width).
-INT32_MIN = -(1 << 31)
-INT32_MAX = (1 << 31) - 1
-
 
 def saturate16(x) -> np.ndarray:
     """Clamp an integer array into the int16 range and cast to int16."""
     return np.clip(np.asarray(x), INT16_MIN, INT16_MAX).astype(np.int16)
-
-
-def saturate32(x) -> np.ndarray:
-    """Clamp an integer array into the int32 range and cast to int32."""
-    return np.clip(np.asarray(x), INT32_MIN, INT32_MAX).astype(np.int32)
 
 
 def float_to_q15(x, *, strict: bool = False) -> np.ndarray:
@@ -58,38 +49,6 @@ def float_to_q15(x, *, strict: bool = False) -> np.ndarray:
         )
     scaled = np.rint(arr * Q15_ONE)
     return saturate16(scaled)
-
-
-def q15_to_float(x) -> np.ndarray:
-    """Convert raw Q15 integers back to floating point."""
-    return np.asarray(x, dtype=np.float64) / Q15_ONE
-
-
-def float_to_fixed(x, frac_bits: int) -> np.ndarray:
-    """Quantize to a general 16-bit fixed-point grid with ``frac_bits``.
-
-    ``frac_bits`` may be any integer in ``[0, 15]``; smaller values widen the
-    representable range at the cost of resolution (a "Qm.n" format with
-    ``m = 15 - frac_bits`` integer bits).
-    """
-    if not 0 <= frac_bits <= 15:
-        raise QuantizationError(f"frac_bits must be in [0, 15], got {frac_bits}")
-    arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise QuantizationError("cannot quantize non-finite values")
-    return saturate16(np.rint(arr * (1 << frac_bits)))
-
-
-def fixed_to_float(x, frac_bits: int) -> np.ndarray:
-    """Convert general fixed-point integers back to floating point."""
-    if not 0 <= frac_bits <= 15:
-        raise QuantizationError(f"frac_bits must be in [0, 15], got {frac_bits}")
-    return np.asarray(x, dtype=np.float64) / (1 << frac_bits)
-
-
-def quantization_step(frac_bits: int = Q15_FRAC_BITS) -> float:
-    """The value of one least-significant bit on the given grid."""
-    return 1.0 / (1 << frac_bits)
 
 
 def best_frac_bits(x, *, max_frac_bits: int = 15) -> int:

@@ -18,7 +18,7 @@ traces reproducible — the trace seed travels with the spec.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.errors import ConfigurationError
@@ -268,8 +268,3 @@ class Scenario:
         # == 100e-6 bit-for-bit), so scenario supplies match experiment
         # code writing capacitances as literals, down to the last ulp.
         return EnergyHarvester(self.trace.build(), Capacitor(self.cap_uf / 1e6))
-
-    def with_runtime(self, runtime: str) -> "Scenario":
-        """Copy of this scenario on a different runtime (name updated)."""
-        return replace(self, runtime=runtime,
-                       name=f"{self.name.rsplit('/', 1)[0]}/{runtime}")

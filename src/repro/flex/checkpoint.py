@@ -16,10 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.errors import CheckpointError
 from repro.hw import constants as C
 from repro.hw.board import commit_cost
-from repro.hw.memory import Fram
 
 
 class BcmStage(IntEnum):
@@ -59,29 +57,3 @@ class FlexCheckpoint:
         """Checkpoint cost in millijoules (CPU time + FRAM writes), the
         quantity the paper bounds at 0.033 mJ."""
         return commit_cost(self.total_words)[1] * 1e3
-
-
-class CheckpointStore:
-    """FRAM-backed storage of the current FLEX checkpoint."""
-
-    KEY = "flex/checkpoint"
-
-    def __init__(self, fram: Fram) -> None:
-        self.fram = fram
-        self.writes = 0
-
-    def save(self, ckpt: FlexCheckpoint) -> None:
-        self.fram.put(self.KEY, ckpt)
-        self.writes += 1
-
-    def load(self) -> FlexCheckpoint:
-        ckpt = self.fram.get(self.KEY)
-        if ckpt is None:
-            raise CheckpointError("no FLEX checkpoint present")
-        return ckpt
-
-    def peek(self) -> Optional[FlexCheckpoint]:
-        return self.fram.get(self.KEY)
-
-    def clear(self) -> None:
-        self.fram.delete(self.KEY)

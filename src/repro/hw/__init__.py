@@ -3,10 +3,10 @@ cost helpers, energy metering, and the Device that executes atoms."""
 
 from repro.hw import constants
 from repro.hw.board import Device, msp430fr5994
-from repro.hw.cpu import alu_cycles, copy_cycles, mac_loop_cycles, software_fft_cycles
-from repro.hw.dma import best_mover_cycles, dma_beats_cpu, transfer_cycles
+from repro.hw.cpu import alu_cycles, copy_cycles, software_fft_cycles
+from repro.hw.dma import transfer_cycles
 from repro.hw.energymeter import EnergyMeter
-from repro.hw.lea import LEA_OPS, op_cycles, speedup_vs_cpu_mac
+from repro.hw.lea import LEA_OPS, op_cycles
 from repro.hw.memory import Fram, MemoryRegion, Sram
 
 __all__ = [
@@ -17,14 +17,10 @@ __all__ = [
     "MemoryRegion",
     "Sram",
     "alu_cycles",
-    "best_mover_cycles",
     "constants",
     "copy_cycles",
-    "dma_beats_cpu",
-    "mac_loop_cycles",
     "msp430fr5994",
     "op_cycles",
     "software_fft_cycles",
-    "speedup_vs_cpu_mac",
     "transfer_cycles",
 ]

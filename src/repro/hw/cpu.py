@@ -9,13 +9,6 @@ from __future__ import annotations
 from repro.hw import constants as C
 
 
-def mac_loop_cycles(n_macs: int) -> float:
-    """Element-wise multiply-accumulate loop (software inner product)."""
-    if n_macs < 0:
-        raise ValueError("n_macs must be non-negative")
-    return n_macs * C.CPU_MAC_CYCLES
-
-
 def alu_cycles(n_ops: int) -> float:
     """Generic ALU work: compares, max-pool, ReLU, additions."""
     if n_ops < 0:

@@ -17,20 +17,3 @@ def transfer_cycles(n_words: int) -> float:
     if n_words == 0:
         return 0.0
     return C.DMA_SETUP_CYCLES + n_words * C.DMA_CYCLES_PER_WORD
-
-
-def best_mover_cycles(n_words: int) -> float:
-    """Cheapest data-movement cost: ACE "selects the right kind of data
-    movement method" (Section III-B) — DMA for bulk, CPU for single words."""
-    from repro.hw.cpu import copy_cycles
-
-    if n_words < 0:
-        raise ValueError("n_words must be non-negative")
-    return min(transfer_cycles(n_words), copy_cycles(n_words))
-
-
-def dma_beats_cpu(n_words: int) -> bool:
-    """True when DMA is strictly cheaper than a CPU copy."""
-    from repro.hw.cpu import copy_cycles
-
-    return transfer_cycles(n_words) < copy_cycles(n_words)

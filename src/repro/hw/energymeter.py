@@ -53,9 +53,6 @@ class EnergyMeter:
     def total_time_s(self) -> float:
         return sum(self.time_s.values())
 
-    def energy_of(self, component: str) -> float:
-        return self.energy_j.get(component, 0.0)
-
     def purpose_of(self, purpose: str) -> float:
         return self.purpose_energy_j.get(purpose, 0.0)
 
@@ -82,10 +79,6 @@ class EnergyMeter:
         self.energy_j.clear()
         self.time_s.clear()
         self.purpose_energy_j.clear()
-
-    def breakdown(self) -> Dict[str, float]:
-        """Energy per component, in millijoules, for reporting."""
-        return {k: v * 1e3 for k, v in sorted(self.energy_j.items())}
 
     def summary(self) -> str:
         lines = [f"total: {self.total_energy_j * 1e3:.3f} mJ over "

@@ -47,14 +47,3 @@ def op_cycles(op: str, length: int) -> float:
     }[op]
     tiles = -(-length // C.LEA_MAX_MAC_ELEMS)
     return tiles * C.LEA_SETUP_CYCLES + length * per_elem
-
-
-def speedup_vs_cpu_mac(length: int) -> float:
-    """How much faster the LEA runs a MAC than the CPU's software loop.
-
-    Used by documentation/benchmarks; grows with vector length as the
-    fixed setup cost amortizes.
-    """
-    from repro.hw.cpu import mac_loop_cycles
-
-    return mac_loop_cycles(length) / op_cycles("mac", length)

@@ -202,7 +202,7 @@ class BCMPlan:
         Y[...] = iws.X[0].reshape(k, self.p, n).transpose(2, 1, 0)
         y = Y
 
-        # Land on the out_frac grid (see repro.ace.scaling for the
+        # Land on the out_frac grid (see QuantBCM.forward for the
         # raw-value algebra); h is the per-sample BEXP headroom used.
         up = (
             self.out_frac - self.in_frac + fft_scale + self.w_exp

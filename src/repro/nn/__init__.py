@@ -19,31 +19,24 @@ from repro.nn.layers import (
     HardClip,
     MaxPool2D,
     ReLU,
-    Tanh,
 )
-from repro.nn.losses import MSELoss, SoftmaxCrossEntropy, softmax
-from repro.nn.metrics import accuracy, confusion_matrix, top_k_accuracy
+from repro.nn.losses import SoftmaxCrossEntropy, softmax
+from repro.nn.metrics import accuracy
 from repro.nn.model import Sequential, evaluate_accuracy, fit
 from repro.nn.module import (
     Layer,
     Parameter,
     nonzero_parameter_count,
     parameter_count,
-    zero_grads,
 )
 from repro.nn.optim import Adam, SGD
-from repro.nn.schedule import CosineDecay, Scheduler, StepDecay, WarmupWrapper
 
 __all__ = [
     "Adam",
     "BCMDense",
     "BatchNorm1d",
     "BatchNorm2d",
-    "CosineDecay",
     "Dropout",
-    "Scheduler",
-    "StepDecay",
-    "WarmupWrapper",
     "fuse_batchnorm",
     "Conv2D",
     "CosineDense",
@@ -52,22 +45,17 @@ __all__ = [
     "Flatten",
     "HardClip",
     "Layer",
-    "MSELoss",
     "MaxPool2D",
     "Parameter",
     "ReLU",
     "SGD",
     "Sequential",
     "SoftmaxCrossEntropy",
-    "Tanh",
     "accuracy",
-    "confusion_matrix",
     "evaluate_accuracy",
     "fit",
     "nonzero_parameter_count",
     "parameter_count",
     "softmax",
-    "top_k_accuracy",
     "train_test_split",
-    "zero_grads",
 ]

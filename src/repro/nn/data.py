@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -36,32 +36,6 @@ class Dataset:
     @property
     def sample_shape(self) -> Tuple[int, ...]:
         return tuple(np.asarray(self.x).shape[1:])
-
-    def subset(self, n: int, *, rng: Optional[np.random.Generator] = None) -> "Dataset":
-        """A random class-stratified-ish subset of ``n`` samples."""
-        if n >= len(self):
-            return self
-        rng = rng or np.random.default_rng(0)
-        idx = rng.choice(len(self), size=n, replace=False)
-        return Dataset(self.x[idx], self.y[idx], self.num_classes, self.name)
-
-    def batches(
-        self,
-        batch_size: int,
-        *,
-        shuffle: bool = True,
-        rng: Optional[np.random.Generator] = None,
-    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """Yield ``(x_batch, y_batch)`` minibatches."""
-        if batch_size <= 0:
-            raise ConfigurationError("batch_size must be positive")
-        order = np.arange(len(self))
-        if shuffle:
-            rng = rng or np.random.default_rng(0)
-            rng.shuffle(order)
-        for start in range(0, len(self), batch_size):
-            idx = order[start : start + batch_size]
-            yield self.x[idx], self.y[idx]
 
 
 def train_test_split(

@@ -1,6 +1,6 @@
 """Layer implementations."""
 
-from repro.nn.layers.activations import HardClip, ReLU, Tanh
+from repro.nn.layers.activations import HardClip, ReLU
 from repro.nn.layers.batchnorm import BatchNorm1d, BatchNorm2d
 from repro.nn.layers.bcm_dense import BCMDense
 from repro.nn.layers.conv import Conv2D, col2im, im2col
@@ -21,7 +21,6 @@ __all__ = [
     "HardClip",
     "MaxPool2D",
     "ReLU",
-    "Tanh",
     "col2im",
     "im2col",
 ]

@@ -28,24 +28,6 @@ class ReLU(Layer):
         return grad_out * self._mask
 
 
-class Tanh(Layer):
-    """Hyperbolic tangent — keeps activations in [-1, 1], which is handy
-    ahead of Q15 quantization (used by RAD's normalization stage)."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._y: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._y = np.tanh(np.asarray(x, dtype=np.float64))
-        return self._y
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._y is None:
-            raise ConfigurationError("backward called before forward")
-        return grad_out * (1.0 - self._y ** 2)
-
-
 class HardClip(Layer):
     """Clamp activations into ``[-limit, limit]``.
 

@@ -120,22 +120,6 @@ class BCMDense(Layer):
     def output_shape(self, input_shape):
         return (self.out_features,)
 
-    def weights_full(self) -> np.ndarray:
-        """Materialize the dense ``(out, in)`` matrix (tests and baselines)."""
-        k = self.block_size
-        full = np.zeros((self.out_padded, self.in_padded))
-        idx = (np.arange(k)[:, None] - np.arange(k)[None, :]) % k
-        for bp in range(self.p):
-            for bq in range(self.q):
-                block = self.weight.data[bp, bq][idx]
-                full[bp * k : (bp + 1) * k, bq * k : (bq + 1) * k] = block
-        return full[: self.out_features, : self.in_features]
-
-    def compression_ratio(self) -> float:
-        """Parameter reduction versus a dense layer (equals block_size)."""
-        dense = self.in_features * self.out_features
-        return dense / self.weight.size
-
     def __repr__(self) -> str:
         return (
             f"BCMDense({self.in_features} -> {self.out_features}, "

@@ -42,22 +42,3 @@ class SoftmaxCrossEntropy:
 
     def __call__(self, logits, labels):
         return self.forward(logits, labels)
-
-
-class MSELoss:
-    """Mean squared error against dense targets."""
-
-    def forward(self, pred: np.ndarray, target: np.ndarray) -> Tuple[float, np.ndarray]:
-        pred = np.asarray(pred, dtype=np.float64)
-        target = np.asarray(target, dtype=np.float64)
-        if pred.shape != target.shape:
-            raise ConfigurationError(
-                f"shape mismatch: pred {pred.shape} vs target {target.shape}"
-            )
-        diff = pred - target
-        loss = float((diff ** 2).mean())
-        grad = 2.0 * diff / diff.size
-        return loss, grad
-
-    def __call__(self, pred, target):
-        return self.forward(pred, target)

@@ -18,29 +18,3 @@ def accuracy(preds: np.ndarray, labels: np.ndarray) -> float:
     if preds.size == 0:
         raise ConfigurationError("cannot compute accuracy of empty arrays")
     return float(np.mean(preds == labels))
-
-
-def top_k_accuracy(logits: np.ndarray, labels: np.ndarray, k: int = 3) -> float:
-    """Fraction of samples whose label is within the top-k logits."""
-    logits = np.asarray(logits)
-    labels = np.asarray(labels)
-    if logits.ndim != 2 or len(logits) != len(labels):
-        raise ConfigurationError("logits must be (N, C) matching labels (N,)")
-    if not 1 <= k <= logits.shape[1]:
-        raise ConfigurationError(f"k must be in [1, {logits.shape[1]}]")
-    topk = np.argsort(-logits, axis=1)[:, :k]
-    return float(np.mean(np.any(topk == labels[:, None], axis=1)))
-
-
-def confusion_matrix(preds: np.ndarray, labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """Counts matrix ``M[i, j]`` = samples with label i predicted as j."""
-    preds = np.asarray(preds)
-    labels = np.asarray(labels)
-    if preds.shape != labels.shape:
-        raise ConfigurationError("preds and labels must have the same shape")
-    mat = np.zeros((num_classes, num_classes), dtype=np.int64)
-    for t, p in zip(labels, preds):
-        if not (0 <= t < num_classes and 0 <= p < num_classes):
-            raise ConfigurationError("class index out of range")
-        mat[t, p] += 1
-    return mat

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -73,35 +73,6 @@ class Sequential(Layer):
         lines.append(f"  total params: {self.parameter_count()}")
         return "\n".join(lines)
 
-    # -- persistence --------------------------------------------------------
-
-    def save_weights(self, path: str) -> None:
-        """Save parameter data (and masks) to an ``.npz`` file."""
-        payload: Dict[str, np.ndarray] = {}
-        for i, p in enumerate(self.parameters()):
-            payload[f"p{i}"] = p.data
-            if p.mask is not None:
-                payload[f"m{i}"] = p.mask
-        np.savez(path, **payload)
-
-    def load_weights(self, path: str) -> None:
-        """Load parameters saved by :meth:`save_weights` (shapes must match)."""
-        with np.load(path) as archive:
-            for i, p in enumerate(self.parameters()):
-                key = f"p{i}"
-                if key not in archive:
-                    raise ConfigurationError(f"missing parameter {key} in {path}")
-                data = archive[key]
-                if data.shape != p.data.shape:
-                    raise ConfigurationError(
-                        f"shape mismatch for {key}: saved {data.shape}, "
-                        f"model {p.data.shape}"
-                    )
-                p.data[...] = data
-                mkey = f"m{i}"
-                if mkey in archive:
-                    p.set_mask(archive[mkey])
-
 
 def fit(
     model: Sequential,
@@ -116,7 +87,6 @@ def fit(
     x_val: Optional[np.ndarray] = None,
     y_val: Optional[np.ndarray] = None,
     patience: Optional[int] = None,
-    on_epoch_end: Optional[Callable[[int, float], None]] = None,
     extra_grad: Optional[Callable[[], None]] = None,
     val_history: Optional[List[float]] = None,
 ) -> List[float]:
@@ -150,7 +120,7 @@ def fit(
     best_acc = -1.0
     best_weights: Optional[List[np.ndarray]] = None
     stale = 0
-    for epoch in range(epochs):
+    for _ in range(epochs):
         order = rng.permutation(n)
         losses = []
         for start in range(0, n, batch_size):
@@ -177,8 +147,6 @@ def fit(
                 stale += 1
             if patience is not None and stale >= patience:
                 break
-        if on_epoch_end is not None:
-            on_epoch_end(epoch, mean_loss)
     if patience is not None and best_weights is not None:
         for p, w in zip(model.parameters(), best_weights):
             p.data[...] = w

@@ -9,7 +9,7 @@ pinned by numerical gradient checks in the test suite.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 import numpy as np
 
@@ -104,12 +104,6 @@ class Layer:
         return self.__class__.__name__
 
 
-def zero_grads(params: Iterable[Parameter]) -> None:
-    """Zero the gradient of every parameter in ``params``."""
-    for p in params:
-        p.zero_grad()
-
-
 def parameter_count(params: Iterable[Parameter]) -> int:
     """Total number of scalar weights across ``params``."""
     return sum(p.size for p in params)
@@ -124,11 +118,3 @@ def nonzero_parameter_count(params: Iterable[Parameter]) -> int:
         else:
             total += p.size
     return total
-
-
-def state_dict(params: Iterable[Parameter]) -> Dict[str, np.ndarray]:
-    """Collect parameter data into a name->array dict (for save/load)."""
-    out: Dict[str, np.ndarray] = {}
-    for i, p in enumerate(params):
-        out[f"{i}:{p.name}"] = p.data
-    return out

@@ -44,7 +44,6 @@ from repro.obs.metrics import (
     count,
     disable,
     enable,
-    enabled,
     gauge,
     observe_ns,
     reset_metrics,
@@ -60,7 +59,6 @@ __all__ = [
     "count",
     "disable",
     "enable",
-    "enabled",
     "events",
     "export_chrome_trace",
     "gauge",

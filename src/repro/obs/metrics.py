@@ -62,10 +62,6 @@ def disable() -> None:
     ENABLED = False
 
 
-def enabled() -> bool:
-    return ENABLED
-
-
 def reset_metrics() -> None:
     """Drop all recorded values (the enabled flag is left as is)."""
     _COUNTERS.clear()

@@ -44,15 +44,6 @@ class Capacitor:
             0.5 * self.capacitance_f * (self.voltage ** 2 - self.v_off ** 2),
         )
 
-    @property
-    def full_swing_energy_j(self) -> float:
-        """Energy of one full v_on -> v_off discharge."""
-        return 0.5 * self.capacitance_f * (self.v_on ** 2 - self.v_off ** 2)
-
-    @property
-    def is_on(self) -> bool:
-        return self.voltage > self.v_off
-
     def draw(self, energy_j: float) -> bool:
         """Remove energy; returns False (and clamps to v_off) on brown-out."""
         if energy_j < 0:

@@ -23,11 +23,10 @@ Beyond the recorded horizon the trace follows its *end policy*:
 * ``"hold"`` — continue at the final sample's power;
 * ``"dead"`` — zero power after the end (supply unplugged).
 
-Importers (:meth:`EmpiricalTrace.from_csv`, :meth:`~EmpiricalTrace.from_npz`,
-:meth:`~EmpiricalTrace.from_samples`) validate units and monotonicity and
-can resample; :meth:`EmpiricalTrace.stats` summarizes mean/peak power,
-outage fraction, and the burst-length distribution.  Composable
-transforms (:meth:`~EmpiricalTrace.scale_to_mean_power`,
+Importers (:meth:`EmpiricalTrace.from_csv`, :meth:`~EmpiricalTrace.from_npz`)
+validate units and monotonicity; :meth:`EmpiricalTrace.stats` summarizes
+mean/peak power, outage fraction, and the burst-length distribution.
+Composable transforms (:meth:`~EmpiricalTrace.scale_to_mean_power`,
 :meth:`~EmpiricalTrace.time_dilate`, :meth:`~EmpiricalTrace.slice`,
 :meth:`~EmpiricalTrace.concat`, :meth:`~EmpiricalTrace.with_outages`)
 each return a new trace, so corpus entries can be reshaped without
@@ -197,11 +196,6 @@ class EmpiricalTrace(PowerTrace):
         return self._duration
 
     @property
-    def cycle_energy_j(self) -> float:
-        """Energy of one full pass over the recording."""
-        return self._cycle_j
-
-    @property
     def mean_power_w(self) -> float:
         return self._cycle_j / self._duration
 
@@ -257,7 +251,7 @@ class EmpiricalTrace(PowerTrace):
         return math.inf
 
     def _time_at(self, energy_j: float) -> float:
-        """Where ``F`` reaches ``0 < energy_j <= cycle_energy_j``."""
+        """Where ``F`` reaches ``0 < energy_j <= _cycle_j`` (one cycle's energy)."""
         i = bisect_left(self._cum_l, energy_j) - 1
         return self._edges_l[i] + (energy_j - self._cum_l[i]) / self._powers_l[i]
 
@@ -496,47 +490,7 @@ class EmpiricalTrace(PowerTrace):
             powers[(left >= start) & (left < stop)] = 0.0
         return self._with(edges, powers)
 
-    def resampled(self, dt_s: float) -> "EmpiricalTrace":
-        """Uniform-grid resampling that conserves energy exactly: each new
-        bin's power is its interval-averaged power, so ``energy()`` over
-        any whole-bin window is unchanged (up to float rounding)."""
-        if dt_s <= 0:
-            raise ConfigurationError("resample step must be positive")
-        n = max(1, int(math.ceil(self._duration / dt_s)))
-        edges = np.minimum(np.arange(n + 1, dtype=np.float64) * dt_s,
-                           self._duration)
-        if edges[-2] >= edges[-1]:  # degenerate final bin: drop it
-            edges = edges[:-1]
-        # Vectorized F(edge) off the prefix-sum table (one searchsorted
-        # for all edges beats n Python-level energy() calls).
-        idx = np.clip(np.searchsorted(self.times, edges, side="right") - 1,
-                      0, self._n - 1)
-        cum = self._cum[idx] + self.powers[idx] * (edges - self.times[idx])
-        powers = np.diff(cum) / np.diff(edges)
-        return self._with(edges, powers)
-
     # -- importers / exporters ------------------------------------------------
-
-    @classmethod
-    def from_samples(
-        cls,
-        times: Sequence[float],
-        powers: Sequence[float],
-        *,
-        end: str = "loop",
-        max_power_w: Optional[float] = DEFAULT_MAX_POWER_W,
-    ) -> "EmpiricalTrace":
-        """Build from logger-style samples.
-
-        Accepts either ``len(times) == len(powers) + 1`` (explicit
-        segment edges) or ``len(times) == len(powers)`` (sample-and-hold
-        readings; the final segment's length repeats the last interval).
-        """
-        times = np.asarray(times, dtype=np.float64)
-        powers = np.asarray(powers, dtype=np.float64)
-        if times.ndim == 1 and len(times) == len(powers) and len(times) >= 2:
-            times = np.concatenate((times, [times[-1] * 2.0 - times[-2]]))
-        return cls(times, powers, end=end, max_power_w=max_power_w)
 
     @classmethod
     def from_csv(

@@ -31,9 +31,3 @@ class VoltageMonitor:
         if low:
             self.warnings += 1
         return low
-
-    def predicts_failure(self, energy_needed_j: float, margin: float = 1.5) -> bool:
-        """True when the next ``energy_needed_j`` draw would likely fail."""
-        if energy_needed_j < 0:
-            raise ConfigurationError("energy must be non-negative")
-        return self.harvester.available_energy_j < energy_needed_j * margin

@@ -1,17 +1,18 @@
 """RAD — resource-aware structured DNN training framework.
 
-The four components of Section III-A: architecture search
-(:mod:`repro.rad.search`), compression (BCM via :class:`repro.nn.BCMDense`
-plus ADMM structured pruning in :mod:`repro.rad.admm`), normalization
-(:mod:`repro.rad.normalize`), and fixed-point calculation
-(:mod:`repro.rad.quantize`), glued together by :func:`repro.rad.run_rad`.
+Three of the four components of Section III-A: compression (BCM via
+:class:`repro.nn.BCMDense` plus ADMM structured pruning in
+:mod:`repro.rad.admm`), normalization (:mod:`repro.rad.normalize`), and
+fixed-point calculation (:mod:`repro.rad.quantize`), glued together by
+:func:`repro.rad.run_rad`.  The fourth, architecture search, is not
+reproduced: the model zoo (:mod:`repro.rad.zoo`) takes the paper's printed
+block sizes (``PAPER_BLOCKS``).
 """
 
 from repro.rad.admm import ADMMPruner, PruneSpec
-from repro.rad.normalize import calibrate_ranges, equalize_ranges, layer_output_peaks
-from repro.rad.package import MAGIC, load_quantized, save_quantized
+from repro.rad.normalize import equalize_ranges, layer_output_peaks
 from repro.rad.pipeline import PAPER_PRUNE, PAPER_PRUNE_CONV, RADConfig, RADResult, run_rad
-from repro.rad.prune import channel_mask, filter_mask, project, sparsity, structured_mask
+from repro.rad.prune import channel_mask, filter_mask, project, structured_mask
 from repro.rad.quantize import (
     BCM_MODES,
     QuantBCM,
@@ -24,13 +25,6 @@ from repro.rad.quantize import (
     quantize_model,
 )
 from repro.rad.resources import DeviceBudget, ModelResources, analyze, check_fits
-from repro.rad.search import (
-    Candidate,
-    CandidateResult,
-    SearchResult,
-    enumerate_block_candidates,
-    search,
-)
 from repro.rad.zoo import (
     INPUT_SHAPES,
     NUM_CLASSES,
@@ -43,12 +37,7 @@ from repro.rad.zoo import (
 
 __all__ = [
     "ADMMPruner",
-    "MAGIC",
-    "load_quantized",
-    "save_quantized",
     "BCM_MODES",
-    "Candidate",
-    "CandidateResult",
     "DeviceBudget",
     "INPUT_SHAPES",
     "ModelResources",
@@ -66,23 +55,18 @@ __all__ = [
     "QuantizedModel",
     "RADConfig",
     "RADResult",
-    "SearchResult",
     "analyze",
     "build_har",
     "build_mnist",
     "build_model",
     "build_okg",
-    "calibrate_ranges",
     "channel_mask",
     "check_fits",
-    "enumerate_block_candidates",
     "equalize_ranges",
     "filter_mask",
     "layer_output_peaks",
     "project",
     "quantize_model",
     "run_rad",
-    "search",
-    "sparsity",
     "structured_mask",
 ]

@@ -3,10 +3,11 @@ fixed-point range (Section III-A, "Normalization").
 
 Two complementary mechanisms are provided:
 
-* :func:`calibrate_ranges` — run a calibration batch through the float
-  model, record the peak magnitude after every layer, and derive the
-  per-layer activation fixed-point format (the exponent each on-device
-  buffer uses).  This is the function-preserving analogue of the paper's
+* :func:`layer_output_peaks` — run a calibration batch through the float
+  model and record the peak magnitude after every layer, from which
+  :func:`repro.rad.quantize.quantize_model` derives the per-layer
+  activation fixed-point format (the exponent each on-device buffer
+  uses).  This is the function-preserving analogue of the paper's
   "normalize data into [-1, 1]" step: instead of rescaling values, each
   layer's grid is chosen so its observed range maps into [-1, 1).
 * :func:`equalize_ranges` — optional weight rescaling for ReLU networks:
@@ -38,26 +39,6 @@ def layer_output_peaks(model: Sequential, x_calib: np.ndarray) -> List[float]:
         h = layer.forward(h)
         peaks.append(float(np.max(np.abs(h))) if h.size else 0.0)
     return peaks
-
-
-def calibrate_ranges(
-    model: Sequential,
-    x_calib: np.ndarray,
-    *,
-    headroom: float = 1.25,
-) -> List[int]:
-    """Choose a fractional-bit count for each layer's output activations.
-
-    ``headroom`` multiplies observed peaks so mild distribution shift at
-    test time does not saturate.  Returns one ``frac_bits`` value (<= 15)
-    per layer.
-    """
-    if headroom < 1.0:
-        raise ConfigurationError("headroom must be >= 1.0")
-    from repro.fixedpoint import best_frac_bits
-
-    peaks = layer_output_peaks(model, x_calib)
-    return [best_frac_bits(np.array([p * headroom])) for p in peaks]
 
 
 _HOMOGENEOUS = (ReLU, MaxPool2D, Flatten)

@@ -91,11 +91,6 @@ class RADResult:
     train_history: List[float] = field(default_factory=list)
     admm_residuals: List[float] = field(default_factory=list)
 
-    @property
-    def accuracy_drop(self) -> float:
-        """Float-to-quantized accuracy loss (positive = quantization hurt)."""
-        return self.float_accuracy - self.quantized_accuracy
-
 
 def run_rad(
     config: RADConfig,

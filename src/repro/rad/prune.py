@@ -66,11 +66,3 @@ def project(weight: np.ndarray, keep_ratio: float, kind: str = "filter") -> np.n
     """Project ``weight`` onto the structured-sparsity constraint set
     (the Euclidean projection simply zeroes the pruned groups)."""
     return np.asarray(weight) * structured_mask(weight, keep_ratio, kind)
-
-
-def sparsity(mask: np.ndarray) -> float:
-    """Fraction of zeros in a mask (or weight tensor)."""
-    arr = np.asarray(mask)
-    if arr.size == 0:
-        raise ConfigurationError("cannot compute sparsity of an empty array")
-    return 1.0 - np.count_nonzero(arr) / arr.size

@@ -7,11 +7,12 @@ This is RAD's "fixed point calculation" component (Section III-A): a float
 accumulators, and the LEA-style scaled FFT pipeline for BCM layers
 (ACE Algorithm 1).
 
-Activation grids come from :func:`repro.rad.normalize.calibrate_ranges`
-(dynamic fixed point: each layer output has its own fractional-bit count),
-and the BCM kernel tracks block exponents through FFT -> multiply -> IFFT
-the way LEA firmware does with its ``BEXP`` command.  The
-``bcm_mode`` knob selects the overflow-protection strategy:
+Activation grids come from the calibration peaks of
+:func:`repro.rad.normalize.layer_output_peaks` (dynamic fixed point: each
+layer output has its own fractional-bit count), and the BCM kernel tracks
+block exponents through FFT -> multiply -> IFFT the way LEA firmware does
+with its ``BEXP`` command.  The ``bcm_mode`` knob selects the
+overflow-protection strategy:
 
 * ``"stage"``   — per-stage scaled FFT + block-exponent renormalization
   (default; best precision),
@@ -178,7 +179,28 @@ class QuantBCM:
     ) -> np.ndarray:
         """Planned forward: the fused FFT -> multiply -> IFFT chain of
         :class:`repro.kernels.bcmplan.BCMPlan`, bit-identical to
-        :meth:`forward_reference` (asserted by ``tests/test_kernels.py``)."""
+        :meth:`forward_reference` (asserted by ``tests/test_kernels.py``).
+
+        The printed Algorithm 1 scales inputs and weights down by their
+        lengths before the FFT and back up afterwards.  Here, as on LEA
+        firmware, the scaled FFT shifts right one bit per stage, block
+        exponents (``BEXP``) track the binary point so the scale-up is
+        exponent arithmetic, and a renormalization before the IFFT
+        shifts the accumulated spectrum into the int16 headroom.  In raw
+        values (``mode="stage"``)::
+
+            x_raw   = x_float * 2**in_frac
+            fx_raw  = FFT(x_raw) * 2**-fft_scale          (scaled FFT)
+            w_raw   = FFT(w_float) * 2**(15 - w_exp)      (stored spectrum)
+            pr_raw  = fx_raw * w_raw * 2**-15             (Q15 complex multiply)
+            acc_raw = sum_q pr_raw * 2**(h - s_q)         (q-sum + BEXP headroom h)
+            b_raw   = IFFT(acc_raw) * 2**-ifft_scale
+            out_raw = b_raw * 2**(out_frac - in_frac + fft_scale + w_exp
+                                  + s_q + ifft_scale - h)
+
+        with ``fft_scale = log2(block_size)`` and ``s_q = ceil(log2 q)``
+        guarding the q-block sum.
+        """
         return get_bcm_plan(self).forward(x, monitor=monitor, mode=mode)
 
     def forward_reference(
@@ -266,7 +288,7 @@ class QuantBCM:
             scaling="stage" if mode == "stage" else "none",
             monitor=monitor,
         )
-        # Raw-value algebra (also documented in repro.ace.scaling):
+        # Raw-value algebra (documented in forward):
         #   b_raw = y_float * 2**(in_frac - fft_scale - w_exp - s_q + h
         #                          - ifft_scale)
         # so landing on the out_frac grid takes one left shift by:

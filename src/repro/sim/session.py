@@ -46,10 +46,6 @@ class SessionStats:
         return sum(1 for r in self.results if r.completed)
 
     @property
-    def dnf(self) -> int:
-        return self.inferences - self.completed
-
-    @property
     def total_wall_time_s(self) -> float:
         return sum(r.wall_time_s for r in self.results)
 

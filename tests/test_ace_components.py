@@ -1,17 +1,10 @@
-"""Tests for ACE's buffer planner and scaling bookkeeping."""
+"""Tests for ACE's circular-buffer planner."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ace import (
-    accumulation_guard_bits,
-    algorithm1_prescale_shift,
-    circular_plan,
-    memory_saving,
-    per_layer_plan,
-    plan_for,
-)
+from repro.ace import circular_plan, per_layer_plan
 from repro.errors import ConfigurationError
 
 
@@ -33,45 +26,11 @@ class TestCircularBuffers:
         plan = per_layer_plan(self.IO)
         assert plan.total_bytes == sum(s * 2 for s in self.IO)
 
-    def test_saving_positive_for_deep_models(self):
-        assert memory_saving(self.IO) > 0.3
-
-    def test_single_layer_no_saving(self):
-        # Two boundaries of equal size: circular == per-layer.
-        assert memory_saving([100, 100]) == 0.0
-
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
             circular_plan([])
         with pytest.raises(ConfigurationError):
             per_layer_plan([0, 10])
-
-
-class TestScalePlans:
-    def test_guard_bits(self):
-        assert accumulation_guard_bits(1) == 0
-        assert accumulation_guard_bits(2) == 1
-        assert accumulation_guard_bits(3) == 2
-        assert accumulation_guard_bits(28) == 5
-        with pytest.raises(ConfigurationError):
-            accumulation_guard_bits(0)
-
-    def test_prescale_shift(self):
-        assert algorithm1_prescale_shift(128) == 7
-        with pytest.raises(ConfigurationError):
-            algorithm1_prescale_shift(100)
-
-    def test_plan_static_shift(self):
-        plan = plan_for(block_size=128, q_blocks=2, w_exp=3, in_frac=15, out_frac=15)
-        assert plan.fft_scale == 7
-        assert plan.s_q == 1
-        assert plan.static_up_shift == 15 - 15 + 7 + 3 + 1
-
-    def test_plan_validation(self):
-        with pytest.raises(ConfigurationError):
-            plan_for(block_size=100, q_blocks=2, w_exp=3, in_frac=15, out_frac=15)
-        with pytest.raises(ConfigurationError):
-            plan_for(block_size=64, q_blocks=2, w_exp=3, in_frac=16, out_frac=15)
 
 
 @settings(max_examples=50, deadline=None)
@@ -85,14 +44,3 @@ def test_property_circular_exact_relationship(io_sizes):
     assert naive == sum(io_sizes) * 2
     if sum(io_sizes) >= 2 * max(io_sizes):
         assert circ <= naive
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=1, max_value=1000))
-def test_property_guard_bits_sufficient(q):
-    """Summing q values each < 2**15 after the guard shift stays in int16."""
-    bits = accumulation_guard_bits(q)
-    worst_sum = q * ((2 ** 15 - 1) >> bits)
-    assert worst_sum < 2 ** 31  # int32 accumulator never overflows
-    # and within a factor-of-two envelope of int16 for the vectorized sum
-    assert (q >> bits) <= 1 or bits >= 1

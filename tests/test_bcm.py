@@ -1,107 +1,31 @@
-"""Tests for circulant algebra and BCM compression accounting (Table I)."""
+"""Tests for BCM algebra and compression accounting (Table I)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bcm import (
-    approximation_error,
-    bcm_fc_bytes,
-    bcm_matvec,
-    bcm_to_dense,
-    block_partition,
-    circulant,
-    circulant_matvec,
-    columns_from_spectra,
-    compression_table,
-    dense_fc_bytes,
-    dense_to_bcm,
-    project_to_circulant,
-    spectra_from_columns,
-)
+from repro.bcm import bcm_fc_bytes, bcm_matvec, bcm_to_dense, compression_table, dense_fc_bytes
 from repro.errors import ConfigurationError
 
 
 class TestCirculant:
     def test_structure(self):
-        c = circulant(np.array([1.0, 2.0, 3.0]))
+        c = bcm_to_dense(np.array([[[1.0, 2.0, 3.0]]]))
         np.testing.assert_array_equal(c, [[1, 3, 2], [2, 1, 3], [3, 2, 1]])
-
-    def test_matvec_matches_materialized(self):
-        rng = np.random.default_rng(0)
-        col = rng.normal(size=16)
-        x = rng.normal(size=16)
-        np.testing.assert_allclose(
-            circulant_matvec(col, x), circulant(col) @ x, atol=1e-10
-        )
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            circulant(np.array([]))
 
     def test_length_mismatch(self):
         with pytest.raises(ConfigurationError):
-            circulant_matvec(np.ones(4), np.ones(5))
-
-
-class TestProjection:
-    def test_projection_of_circulant_is_identity(self):
-        col = np.array([1.0, -2.0, 0.5, 3.0])
-        np.testing.assert_allclose(project_to_circulant(circulant(col)), col)
-
-    def test_projection_minimizes_frobenius(self):
-        """The diagonal-mean projection must beat random circulants."""
-        rng = np.random.default_rng(1)
-        block = rng.normal(size=(8, 8))
-        best = np.linalg.norm(block - circulant(project_to_circulant(block)))
-        for _ in range(20):
-            rand_col = rng.normal(size=8)
-            assert best <= np.linalg.norm(block - circulant(rand_col)) + 1e-12
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ConfigurationError):
-            project_to_circulant(np.zeros((3, 4)))
+            bcm_matvec(np.ones((1, 1, 4)), np.ones(5))
 
 
 class TestBlockOps:
-    def test_partition_shapes(self):
-        blocks = block_partition(np.zeros((8, 12)), 4)
-        assert blocks.shape == (2, 3, 4, 4)
-
-    def test_partition_values(self):
-        m = np.arange(16.0).reshape(4, 4)
-        blocks = block_partition(m, 2)
-        np.testing.assert_array_equal(blocks[0, 1], [[2, 3], [6, 7]])
-
-    def test_indivisible_rejected(self):
-        with pytest.raises(ConfigurationError):
-            block_partition(np.zeros((6, 6)), 4)
-
-    def test_dense_roundtrip_through_bcm(self):
-        rng = np.random.default_rng(2)
-        w = bcm_to_dense(rng.normal(size=(2, 3, 4)))
-        assert w.shape == (8, 12)
-        cols = dense_to_bcm(w, 4)
-        np.testing.assert_allclose(bcm_to_dense(cols), w, atol=1e-10)
-
     def test_bcm_matvec_matches_dense(self):
         rng = np.random.default_rng(3)
         weights = rng.normal(size=(2, 4, 8))
         x = rng.normal(size=(5, 32))
         ref = x @ bcm_to_dense(weights).T
         np.testing.assert_allclose(bcm_matvec(weights, x), ref, atol=1e-10)
-
-    def test_approximation_error_zero_for_bcm_matrix(self):
-        rng = np.random.default_rng(4)
-        w = bcm_to_dense(rng.normal(size=(2, 2, 8)))
-        abs_err, rel_err = approximation_error(w, 8)
-        assert rel_err < 1e-12
-
-    def test_approximation_error_positive_for_random(self):
-        rng = np.random.default_rng(5)
-        _, rel = approximation_error(rng.normal(size=(16, 16)), 8)
-        assert rel > 0.1
 
 
 class TestTable1:
@@ -138,19 +62,6 @@ class TestTable1:
             bcm_fc_bytes(512, 512, 96)
 
 
-class TestSpectra:
-    def test_roundtrip(self):
-        rng = np.random.default_rng(6)
-        cols = rng.normal(size=(3, 2, 16))
-        np.testing.assert_allclose(
-            columns_from_spectra(spectra_from_columns(cols)), cols, atol=1e-12
-        )
-
-    def test_bad_rank(self):
-        with pytest.raises(ConfigurationError):
-            spectra_from_columns(np.zeros((4, 4)))
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=10 ** 6))
 def test_property_matvec_linearity(scale, seed):
@@ -160,13 +71,3 @@ def test_property_matvec_linearity(scale, seed):
     np.testing.assert_allclose(
         bcm_matvec(w, scale * x), scale * bcm_matvec(w, x), atol=1e-9
     )
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=0, max_value=10 ** 6))
-def test_property_projection_idempotent(seed):
-    rng = np.random.default_rng(seed)
-    block = rng.normal(size=(8, 8))
-    once = project_to_circulant(block)
-    twice = project_to_circulant(circulant(once))
-    np.testing.assert_allclose(once, twice, atol=1e-10)

@@ -47,8 +47,8 @@ class TestPartialMetering:
         with pytest.raises(PowerFailureError):
             device.execute(atom)
         total = device.meter.total_energy_j
-        fram = device.meter.energy_of("fram")
-        cpu = device.meter.energy_of("cpu")
+        fram = device.meter.energy_j["fram"]
+        cpu = device.meter.energy_j["cpu"]
         assert total == pytest.approx(fram + cpu, rel=1e-9)
         # The split matches the atom's intrinsic core/memory ratio.
         _, full_energy = device.atom_cost(atom)
@@ -84,7 +84,7 @@ class TestPartialMetering:
         device.restore(100)
         from repro.hw import constants as C
 
-        assert device.meter.energy_of("fram") == pytest.approx(
+        assert device.meter.energy_j["fram"] == pytest.approx(
             100 * C.FRAM_READ_RAW_J
         )
 

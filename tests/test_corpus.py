@@ -49,7 +49,7 @@ class TestEmpiricalTraceBasics:
     def test_properties(self):
         tr = staircase()
         assert tr.duration_s == 4.0
-        assert tr.cycle_energy_j == pytest.approx(6e-3)
+        assert tr.energy(0.0, tr.duration_s) == pytest.approx(6e-3)
         assert tr.mean_power_w == pytest.approx(1.5e-3)
         assert tr.peak_power_w == 4e-3
 
@@ -179,7 +179,7 @@ class TestTransforms:
     def test_time_dilate(self):
         tr = staircase().time_dilate(2.0)
         assert tr.duration_s == 8.0
-        assert tr.cycle_energy_j == pytest.approx(12e-3)  # energy scales
+        assert tr.energy(0.0, tr.duration_s) == pytest.approx(12e-3)  # energy scales
         assert tr.peak_power_w == 4e-3                    # powers do not
 
     def test_slice(self):
@@ -195,35 +195,24 @@ class TestTransforms:
     def test_slice_on_exact_edges(self):
         tr = staircase().slice(1.0, 3.0)
         assert tr.duration_s == 2.0
-        assert tr.cycle_energy_j == 0.0  # exactly the dead segment
+        assert tr.energy(0.0, tr.duration_s) == 0.0  # exactly the dead segment
 
     def test_concat(self):
         tr = staircase().concat(staircase())
         assert tr.duration_s == 8.0
-        assert tr.cycle_energy_j == pytest.approx(12e-3)
+        assert tr.energy(0.0, tr.duration_s) == pytest.approx(12e-3)
         assert tr.energy(4.0, 1.0) == pytest.approx(2e-3)
 
     def test_with_outages_only_removes_energy(self):
         base = CORPUS.get("solar-clear")
         cut = base.with_outages(rate_hz=0.2, mean_outage_s=5.0, seed=1)
         assert cut.duration_s == base.duration_s
-        assert cut.cycle_energy_j < base.cycle_energy_j
+        assert cut.energy(0.0, cut.duration_s) < base.energy(0.0, base.duration_s)
         assert cut.stats().outage_fraction > base.stats().outage_fraction
         # Deterministic per seed.
         again = base.with_outages(rate_hz=0.2, mean_outage_s=5.0, seed=1)
         assert np.array_equal(cut.times, again.times)
         assert np.array_equal(cut.powers, again.powers)
-
-    def test_resampled_conserves_energy(self):
-        tr = CORPUS.get("rf-markov", seed=5)
-        coarse = tr.resampled(0.25)
-        assert coarse.duration_s == pytest.approx(tr.duration_s)
-        assert coarse.cycle_energy_j == pytest.approx(tr.cycle_energy_j,
-                                                      rel=1e-9)
-        # Whole-bin windows integrate identically (energy is conserved
-        # per bin, not just in total).
-        assert coarse.energy(1.0, 5.0) == pytest.approx(tr.energy(1.0, 5.0),
-                                                        rel=1e-9)
 
 
 class TestStats:
@@ -251,15 +240,6 @@ class TestStats:
 
 
 class TestImporters:
-    def test_from_samples_synthesizes_final_edge(self):
-        tr = EmpiricalTrace.from_samples([0.0, 0.1, 0.2], [1e-3, 2e-3, 3e-3])
-        assert tr.duration_s == pytest.approx(0.3)
-        assert tr.energy(0.0, 0.3) == pytest.approx(0.6e-3)
-
-    def test_from_samples_accepts_explicit_edges(self):
-        tr = EmpiricalTrace.from_samples([0.0, 0.1, 0.4], [1e-3, 2e-3])
-        assert tr.duration_s == pytest.approx(0.4)
-
     def test_csv_round_trip_bit_identical(self, tmp_path):
         path = str(tmp_path / "trace.csv")
         orig = CORPUS.get("rf-markov", seed=9)
@@ -379,7 +359,8 @@ class TestGenerators:
     def test_cloudy_days_are_dimmer(self):
         clear = generators.diurnal_solar(0, cloudiness=0.0)
         cloudy = generators.diurnal_solar(0, cloudiness=0.6)
-        assert cloudy.cycle_energy_j < clear.cycle_energy_j
+        assert (cloudy.energy(0.0, cloudy.duration_s)
+                < clear.energy(0.0, clear.duration_s))
 
     def test_cloudiness_fraction_is_realized(self):
         """``cloudiness`` means what it says: the rendered fraction of

@@ -286,7 +286,7 @@ class TestZooConformance:
             fast, dev_fast = zoo_session(mnist_q, name, "fast", "square")
             st_ref = ref.run(mnist_x)
             st_fast = fast.run(mnist_x)
-            assert st_ref.dnf > 0  # the paper's premise
+            assert st_ref.completed < st_ref.inferences  # the paper's premise
             for a, b in zip(st_ref.results, st_fast.results):
                 assert_identical(a, b, name)
             assert_state_identical(dev_ref, dev_fast, name)

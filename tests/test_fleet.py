@@ -126,13 +126,6 @@ class TestScenario:
                      trace=TraceSpec("solar", 5e-3, 1.0))
         assert c.dataset_key == a.dataset_key
 
-    def test_with_runtime(self):
-        s = Scenario(name="mnist/square@5mW/100uF/SONIC", runtime="SONIC")
-        t = s.with_runtime("TAILS")
-        assert t.runtime == "TAILS"
-        assert t.name == "mnist/square@5mW/100uF/TAILS"
-        assert t.trace == s.trace
-
 
 class TestGrid:
     def test_seed_is_order_independent(self):

@@ -1,11 +1,8 @@
-"""Tests for FLEX checkpoint records and storage."""
+"""Tests for FLEX checkpoint records."""
 
 import numpy as np
-import pytest
 
-from repro.errors import CheckpointError
-from repro.flex import BcmStage, CheckpointStore, FlexCheckpoint
-from repro.hw import Fram
+from repro.flex import BcmStage, FlexCheckpoint
 
 
 class TestFlexCheckpoint:
@@ -37,34 +34,3 @@ class TestFlexCheckpoint:
     def test_stage_enum_order(self):
         assert BcmStage.DMA_IN < BcmStage.FFT_DONE < BcmStage.MPY_DONE
         assert BcmStage.MPY_DONE < BcmStage.IFFT_DONE < BcmStage.WRITTEN_BACK
-
-
-class TestCheckpointStore:
-    def test_save_load_roundtrip(self):
-        store = CheckpointStore(Fram())
-        ckpt = FlexCheckpoint(layer=1, block_p=2, block_q=3, stage=BcmStage.IFFT_DONE)
-        store.save(ckpt)
-        loaded = store.load()
-        assert loaded.layer == 1 and loaded.stage == BcmStage.IFFT_DONE
-        assert store.writes == 1
-
-    def test_load_without_save_raises(self):
-        with pytest.raises(CheckpointError):
-            CheckpointStore(Fram()).load()
-
-    def test_peek_and_clear(self):
-        store = CheckpointStore(Fram())
-        assert store.peek() is None
-        store.save(FlexCheckpoint(0, 0, 0, BcmStage.DMA_IN))
-        assert store.peek() is not None
-        store.clear()
-        assert store.peek() is None
-
-    def test_survives_sram_loss_by_construction(self):
-        """The store lives in FRAM: clearing SRAM-like state elsewhere
-        cannot affect it (persistence contract)."""
-        fram = Fram()
-        store = CheckpointStore(fram)
-        store.save(FlexCheckpoint(5, 0, 0, BcmStage.WRITTEN_BACK))
-        # Simulated reboot: a new store over the same FRAM finds the data.
-        assert CheckpointStore(fram).load().layer == 5

@@ -3,21 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.errors import CheckpointError, ResourceExceededError
 from repro.hw import (
     Device,
     EnergyMeter,
     Fram,
     Sram,
     alu_cycles,
-    best_mover_cycles,
     copy_cycles,
-    dma_beats_cpu,
-    mac_loop_cycles,
     msp430fr5994,
     op_cycles,
     software_fft_cycles,
-    speedup_vs_cpu_mac,
     transfer_cycles,
 )
 from repro.hw import constants as C
@@ -25,19 +20,6 @@ from repro.sim.atoms import Atom
 
 
 class TestMemories:
-    def test_capacity_accounting(self):
-        sram = Sram(1024)
-        sram.allocate("buf", 512)
-        assert sram.free_bytes == 512
-        with pytest.raises(ResourceExceededError):
-            sram.allocate("big", 600)
-
-    def test_reallocate_same_label(self):
-        fram = Fram(1000)
-        fram.allocate("weights", 400)
-        fram.allocate("weights", 500)  # grow in place
-        assert fram.used_bytes == 500
-
     def test_sram_loses_data_on_power_fail(self):
         sram = Sram()
         sram.put("acc", [1, 2, 3])
@@ -47,11 +29,7 @@ class TestMemories:
     def test_fram_survives(self):
         fram = Fram()
         fram.put("ckpt", {"idx": 7})
-        assert fram.require("ckpt") == {"idx": 7}
-
-    def test_fram_require_missing(self):
-        with pytest.raises(CheckpointError):
-            Fram().require("nope")
+        assert fram.get("ckpt") == {"idx": 7}
 
     def test_board_sizes(self):
         dev = msp430fr5994()
@@ -81,7 +59,7 @@ class TestMeter:
         m.record("cpu", energy_j=1e-6)
         snap = m.snapshot()
         m.record("cpu", energy_j=3e-6)
-        assert m.diff(snap).energy_of("cpu") == pytest.approx(3e-6)
+        assert m.diff(snap).energy_j["cpu"] == pytest.approx(3e-6)
 
     def test_summary_contains_components(self):
         m = EnergyMeter()
@@ -90,12 +68,7 @@ class TestMeter:
 
 
 class TestCycleHelpers:
-    def test_mac_loop_linear(self):
-        assert mac_loop_cycles(100) == 100 * C.CPU_MAC_CYCLES
-
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            mac_loop_cycles(-1)
         with pytest.raises(ValueError):
             alu_cycles(-1)
         with pytest.raises(ValueError):
@@ -114,13 +87,11 @@ class TestCycleHelpers:
             op_cycles("fft", 100)  # not a power of two
 
     def test_lea_faster_than_cpu_for_long_vectors(self):
-        assert speedup_vs_cpu_mac(256) > 3.0
+        assert 256 * C.CPU_MAC_CYCLES / op_cycles("mac", 256) > 3.0
 
     def test_dma_beats_cpu_for_bulk(self):
-        assert dma_beats_cpu(64)
-        assert not dma_beats_cpu(1)
-        assert best_mover_cycles(1) == copy_cycles(1)
-        assert best_mover_cycles(64) == transfer_cycles(64)
+        assert transfer_cycles(64) < copy_cycles(64)
+        assert transfer_cycles(1) >= copy_cycles(1)
 
     def test_dma_zero_words_free(self):
         assert transfer_cycles(0) == 0.0
@@ -148,8 +119,8 @@ class TestDeviceExecution:
     def test_execute_books_to_meter(self):
         dev = Device()
         dev.execute(self._atom(component="lea", fram_reads=10))
-        assert dev.meter.energy_of("lea") > 0
-        assert dev.meter.energy_of("fram") > 0
+        assert dev.meter.energy_j["lea"] > 0
+        assert dev.meter.energy_j["fram"] > 0
 
     def test_fractional_execution(self):
         dev = Device()

@@ -1,4 +1,4 @@
-"""Tests for BatchNorm, Dropout, BN fusion, and LR schedulers."""
+"""Tests for BatchNorm, Dropout, and BN fusion."""
 
 import numpy as np
 import pytest
@@ -9,15 +9,11 @@ from repro.nn import (
     BatchNorm1d,
     BatchNorm2d,
     Conv2D,
-    CosineDecay,
     Dense,
     Dropout,
     Flatten,
     ReLU,
-    SGD,
     Sequential,
-    StepDecay,
-    WarmupWrapper,
     evaluate_accuracy,
     fit,
     fuse_batchnorm,
@@ -165,54 +161,3 @@ class TestFusion:
             optimizer=Adam(model.parameters(), lr=5e-3),
             rng=np.random.default_rng(6))
         assert evaluate_accuracy(model, x, y) > 0.85
-
-
-class TestSchedulers:
-    def _opt(self):
-        from repro.nn import Parameter
-
-        return SGD([Parameter(np.zeros(1))], lr=0.1)
-
-    def test_step_decay(self):
-        opt = self._opt()
-        sched = StepDecay(opt, step_epochs=2, factor=0.5)
-        assert sched.lr_at(0) == 0.1
-        assert sched.lr_at(2) == pytest.approx(0.05)
-        assert sched.lr_at(4) == pytest.approx(0.025)
-        sched.step(1)  # after epoch 1 -> epoch 2's rate
-        assert opt.lr == pytest.approx(0.05)
-
-    def test_cosine_decay_endpoints(self):
-        opt = self._opt()
-        sched = CosineDecay(opt, total_epochs=10, min_lr=0.01)
-        assert sched.lr_at(0) == pytest.approx(0.1)
-        assert sched.lr_at(10) == pytest.approx(0.01)
-        assert 0.01 < sched.lr_at(5) < 0.1
-
-    def test_warmup(self):
-        opt = self._opt()
-        sched = WarmupWrapper(CosineDecay(opt, total_epochs=10),
-                              warmup_epochs=4)
-        assert sched.lr_at(0) == pytest.approx(0.025)
-        assert sched.lr_at(3) == pytest.approx(0.1)
-        assert sched.lr_at(4) == pytest.approx(0.1)  # cosine epoch 0
-
-    def test_scheduler_in_fit_hook(self):
-        rng = np.random.default_rng(7)
-        x = rng.normal(size=(64, 4))
-        y = (x[:, 0] > 0).astype(int)
-        model = Sequential([Dense(4, 2, rng=rng)])
-        opt = SGD(model.parameters(), lr=0.1)
-        sched = StepDecay(opt, step_epochs=1, factor=0.5)
-        fit(model, x, y, epochs=3, batch_size=16, optimizer=opt,
-            rng=np.random.default_rng(8),
-            on_epoch_end=lambda epoch, loss: sched.step(epoch))
-        assert opt.lr == pytest.approx(0.1 * 0.5 ** 3)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            StepDecay(self._opt(), step_epochs=0)
-        with pytest.raises(ConfigurationError):
-            CosineDecay(self._opt(), total_epochs=0)
-        with pytest.raises(ConfigurationError):
-            StepDecay(self._opt()).step(-1)

@@ -51,7 +51,7 @@ class TestMetrics:
 
     def test_enabled_records(self):
         obs.enable()
-        assert obs.enabled()
+        assert obs.metrics.ENABLED
         obs.count("a")
         obs.count("a", 4)
         obs.gauge("g", 1.5)
@@ -393,7 +393,7 @@ class TestCli:
         assert trace["traceEvents"], "trace exported no events"
         assert not (tmp_path / "m.json.tmp").exists()
         # The run leaves the process observability-off (no state leak).
-        assert not obs.enabled()
+        assert not obs.metrics.ENABLED
 
     def test_stats_renders_snapshot(self, tmp_path, capsys, monkeypatch):
         from repro.sim import fastsim

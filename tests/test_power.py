@@ -98,11 +98,6 @@ class TestTraces:
 
 
 class TestCapacitor:
-    def test_full_swing_energy_100uf(self):
-        cap = Capacitor(100e-6, v_on=3.5, v_off=1.8)
-        expected = 0.5 * 100e-6 * (3.5 ** 2 - 1.8 ** 2)
-        assert cap.full_swing_energy_j == pytest.approx(expected)
-
     def test_draw_success_lowers_voltage(self):
         cap = Capacitor()
         v0 = cap.voltage
@@ -113,7 +108,6 @@ class TestCapacitor:
         cap = Capacitor()
         assert not cap.draw(1.0)
         assert cap.voltage == cap.v_off
-        assert not cap.is_on
 
     def test_charge_clips_at_vmax(self):
         cap = Capacitor()
@@ -189,12 +183,6 @@ class TestMonitor:
         h.capacitor.voltage = 2.0
         assert mon.is_low()
         assert mon.warnings == 1
-
-    def test_predicts_failure(self):
-        h = EnergyHarvester(ConstantTrace(0.0), Capacitor())
-        mon = VoltageMonitor(h)
-        assert mon.predicts_failure(h.available_energy_j)
-        assert not mon.predicts_failure(1e-9)
 
     def test_v_warn_validation(self):
         h = EnergyHarvester(ConstantTrace(0.0), Capacitor())

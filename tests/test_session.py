@@ -36,7 +36,6 @@ class TestContinuousSession:
         stats = flex_session(mnist_q).run(x)
         assert stats.inferences == 4
         assert stats.completed == 4
-        assert stats.dnf == 0
         assert stats.throughput_hz > 0
 
     def test_energy_scales_linearly(self, mnist_q, samples):
@@ -87,8 +86,8 @@ class TestHarvestedSession:
         device = msp430fr5994(supply=harvester)
         session = SensingSession(device, AceRuntime(mnist_q), give_up_after_dnf=2)
         stats = session.run(x)
-        assert stats.dnf == 2  # stopped after two consecutive DNFs
-        assert stats.inferences == 2
+        assert stats.inferences == 2  # stopped after two consecutive DNFs
+        assert stats.completed == 0
 
     def test_summary_text(self, mnist_q, samples):
         x, _ = samples

@@ -124,7 +124,6 @@ class TestCpuPlanDetails:
 class TestErrorsModule:
     def test_hierarchy(self):
         from repro.errors import (
-            CheckpointError,
             ConfigurationError,
             InferenceAborted,
             PowerFailureError,
@@ -134,8 +133,7 @@ class TestErrorsModule:
         )
 
         for exc in (ConfigurationError, ResourceExceededError,
-                    QuantizationError, PowerFailureError, InferenceAborted,
-                    CheckpointError):
+                    QuantizationError, PowerFailureError, InferenceAborted):
             assert issubclass(exc, ReproError)
 
     def test_inference_aborted_message(self):
