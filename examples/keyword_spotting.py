@@ -22,7 +22,7 @@ from repro.experiments import run_inference
 from repro.nn.data import train_test_split
 from repro.rad import RADConfig, run_rad
 from repro.rad.resources import DeviceBudget, analyze
-from repro.rad.zoo import INPUT_SHAPES, build_okg
+from repro.rad.zoo import INPUT_SHAPES, build_model
 
 
 def main() -> None:
@@ -33,7 +33,7 @@ def main() -> None:
     budget = DeviceBudget()
 
     # The dense backbone does not even fit the device.
-    dense_resources = analyze(build_okg(None), INPUT_SHAPES["okg"])
+    dense_resources = analyze(build_model("okg", None), INPUT_SHAPES["okg"])
     print(f"dense OKG backbone: {dense_resources.weight_bytes} B of weights "
           f"-> fits FRAM budget ({budget.usable_fram} B)? "
           f"{dense_resources.fits(budget)}")

@@ -32,10 +32,10 @@ class TailsRuntime(InferenceRuntime):
     name = "TAILS"
     commit_enabled = True
     snapshot_on_warning = False
+    use_dma = True
 
-    def __init__(self, qmodel: QuantizedModel, *, use_dma: bool = True) -> None:
+    def __init__(self, qmodel: QuantizedModel) -> None:
         self.qmodel = qmodel
-        self.use_dma = use_dma
         self._atoms = None
 
     def _plan_config(self) -> PlanConfig:

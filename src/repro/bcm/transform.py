@@ -10,7 +10,7 @@ block at inference time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from repro.errors import ConfigurationError
 
@@ -55,18 +55,17 @@ def bcm_fc_bytes(in_features: int, out_features: int, block_size: int,
 def compression_table(
     in_features: int = 512,
     out_features: int = 512,
-    block_sizes: Tuple[int, ...] = (16, 32, 64, 128, 256),
-    bytes_per_weight: int = TABLE1_BYTES_PER_WEIGHT,
 ) -> List[CompressionRow]:
-    """Table I: BCM compression of an FC layer across block sizes.
+    """Table I: BCM compression of an FC layer across block sizes 16-256.
 
-    The paper counts float32 weights (1048576 bytes for 512x512); pass
-    ``bytes_per_weight=2`` for on-device int16 numbers.  The *reduction*
-    percentages are byte-width independent (always ``1 - 1/k``).
+    The paper counts float32 weights (1048576 bytes for 512x512).  The
+    *reduction* percentages are byte-width independent (always
+    ``1 - 1/k``).
     """
+    bytes_per_weight = TABLE1_BYTES_PER_WEIGHT
     dense = dense_fc_bytes(in_features, out_features, bytes_per_weight)
     rows = []
-    for k in block_sizes:
+    for k in (16, 32, 64, 128, 256):
         comp = bcm_fc_bytes(in_features, out_features, k, bytes_per_weight)
         rows.append(
             CompressionRow(

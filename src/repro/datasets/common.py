@@ -23,9 +23,9 @@ def draw_segment(
     p0: Tuple[float, float],
     p1: Tuple[float, float],
     thickness: float = 1.2,
-    intensity: float = 1.0,
 ) -> None:
-    """Draw an anti-aliased line segment into a 2-D image, in place.
+    """Draw an anti-aliased unit-intensity line segment into a 2-D image,
+    in place.
 
     Pixel intensity falls off linearly with distance from the segment,
     reaching zero at ``thickness``.
@@ -42,7 +42,7 @@ def draw_segment(
         t = ((xs - x0) * dx + (ys - y0) * dy) / seg_len2
         t = np.clip(t, 0.0, 1.0)
         dist = np.hypot(xs - (x0 + t * dx), ys - (y0 + t * dy))
-    contrib = intensity * np.clip(1.0 - dist / thickness, 0.0, 1.0)
+    contrib = np.clip(1.0 - dist / thickness, 0.0, 1.0)
     np.maximum(img, contrib, out=img)
 
 
@@ -60,9 +60,9 @@ def draw_segments(
     starts: Sequence[Tuple[float, float]],
     ends: Sequence[Tuple[float, float]],
     thickness: float = 1.2,
-    intensity: float = 1.0,
 ) -> None:
-    """Draw the segments ``starts[i] -> ends[i]`` into ``img``, in place.
+    """Draw the unit-intensity segments ``starts[i] -> ends[i]`` into
+    ``img``, in place.
 
     Bit for bit a :func:`draw_segment` call per segment, in order: one
     broadcast pass over a cached pixel grid does each segment's per-pixel
@@ -83,7 +83,7 @@ def draw_segments(
     dist = np.hypot(xs - (x0 + t * dx), ys - (y0 + t * dy))
     if point.any():
         dist[point] = np.hypot(ux[point], uy[point])
-    contrib = intensity * np.clip(1.0 - dist / thickness, 0.0, 1.0)
+    contrib = np.clip(1.0 - dist / thickness, 0.0, 1.0)
     for c in contrib:
         np.maximum(img, c, out=img)
 

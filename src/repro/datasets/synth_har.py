@@ -23,6 +23,8 @@ from repro.nn.data import Dataset
 
 WINDOW = 121
 NUM_CLASSES = 6
+#: Sensor noise (sigma) added to every window.
+NOISE = 0.06
 
 ACTIVITY_NAMES = (
     "walking",
@@ -53,7 +55,7 @@ _PROFILES = {
 }
 
 
-def render_window(activity: int, rng: np.random.Generator, *, noise: float = 0.06) -> np.ndarray:
+def render_window(activity: int, rng: np.random.Generator) -> np.ndarray:
     """One synthetic accelerometer window for ``activity`` (shape (121,))."""
     if activity not in _PROFILES:
         raise ValueError(f"activity must be 0..5, got {activity}")
@@ -66,11 +68,11 @@ def render_window(activity: int, rng: np.random.Generator, *, noise: float = 0.0
     sig += prof.harmonic * amp * np.sin(4 * np.pi * freq * t + 2 * phase)
     sig += prof.offset * rng.uniform(0.9, 1.1)
     sig += prof.drift * t
-    sig += rng.normal(0.0, noise, WINDOW)
+    sig += rng.normal(0.0, NOISE, WINDOW)
     return np.clip(sig, -0.999, 0.999)
 
 
-def make_har(n_samples: int = 1800, *, seed: int = 0, noise: float = 0.06,
+def make_har(n_samples: int = 1800, *, seed: int = 0,
              render: Optional[int] = None) -> Dataset:
     """Generate a synthetic HAR dataset of ``(N, 1, 1, 121)`` windows.
 
@@ -82,5 +84,5 @@ def make_har(n_samples: int = 1800, *, seed: int = 0, noise: float = 0.06,
     labels = balanced_labels(n_samples, NUM_CLASSES, rng)[:render]
     x = np.zeros((len(labels), 1, 1, WINDOW))
     for i, lab in enumerate(labels):
-        x[i, 0, 0] = render_window(int(lab), rng, noise=noise)
+        x[i, 0, 0] = render_window(int(lab), rng)
     return Dataset(x, labels.astype(np.int64), NUM_CLASSES, name="synth-har")

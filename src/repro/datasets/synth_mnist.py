@@ -4,7 +4,7 @@ Each digit class has a fixed polyline skeleton (roughly the shapes of the
 handwritten digits); per-sample augmentation applies a shared translation,
 per-vertex wobble, random stroke thickness, and pixel noise.  The result is
 an image-classification task of MNIST's shape and flavour whose difficulty
-tracks the ``noise`` and ``wobble`` knobs.
+tracks ``NOISE`` and ``WOBBLE``.
 
 Tensor layout matches the paper's MNIST model (Table II): inputs are
 ``(N, 1, 28, 28)`` floats in ``[0, 1)``, labels ``0..9``.
@@ -27,6 +27,11 @@ from repro.nn.data import Dataset
 
 IMAGE_SIZE = 28
 NUM_CLASSES = 10
+#: Augmentation of each rendered digit: per-vertex wobble and shared
+#: shift (pixels), then additive pixel noise (sigma).
+WOBBLE = 0.7
+SHIFT = 2.0
+NOISE = 0.08
 
 # Polyline skeletons in a 28x28 coordinate frame, one or more strokes each.
 _DIGIT_STROKES: Dict[int, List[List[Tuple[float, float]]]] = {
@@ -48,14 +53,7 @@ _DIGIT_STROKES: Dict[int, List[List[Tuple[float, float]]]] = {
 }
 
 
-def render_digit(
-    digit: int,
-    rng: np.random.Generator,
-    *,
-    wobble: float = 0.7,
-    shift: float = 2.0,
-    noise: float = 0.08,
-) -> np.ndarray:
+def render_digit(digit: int, rng: np.random.Generator) -> np.ndarray:
     """Render one augmented sample of ``digit`` as a 28x28 image."""
     if digit not in _DIGIT_STROKES:
         raise ValueError(f"digit must be 0..9, got {digit}")
@@ -64,20 +62,18 @@ def render_digit(
     starts: List[Tuple[float, float]] = []
     ends: List[Tuple[float, float]] = []
     for stroke in _DIGIT_STROKES[digit]:
-        pts = jitter_points(stroke, rng, shift=shift, wobble=wobble)
+        pts = jitter_points(stroke, rng, shift=SHIFT, wobble=WOBBLE)
         starts += pts[:-1]
         ends += pts[1:]
     # Drawing draws no random numbers, so all strokes go in one pass.
     draw_segments(img, starts, ends, thickness=thickness)
-    return add_noise(img, rng, noise)
+    return add_noise(img, rng, NOISE)
 
 
 def make_mnist(
     n_samples: int = 2000,
     *,
     seed: int = 0,
-    wobble: float = 0.7,
-    noise: float = 0.08,
     render: Optional[int] = None,
 ) -> Dataset:
     """Generate a synthetic-MNIST dataset of ``(N, 1, 28, 28)`` images.
@@ -90,5 +86,5 @@ def make_mnist(
     labels = balanced_labels(n_samples, NUM_CLASSES, rng)[:render]
     images = np.zeros((len(labels), 1, IMAGE_SIZE, IMAGE_SIZE))
     for i, lab in enumerate(labels):
-        images[i, 0] = render_digit(int(lab), rng, wobble=wobble, noise=noise)
+        images[i, 0] = render_digit(int(lab), rng)
     return Dataset(images, labels.astype(np.int64), NUM_CLASSES, name="synth-mnist")

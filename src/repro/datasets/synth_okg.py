@@ -23,6 +23,8 @@ from repro.nn.data import Dataset
 
 IMAGE_SIZE = 28
 NUM_CLASSES = 12
+#: Additive pixel noise (sigma); silence gets half of it.
+NOISE = 0.07
 
 KEYWORDS = (
     "yes", "no", "up", "down", "left", "right", "on", "off", "stop", "go",
@@ -55,30 +57,30 @@ def _render_ridge(img, t, f0, f1, curve, intensity, rng):
     np.maximum(img, intensity * profile, out=img)
 
 
-def render_keyword(label: int, rng: np.random.Generator, *, noise: float = 0.07) -> np.ndarray:
+def render_keyword(label: int, rng: np.random.Generator) -> np.ndarray:
     """Render one 28x28 synthetic spectrogram for class ``label``."""
     if not 0 <= label < NUM_CLASSES:
         raise ValueError(f"label must be 0..11, got {label}")
     img = np.zeros((IMAGE_SIZE, IMAGE_SIZE))
     t = np.linspace(0.0, 1.0, IMAGE_SIZE)
     if label == 10:  # silence: only noise floor
-        return add_noise(img, rng, noise * 0.5)
+        return add_noise(img, rng, NOISE * 0.5)
     if label == 11:  # unknown: 1-3 random ridges
         n_ridges = rng.integers(1, 4)
         for _ in range(n_ridges):
             f0, f1 = rng.uniform(4, 24, 2)
             _render_ridge(img, t, f0, f1, rng.uniform(-3, 3), rng.uniform(0.6, 1.0), rng)
-        return add_noise(img, rng, noise)
+        return add_noise(img, rng, NOISE)
     shift = rng.uniform(-0.6, 0.6)
     for f0, f1, curve, intensity in _RIDGES[label]:
         _render_ridge(
             img, t, f0 + shift, f1 + shift, curve * rng.uniform(0.92, 1.08),
             intensity * rng.uniform(0.92, 1.0), rng,
         )
-    return add_noise(img, rng, noise)
+    return add_noise(img, rng, NOISE)
 
 
-def make_okg(n_samples: int = 2400, *, seed: int = 0, noise: float = 0.07,
+def make_okg(n_samples: int = 2400, *, seed: int = 0,
              render: Optional[int] = None) -> Dataset:
     """Generate a synthetic OKG dataset of ``(N, 1, 28, 28)`` spectrograms.
 
@@ -90,5 +92,5 @@ def make_okg(n_samples: int = 2400, *, seed: int = 0, noise: float = 0.07,
     labels = balanced_labels(n_samples, NUM_CLASSES, rng)[:render]
     x = np.zeros((len(labels), 1, IMAGE_SIZE, IMAGE_SIZE))
     for i, lab in enumerate(labels):
-        x[i, 0] = render_keyword(int(lab), rng, noise=noise)
+        x[i, 0] = render_keyword(int(lab), rng)
     return Dataset(x, labels.astype(np.int64), NUM_CLASSES, name="synth-okg")

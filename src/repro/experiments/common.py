@@ -98,20 +98,14 @@ def prepare_quantized(
     )
 
 
-def paper_harvester(
-    *,
-    power_w: float = 5e-3,
-    period_s: float = 0.05,
-    duty: float = 0.3,
-    cap_f: float = 100e-6,
-) -> EnergyHarvester:
+def paper_harvester() -> EnergyHarvester:
     """The testbed supply: function-generator square wave into 100 uF.
 
-    The defaults average 1.5 mW — below the device's active draw, so
-    execution outruns harvesting and brown-outs occur (the premise of the
-    intermittent experiments).
+    5 mW at 30 % duty over 50 ms periods averages 1.5 mW — below the
+    device's active draw, so execution outruns harvesting and brown-outs
+    occur (the premise of the intermittent experiments).
     """
-    return EnergyHarvester(SquareWaveTrace(power_w, period_s, duty), Capacitor(cap_f))
+    return EnergyHarvester(SquareWaveTrace(5e-3, 0.05, 0.3), Capacitor(100e-6))
 
 
 def make_runtime(name: str, qmodel: QuantizedModel):
@@ -134,15 +128,12 @@ def run_inference(
     x: np.ndarray,
     *,
     harvester: Optional[EnergyHarvester] = None,
-    stall_limit: int = 6,
     v_warn: Optional[float] = None,
-    engine: str = "reference",
 ) -> RunResult:
-    """One inference under continuous (``harvester=None``) or harvested power.
+    """One inference under continuous (``harvester=None``) or harvested
+    power, on the reference engine.
 
-    ``v_warn`` overrides FLEX's voltage-monitor warning threshold;
-    ``engine`` selects the simulation engine (``"reference"``/``"fast"``,
-    bit-identical results — see :mod:`repro.sim.fastsim`).
+    ``v_warn`` overrides FLEX's voltage-monitor warning threshold.
     """
     runtime = make_runtime(runtime_name, qmodel)
     device = msp430fr5994(supply=harvester)
@@ -152,24 +143,11 @@ def run_inference(
             monitor = VoltageMonitor(harvester)
         else:
             monitor = VoltageMonitor(harvester, v_warn=v_warn)
-    machine = make_machine(
-        device, runtime, engine=engine, monitor=monitor, stall_limit=stall_limit
-    )
+    machine = make_machine(device, runtime, monitor=monitor)
     return machine.run(x)
 
 
-def run_all_runtimes(
-    qmodel: QuantizedModel,
-    x: np.ndarray,
-    *,
-    intermittent: bool = False,
-    engine: str = "reference",
-) -> Dict[str, RunResult]:
-    """Run every Figure 7 runtime on one sample; returns name -> result."""
-    results = {}
-    for name in RUNTIME_ORDER:
-        harvester = paper_harvester() if intermittent else None
-        results[name] = run_inference(
-            name, qmodel, x, harvester=harvester, engine=engine
-        )
-    return results
+def run_all_runtimes(qmodel: QuantizedModel, x: np.ndarray) -> Dict[str, RunResult]:
+    """Run every Figure 7 runtime on one sample under continuous power;
+    returns name -> result."""
+    return {name: run_inference(name, qmodel, x) for name in RUNTIME_ORDER}

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from repro.errors import ConfigurationError
 from repro.experiments.common import make_runtime
 from repro.hw.board import msp430fr5994
+from repro.power.capacitor import Capacitor
+from repro.power.harvester import EnergyHarvester
 from repro.rad.quantize import QuantizedModel
 from repro.sim.atoms import total_cycles
 
@@ -39,38 +41,34 @@ class DeploymentPlan:
     #: to bridge this much energy between durable points).
     max_atom_energy_j: float
 
-    def min_capacitance_f(self, v_on: float = 3.5, v_off: float = 1.8,
-                          *, checkpointing: bool) -> float:
-        """Smallest capacitor that avoids livelock.
+    def min_capacitance_f(self, *, checkpointing: bool) -> float:
+        """Smallest capacitor that avoids livelock, between the default
+        3.5 V turn-on and the brown-out voltage.
 
         Checkpoint-free runtimes must fund the whole inference from one
         charge; checkpointing runtimes only the largest atomic step.
         """
-        if not v_off < v_on:
-            raise ConfigurationError("need v_off < v_on")
         need = (
             self.max_atom_energy_j if checkpointing
             else self.energy_per_inference_j
         )
-        return 2.0 * need / (v_on ** 2 - v_off ** 2)
+        return 2.0 * need / (3.5 ** 2 - Capacitor.v_off ** 2)
 
-    def min_harvest_power_w(self, inferences_per_s: float,
-                            *, efficiency: float = 0.8) -> float:
+    def min_harvest_power_w(self, inferences_per_s: float) -> float:
         """Average harvested power sustaining ``inferences_per_s``."""
         if inferences_per_s <= 0:
             raise ConfigurationError("rate must be positive")
-        if not 0.0 < efficiency <= 1.0:
-            raise ConfigurationError("efficiency must be in (0, 1]")
-        return self.energy_per_inference_j * inferences_per_s / efficiency
+        return (self.energy_per_inference_j * inferences_per_s
+                / EnergyHarvester.efficiency)
 
-    def max_inference_rate_hz(self, harvest_power_w: float,
-                              *, efficiency: float = 0.8) -> float:
+    def max_inference_rate_hz(self, harvest_power_w: float) -> float:
         """Throughput ceiling under a given average harvest."""
         if harvest_power_w < 0:
             raise ConfigurationError("power must be non-negative")
         if self.energy_per_inference_j <= 0:
             return float("inf")
-        return harvest_power_w * efficiency / self.energy_per_inference_j
+        return (harvest_power_w * EnergyHarvester.efficiency
+                / self.energy_per_inference_j)
 
 
 def plan_deployment(qmodel: QuantizedModel, runtime_name: str = "ACE+FLEX") -> DeploymentPlan:

@@ -71,9 +71,8 @@ def ratio(value: float, reference: float) -> str:
     return f"{value / reference:.2f}x"
 
 
-def ascii_voltage_plot(samples, *, width: int = 72, height: int = 10,
-                       v_lo: float = 1.6, v_hi: float = 3.7) -> str:
-    """Render a (time, voltage) log as an ASCII chart.
+def ascii_voltage_plot(samples) -> str:
+    """Render a (time, voltage) log as a 72x10 ASCII chart of 1.6-3.7 V.
 
     Used with :meth:`repro.power.EnergyHarvester.enable_logging` to
     visualize the capacitor's charge/discharge cycles around power
@@ -81,8 +80,7 @@ def ascii_voltage_plot(samples, *, width: int = 72, height: int = 10,
     """
     if not samples:
         raise ConfigurationError("no voltage samples to plot")
-    if width < 10 or height < 3:
-        raise ConfigurationError("plot must be at least 10x3")
+    width, height, v_lo, v_hi = 72, 10, 1.6, 3.7
     t0 = samples[0][0]
     t1 = samples[-1][0]
     span = max(t1 - t0, 1e-9)

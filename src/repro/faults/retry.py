@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Type, TypeVar
+from typing import Callable, Tuple, Type, TypeVar
 
 from repro.errors import ConfigurationError
 from repro.faults.inject import FaultInjected
@@ -80,7 +80,6 @@ def call_with_retry(
     policy: RetryPolicy,
     retry_on: Tuple[Type[BaseException], ...] = (OSError,),
     site: str = "",
-    on_retry: Optional[Callable[[BaseException, int], None]] = None,
 ) -> T:
     """Run ``fn`` under ``policy``, retrying ``retry_on`` failures.
 
@@ -93,7 +92,7 @@ def call_with_retry(
     for attempt in range(1, policy.max_attempts + 1):
         try:
             value = fn()
-        except retry_on as exc:
+        except retry_on:
             failures += 1
             if _obs.ENABLED:
                 _obs.count("retry.failures")
@@ -101,8 +100,6 @@ def call_with_retry(
                     _obs.count(f"retry.failures.{site}")
             if attempt == policy.max_attempts:
                 raise
-            if on_retry is not None:
-                on_retry(exc, attempt)
             policy.sleep(attempt)
         else:
             if failures and _obs.ENABLED:

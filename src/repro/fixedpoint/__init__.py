@@ -1,7 +1,7 @@
 """16-bit fixed-point arithmetic used by the on-device (ACE) kernels.
 
 Exports the Q15 grid helpers, int16 saturation, the scaled radix-2 FFT and
-the real-input FFT, and overflow accounting.
+overflow accounting.
 """
 
 from repro.fixedpoint.fft import (
@@ -14,7 +14,6 @@ from repro.fixedpoint.fft import (
     twiddle_q15,
 )
 from repro.fixedpoint.overflow import GLOBAL_MONITOR, OverflowMonitor
-from repro.fixedpoint.rfft import q15_rfft, q15_rfft_reference, rfft_reference
 from repro.fixedpoint.q15 import (
     INT16_MAX,
     INT16_MIN,
@@ -40,9 +39,6 @@ __all__ = [
     "q15_fft_reference",
     "q15_ifft",
     "q15_ifft_reference",
-    "q15_rfft",
-    "q15_rfft_reference",
-    "rfft_reference",
     "saturate16",
     "twiddle_q15",
 ]

@@ -31,28 +31,22 @@ def saturate16(x) -> np.ndarray:
     return np.clip(np.asarray(x), INT16_MIN, INT16_MAX).astype(np.int16)
 
 
-def float_to_q15(x, *, strict: bool = False) -> np.ndarray:
+def float_to_q15(x) -> np.ndarray:
     """Quantize floating-point data to Q15 with round-to-nearest.
 
-    Values outside ``[-1, 1)`` saturate to the int16 limits.  With
-    ``strict=True`` out-of-range or non-finite input raises
-    :class:`~repro.errors.QuantizationError` instead of silently saturating —
-    useful when the caller believes normalization already bounded the data.
+    Values outside ``[-1, 1)`` saturate to the int16 limits; non-finite
+    input raises :class:`~repro.errors.QuantizationError`.
     """
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise QuantizationError("cannot quantize non-finite values to Q15")
-    if strict and (arr.min(initial=0.0) < -1.0 or arr.max(initial=0.0) >= 1.0):
-        raise QuantizationError(
-            f"values in [{arr.min():.4f}, {arr.max():.4f}] exceed the Q15 "
-            "range [-1, 1); normalize before quantizing"
-        )
     scaled = np.rint(arr * Q15_ONE)
     return saturate16(scaled)
 
 
-def best_frac_bits(x, *, max_frac_bits: int = 15) -> int:
-    """Choose the largest fractional-bit count that avoids saturation.
+def best_frac_bits(x) -> int:
+    """Choose the largest fractional-bit count (at most 15) that avoids
+    saturation.
 
     Used by post-training calibration: given representative data ``x``,
     return the ``frac_bits`` maximizing resolution while keeping
@@ -60,7 +54,7 @@ def best_frac_bits(x, *, max_frac_bits: int = 15) -> int:
     """
     arr = np.asarray(x, dtype=np.float64)
     peak = float(np.max(np.abs(arr))) if arr.size else 0.0
-    frac = max_frac_bits
+    frac = 15
     # A Q(15-f).f grid represents magnitudes up to 2**(15-f) (exclusive).
     while frac > 0 and peak >= (1 << (15 - frac)):
         frac -= 1

@@ -38,29 +38,23 @@ def corpus_traces(
     names: Optional[Sequence[str]] = None,
     *,
     power_w: float = 0.0,
-    seeds: Sequence[int] = (0,),
 ) -> Tuple[TraceSpec, ...]:
-    """Corpus-backed :class:`TraceSpec` axis: ``names`` x ``seeds``.
+    """Corpus-backed :class:`TraceSpec` axis: one seed-0 cell per name.
 
     ``names=None`` sweeps the whole registered corpus (sorted order).
     ``power_w > 0`` rescales every entry to that mean power so the axis
     isolates supply *shape* from supply *level*; the default keeps each
     entry's native scale.  Unknown names fail here, before a grid is
-    built around them.  The seed axis applies only to *seeded* entries;
-    a deterministic entry (``seeded=False`` in the registry, e.g. a
-    recording) contributes exactly one cell — replicating it per seed
-    would sweep identical supplies under different scenario names.
+    built around them.
     """
     if names is None:
         names = CORPUS.names()
-    if not names or not seeds:
-        raise ConfigurationError("corpus_traces needs >= 1 name and seed")
+    if not names:
+        raise ConfigurationError("corpus_traces needs >= 1 name")
     for name in names:
         CORPUS.entry(name)  # fail fast with the known-names message
     return tuple(
-        TraceSpec("corpus", power_w, corpus=name, seed=seed)
-        for name in names
-        for seed in (seeds if CORPUS.entry(name).seeded else (0,))
+        TraceSpec("corpus", power_w, corpus=name, seed=0) for name in names
     )
 
 
@@ -81,9 +75,6 @@ def scenario_grid(
     caps_uf: Sequence[float] = (100.0,),
     n_samples: int = 4,
     base_seed: int = 0,
-    model_seed: int = 0,
-    stall_limit: int = 6,
-    give_up_after_dnf: int = 2,
 ) -> List[Scenario]:
     """Cartesian sweep over tasks x traces x capacitors x runtimes.
 
@@ -108,9 +99,6 @@ def scenario_grid(
                             cap_uf=cap_uf,
                             n_samples=n_samples,
                             seed=scenario_seed(name, base_seed),
-                            model_seed=model_seed,
-                            stall_limit=stall_limit,
-                            give_up_after_dnf=give_up_after_dnf,
                         )
                     )
     return grid
@@ -121,7 +109,6 @@ def default_grid(
     tasks: Sequence[str] = ("mnist",),
     n_samples: int = 4,
     base_seed: int = 0,
-    caps_uf: Optional[Sequence[float]] = None,
     traces: Optional[Sequence[TraceSpec]] = None,
 ) -> List[Scenario]:
     """The standard fleet study: 3 traces x 2 capacitors x 3 runtimes.
@@ -134,7 +121,7 @@ def default_grid(
     return scenario_grid(
         tasks=tasks,
         traces=DEFAULT_TRACES if traces is None else traces,
-        caps_uf=(100.0, 220.0) if caps_uf is None else caps_uf,
+        caps_uf=(100.0, 220.0),
         n_samples=n_samples,
         base_seed=base_seed,
     )

@@ -236,8 +236,7 @@ def render_runtime_table(aggregates: "ResultTable",
     )
 
 
-def render_scenario_table(scenarios: "ResultTable",
-                          title: str = "Per-scenario results") -> str:
+def render_scenario_table(scenarios: "ResultTable") -> str:
     """Format a :meth:`FleetReport.scenario_table` result as text."""
     from repro.experiments.reporting import format_table
 
@@ -253,5 +252,5 @@ def render_scenario_table(scenarios: "ResultTable",
             )
             for r in scenarios
         ],
-        title=title,
+        title="Per-scenario results",
     )

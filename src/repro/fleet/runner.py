@@ -335,10 +335,10 @@ class FleetRunner:
         """
         models: Dict[Tuple, QuantizedModel] = {}
         for s in scenarios:
-            def build(scenario: Scenario = s) -> QuantizedModel:
+            def build() -> QuantizedModel:
                 if _inject.ENABLED:
-                    _inject.fire("fleet.model_build", scenario=scenario.name)
-                return self.cache.get(scenario)
+                    _inject.fire("fleet.model_build", scenario=s.name)
+                return self.cache.get(s)
 
             models[s.model_key] = call_with_retry(
                 build, policy=self.retry, retry_on=(OSError,),

@@ -1,5 +1,5 @@
-"""Simulated MSP430FR5994 hardware: cost constants, memories, CPU/LEA/DMA
-cost helpers, energy metering, and the Device that executes atoms."""
+"""Simulated MSP430FR5994 hardware: cost constants, CPU/LEA/DMA cost
+helpers, energy metering, and the Device that executes atoms."""
 
 from repro.hw import constants
 from repro.hw.board import Device, msp430fr5994
@@ -7,15 +7,11 @@ from repro.hw.cpu import alu_cycles, copy_cycles, software_fft_cycles
 from repro.hw.dma import transfer_cycles
 from repro.hw.energymeter import EnergyMeter
 from repro.hw.lea import LEA_OPS, op_cycles
-from repro.hw.memory import Fram, MemoryRegion, Sram
 
 __all__ = [
     "Device",
     "EnergyMeter",
-    "Fram",
     "LEA_OPS",
-    "MemoryRegion",
-    "Sram",
     "alu_cycles",
     "constants",
     "copy_cycles",

@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 from repro.errors import PowerFailureError
 from repro.hw import constants as C
 from repro.hw.energymeter import EnergyMeter
-from repro.hw.memory import Fram, Sram
 from repro.power.harvester import EnergyHarvester
 
 if TYPE_CHECKING:  # keep hw free of a runtime import of repro.sim
@@ -127,15 +126,10 @@ class Device:
     def __init__(
         self,
         *,
-        sram: Optional[Sram] = None,
-        fram: Optional[Fram] = None,
         supply: Optional[EnergyHarvester] = None,
-        meter: Optional[EnergyMeter] = None,
     ) -> None:
-        self.sram = sram or Sram()
-        self.fram = fram or Fram()
         self.supply = supply
-        self.meter = meter or EnergyMeter()
+        self.meter = EnergyMeter()
         self.reboots = 0
 
     # The cost model, as methods for callers holding a device.
@@ -192,11 +186,10 @@ class Device:
         self._draw_and_record(*restore_draw(words))
 
     def on_power_failure(self) -> None:
-        """Brown-out: volatile state is gone."""
-        self.sram.power_fail()
+        """Brown-out: count the reboot."""
         self.reboots += 1
 
 
 def msp430fr5994(supply: Optional[EnergyHarvester] = None) -> Device:
-    """Factory with the evaluation board's memory sizes."""
-    return Device(sram=Sram(8 * 1024), fram=Fram(256 * 1024), supply=supply)
+    """The evaluation board, on ``supply`` (``None``: continuous power)."""
+    return Device(supply=supply)

@@ -14,8 +14,6 @@ kernels themselves:
   workspaces, so ``q15_fft``/``q15_ifft`` do zero per-call table
   construction (FFTW-style plan caching, matching the paper's
   precomputed-twiddle LEA kernels);
-* :class:`~repro.kernels.rfftplan.RFFTPlan` — the real-input untangling
-  pass with cached factor tables;
 * :class:`~repro.kernels.bcmplan.BCMPlan` — per-``QuantBCM``-layer plans
   (sign-folded weight spectra, fused FFT -> multiply -> IFFT chain in the
   plan's internal layout, shared scratch);
@@ -26,7 +24,7 @@ kernels themselves:
 **Bit-identity contract.**  Every planned kernel produces bit-identical
 outputs — and identical :class:`~repro.fixedpoint.overflow.OverflowMonitor`
 end states — to the legacy reference implementations, which are kept as
-``q15_fft_reference``/``q15_ifft_reference``/``q15_rfft_reference`` and
+``q15_fft_reference``/``q15_ifft_reference`` and
 ``QuantBCM.forward_reference`` precisely so the differential conformance
 suite (``tests/test_kernels.py``) can keep proving it.  Plans only change
 *where* intermediate values live, never what they are.
@@ -40,18 +38,15 @@ batch).
 
 from repro.kernels.bcmplan import BCMPlan, get_bcm_plan, warm_quantized_model
 from repro.kernels.fftplan import FFTPlan, get_fft_plan
-from repro.kernels.rfftplan import RFFTPlan, get_rfft_plan
 from repro.kernels.spectra import weight_spectra
 from repro.kernels.stats import clear_plan_caches, plan_cache_stats
 
 __all__ = [
     "BCMPlan",
     "FFTPlan",
-    "RFFTPlan",
     "clear_plan_caches",
     "get_bcm_plan",
     "get_fft_plan",
-    "get_rfft_plan",
     "plan_cache_stats",
     "warm_quantized_model",
     "weight_spectra",

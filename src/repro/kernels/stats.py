@@ -7,7 +7,7 @@ scenarios actually exercised).
 
 from __future__ import annotations
 
-from repro.kernels import bcmplan, fftplan, rfftplan
+from repro.kernels import bcmplan, fftplan
 from repro.kernels.spectra import clear_spectra_cache, spectra_cache_stats
 
 
@@ -18,7 +18,6 @@ def plan_cache_stats() -> dict:
         "fft_workspaces": sum(
             len(p._workspaces) for p in fftplan._PLANS.values()
         ),
-        "rfft_plans": len(rfftplan._PLANS),
         "bcm_plans": len(bcmplan._PLANS),
         "spectra": spectra_cache_stats(),
     }
@@ -28,8 +27,6 @@ def clear_plan_caches() -> None:
     """Reset every kernel cache (plans rebuild lazily on next use)."""
     with fftplan._PLANS_LOCK:
         fftplan._PLANS.clear()
-    with rfftplan._PLANS_LOCK:
-        rfftplan._PLANS.clear()
     with bcmplan._PLANS_LOCK:
         bcmplan._PLANS.clear()
     clear_spectra_cache()

@@ -43,16 +43,13 @@ def train_test_split(
     y: np.ndarray,
     num_classes: int,
     *,
-    test_fraction: float = 0.2,
     rng: Optional[np.random.Generator] = None,
     name: str = "dataset",
 ) -> Tuple[Dataset, Dataset]:
-    """Shuffle and split into train/test datasets."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ConfigurationError("test_fraction must be in (0, 1)")
+    """Shuffle and split into train (80 %) and test (20 %) datasets."""
     rng = rng or np.random.default_rng(0)
     order = rng.permutation(len(x))
-    n_test = max(1, int(len(x) * test_fraction))
+    n_test = max(1, int(len(x) * 0.2))
     test_idx, train_idx = order[:n_test], order[n_test:]
     return (
         Dataset(x[train_idx], y[train_idx], num_classes, f"{name}-train"),

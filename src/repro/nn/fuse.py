@@ -27,10 +27,6 @@ def _fold_into_conv(conv: Conv2D, bn: BatchNorm2d) -> None:
         )
     scale, shift = bn.folded_scale_shift()
     conv.weight.data *= scale[:, None, None, None]
-    if conv.bias is None:
-        raise ConfigurationError(
-            "conv-BN fusion requires the conv layer to have a bias"
-        )
     conv.bias.data *= scale
     conv.bias.data += shift
     if conv.weight.mask is not None:
@@ -45,10 +41,6 @@ def _fold_into_dense(dense: Dense, bn: BatchNorm1d) -> None:
         )
     scale, shift = bn.folded_scale_shift()
     dense.weight.data *= scale[:, None]
-    if dense.bias is None:
-        raise ConfigurationError(
-            "dense-BN fusion requires the dense layer to have a bias"
-        )
     dense.bias.data *= scale
     dense.bias.data += shift
 

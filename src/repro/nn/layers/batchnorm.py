@@ -19,16 +19,15 @@ from repro.nn.module import Layer, Parameter
 class _BatchNormBase(Layer):
     """Shared machinery; subclasses define the reduction axes."""
 
-    def __init__(self, num_features: int, *, momentum: float = 0.9,
-                 eps: float = 1e-5) -> None:
+    #: Running-statistics momentum and variance epsilon.
+    momentum = 0.9
+    eps = 1e-5
+
+    def __init__(self, num_features: int) -> None:
         super().__init__()
         if num_features <= 0:
             raise ConfigurationError("num_features must be positive")
-        if not 0.0 <= momentum < 1.0:
-            raise ConfigurationError("momentum must be in [0, 1)")
         self.num_features = num_features
-        self.momentum = momentum
-        self.eps = eps
         self.gamma = Parameter(np.ones(num_features), name="bn.gamma")
         self.beta = Parameter(np.zeros(num_features), name="bn.beta")
         self.running_mean = np.zeros(num_features)

@@ -37,7 +37,6 @@ class BCMDense(Layer):
         out_features: int,
         block_size: int,
         *,
-        bias: bool = True,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__()
@@ -60,7 +59,7 @@ class BCMDense(Layer):
         self.weight = Parameter(
             circulant_spectral(rng, self.p, self.q, block_size), name="bcm.weight"
         )
-        self.bias = Parameter(zeros(out_features), name="bcm.bias") if bias else None
+        self.bias = Parameter(zeros(out_features), name="bcm.bias")
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -83,8 +82,7 @@ class BCMDense(Layer):
         fy = np.einsum("pqk,nqk->npk", fw, fx)  # (N, p, k)
         y = np.fft.ifft(fy, axis=-1).real.reshape(n, self.out_padded)
         y = y[:, : self.out_features]
-        if self.bias is not None:
-            y = y + self.bias.data
+        y = y + self.bias.data
         self._cache = (fx, fw, n)
         return y
 
@@ -104,18 +102,14 @@ class BCMDense(Layer):
         fgw = np.einsum("nqk,npk->pqk", np.conj(fx), fgy)
         self.weight.grad += np.fft.ifft(fgw, axis=-1).real
         self.weight.apply_mask()
-        if self.bias is not None:
-            self.bias.grad += grad_out.sum(axis=0)
+        self.bias.grad += grad_out.sum(axis=0)
         # grad_x[q] = ifft(conj(fft(w_pq)) * fft(dy_p)) summed over p.
         fgx = np.einsum("pqk,npk->nqk", np.conj(fw), fgy)
         grad_x = np.fft.ifft(fgx, axis=-1).real
         return grad_x.reshape(n, self.in_padded)[:, : self.in_features]
 
     def parameters(self) -> List[Parameter]:
-        params = [self.weight]
-        if self.bias is not None:
-            params.append(self.bias)
-        return params
+        return [self.weight, self.bias]
 
     def output_shape(self, input_shape):
         return (self.out_features,)

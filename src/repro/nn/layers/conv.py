@@ -63,7 +63,11 @@ def col2im(
 
 
 class Conv2D(Layer):
-    """Valid 2-D convolution: ``(N, C_in, H, W) -> (N, C_out, H', W')``."""
+    """Valid 2-D convolution with a bias:
+    ``(N, C_in, H, W) -> (N, C_out, H', W')``."""
+
+    #: Every paper model convolves at unit stride.
+    stride = 1
 
     def __init__(
         self,
@@ -71,27 +75,24 @@ class Conv2D(Layer):
         out_channels: int,
         kernel_size,
         *,
-        stride: int = 1,
-        bias: bool = True,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__()
         if isinstance(kernel_size, int):
             kernel_size = (kernel_size, kernel_size)
         kh, kw = kernel_size
-        if min(in_channels, out_channels, kh, kw, stride) <= 0:
+        if min(in_channels, out_channels, kh, kw) <= 0:
             raise ConfigurationError("Conv2D dimensions must be positive")
         rng = rng or np.random.default_rng(0)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = (kh, kw)
-        self.stride = stride
         fan_in = in_channels * kh * kw
         self.weight = Parameter(
             he_normal(rng, (out_channels, in_channels, kh, kw), fan_in=fan_in),
             name="conv.weight",
         )
-        self.bias = Parameter(zeros(out_channels), name="conv.bias") if bias else None
+        self.bias = Parameter(zeros(out_channels), name="conv.bias")
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -110,9 +111,7 @@ class Conv2D(Layer):
         out_w = (w - kw) // self.stride + 1
         cols = im2col(x, kh, kw, self.stride)  # (N, P, C*kh*kw)
         w_mat = self.weight.data.reshape(self.out_channels, -1)  # (O, C*kh*kw)
-        y = cols @ w_mat.T  # (N, P, O)
-        if self.bias is not None:
-            y = y + self.bias.data
+        y = cols @ w_mat.T + self.bias.data  # (N, P, O)
         self._cache = (x.shape, cols)
         return y.transpose(0, 2, 1).reshape(n, self.out_channels, out_h, out_w)
 
@@ -141,15 +140,11 @@ class Conv2D(Layer):
         grad_w = np.einsum("npo,npk->ok", g, cols)
         self.weight.grad += grad_w.reshape(self.weight.data.shape)
         self.weight.apply_mask()
-        if self.bias is not None:
-            self.bias.grad += g.sum(axis=(0, 1))
+        self.bias.grad += g.sum(axis=(0, 1))
         return g
 
     def parameters(self) -> List[Parameter]:
-        params = [self.weight]
-        if self.bias is not None:
-            params.append(self.bias)
-        return params
+        return [self.weight, self.bias]
 
     def output_shape(self, input_shape):
         c, h, w = input_shape

@@ -25,7 +25,6 @@ class Dense(Layer):
         in_features: int,
         out_features: int,
         *,
-        bias: bool = True,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__()
@@ -38,7 +37,7 @@ class Dense(Layer):
             he_normal(rng, (out_features, in_features), fan_in=in_features),
             name="dense.weight",
         )
-        self.bias = Parameter(zeros(out_features), name="dense.bias") if bias else None
+        self.bias = Parameter(zeros(out_features), name="dense.bias")
         self._x: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -48,25 +47,18 @@ class Dense(Layer):
                 f"Dense expects (N, {self.in_features}), got {x.shape}"
             )
         self._x = x
-        y = x @ self.weight.data.T
-        if self.bias is not None:
-            y = y + self.bias.data
-        return y
+        return x @ self.weight.data.T + self.bias.data
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._x is None:
             raise ConfigurationError("backward called before forward")
         self.weight.grad += grad_out.T @ self._x
         self.weight.apply_mask()
-        if self.bias is not None:
-            self.bias.grad += grad_out.sum(axis=0)
+        self.bias.grad += grad_out.sum(axis=0)
         return grad_out @ self.weight.data
 
     def parameters(self) -> List[Parameter]:
-        params = [self.weight]
-        if self.bias is not None:
-            params.append(self.bias)
-        return params
+        return [self.weight, self.bias]
 
     def output_shape(self, input_shape):
         return (self.out_features,)
@@ -84,17 +76,11 @@ class CosineDense(Layer):
 
     EPS = 1e-8
 
-    def __init__(
-        self,
-        in_features: int,
-        out_features: int,
-        *,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
+    def __init__(self, in_features: int, out_features: int) -> None:
         super().__init__()
         if in_features <= 0 or out_features <= 0:
             raise ConfigurationError("CosineDense dimensions must be positive")
-        rng = rng or np.random.default_rng(0)
+        rng = np.random.default_rng(0)
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Parameter(

@@ -14,12 +14,12 @@ class Dropout(Layer):
     """Zero each activation with probability ``p`` during training,
     scaling survivors by ``1/(1-p)`` so inference needs no correction."""
 
-    def __init__(self, p: float = 0.5, *, rng: Optional[np.random.Generator] = None) -> None:
+    def __init__(self, p: float = 0.5) -> None:
         super().__init__()
         if not 0.0 <= p < 1.0:
             raise ConfigurationError(f"dropout p must be in [0, 1), got {p}")
         self.p = p
-        self.rng = rng or np.random.default_rng(0)
+        self.rng = np.random.default_rng(0)
         self._mask: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:

@@ -49,12 +49,12 @@ class Sequential(Layer):
         for layer in self.layers:
             layer.train_mode(flag)
 
-    def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
-        """Class predictions (argmax of logits), batched for memory."""
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """Class predictions (argmax of logits), 256 samples per forward."""
         self.train_mode(False)
         outputs = []
-        for start in range(0, len(x), batch_size):
-            logits = self.forward(np.asarray(x[start : start + batch_size]))
+        for start in range(0, len(x), 256):
+            logits = self.forward(np.asarray(x[start : start + 256]))
             outputs.append(np.argmax(logits, axis=1))
         self.train_mode(True)
         return np.concatenate(outputs) if outputs else np.empty(0, dtype=int)

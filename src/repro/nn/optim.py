@@ -45,46 +45,29 @@ class SGD(Optimizer):
         params: Iterable[Parameter],
         lr: float = 0.01,
         momentum: float = 0.0,
-        weight_decay: float = 0.0,
     ) -> None:
         super().__init__(params, lr)
         if not 0.0 <= momentum < 1.0:
             raise ConfigurationError(f"momentum must be in [0, 1), got {momentum}")
-        if weight_decay < 0.0:
-            raise ConfigurationError("weight_decay must be non-negative")
         self.momentum = momentum
-        self.weight_decay = weight_decay
         self._velocity = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
         for p, v in zip(self.params, self._velocity):
-            g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
             v *= self.momentum
-            v -= self.lr * g
+            v -= self.lr * p.grad
             p.data += v
         self._finish()
 
 
 class Adam(Optimizer):
-    """Adam with bias correction."""
+    """Adam with bias correction, at the usual betas and epsilon."""
 
-    def __init__(
-        self,
-        params: Iterable[Parameter],
-        lr: float = 1e-3,
-        betas=(0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ) -> None:
+    b1, b2 = 0.9, 0.999
+    eps = 1e-8
+
+    def __init__(self, params: Iterable[Parameter], lr: float = 1e-3) -> None:
         super().__init__(params, lr)
-        b1, b2 = betas
-        if not (0.0 <= b1 < 1.0 and 0.0 <= b2 < 1.0):
-            raise ConfigurationError(f"betas must be in [0, 1), got {betas}")
-        self.b1, self.b2 = b1, b2
-        self.eps = eps
-        self.weight_decay = weight_decay
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
         self._t = 0
@@ -95,8 +78,6 @@ class Adam(Optimizer):
         bc2 = 1.0 - self.b2 ** self._t
         for p, m, v in zip(self.params, self._m, self._v):
             g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
             m *= self.b1
             m += (1.0 - self.b1) * g
             v *= self.b2

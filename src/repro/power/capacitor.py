@@ -16,24 +16,19 @@ from repro.errors import ConfigurationError
 class Capacitor:
     """State: terminal voltage; energy is (1/2) C V^2."""
 
-    def __init__(
-        self,
-        capacitance_f: float = 100e-6,
-        v_on: float = 3.5,
-        v_off: float = 1.8,
-        v_max: float = 3.6,
-    ) -> None:
+    #: Brown-out threshold and the voltage charging clips at.
+    v_off = 1.8
+    v_max = 3.6
+
+    def __init__(self, capacitance_f: float = 100e-6, v_on: float = 3.5) -> None:
         if capacitance_f <= 0:
             raise ConfigurationError("capacitance must be positive")
-        if not 0.0 < v_off < v_on <= v_max:
+        if not self.v_off < v_on <= self.v_max:
             raise ConfigurationError(
-                f"need 0 < v_off < v_on <= v_max, got "
-                f"({v_off}, {v_on}, {v_max})"
+                f"need {self.v_off} < v_on <= {self.v_max}, got {v_on}"
             )
         self.capacitance_f = capacitance_f
         self.v_on = v_on
-        self.v_off = v_off
-        self.v_max = v_max
         self.voltage = v_on  # start charged to the turn-on level
 
     @property

@@ -59,11 +59,6 @@ END_POLICIES = ("loop", "hold", "dead")
 #: a mW-vs-W (or uW-vs-W) column mix-up in an imported file.
 DEFAULT_MAX_POWER_W = 10.0
 
-#: Sentinel: "caller did not pass max_power_w" (distinct from None,
-#: which explicitly disables the ceiling) — importers fall back to a
-#: ceiling persisted in the file, then to the default.
-_UNSET = object()
-
 
 def _is_float(cell: str) -> bool:
     try:
@@ -402,11 +397,8 @@ class EmpiricalTrace(PowerTrace):
 
     # -- transforms (each returns a new trace) --------------------------------
 
-    def _with(self, times, powers, *, end=None) -> "EmpiricalTrace":
-        return EmpiricalTrace(
-            times, powers, end=self.end if end is None else end,
-            max_power_w=None,
-        )
+    def _with(self, times, powers) -> "EmpiricalTrace":
+        return EmpiricalTrace(times, powers, end=self.end, max_power_w=None)
 
     def scaled(self, factor: float) -> "EmpiricalTrace":
         """Multiply every power sample by ``factor``."""
@@ -493,18 +485,12 @@ class EmpiricalTrace(PowerTrace):
     # -- importers / exporters ------------------------------------------------
 
     @classmethod
-    def from_csv(
-        cls,
-        path,
-        *,
-        end: Optional[str] = None,
-        max_power_w=_UNSET,
-    ) -> "EmpiricalTrace":
+    def from_csv(cls, path) -> "EmpiricalTrace":
         """Load a two-column ``time_s,power_w`` CSV.
 
         ``#``-prefixed lines are comments (``# end=<policy>`` and
-        ``# max_power_w=<W|none>`` persist those settings; explicit
-        arguments win), a non-numeric first row is treated as a header.
+        ``# max_power_w=<W|none>`` persist those settings), a non-numeric
+        first row is treated as a header.
         The ``m`` data rows define ``m - 1`` sample-and-hold segments:
         the last row closes the final interval and its power value is
         ignored — exactly what :meth:`to_csv` writes, so export/import
@@ -558,9 +544,7 @@ class EmpiricalTrace(PowerTrace):
             raise ConfigurationError(f"{path}: need at least 2 data rows")
         times = np.array([r[0] for r in rows])
         powers = np.array([r[1] for r in rows[:-1]])
-        return cls(times, powers, end=end or file_end or "loop",
-                   max_power_w=file_max if max_power_w is _UNSET
-                   else max_power_w)
+        return cls(times, powers, end=file_end or "loop", max_power_w=file_max)
 
     def to_csv(self, path) -> None:
         """Write ``time_s,power_w`` rows (17 significant digits, so the
@@ -580,24 +564,21 @@ class EmpiricalTrace(PowerTrace):
             fh.write(f"{self.times[-1]:.17g},{self.powers[-1]:.17g}\n")
 
     @classmethod
-    def from_npz(cls, path, *, max_power_w=_UNSET) -> "EmpiricalTrace":
+    def from_npz(cls, path) -> "EmpiricalTrace":
         """Load ``times``/``powers``/``end`` arrays saved by :meth:`to_npz`.
 
         Like :meth:`from_csv`, a persisted ``max_power_w`` (NaN = no
-        ceiling) is honored unless an explicit argument overrides it, so
-        out-of-range traces round-trip too.
+        ceiling) is honored, so out-of-range traces round-trip too.
         """
         with np.load(path, allow_pickle=False) as data:
             for key in ("times", "powers"):
                 if key not in data:
                     raise ConfigurationError(f"{path}: missing array {key!r}")
             end = str(data["end"]) if "end" in data else "loop"
-            if max_power_w is _UNSET:
-                if "max_power_w" in data:
-                    ceiling = float(data["max_power_w"])
-                    max_power_w = None if math.isnan(ceiling) else ceiling
-                else:
-                    max_power_w = DEFAULT_MAX_POWER_W
+            max_power_w = DEFAULT_MAX_POWER_W
+            if "max_power_w" in data:
+                ceiling = float(data["max_power_w"])
+                max_power_w = None if math.isnan(ceiling) else ceiling
             return cls(data["times"], data["powers"], end=end,
                        max_power_w=max_power_w)
 

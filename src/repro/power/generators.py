@@ -31,14 +31,9 @@ def _rendered(times, powers, mean_power_w=None) -> EmpiricalTrace:
     return trace
 
 
-def markov_rf(
-    seed: int = 0,
-    *,
-    duration_s: float = 120.0,
-    mean_power_w: float = 1.5e-3,
-    mean_dwell_s: float = 0.04,
-) -> EmpiricalTrace:
-    """Markov-modulated ambient RF: a 3-state (off / scrap / beam) chain.
+def markov_rf(seed: int = 0) -> EmpiricalTrace:
+    """Markov-modulated ambient RF: a 3-state (off / scrap / beam) chain
+    over 120 s, 40 ms mean dwell, scaled to a 1.5 mW mean.
 
     Unlike :class:`~repro.power.traces.StochasticRFTrace`'s independent
     on/off renewal process, a Markov chain gives *correlated* bursts: a
@@ -46,8 +41,6 @@ def markov_rf(
     cluster, and deep off periods are sticky — the burst-length
     distribution is bimodal rather than exponential.
     """
-    if duration_s <= 0 or mean_power_w <= 0 or mean_dwell_s <= 0:
-        raise ConfigurationError("invalid markov_rf parameters")
     rng = np.random.default_rng(seed)
     # States: 0 = off, 1 = scrap (weak ambient), 2 = beam (reader close).
     levels = (0.0, 0.6, 3.0)          # relative power per state
@@ -61,8 +54,8 @@ def markov_rf(
     powers = []
     state = 0
     t = 0.0
-    while t < duration_s:
-        dur = max(float(rng.exponential(dwell[state] * mean_dwell_s)), 1e-4)
+    while t < 120.0:
+        dur = max(float(rng.exponential(dwell[state] * 0.04)), 1e-4)
         level = levels[state]
         if level > 0.0:
             level *= float(rng.uniform(0.7, 1.3))  # per-burst fading
@@ -70,33 +63,31 @@ def markov_rf(
         times.append(t)
         powers.append(level)
         state = int(rng.choice(3, p=transition[state]))
-    return _rendered(times, powers, mean_power_w)
+    return _rendered(times, powers, 1.5e-3)
 
 
 def diurnal_solar(
     seed: int = 0,
     *,
     day_s: float = 240.0,
-    days: int = 1,
-    peak_power_w: float = 5e-3,
     cloudiness: float = 0.3,
-    samples_per_day: int = 480,
 ) -> EmpiricalTrace:
-    """Diurnal solar with random cloud occlusion.
+    """One day of diurnal solar with random cloud occlusion.
 
-    The clear-sky envelope is the positive half of a sine (daylight) and
-    zero overnight; ``cloudiness`` in [0, 1) sets the fraction of
-    daylight shadowed by clouds, which arrive as seeded random fronts
-    attenuating the envelope to 10-45% for tens of simulated seconds.
+    The clear-sky envelope, 480 segments peaking at 5 mW, is the positive
+    half of a sine (daylight) and zero overnight; ``cloudiness`` in
+    [0, 1) sets the fraction of daylight shadowed by clouds, which arrive
+    as seeded random fronts attenuating the envelope to 10-45% for tens
+    of simulated seconds.
     ``cloudiness=0`` renders the deterministic clear-sky day.
     """
-    if day_s <= 0 or days < 1 or peak_power_w < 0 or samples_per_day < 16:
+    if day_s <= 0:
         raise ConfigurationError("invalid diurnal_solar parameters")
     if not 0.0 <= cloudiness < 1.0:
         raise ConfigurationError("cloudiness must be in [0, 1)")
     rng = np.random.default_rng(seed)
-    n = samples_per_day * days
-    edges = np.linspace(0.0, day_s * days, n + 1)
+    n = 480
+    edges = np.linspace(0.0, day_s, n + 1)
     seg_s = np.diff(edges)
     mid = (edges[:-1] + edges[1:]) / 2.0
     envelope = np.maximum(0.0, np.sin(2.0 * np.pi * mid / day_s))
@@ -114,12 +105,12 @@ def diurnal_solar(
             shadowed = float(seg_s[daylight & (attenuation < 1.0)].sum())
             if shadowed >= target:
                 break
-            start = float(rng.uniform(0.0, day_s * days))
+            start = float(rng.uniform(0.0, day_s))
             dur = float(rng.exponential(day_s / 12.0))
             factor = float(rng.uniform(0.10, 0.45))
             window = (mid >= start) & (mid < start + dur)
             attenuation[window] = np.minimum(attenuation[window], factor)
-    return _rendered(edges, peak_power_w * envelope * attenuation)
+    return _rendered(edges, 5e-3 * envelope * attenuation)
 
 
 def kinetic_walk(
@@ -170,25 +161,24 @@ def office_wifi(
     seed: int = 0,
     *,
     day_s: float = 240.0,
-    mean_power_w: float = 0.8e-3,
-    beacon_period_s: float = 0.4,
     office_fraction: float = 0.4,
 ) -> EmpiricalTrace:
     """Office WiFi-harvesting duty pattern: beacon bursts in work hours.
 
     During the "office" fraction of the day the harvester sees periodic
-    beacon/traffic bursts (short duty at ``beacon_period_s`` with
-    load-dependent amplitude) over a weak ambient floor; outside office
-    hours only the floor remains.  A deterministic schedule with seeded
-    per-burst amplitudes: the duty *pattern* is infrastructure, the
-    traffic is not.
+    beacon/traffic bursts (short duty every 0.4 s with load-dependent
+    amplitude) over a weak ambient floor; outside office hours only the
+    floor remains, and the whole day is scaled to a 0.8 mW mean.  A
+    deterministic schedule with seeded per-burst amplitudes: the duty
+    *pattern* is infrastructure, the traffic is not.
     """
-    if day_s <= 0 or mean_power_w <= 0 or beacon_period_s <= 0:
+    if day_s <= 0:
         raise ConfigurationError("invalid office_wifi parameters")
     if not 0.0 < office_fraction <= 1.0:
         raise ConfigurationError("office_fraction must be in (0, 1]")
     rng = np.random.default_rng(seed)
     floor = 0.05
+    beacon_period_s = 0.4
     burst_s = 0.25 * beacon_period_s
     office_end = office_fraction * day_s
     times = [0.0]
@@ -206,31 +196,24 @@ def office_wifi(
     if office_end < day_s:
         times.append(day_s)
         powers.append(floor)
-    return _rendered(times, powers, mean_power_w)
+    return _rendered(times, powers, 0.8e-3)
 
 
-def testbed_square(
-    seed: int = 0,
-    *,
-    power_w: float = 5e-3,
-    period_s: float = 0.05,
-    duty: float = 0.3,
-    periods: int = 40,
-) -> EmpiricalTrace:
+def testbed_square(seed: int) -> EmpiricalTrace:
     """The paper's function-generator square wave, rendered empirically.
 
     Deterministic (``seed`` accepted for corpus-interface uniformity):
-    the same profile as :class:`~repro.power.traces.SquareWaveTrace`, as
-    a recorded trace — the bridge case for validating the empirical path
-    against a closed form.
+    40 periods of :func:`repro.experiments.common.paper_harvester`'s
+    5 mW, 50 ms, 30 % duty :class:`~repro.power.traces.SquareWaveTrace`,
+    as a recorded trace — the bridge case for validating the empirical
+    path against a closed form.
     """
-    if power_w < 0 or period_s <= 0 or not 0.0 < duty < 1.0 or periods < 1:
-        raise ConfigurationError("invalid testbed_square parameters")
+    period_s = 0.05
     times = [0.0]
     powers = []
-    for k in range(periods):
-        times.append(k * period_s + duty * period_s)
-        powers.append(power_w)
+    for k in range(40):
+        times.append(k * period_s + 0.3 * period_s)
+        powers.append(5e-3)
         times.append((k + 1) * period_s)
         powers.append(0.0)
     return EmpiricalTrace(times, powers, end="loop")

@@ -17,24 +17,18 @@ from repro.power.traces import PowerTrace
 class EnergyHarvester:
     """Supply model combining a power trace and a storage capacitor."""
 
-    def __init__(
-        self,
-        trace: PowerTrace,
-        capacitor: Capacitor,
-        *,
-        efficiency: float = 0.8,
-        charge_step_s: float = 1e-3,
-        charge_timeout_s: float = 600.0,
-    ) -> None:
-        if not 0.0 < efficiency <= 1.0:
-            raise ConfigurationError("efficiency must be in (0, 1]")
-        if charge_step_s <= 0 or charge_timeout_s <= 0:
-            raise ConfigurationError("charge step/timeout must be positive")
+    #: Share of the trace's power that reaches the capacitor.
+    efficiency = 0.8
+    #: :meth:`recharge` advances the clock in steps of this length, and
+    #: gives up (a dead supply) after this long.
+    charge_step_s = 1e-3
+    charge_timeout_s = 600.0
+    #: Bound on :meth:`enable_logging`'s voltage log.
+    MAX_LOG_SAMPLES = 100000
+
+    def __init__(self, trace: PowerTrace, capacitor: Capacitor) -> None:
         self.trace = trace
         self.capacitor = capacitor
-        self.efficiency = efficiency
-        self.charge_step_s = charge_step_s
-        self.charge_timeout_s = charge_timeout_s
         self.clock_s = 0.0
         self.charge_time_s = 0.0
         self.failures = 0
@@ -100,13 +94,13 @@ class EnergyHarvester:
 
     # -- voltage logging ------------------------------------------------------
 
-    def enable_logging(self, interval_s: float = 1e-3, max_samples: int = 100000) -> None:
-        """Start recording ``(time, voltage)`` samples at ``interval_s``."""
-        if interval_s <= 0 or max_samples <= 0:
-            raise ConfigurationError("interval and max_samples must be positive")
+    def enable_logging(self, interval_s: float = 1e-3) -> None:
+        """Start recording ``(time, voltage)`` samples at ``interval_s``,
+        at most ``MAX_LOG_SAMPLES`` of them."""
+        if interval_s <= 0:
+            raise ConfigurationError("interval must be positive")
         self.voltage_log = []
         self._log_interval_s = interval_s
-        self._max_samples = max_samples
         self._last_log_t = -1.0
         self._log_sample()
 
@@ -115,7 +109,7 @@ class EnergyHarvester:
             return
         if (
             self.clock_s - self._last_log_t >= self._log_interval_s
-            and len(self.voltage_log) < self._max_samples
+            and len(self.voltage_log) < self.MAX_LOG_SAMPLES
         ):
             self.voltage_log.append((self.clock_s, self.capacitor.voltage))
             self._last_log_t = self.clock_s

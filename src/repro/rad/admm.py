@@ -50,19 +50,17 @@ class ADMMPruner:
     Sequential model to its :class:`PruneSpec`.
     """
 
+    #: ADMM penalty weight.
+    rho = 1e-2
+
     def __init__(
         self,
         model: Sequential,
         constraints: Dict[int, PruneSpec],
-        *,
-        rho: float = 1e-2,
     ) -> None:
         if not constraints:
             raise ConfigurationError("ADMMPruner needs at least one constraint")
-        if rho <= 0:
-            raise ConfigurationError(f"rho must be positive, got {rho}")
         self.model = model
-        self.rho = rho
         self.constraints: Dict[int, PruneSpec] = {}
         self._z: Dict[int, np.ndarray] = {}
         self._u: Dict[int, np.ndarray] = {}

@@ -13,7 +13,7 @@ Two complementary mechanisms are provided:
 * :func:`equalize_ranges` — optional weight rescaling for ReLU networks:
   scale layer ``i``'s weights down by ``s`` and layer ``i+1``'s up by ``s``
   (ReLU and max-pool are positively homogeneous, so the function is
-  unchanged) until every layer's calibration peak is below a target.  This
+  unchanged) until every layer's calibration peak is below 1.  This
   mirrors the paper's training-time normalization, and measurably reduces
   the saturation count of the 16-bit kernels.
 """
@@ -45,15 +45,9 @@ _HOMOGENEOUS = (ReLU, MaxPool2D, Flatten)
 _SCALABLE = (Conv2D, Dense, BCMDense)
 
 
-def equalize_ranges(
-    model: Sequential,
-    x_calib: np.ndarray,
-    *,
-    target_peak: float = 1.0,
-    max_passes: int = 4,
-) -> Dict[int, float]:
-    """Rescale consecutive weight layers so activation peaks approach
-    ``target_peak`` without changing the network function.
+def equalize_ranges(model: Sequential, x_calib: np.ndarray) -> Dict[int, float]:
+    """Rescale consecutive weight layers so activation peaks approach 1,
+    in at most four passes, without changing the network function.
 
     Only applies between scalable layers separated by positively
     homogeneous layers (ReLU / max-pool / flatten).  The final layer is
@@ -61,13 +55,11 @@ def equalize_ranges(
     device kernels still bound it via calibration).  Returns the cumulative
     scale applied per layer index.
     """
-    if target_peak <= 0:
-        raise ConfigurationError("target_peak must be positive")
     applied: Dict[int, float] = {}
     scalable_idx = [
         i for i, layer in enumerate(model.layers) if isinstance(layer, _SCALABLE)
     ]
-    for _ in range(max_passes):
+    for _ in range(4):
         peaks = layer_output_peaks(model, x_calib)
         changed = False
         for pos, i in enumerate(scalable_idx[:-1]):
@@ -76,9 +68,9 @@ def equalize_ranges(
             if not all(isinstance(b, _HOMOGENEOUS) for b in between):
                 continue
             peak = peaks[i]
-            if peak <= target_peak or peak == 0.0:
+            if peak <= 1.0:
                 continue
-            s = target_peak / peak
+            s = 1.0 / peak
             _scale_layer(model.layers[i], s)
             _scale_layer_inverse(model.layers[j], s)
             applied[i] = applied.get(i, 1.0) * s

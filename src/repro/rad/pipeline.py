@@ -92,15 +92,9 @@ class RADResult:
     admm_residuals: List[float] = field(default_factory=list)
 
 
-def run_rad(
-    config: RADConfig,
-    train: Dataset,
-    test: Dataset,
-    *,
-    budget: Optional[DeviceBudget] = None,
-) -> RADResult:
-    """Execute the full RAD pipeline and return the deployable model."""
-    budget = budget or DeviceBudget()
+def run_rad(config: RADConfig, train: Dataset, test: Dataset) -> RADResult:
+    """Execute the full RAD pipeline and return the deployable model,
+    checked against the MSP430FR5994's :class:`DeviceBudget`."""
     input_shape = INPUT_SHAPES[config.task]
     rng = np.random.default_rng(config.seed)
     model = build_model(
@@ -163,7 +157,7 @@ def run_rad(
         equalize_ranges(eval_model, calib)
 
     # 6. Resource check against the device budget.
-    resources = check_fits(eval_model, input_shape, budget)
+    resources = check_fits(eval_model, input_shape, DeviceBudget())
 
     # 7. Fixed-point quantization with range calibration.
     quantized = quantize_model(

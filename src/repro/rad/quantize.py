@@ -492,11 +492,11 @@ class QuantizedModel:
         out_frac = self.layers[-1].out_frac if hasattr(self.layers[-1], "out_frac") else 15
         return raw.astype(np.float64) / (1 << out_frac), tuple(recorder.calls)
 
-    def predict(self, x_float: np.ndarray, batch_size: int = 128, **kwargs) -> np.ndarray:
-        """Argmax class predictions."""
+    def predict(self, x_float: np.ndarray, **kwargs) -> np.ndarray:
+        """Argmax class predictions, 128 samples per forward."""
         preds = []
-        for start in range(0, len(x_float), batch_size):
-            logits = self.forward_raw(x_float[start : start + batch_size], **kwargs)
+        for start in range(0, len(x_float), 128):
+            logits = self.forward_raw(x_float[start : start + 128], **kwargs)
             preds.append(np.argmax(logits, axis=1))
         return np.concatenate(preds) if preds else np.empty(0, dtype=int)
 
@@ -547,11 +547,9 @@ def quantize_model(
         out_frac = best_frac_bits(np.array([peaks[idx] * headroom]))
         if isinstance(layer, Conv2D):
             w_raw, w_frac = _quant_weights(layer.weight.data)
-            bias = np.zeros(layer.out_channels, dtype=np.int64)
-            if layer.bias is not None:
-                bias = np.rint(
-                    layer.bias.data * (1 << (cur_frac + w_frac))
-                ).astype(np.int64)
+            bias = np.rint(
+                layer.bias.data * (1 << (cur_frac + w_frac))
+            ).astype(np.int64)
             pruned = int(
                 np.sum(~np.any(layer.weight.data.reshape(layer.out_channels, -1)
                                != 0.0, axis=1))
@@ -582,9 +580,7 @@ def quantize_model(
             scale = 1 << (15 - w_exp)
             spec_re = saturate16(np.rint(spectra.real * scale))
             spec_im = saturate16(np.rint(spectra.imag * scale))
-            bias = np.zeros(layer.out_features, dtype=np.int64)
-            if layer.bias is not None:
-                bias = np.rint(layer.bias.data * (1 << out_frac)).astype(np.int64)
+            bias = np.rint(layer.bias.data * (1 << out_frac)).astype(np.int64)
             qlayers.append(
                 QuantBCM(
                     spec_re=spec_re,
@@ -612,11 +608,7 @@ def quantize_model(
                 eff_b = np.zeros(layer.out_features)
             else:
                 eff_w = layer.weight.data
-                eff_b = (
-                    layer.bias.data
-                    if layer.bias is not None
-                    else np.zeros(layer.out_features)
-                )
+                eff_b = layer.bias.data
             w_raw, w_frac = _quant_weights(eff_w)
             bias = np.rint(eff_b * (1 << (cur_frac + w_frac))).astype(np.int64)
             qlayers.append(

@@ -53,10 +53,10 @@ def _fc(in_f: int, out_f: int, block: Optional[int], rng) -> object:
 
 
 def build_mnist(
-    bcm_blocks: Optional[Tuple[int, ...]] = PAPER_BLOCKS["mnist"],
+    bcm_blocks: Optional[Tuple[int, ...]],
     *,
-    rng: Optional[np.random.Generator] = None,
-    batchnorm: bool = False,
+    rng: Optional[np.random.Generator],
+    batchnorm: bool,
 ) -> Sequential:
     """The MNIST model of Table II (LeNet-style).
 
@@ -84,10 +84,10 @@ def build_mnist(
 
 
 def build_har(
-    bcm_blocks: Optional[Tuple[int, ...]] = PAPER_BLOCKS["har"],
+    bcm_blocks: Optional[Tuple[int, ...]],
     *,
-    rng: Optional[np.random.Generator] = None,
-    batchnorm: bool = False,
+    rng: Optional[np.random.Generator],
+    batchnorm: bool,
 ) -> Sequential:
     """The HAR model of Table II (1-D conv front end)."""
     rng = rng or np.random.default_rng(0)
@@ -108,10 +108,10 @@ def build_har(
 
 
 def build_okg(
-    bcm_blocks: Optional[Tuple[int, ...]] = PAPER_BLOCKS["okg"],
+    bcm_blocks: Optional[Tuple[int, ...]],
     *,
-    rng: Optional[np.random.Generator] = None,
-    batchnorm: bool = False,
+    rng: Optional[np.random.Generator],
+    batchnorm: bool,
 ) -> Sequential:
     """The OKG keyword-spotting model of Table II."""
     rng = rng or np.random.default_rng(0)

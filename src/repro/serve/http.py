@@ -106,14 +106,11 @@ class _Handler(BaseHTTPRequestHandler):
         body = json.dumps(payload).encode("utf-8")
         self._send_bytes(status, body, headers=headers)
 
-    def _send_bytes(
-        self, status: int, body: bytes,
-        content_type: str = "application/json", headers=(),
-    ) -> None:
+    def _send_bytes(self, status: int, body: bytes, headers=()) -> None:
         self.send_response(status)
         for name, value in headers:
             self.send_header(name, value)
-        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         if self.close_connection:
             self.send_header("Connection", "close")

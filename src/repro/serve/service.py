@@ -77,24 +77,21 @@ class StudyService:
     tenths of a second) for its workers to inherit: worth it for a
     long-lived service that runs fleet jobs, as ``repro serve`` is, not
     for one built for a few direct studies.  ``store`` attaches a durable
-    :class:`~repro.store.cache.ResultStore`; ``table_cache``
-    bounds the in-memory finished-table LRU (0 disables it, leaving
-    only in-flight coalescing and the store's archive).
+    :class:`~repro.store.cache.ResultStore`; the in-memory
+    finished-table LRU holds ``TABLE_CACHE`` tables.
     """
+
+    TABLE_CACHE = 64
 
     def __init__(
         self,
         *,
         workers: int = 2,
         store=None,
-        table_cache: int = 64,
         retry: Optional[RetryPolicy] = None,
         warm: bool = False,
     ) -> None:
-        if table_cache < 0:
-            raise ConfigurationError("table_cache must be >= 0")
         self.store = store
-        self._table_cache_size = table_cache
         #: Per-job bounded retry on transient failures (worker-lost,
         #: timeout, injected faults).  Other exceptions — bad studies,
         #: real bugs — still fail the job on the first attempt.
@@ -225,11 +222,9 @@ class StudyService:
         return table
 
     def _cache_publish(self, key: str, table: ResultTable) -> None:
-        if self._table_cache_size == 0:
-            return
         self._tables[key] = table
         self._tables.move_to_end(key)
-        while len(self._tables) > self._table_cache_size:
+        while len(self._tables) > self.TABLE_CACHE:
             self._tables.popitem(last=False)
 
     # -- execution (worker threads) -------------------------------------------

@@ -705,8 +705,8 @@ class _Replay:
         self.v_on = cap.v_on
         self.v_off_sq = cap.v_off ** 2
         self.half_c = 0.5 * cap_f
-        eff = self.eff = supply.efficiency
-        step = self.step = supply.charge_step_s
+        self.eff = supply.efficiency
+        self.step = supply.charge_step_s
         self.timeout_s = supply.charge_timeout_s
         self.trace_energy = (_square_wave_energy(trace)
                              if type(trace) is SquareWaveTrace
@@ -718,20 +718,6 @@ class _Replay:
                                     trace.energy_batch)
         # Sizes recharge blocks (an estimate; results never depend on it).
         self.harvest_time = trace.harvest_time
-        # Where the trace family has a closed form: the largest
-        # single-step charge term (see ``no_clamp_recharge``).
-        if type(trace) is SquareWaveTrace:
-            step_chg = (2.0 * ((trace.power_w * step) * eff)) / cap_f
-        else:
-            step_chg = float("inf")
-        # The recharge loop exits at the first ``v >= v_on``, so every
-        # step enters below ``v_on``; when a single step's charge cannot
-        # lift ``v_on**2`` past ``v_max**2``, the v_max clamp is provably
-        # dead for the whole walk (margin covers fl drift).
-        self.no_clamp_recharge = (
-            self.v_on * self.v_on + step_chg * 1.000001 + 1e-9
-            < self.v_max * self.v_max
-        )
         # Constant-dt operand for the recharge ``energy_batch`` calls
         # (``np.broadcast_to`` costs more than the batch at these sizes).
         self.step_fill = None
@@ -1302,13 +1288,13 @@ class _Replay:
         timeout only nonzero-charge steps move ``v`` (a zero charge
         leaves it bit-unchanged), so the exit walk visits those alone;
         the reference first observes ``v >= v_on`` at the step *after*
-        the one that crossed it.  With the clamp provably dead
-        (``no_clamp_recharge``) a test-free prefix runs first: the
-        clamp-free chain is monotone and tracks the charge prefix sum to
-        a few ulps per step, so while ``v**2 + cum_charge`` stays a
-        relative ``1e-9`` below ``v_on**2`` (orders of magnitude above
-        the drift) no step can cross ``v_on``.  Blocks that can reach the
-        timeout take every step with both exit tests.
+        the one that crossed it.  A test-free prefix runs first: the
+        chain is monotone and tracks the charge prefix sum to a few ulps
+        per step, so while ``v**2 + cum_charge`` stays a relative ``1e-9``
+        below ``v_on**2`` (orders of magnitude above the drift) no step
+        can cross ``v_on`` — nor, since ``v_on <= v_max``, reach the
+        ``v_max`` clamp.  Blocks that can reach the timeout take every
+        step with both exit tests.
         """
         v = self.v
         clock = self.clock
@@ -1353,12 +1339,9 @@ class _Replay:
                 # waits are read at the exit step alone, so the arrays are
                 # indexed directly instead of exported wholesale.
                 nz_np = np.nonzero(chg_np)[0]
-                pos = 0
-                if self.no_clamp_recharge:
-                    kf = int(np.cumsum(chg_np).searchsorted(
-                        v_on * v_on * (1.0 - 1e-9) - v * v))
-                    if kf > 0:
-                        pos = int(nz_np.searchsorted(kf))
+                kf = int(np.cumsum(chg_np).searchsorted(
+                    v_on * v_on * (1.0 - 1e-9) - v * v))
+                pos = int(nz_np.searchsorted(kf)) if kf > 0 else 0
                 nz = nz_np.tolist()
                 for k in nz[:pos]:
                     v = sqrt(v ** 2 + chg[k])

@@ -107,9 +107,7 @@ def encode_record(result: ScenarioResult) -> EncodedResult:
     return EncodedResult(result.scenario.name, encode_result(result))
 
 
-def study_table_key(
-    study: str, profile, engine: str, *, semantics: int = SIM_SEMANTICS
-) -> str:
+def study_table_key(study: str, profile, engine: str) -> str:
     """Content address of a finished study table (any study shape)."""
     return _digest({
         "kind": "study-table",
@@ -117,7 +115,7 @@ def study_table_key(
         "study": study,
         "profile": dataclasses.asdict(profile),
         "engine": engine,
-        "semantics": semantics,
+        "semantics": SIM_SEMANTICS,
     })
 
 
@@ -133,14 +131,13 @@ class ResultStore:
     ``repro run --out`` reporting are built on.
     """
 
-    def __init__(self, root, *, shard_rows: int = 256, retry=None) -> None:
+    def __init__(self, root, *, shard_rows: int = 256) -> None:
         self.root = Path(root)
         self._shards = ShardStore(
             self.root,
             RESULT_COLUMNS,
             meta={"kind": "scenario-results"},
             shard_rows=shard_rows,
-            retry=retry,
         )
         self._index: Dict[str, str] = {}
         for row in self._shards.iter_rows():

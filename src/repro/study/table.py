@@ -349,11 +349,12 @@ class ResultTable:
         cols = ", ".join(f"{c.name}:{c.dtype}" for c in self._columns)
         return f"ResultTable([{cols}], {len(self)} rows)"
 
-    def render(self, *, title: str = "") -> str:
-        """Plain-text table (numeric columns right-aligned)."""
+    def render(self) -> str:
+        """Plain-text table (numeric columns right-aligned) under the
+        ``title`` meta entry."""
         from repro.experiments.reporting import format_table
 
         return format_table(
             list(self.column_names), [tuple(row) for row in self._rows],
-            title=title or self.meta.get("title", ""),
+            title=self.meta.get("title", ""),
         )

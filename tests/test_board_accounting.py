@@ -6,15 +6,16 @@ import pytest
 
 from repro.errors import PowerFailureError
 from repro.hw.board import Device
-from repro.power import Capacitor, ConstantTrace, EnergyHarvester
+from repro.power import Capacitor, ConstantTrace
 from repro.sim.atoms import Atom
+from tests.supply import harvester
 
 
 def tiny_supply(energy_j: float):
     """A harvester holding ~energy_j of usable charge and no income."""
     # Solve for capacitance: E = 0.5 C (v_on^2 - v_off^2).
     cap_f = 2.0 * energy_j / (3.5 ** 2 - 1.8 ** 2)
-    return EnergyHarvester(ConstantTrace(0.0), Capacitor(cap_f), efficiency=1.0)
+    return harvester(ConstantTrace(0.0), Capacitor(cap_f), efficiency=1.0)
 
 
 def big_atom(cycles=10_000_000.0, **kw):

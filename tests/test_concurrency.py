@@ -22,7 +22,7 @@ from repro.concurrency import ForkSafeLock, KeyedLocks
 from repro.errors import ConfigurationError
 from repro.fleet.cache import ModelCache
 from repro.fleet.scenario import Scenario
-from repro.kernels import bcmplan, fftplan, rfftplan
+from repro.kernels import bcmplan, fftplan
 from repro.kernels.spectra import (
     clear_spectra_cache,
     spectra_cache_stats,
@@ -130,13 +130,6 @@ class TestPlanCacheRaces:
         plans = _hammer(lambda i: fftplan.get_fft_plan(32 if i % 2 else 64))
         assert counting.calls == 2
         assert len({id(p) for p in plans}) == 2
-
-    def test_rfft_plan_builds_once(self, monkeypatch):
-        counting = _Counting(rfftplan.RFFTPlan)
-        monkeypatch.setattr(rfftplan, "RFFTPlan", counting)
-        plans = _hammer(lambda i: rfftplan.get_rfft_plan(64))
-        assert counting.calls == 1
-        assert all(p is plans[0] for p in plans)
 
     def test_fft_workspaces_are_thread_keyed(self):
         plan = fftplan.get_fft_plan(32)

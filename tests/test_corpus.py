@@ -110,7 +110,6 @@ class TestEndPolicies:
         path = str(tmp_path / "dead.csv")
         staircase("dead").to_csv(path)
         assert EmpiricalTrace.from_csv(path).end == "dead"
-        assert EmpiricalTrace.from_csv(path, end="hold").end == "hold"
 
 
 class TestAdditivity:
@@ -346,15 +345,11 @@ class TestGenerators:
 
     def test_parameter_validation(self):
         with pytest.raises(ConfigurationError):
-            generators.markov_rf(0, duration_s=-1.0)
-        with pytest.raises(ConfigurationError):
             generators.diurnal_solar(0, cloudiness=1.5)
         with pytest.raises(ConfigurationError):
             generators.kinetic_walk(0, step_hz=0.0)
         with pytest.raises(ConfigurationError):
             generators.office_wifi(0, office_fraction=0.0)
-        with pytest.raises(ConfigurationError):
-            generators.testbed_square(0, duty=1.0)
 
     def test_cloudy_days_are_dimmer(self):
         clear = generators.diurnal_solar(0, cloudiness=0.0)
@@ -490,30 +485,14 @@ class TestTraceSpecCorpusKind:
 
 class TestCorpusGrid:
     def test_corpus_traces_axis(self):
-        traces = corpus_traces(("rf-markov", "solar-cloudy"), seeds=(0, 1))
-        assert len(traces) == 4
+        traces = corpus_traces(("rf-markov", "solar-cloudy"))
+        assert len(traces) == 2
         assert all(t.kind == "corpus" for t in traces)
         grid = scenario_grid(runtimes=("TAILS",), traces=traces)
         assert len({s.name for s in grid}) == len(grid)
 
     def test_corpus_traces_default_is_whole_corpus(self):
         assert len(corpus_traces()) == len(CORPUS)
-
-    def test_seed_axis_skips_deterministic_entries(self):
-        """A whole-corpus seed sweep gives one cell per deterministic
-        entry and len(seeds) per seeded entry — never duplicate supplies
-        under different names."""
-        deterministic = [n for n in CORPUS.names()
-                         if not CORPUS.entry(n).seeded]
-        assert "testbed-square" in deterministic
-        traces = corpus_traces(seeds=(0, 1))
-        expected = 2 * (len(CORPUS) - len(deterministic)) + len(deterministic)
-        assert len(traces) == expected
-        assert len({t.label() for t in traces}) == len(traces)
-        # Explicitly naming a deterministic entry in a seed sweep also
-        # collapses to its single rendering.
-        only = corpus_traces(("testbed-square",), seeds=(0, 1, 2))
-        assert len(only) == 1 and only[0].seed == 0
 
     def test_corpus_traces_validates(self):
         with pytest.raises(ConfigurationError):

@@ -151,17 +151,16 @@ class TestVectorizedStrokes:
         strokes[1] = [[(11, 8), (15, 5), (15, 5), (15, 23)],
                       [(11, 23), (19, 23)]]
         monkeypatch.setattr(synth_mnist, "_DIGIT_STROKES", strokes)
+        monkeypatch.setattr(synth_mnist, "WOBBLE", 0.0)
+        monkeypatch.setattr(synth_mnist, "SHIFT", 0.0)
         for seed in range(5):
-            img = render_digit(1, np.random.default_rng(seed),
-                               wobble=0.0, shift=0.0)
+            img = render_digit(1, np.random.default_rng(seed))
             ref = _render_digit_per_segment(1, np.random.default_rng(seed),
                                             wobble=0.0, shift=0.0)
             assert img.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("thickness, intensity",
-                             [(1.2, 1.0), (2.5, 0.7), (1.5, -1.0)])
-    def test_draw_segments_equals_draw_segment_calls(self, thickness,
-                                                     intensity):
+    @pytest.mark.parametrize("thickness", [1.2, 2.5, 1.5])
+    def test_draw_segments_equals_draw_segment_calls(self, thickness):
         rng = np.random.default_rng(1)
         starts = rng.uniform(-3.0, 20.0, (40, 2))
         ends = starts + rng.normal(0.0, 4.0, (40, 2))
@@ -171,9 +170,9 @@ class TestVectorizedStrokes:
         ends[2] = starts[2] + 1e-6     # just over it
         img = np.zeros((16, 20))
         ref = img.copy()
-        draw_segments(img, starts, ends, thickness, intensity)
+        draw_segments(img, starts, ends, thickness)
         for p0, p1 in zip(starts, ends):
-            draw_segment(ref, tuple(p0), tuple(p1), thickness, intensity)
+            draw_segment(ref, tuple(p0), tuple(p1), thickness)
         assert img.tobytes() == ref.tobytes()
 
     def test_no_segments_draw_nothing(self):

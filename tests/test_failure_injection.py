@@ -84,7 +84,7 @@ def test_energy_accounting_conserved(seed):
     power = float(rng.uniform(3e-3, 8e-3))
     trace = SquareWaveTrace(power, 0.05, 0.4)
     cap = Capacitor()
-    harvester = EnergyHarvester(trace, cap, efficiency=0.8)
+    harvester = EnergyHarvester(trace, cap)
     device = msp430fr5994(supply=harvester)
     from repro.flex import FlexRuntime
 

@@ -36,6 +36,7 @@ from repro.sim import (
     SensingSession,
     make_machine,
 )
+from tests.supply import harvester
 
 RESULT_FIELDS = (
     "runtime", "completed", "predicted_class", "wall_time_s",
@@ -180,7 +181,7 @@ def random_supply(rng):
     else:
         trace = SolarTrace(power, period_s=float(rng.choice([0.5, 2.0])))
     cap = Capacitor(float(rng.choice([10e-6, 33e-6, 100e-6])))
-    return EnergyHarvester(trace, cap, charge_timeout_s=2.0)
+    return harvester(trace, cap, charge_timeout_s=2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +246,11 @@ def trace_for(kind):
 
 
 def zoo_session(qmodel, runtime_name, engine, kind):
-    harvester = EnergyHarvester(trace_for(kind), Capacitor(100e-6),
-                                charge_timeout_s=5.0)
-    device = msp430fr5994(supply=harvester)
+    supply = harvester(trace_for(kind), Capacitor(100e-6),
+                       charge_timeout_s=5.0)
+    device = msp430fr5994(supply=supply)
     runtime = make_runtime(runtime_name, qmodel)
-    monitor = VoltageMonitor(harvester) if runtime.snapshot_on_warning else None
+    monitor = VoltageMonitor(supply) if runtime.snapshot_on_warning else None
     return SensingSession(device, runtime, monitor=monitor, engine=engine), device
 
 
@@ -298,9 +299,9 @@ class TestZooConformance:
 
 
 def weak_supply(power_w=2e-3, cap_uf=20.0, timeout_s=600.0):
-    return EnergyHarvester(
+    return harvester(
         ConstantTrace(power_w),
-        Capacitor(cap_uf * 1e-6, v_on=3.5, v_off=1.8),
+        Capacitor(cap_uf * 1e-6, v_on=3.5),
         efficiency=1.0,
         charge_timeout_s=timeout_s,
     )
@@ -328,9 +329,9 @@ class TestEdgeCases:
         than the restore cost, so every recharge browns out inside restore
         and the run must still terminate (stall DNF) identically."""
         def tiny_swing():
-            return EnergyHarvester(
+            return harvester(
                 ConstantTrace(2e-6),  # weak: recharge stops right at v_on
-                Capacitor(0.1e-6, v_on=1.81, v_off=1.8, v_max=3.6),
+                Capacitor(0.1e-6, v_on=1.81),
                 charge_timeout_s=1.0,
             )
 
@@ -352,8 +353,8 @@ class TestEdgeCases:
 
     def test_supply_exhaustion_aborts(self):
         def dead_supply():
-            return EnergyHarvester(ConstantTrace(0.0), Capacitor(20e-6),
-                                   charge_timeout_s=0.02)
+            return harvester(ConstantTrace(0.0), Capacitor(20e-6),
+                             charge_timeout_s=0.02)
 
         atoms = [cpu_atom(10_000_000, commit=True, divisible=True, iters=1000)]
         results = run_pair(atoms, make_supply=dead_supply,
@@ -406,8 +407,8 @@ class TestCorpusSupplies:
         def make_supply():
             trace = EmpiricalTrace(
                 [0.0, 0.004, 0.01, 0.02], [6e-3, 0.0, 2.5e-3], end=end)
-            return EnergyHarvester(trace, Capacitor(20e-6),
-                                   charge_timeout_s=0.5)
+            return harvester(trace, Capacitor(20e-6),
+                             charge_timeout_s=0.5)
 
         atoms = [cpu_atom(20000, commit=True, label=f"a{i}", layer=i)
                  for i in range(12)]
@@ -425,7 +426,7 @@ class TestCorpusSupplies:
         run_pair(
             [cpu_atom(30000, commit=True, label=f"a{i}", layer=i)
              for i in range(8)],
-            make_supply=lambda: EnergyHarvester(
+            make_supply=lambda: harvester(
                 trace, Capacitor(33e-6), charge_timeout_s=2.0),
             n_runs=3,
             context="corpus-loop-wrap",
@@ -461,9 +462,9 @@ class TestFallbackAndPlumbing:
                 return super().energy(t, dt)
 
         def supply_with(trace_cls):
-            return EnergyHarvester(
+            return harvester(
                 trace_cls(2e-3),
-                Capacitor(20e-6, v_on=3.5, v_off=1.8),
+                Capacitor(20e-6, v_on=3.5),
                 efficiency=1.0,
             )
 
@@ -537,7 +538,7 @@ class TestFallbackAndPlumbing:
 def square_supply(power_w=2.5e-3, cap_uf=20.0, period_s=0.05, duty=0.3,
                   timeout_s=600.0, **cap_kw):
     """The paper-testbed trace family, sized to force brown-outs."""
-    return EnergyHarvester(
+    return harvester(
         SquareWaveTrace(power_w, period_s, duty),
         Capacitor(cap_uf * 1e-6, **cap_kw),
         charge_timeout_s=timeout_s,
@@ -588,9 +589,9 @@ class TestAdversarialHarvested:
         def tiny_swing():
             # Swing barely above v_off: recharge stops at ~v_on and the
             # restore draw alone browns the capacitor out again.
-            return EnergyHarvester(
+            return harvester(
                 ConstantTrace(2e-6),
-                Capacitor(0.1e-6, v_on=1.81, v_off=1.8, v_max=3.6),
+                Capacitor(0.1e-6, v_on=1.81),
                 charge_timeout_s=1.0,
             )
 
@@ -623,8 +624,8 @@ class TestAdversarialHarvested:
 
         def make_supply():
             trace = EmpiricalTrace(base.times, base.powers, end=end)
-            return EnergyHarvester(trace, Capacitor(20e-6),
-                                   charge_timeout_s=0.5)
+            return harvester(trace, Capacitor(20e-6),
+                             charge_timeout_s=0.5)
 
         atoms = [cpu_atom(25000, commit=True, label=f"a{i}", layer=i)
                  for i in range(10)]
@@ -637,9 +638,9 @@ class TestAdversarialHarvested:
         """Degenerate buffer: the swing holds almost no energy, so nothing
         ever fits and the run stalls out — identically."""
         def nano_cap():
-            return EnergyHarvester(
+            return harvester(
                 ConstantTrace(1e-3),
-                Capacitor(1e-9, v_on=3.5, v_off=1.8),
+                Capacitor(1e-9, v_on=3.5),
                 charge_timeout_s=1.0,
             )
 
@@ -663,8 +664,8 @@ class TestAdversarialHarvested:
         """Zero harvest: the first recharge aborts on the charge timeout
         (the recharge batching must observe the timeout step exactly)."""
         def dead():
-            return EnergyHarvester(ConstantTrace(0.0), Capacitor(20e-6),
-                                   charge_timeout_s=0.05)
+            return harvester(ConstantTrace(0.0), Capacitor(20e-6),
+                             charge_timeout_s=0.05)
 
         atoms = [cpu_atom(2_000_000, commit=True, divisible=True, iters=500)]
         results = run_pair(atoms, make_supply=dead, context="dead-timeout")

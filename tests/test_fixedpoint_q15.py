@@ -45,10 +45,6 @@ class TestConversion:
         assert q.shape == (3, 4)
         assert q.dtype == np.int16
 
-    def test_strict_raises_out_of_range(self):
-        with pytest.raises(QuantizationError):
-            float_to_q15([0.1, 1.5], strict=True)
-
     def test_nan_raises(self):
         with pytest.raises(QuantizationError):
             float_to_q15(float("nan"))

@@ -1,4 +1,4 @@
-"""Tests for the device model: memories, meter, cost helpers, board."""
+"""Tests for the device model: meter, cost helpers, board."""
 
 import numpy as np
 import pytest
@@ -6,35 +6,14 @@ import pytest
 from repro.hw import (
     Device,
     EnergyMeter,
-    Fram,
-    Sram,
     alu_cycles,
     copy_cycles,
-    msp430fr5994,
     op_cycles,
     software_fft_cycles,
     transfer_cycles,
 )
 from repro.hw import constants as C
 from repro.sim.atoms import Atom
-
-
-class TestMemories:
-    def test_sram_loses_data_on_power_fail(self):
-        sram = Sram()
-        sram.put("acc", [1, 2, 3])
-        sram.power_fail()
-        assert sram.get("acc") is None
-
-    def test_fram_survives(self):
-        fram = Fram()
-        fram.put("ckpt", {"idx": 7})
-        assert fram.get("ckpt") == {"idx": 7}
-
-    def test_board_sizes(self):
-        dev = msp430fr5994()
-        assert dev.sram.capacity_bytes == 8 * 1024
-        assert dev.fram.capacity_bytes == 256 * 1024
 
 
 class TestMeter:
@@ -134,9 +113,7 @@ class TestDeviceExecution:
         dev.checkpoint(4)
         assert dev.meter.purpose_of("checkpoint") > 0
 
-    def test_power_failure_clears_sram(self):
+    def test_power_failure_counts_a_reboot(self):
         dev = Device()
-        dev.sram.put("x", 1)
         dev.on_power_failure()
-        assert dev.sram.get("x") is None
         assert dev.reboots == 1

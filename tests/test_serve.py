@@ -161,14 +161,6 @@ class TestDedup:
         assert svc.counters()["dedup_hits"] == 1
         svc.close()
 
-    def test_table_cache_zero_disables_completion_dedup(self, toy_study):
-        svc = StudyService(workers=1, table_cache=0)
-        svc.result(svc.submit(_spec()).id, timeout=10)
-        svc.result(svc.submit(_spec()).id, timeout=10)
-        assert toy_study["runs"] == [0, 0]
-        assert svc.counters()["dedup_hits"] == 0
-        svc.close()
-
 
 class TestLifecycleEdges:
     def test_submit_after_shutdown_is_typed_error(self, toy_study):

@@ -6,8 +6,9 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.hw.board import Device, msp430fr5994
-from repro.power import Capacitor, ConstantTrace, EnergyHarvester, SquareWaveTrace, VoltageMonitor
+from repro.power import Capacitor, ConstantTrace, SquareWaveTrace, VoltageMonitor
 from repro.sim import Atom, IntermittentMachine, InferenceRuntime, total_cycles, validate_program
+from tests.supply import harvester
 
 
 class ToyRuntime(InferenceRuntime):
@@ -38,9 +39,9 @@ def cpu_atom(cycles, *, commit=False, volatile=0, divisible=False, iters=1,
 
 def small_harvester(power_w=2e-3, cap_uF=20.0):
     """A deliberately small buffer so failures happen quickly."""
-    return EnergyHarvester(
+    return harvester(
         ConstantTrace(power_w),
-        Capacitor(cap_uF * 1e-6, v_on=3.5, v_off=1.8),
+        Capacitor(cap_uF * 1e-6, v_on=3.5),
         efficiency=1.0,
     )
 
@@ -188,9 +189,9 @@ class TestDnfAndValidation:
         ``continue`` path skips the cursor reset) and still land on a stall
         DNF; restore brown-outs hit the supply's failure counter but are
         not reboots."""
-        h = EnergyHarvester(
+        h = harvester(
             ConstantTrace(2e-6),  # weak: recharge stops right at v_on
-            Capacitor(0.1e-6, v_on=1.81, v_off=1.8, v_max=3.6),
+            Capacitor(0.1e-6, v_on=1.81),
             charge_timeout_s=1.0,
         )
         dev = Device(supply=h)
@@ -204,7 +205,7 @@ class TestDnfAndValidation:
         assert h.failures > res.reboots  # restore failures are extra
 
     def test_dead_supply_reports_reason(self):
-        h = EnergyHarvester(
+        h = harvester(
             ConstantTrace(0.0),
             Capacitor(20e-6),
             charge_timeout_s=0.02,

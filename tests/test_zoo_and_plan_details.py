@@ -12,10 +12,7 @@ from repro.rad.zoo import (
     INPUT_SHAPES,
     NUM_CLASSES,
     PAPER_BLOCKS,
-    build_har,
-    build_mnist,
     build_model,
-    build_okg,
 )
 
 
@@ -23,7 +20,7 @@ class TestZooGeometry:
     """The Table II dimensions must fall out of the architectures."""
 
     def test_mnist_dimensions(self):
-        model = build_mnist()
+        model = build_model("mnist")
         x = np.zeros((1,) + INPUT_SHAPES["mnist"])
         assert model.forward(x).shape == (1, 10)
         fc1 = model.layers[7]
@@ -31,7 +28,7 @@ class TestZooGeometry:
         assert fc1.block_size == 128
 
     def test_har_dimensions(self):
-        model = build_har()
+        model = build_model("har")
         x = np.zeros((1,) + INPUT_SHAPES["har"])
         assert model.forward(x).shape == (1, 6)
         fc1 = model.layers[3]
@@ -39,7 +36,7 @@ class TestZooGeometry:
         assert fc1.block_size == 128
 
     def test_okg_dimensions(self):
-        model = build_okg()
+        model = build_model("okg")
         x = np.zeros((1,) + INPUT_SHAPES["okg"])
         assert model.forward(x).shape == (1, 12)
         fc1 = model.layers[3]
@@ -54,7 +51,7 @@ class TestZooGeometry:
 
     def test_block_count_validation(self):
         with pytest.raises(ConfigurationError):
-            build_mnist((128, 64))  # mnist has exactly 1 compressible FC
+            build_model("mnist", (128, 64))  # mnist has exactly 1 compressible FC
 
     def test_bad_preset(self):
         with pytest.raises(ConfigurationError):
