@@ -35,6 +35,10 @@ See ``README.md`` for the project tour and ``DESIGN.md`` for the full
 system inventory and experiment index.
 """
 
+import importlib
+import sys
+from typing import Callable, Dict, List, Tuple
+
 __version__ = "1.0.0"
 
 #: Version of the simulated bits: every study table and scenario result
@@ -43,6 +47,21 @@ __version__ = "1.0.0"
 #: ``tests/golden/study_digests.txt`` bumps it and every result stored
 #: under the old bits misses.
 SIM_SEMANTICS = 1
+
+# The option vocabulary.  The study registry, the CLI and the service
+# client check options against these names without importing the
+# layers that implement them (DESIGN.md, "The import rule").
+
+#: Tasks of the evaluation (Table II).
+TASKS = ("mnist", "har", "okg")
+#: Display order of the evaluated runtimes (Figure 7's x axis).
+RUNTIME_ORDER = ("BASE", "SONIC", "TAILS", "ACE", "ACE+FLEX")
+#: Engine names understood by :func:`~repro.sim.fastsim.make_machine` and
+#: the session/fleet/CLI ``engine=`` flags.
+ENGINES = ("reference", "fast")
+#: Accepted fleet failure policies (see :meth:`~repro.fleet.runner.
+#: FleetRunner.run`).
+ON_ERROR = ("raise", "record")
 
 from repro.errors import (
     ConfigurationError,
@@ -54,6 +73,10 @@ from repro.errors import (
 )
 
 __all__ = [
+    "ENGINES",
+    "ON_ERROR",
+    "RUNTIME_ORDER",
+    "TASKS",
     "ConfigurationError",
     "InferenceAborted",
     "PowerFailureError",
@@ -63,3 +86,28 @@ __all__ = [
     "SIM_SEMANTICS",
     "__version__",
 ]
+
+
+def lazy_exports(
+    package: str, exports: Dict[str, Tuple[str, ...]],
+) -> Tuple[Callable[[str], object], List[str]]:
+    """A package's PEP 562 ``__getattr__`` and its ``__all__``.
+
+    ``exports`` maps each submodule to the public names the package
+    re-exports from it.  A name's submodule is imported on the name's
+    first use, not when the package is, so importing one light
+    submodule (``repro.experiments.reporting``) never runs a heavy
+    sibling (``repro.experiments.common``).
+    """
+    where = {name: f"{package}.{module}"
+             for module, names in exports.items() for name in names}
+
+    def __getattr__(name: str):
+        if name not in where:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(where[name]), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    return __getattr__, sorted(where)

@@ -129,8 +129,6 @@ class _ArtifactSink:
 
 def _open_store(args) -> "Optional[ResultStore]":
     """Build the durable store for ``repro run`` from its flags."""
-    from repro.store import MANIFEST_NAME
-
     if args.resume and not args.out:
         raise ConfigurationError(
             "--resume needs --out DIR (there is no store to resume without "
@@ -142,14 +140,14 @@ def _open_store(args) -> "Optional[ResultStore]":
         return None
     if args.shard_rows is not None and args.shard_rows < 1:
         raise ConfigurationError("--shard-rows must be >= 1")
+    from repro.store import MANIFEST_NAME, ResultStore
+
     exists = os.path.isfile(os.path.join(args.out, MANIFEST_NAME))
     if exists and not args.resume:
         raise ConfigurationError(
             f"store {args.out!r} already holds results; pass --resume to "
             "reuse them (missing cells are re-simulated, finished ones are "
             "replayed bit-identically) or point --out at a fresh directory")
-    from repro.store import ResultStore
-
     if args.shard_rows is None:
         return ResultStore(args.out)
     return ResultStore(args.out, shard_rows=args.shard_rows)

@@ -10,11 +10,6 @@ intermittent runs' meters (the registered ``overhead`` study).
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.flex.checkpoint import BcmStage, FlexCheckpoint
-from repro.rad.quantize import QuantBCM
-
 #: Overheads printed in the paper.
 PAPER_OVERHEAD = {"mnist": 0.01, "har": 0.0125, "okg": 0.008}
 PAPER_MAX_COST_MJ = 0.033
@@ -23,6 +18,11 @@ PAPER_MAX_COST_MJ = 0.033
 def worst_case_checkpoint_mj(qmodel) -> float:
     """Cost of the largest on-demand snapshot the model can require
     (a full complex spectrum of the biggest BCM block)."""
+    import numpy as np
+
+    from repro.flex.checkpoint import BcmStage, FlexCheckpoint
+    from repro.rad.quantize import QuantBCM
+
     worst = FlexCheckpoint(layer=0, block_p=0, block_q=0, stage=BcmStage.DMA_IN)
     cost = worst.cost_mj()
     for i, layer in enumerate(qmodel.layers):

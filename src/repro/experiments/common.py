@@ -15,6 +15,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro import RUNTIME_ORDER, TASKS
 from repro.ace import AceRuntime
 from repro.baselines import BaseRuntime, SonicRuntime, TailsRuntime
 from repro.datasets import make_har, make_mnist, make_okg
@@ -27,12 +28,6 @@ from repro.rad import PAPER_PRUNE, filter_mask
 from repro.rad.quantize import QuantizedModel, quantize_model
 from repro.rad.zoo import INPUT_SHAPES, build_model
 from repro.sim import RunResult, make_machine
-
-#: Display order of the evaluated runtimes (Figure 7's x axis).
-RUNTIME_ORDER = ("BASE", "SONIC", "TAILS", "ACE", "ACE+FLEX")
-
-#: Tasks of the evaluation (Table II).
-TASKS = ("mnist", "har", "okg")
 
 _DATASET_MAKERS = {"mnist": make_mnist, "har": make_har, "okg": make_okg}
 

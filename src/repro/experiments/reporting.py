@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from typing import List, Sequence
 
 from repro.errors import ConfigurationError
@@ -47,11 +48,10 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]],
 
 
 def _is_number(value: object) -> bool:
-    import numpy as np
-
-    return isinstance(
-        value, (int, float, np.integer, np.floating)
-    ) and not isinstance(value, (bool, np.bool_))
+    # numpy registers its integer and floating scalars as numbers.Real
+    # (its bool_ is not one), so this reads numpy cells without
+    # importing numpy.
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _fmt(value: object) -> str:

@@ -22,32 +22,13 @@ diverse power conditions?  It has four parts:
 ``examples/fleet_study.py`` shows the library API.
 """
 
-from repro.fleet.cache import ModelCache
-from repro.fleet.grid import (
-    DEFAULT_RUNTIMES,
-    DEFAULT_TRACES,
-    corpus_traces,
-    default_grid,
-    scenario_grid,
-    scenario_seed,
-)
-from repro.fleet.report import FleetReport, ScenarioResult
-from repro.fleet.runner import FleetRunner, execute_scenario
-from repro.fleet.scenario import TRACE_KINDS, Scenario, TraceSpec
+from repro import lazy_exports
 
-__all__ = [
-    "DEFAULT_RUNTIMES",
-    "DEFAULT_TRACES",
-    "FleetReport",
-    "FleetRunner",
-    "ModelCache",
-    "Scenario",
-    "ScenarioResult",
-    "TRACE_KINDS",
-    "TraceSpec",
-    "corpus_traces",
-    "default_grid",
-    "execute_scenario",
-    "scenario_grid",
-    "scenario_seed",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "cache": ("ModelCache",),
+    "grid": ("DEFAULT_RUNTIMES", "DEFAULT_TRACES", "corpus_traces",
+             "default_grid", "scenario_grid", "scenario_seed"),
+    "report": ("FleetReport", "ScenarioResult"),
+    "runner": ("FleetRunner", "execute_scenario"),
+    "scenario": ("TRACE_KINDS", "Scenario", "TraceSpec"),
+})

@@ -18,10 +18,11 @@ live report), and :meth:`FleetReport.render` is built on both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
-from repro.fleet.scenario import Scenario
-from repro.sim.session import SessionStats
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.fleet.scenario import Scenario
+    from repro.sim.session import SessionStats
 
 
 @dataclass

@@ -64,7 +64,7 @@ from typing import (
     Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple,
 )
 
-from repro import procs
+from repro import ENGINES, ON_ERROR, procs
 from repro.errors import (
     ConfigurationError,
     ScenarioExecutionError,
@@ -79,9 +79,6 @@ from repro.nn.data import Dataset
 from repro.obs import metrics as _obs
 from repro.obs import spans as _spans
 from repro.rad.quantize import QuantizedModel
-
-#: Accepted failure policies (see :meth:`FleetRunner.run`).
-ON_ERROR = ("raise", "record")
 
 #: How long a clean pool's workers get to exit on their sentinels.
 _JOIN_S = 5.0
@@ -301,8 +298,6 @@ class FleetRunner:
         engine: str = "reference",
         retry: Optional[RetryPolicy] = None,
     ) -> None:
-        from repro.sim.fastsim import ENGINES
-
         if workers is None:
             try:
                 workers = len(os.sched_getaffinity(0))

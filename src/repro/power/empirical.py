@@ -299,8 +299,10 @@ class EmpiricalTrace(PowerTrace):
         i = locate_v(t)
         same_seg = end <= times[i + 1]
         start_f = cum[i] + powers[i] * (t - times[i])
-        within = np.where(same_seg, powers[i] * dt, cum_in_v(end) - start_f)
-        out = np.where(end <= d, within, cum_at_v(end) - cum_at_v(t))
+        within = np.where(same_seg, powers[i] * dt,
+                          np.maximum(cum_in_v(end) - start_f, 0.0))
+        out = np.where(end <= d, within,
+                       np.maximum(cum_at_v(end) - cum_at_v(t), 0.0))
         return np.where(dt == 0.0, 0.0, out)
 
     # -- lookup internals -----------------------------------------------------
@@ -319,10 +321,14 @@ class EmpiricalTrace(PowerTrace):
                 # Same segment: identical to the fast path above (the
                 # two paths must agree bit for bit — purity contract).
                 return self._powers_l[i] * dt
-            return self._cum_in(end) - (
+            return max(self._cum_in(end) - (
                 self._cum_l[i] + self._powers_l[i] * (t - self._edges_l[i])
-            )
-        return self._cum_at(end) - self._cum_at(t)
+            ), 0.0)
+        # Far from the origin the two prefix sums round apart: a window
+        # of zero power can come out a few ulps below zero.  Harvested
+        # energy is never negative, so clamp (the reference capacitor
+        # would reject the negative charge the fast replay adds).
+        return max(self._cum_at(end) - self._cum_at(t), 0.0)
 
     def _locate(self, t: float) -> int:
         """Segment containing local time ``t`` (0 <= t < duration).

@@ -39,33 +39,12 @@ Or over HTTP: ``repro serve --port 8321`` in one terminal,
 another.
 """
 
-from repro.serve.client import ServeClient
-from repro.serve.http import ServiceHTTPServer, serve_http
-from repro.serve.queue import (
-    CANCELLED,
-    DONE,
-    FAILED,
-    QUEUED,
-    RUNNING,
-    STATES,
-    Job,
-    JobQueue,
-    JobSpec,
-)
-from repro.serve.service import StudyService
+from repro import lazy_exports
 
-__all__ = [
-    "CANCELLED",
-    "DONE",
-    "FAILED",
-    "QUEUED",
-    "RUNNING",
-    "STATES",
-    "Job",
-    "JobQueue",
-    "JobSpec",
-    "ServeClient",
-    "ServiceHTTPServer",
-    "StudyService",
-    "serve_http",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "client": ("ServeClient",),
+    "http": ("ServiceHTTPServer", "serve_http"),
+    "queue": ("CANCELLED", "DONE", "FAILED", "QUEUED", "RUNNING", "STATES",
+              "Job", "JobQueue", "JobSpec"),
+    "service": ("StudyService",),
+})

@@ -133,8 +133,11 @@ def warm_programs() -> None:
     compiled programs stay.  It passes no fault site (model builds go
     straight to a :class:`~repro.fleet.cache.ModelCache`, not through
     :meth:`~repro.fleet.runner.FleetRunner.prepare_models`) and starts
-    no thread, so a fork right after it stays safe.
+    no thread, so a fork right after it stays safe.  It also imports the
+    fleet runner, which no warm step calls, so that the workers forked
+    after it inherit every module a fleet-executed job runs.
     """
+    import repro.fleet.runner  # noqa: F401
     from repro.experiments.common import make_runtime
     from repro.fleet.cache import ModelCache
     from repro.sim.fastsim import PROGRAM_CACHE

@@ -56,6 +56,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro import ENGINES
 from repro.concurrency import ForkSafeLock
 from repro.errors import ConfigurationError
 from repro.hw.board import (
@@ -86,9 +87,6 @@ from repro.sim.machine import IntermittentMachine
 from repro.sim.results import RunResult
 from repro.sim.runtime import InferenceRuntime
 
-#: Engine names understood by :func:`make_machine` and the session/fleet/CLI
-#: ``engine=`` flags.
-ENGINES = ("reference", "fast")
 
 
 # ---------------------------------------------------------------------------

@@ -27,31 +27,11 @@ faces of the same registry, and the only way to run a study from the
 shell.
 """
 
-from repro.study.core import (
-    Profile,
-    Study,
-    StudyContext,
-    StudyRun,
-    check_study_options,
-    get_study,
-    register,
-    run_study,
-    study_names,
-)
-from repro.study.table import DTYPES, Column, ResultTable, percentile
+from repro import lazy_exports
 
-__all__ = [
-    "Column",
-    "DTYPES",
-    "percentile",
-    "Profile",
-    "ResultTable",
-    "Study",
-    "StudyContext",
-    "StudyRun",
-    "check_study_options",
-    "get_study",
-    "register",
-    "run_study",
-    "study_names",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "core": ("Profile", "Study", "StudyContext", "StudyRun",
+             "check_study_options", "get_study", "register", "run_study",
+             "study_names"),
+    "table": ("DTYPES", "Column", "ResultTable", "percentile"),
+})

@@ -30,15 +30,16 @@ import dataclasses
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
+from repro import ENGINES, ON_ERROR, TASKS
 from repro.errors import ConfigurationError
 from repro.obs import metrics as _obs
-from repro.study.table import ResultTable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fleet.cache import ModelCache
     from repro.fleet.report import FleetReport
     from repro.fleet.scenario import Scenario
     from repro.store.cache import ResultStore
+    from repro.study.table import ResultTable
 
 
 @dataclass(frozen=True)
@@ -61,8 +62,6 @@ class Profile:
         if self.samples < 1:
             raise ConfigurationError("samples must be >= 1")
         if self.tasks is not None:
-            from repro.experiments.common import TASKS
-
             if not self.tasks:
                 raise ConfigurationError("tasks must be non-empty (or None)")
             for task in self.tasks:
@@ -237,14 +236,10 @@ def check_study_options(
     """
     study = get_study(name)
     profile = profile if profile is not None else Profile()
-    from repro.sim.fastsim import ENGINES
-
     if engine not in ENGINES:
         raise ConfigurationError(
             f"unknown engine {engine!r} (expected one of {ENGINES})"
         )
-    from repro.fleet.runner import ON_ERROR
-
     if on_error not in ON_ERROR:
         raise ConfigurationError(
             f"unknown on_error {on_error!r} (expected one of {ON_ERROR})"

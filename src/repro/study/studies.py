@@ -15,16 +15,17 @@ building blocks (``prepare_quantized``, ``make_dataset``,
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
-from repro import procs
+from repro import RUNTIME_ORDER, TASKS
 from repro.errors import ConfigurationError, WorkerLostError
-from repro.experiments.common import RUNTIME_ORDER, TASKS
 from repro.experiments.reporting import format_table
-from repro.fleet.scenario import Scenario, TraceSpec
 from repro.obs import metrics as _obs
 from repro.study.core import Study, StudyContext, register
-from repro.study.table import ResultTable
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.fleet.scenario import Scenario
+    from repro.study.table import ResultTable
 
 
 def _first_result(res):
@@ -78,6 +79,7 @@ def _ace_run(qmodel, x, **runtime_options):
 
 def _table1_run(ctx: StudyContext) -> ResultTable:
     from repro.bcm import compression_table
+    from repro.study.table import ResultTable
 
     table = ResultTable((
         ("kernel_bytes", "int"),
@@ -188,6 +190,8 @@ def _table2_worker(conn, tasks: Tuple[str, ...], full: bool,
                    seed: int) -> None:
     """The spawned worker: replies with each task's row, in task order.
     A task's exception is its reply and ends the run."""
+    from repro import procs
+
     for task in tasks:
         row = procs.reply(_table2_row, task, full, seed)
         conn.send(row)
@@ -211,6 +215,8 @@ def _table2_rows(tasks: Tuple[str, ...], full: bool, seed: int) -> List[dict]:
     if len(tasks) == 1:
         return [_table2_row(tasks[0], full, seed)]
     first, rest = tasks[0], tasks[1:]
+    from repro import procs
+
     worker = procs.Child(_table2_worker, rest, full, seed, method="spawn",
                          name="repro-table2")
     try:
@@ -236,6 +242,8 @@ def _table2_rows(tasks: Tuple[str, ...], full: bool, seed: int) -> List[dict]:
 
 def _table2_run(ctx: StudyContext) -> ResultTable:
     """Train, prune, and quantize each task's model (the RAD pipeline)."""
+    from repro.study.table import ResultTable
+
     table = ResultTable((
         ("task", "str"),
         ("structure", "str"),
@@ -302,32 +310,33 @@ _FIG7_COMPONENTS = ("cpu", "lea", "dma", "fram", "sram")
 
 #: The two power regimes of Figure 7: tethered (a, c) and the paper's
 #: 100 uF square-wave testbed supply (b).
-_FIG7_REGIMES = (
-    ("continuous", TraceSpec("mains")),
-    ("intermittent", TraceSpec("square")),
-)
+_FIG7_REGIMES = (("continuous", "mains"), ("intermittent", "square"))
 
 
 def _fig7_scenarios(ctx: StudyContext) -> List[Scenario]:
+    from repro.fleet.scenario import Scenario, TraceSpec
+
     seed = ctx.profile.seed
     return [
         Scenario(
             name=f"{task}/{regime}/{runtime}",
             task=task,
             runtime=runtime,
-            trace=trace,
+            trace=TraceSpec(kind),
             cap_uf=100.0,
             n_samples=1,
             seed=seed,
             model_seed=seed,
         )
         for task in ctx.tasks(TASKS)
-        for regime, trace in _FIG7_REGIMES
+        for regime, kind in _FIG7_REGIMES
         for runtime in RUNTIME_ORDER
     ]
 
 
 def _fig7_collect(report, ctx: StudyContext, cache) -> ResultTable:
+    from repro.study.table import ResultTable
+
     table = ResultTable(_FIG7_COLUMNS)
     for res in report.results:
         r = _first_result(res)
@@ -465,6 +474,7 @@ def _fig8_run(ctx: StudyContext) -> ResultTable:
     from repro.nn import BCMDense, Dense, Sequential
     from repro.rad.quantize import quantize_model
     from repro.sim import make_machine
+    from repro.study.table import ResultTable
 
     seed = ctx.profile.seed
     rng = np.random.default_rng(seed)
@@ -534,6 +544,8 @@ register(Study(
 
 
 def _overhead_scenarios(ctx: StudyContext) -> List[Scenario]:
+    from repro.fleet.scenario import Scenario, TraceSpec
+
     seed = ctx.profile.seed
     return [
         Scenario(
@@ -555,6 +567,7 @@ def _overhead_collect(report, ctx: StudyContext, cache) -> ResultTable:
         PAPER_OVERHEAD,
         worst_case_checkpoint_mj,
     )
+    from repro.study.table import ResultTable
 
     table = ResultTable((
         ("task", "str"),
@@ -637,6 +650,7 @@ def _ablation_overflow_run(ctx: StudyContext) -> ResultTable:
     from repro.fixedpoint import OverflowMonitor
     from repro.rad.quantize import quantize_model
     from repro.rad.zoo import INPUT_SHAPES, build_model
+    from repro.study.table import ResultTable
 
     task = _single_task(ctx, "ablation-overflow")
     seed = ctx.profile.seed
@@ -694,6 +708,7 @@ def _ablation_buffers_run(ctx: StudyContext) -> ResultTable:
     from repro.ace import circular_plan, per_layer_plan
     from repro.ace.runtime import _numel
     from repro.experiments.common import prepare_quantized
+    from repro.study.table import ResultTable
 
     table = ResultTable((
         ("task", "str"),
@@ -739,6 +754,7 @@ register(Study(
 def _ablation_dma_run(ctx: StudyContext) -> ResultTable:
     """A3: ACE inference time and energy with the DMA engine disabled."""
     from repro.experiments.common import make_dataset, prepare_quantized
+    from repro.study.table import ResultTable
 
     seed = ctx.profile.seed
     table = ResultTable((
@@ -794,6 +810,7 @@ def _ablation_vwarn_run(ctx: StudyContext) -> ResultTable:
         prepare_quantized,
         run_inference,
     )
+    from repro.study.table import ResultTable
 
     task = _single_task(ctx, "ablation-vwarn")
     seed = ctx.profile.seed
@@ -847,6 +864,7 @@ def _ablation_compression_run(ctx: StudyContext) -> ResultTable:
     backbone fits FRAM; on HAR/OKG the dense model cannot even deploy,
     itself the result."""
     from repro.experiments.common import make_dataset, prepare_quantized
+    from repro.study.table import ResultTable
 
     task = _single_task(ctx, "ablation-compression")
     seed = ctx.profile.seed
@@ -908,6 +926,8 @@ _SWEEP_COLUMNS = (
 
 def _sweep_collect(report, ctx: StudyContext, cache) -> ResultTable:
     """Shared collector: scenario names are ``task/<axis>/<runtime>``."""
+    from repro.study.table import ResultTable
+
     table = ResultTable(_SWEEP_COLUMNS)
     for res in report.results:
         r = _first_result(res)
@@ -946,6 +966,8 @@ _SWEEP_CAPS_UF = (22.0, 47.0, 100.0, 330.0, 1000.0)
 
 
 def _sweep_capacitor_scenarios(ctx: StudyContext) -> List[Scenario]:
+    from repro.fleet.scenario import Scenario, TraceSpec
+
     task = _single_task(ctx, "sweep-capacitor")
     seed = ctx.profile.seed
     return [
@@ -971,6 +993,8 @@ _SWEEP_POWERS_MW = (1.0, 2.0, 5.0, 12.0, 40.0)
 
 
 def _sweep_power_scenarios(ctx: StudyContext) -> List[Scenario]:
+    from repro.fleet.scenario import Scenario, TraceSpec
+
     task = _single_task(ctx, "sweep-power")
     seed = ctx.profile.seed
     return [
@@ -993,6 +1017,8 @@ register(Study(
 
 
 def _sweep_trace_scenarios(ctx: StudyContext) -> List[Scenario]:
+    from repro.fleet.scenario import Scenario, TraceSpec
+
     task = _single_task(ctx, "sweep-trace")
     seed = ctx.profile.seed
     traces = (
@@ -1009,6 +1035,8 @@ def _sweep_trace_scenarios(ctx: StudyContext) -> List[Scenario]:
 
 
 def _sweep_trace_collect(report, ctx: StudyContext, cache) -> ResultTable:
+    from repro.study.table import ResultTable
+
     table = ResultTable((
         ("trace", "str"),
         ("runtime", "str"),

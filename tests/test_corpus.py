@@ -149,6 +149,79 @@ class TestAdditivity:
         assert chunks == pytest.approx(total, rel=1e-9)
 
 
+class TestZeroPowerWindows:
+    """A window over zero power harvests exactly nothing, even where the
+    two prefix sums it subtracts have rounded apart."""
+
+    #: 30 uW for 13 ms, then nothing until the 100 ms cycle repeats.  Far
+    #: from the origin, ``F(end) - F(t)`` over the dead tail of a cycle
+    #: can round a few ulps below zero.
+    @staticmethod
+    def trace(scale=1.0, cls=EmpiricalTrace):
+        return cls([0.0, 0.013, 0.1], [3e-5 * scale, 0.0])
+
+    def test_window_ending_on_a_cycle_boundary_is_zero(self):
+        tr = self.trace()
+        assert tr.energy(31.099, 1e-3) == 0.0
+        assert tr.energy_batch([31.099], [1e-3]).tolist() == [0.0]
+        starts = np.arange(0.0, 100.0, 1e-3)
+        batch = tr.energy_batch(starts, 1e-3)
+        assert batch.min() == 0.0
+        assert batch.tolist() == [tr.energy(t, 1e-3) for t in starts]
+
+    def test_both_engines_complete_a_session_through_one(self, monkeypatch):
+        """The reference capacitor rejects a negative charge that the fast
+        replay would add, so a negative window would split the engines."""
+        import math
+
+        from repro.fleet import ModelCache, Scenario, execute_scenario
+        from repro.power import Capacitor, EnergyHarvester
+        from repro.store.records import encode_result
+
+        # A power-of-two scale scales every prefix sum exactly, so the
+        # rounding is the unscaled trace's; 3.84 mW peak runs an
+        # inference in a few recharges.
+        scale = 2.0 ** 7
+        scenario = Scenario(name="dead-tail", task="mnist",
+                            runtime="ACE+FLEX", trace=TraceSpec("square"),
+                            cap_uf=100.0, n_samples=1)
+        model = ModelCache().get(scenario)
+        windows = []
+
+        class Recorded(EmpiricalTrace):
+            def energy(self, t, dt):
+                windows.append((t, dt))
+                return super().energy(t, dt)
+
+        def supply(clock_s, cls=EmpiricalTrace):
+            harvester = EnergyHarvester(self.trace(scale, cls),
+                                        Capacitor(100e-6))
+            harvester.clock_s = clock_s
+            return harvester
+
+        # The session's first window is its first draw; start the clock
+        # so that it ends exactly on the boundary at 31.1 s.
+        monkeypatch.setattr(Scenario, "build_harvester",
+                            lambda _: supply(31.0, Recorded))
+        execute_scenario(scenario, model, engine="reference")
+        draw_s = windows[0][1]
+        start = 31.1 - draw_s
+        while start + draw_s > 31.1:
+            start = math.nextafter(start, 0.0)
+        while start + draw_s < 31.1:
+            start = math.nextafter(start, 32.0)
+        assert start + draw_s == 31.1
+        assert self.trace(scale).energy(start, draw_s) == 0.0
+
+        monkeypatch.setattr(Scenario, "build_harvester",
+                            lambda _: supply(start))
+        ref, fast = (execute_scenario(scenario, model, engine=engine)
+                     for engine in ("reference", "fast"))
+        assert ref.stats.results[0].completed
+        assert fast.stats.results[0].completed
+        assert encode_result(ref) == encode_result(fast)
+
+
 class TestAgainstClosedForms:
     def test_matches_square_wave(self):
         """The empirically-rendered testbed wave must integrate exactly
