@@ -226,6 +226,6 @@ def test_resume_round_trip_bit_identical(tmp_path):
     assert second.from_cache == len(scenarios)
     assert second.scenario_table() == first.scenario_table()
     for s, a, b in zip(scenarios, first.results, second.results):
-        key = scenario_key(s, "fast")
+        key = scenario_key(s)
         assert key in reopened
         assert encode_result(a) == encode_result(b)

@@ -45,7 +45,7 @@ import os
 import sys
 from typing import List, Optional
 
-from repro import __version__
+from repro import ENGINES, TASKS, __version__
 from repro.errors import ConfigurationError, ReproError
 
 #: Hook for fault-injection tests: the opener artifact sinks go through.
@@ -464,6 +464,49 @@ def _cmd_submit(args) -> None:
     print(get_study(args.study).render(table))
 
 
+def _study_options() -> argparse.ArgumentParser:
+    """The study-spec options ``run`` and ``submit`` share."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--engine", choices=ENGINES, default="reference",
+                        help="simulation engine (fast = precompiled replay, "
+                             "bit-identical results)")
+    parent.add_argument("--workers", type=int, default=None,
+                        help="worker processes for fleet-executed studies "
+                             "(default: available CPUs)")
+    parent.add_argument("--serial", action="store_true",
+                        help="force serial execution")
+    parent.add_argument("--task", choices=TASKS, nargs="+",
+                        help="tasks to run (default: the study's own)")
+    parent.add_argument("--seed", type=int, default=0, help="study seed")
+    parent.add_argument("--full", action="store_true",
+                        help="full training profile (table2)")
+    parent.add_argument("--samples", type=int, default=4,
+                        help="samples per scenario session (fleet)")
+    parent.add_argument("--corpus", nargs="*", metavar="NAME", default=None,
+                        help="sweep corpus-backed supplies (fleet; no names "
+                             "= whole corpus)")
+    return parent
+
+
+def _store_options() -> argparse.ArgumentParser:
+    """The result-store options ``run`` and ``serve`` share."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--out", metavar="DIR",
+                        help="durable result store: stream scenario results "
+                             "to DIR as they finish; finished tables are "
+                             "archived there too")
+    parent.add_argument("--resume", action="store_true",
+                        help="reuse an existing --out store: replay finished "
+                             "cells bit-identically, simulate only missing "
+                             "ones")
+    parent.add_argument("--shard-rows", type=int, default=None, metavar="N",
+                        help="rows per store shard (with --out; default 256)")
+    parent.add_argument("--faults", metavar="FILE",
+                        help="chaos testing: arm a JSON FaultPlan "
+                             "(repro.faults)")
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -474,50 +517,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"repro {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    study, store = _study_options(), _store_options()
 
     sub.add_parser("list", help="list the registered studies")
 
-    pr = sub.add_parser("run", help="run a registered study")
+    pr = sub.add_parser("run", parents=[study, store],
+                        help="run a registered study")
     pr.add_argument("study", help="study name (see 'repro list')")
-    pr.add_argument("--engine", choices=("reference", "fast"),
-                    default="reference",
-                    help="simulation engine (fast = precompiled replay, "
-                         "bit-identical results)")
-    pr.add_argument("--workers", type=int, default=None,
-                    help="worker processes for fleet-executed studies "
-                         "(default: available CPUs)")
-    pr.add_argument("--serial", action="store_true",
-                    help="force serial execution")
     pr.add_argument("--json", metavar="OUT",
                     help="also write the ResultTable as lossless JSON")
     pr.add_argument("--npz", metavar="OUT",
                     help="also write the ResultTable as lossless NPZ")
-    pr.add_argument("--out", metavar="DIR",
-                    help="durable result store: stream scenario results to "
-                         "DIR as they finish; finished tables are archived "
-                         "there too")
-    pr.add_argument("--resume", action="store_true",
-                    help="reuse an existing --out store: replay finished "
-                         "cells bit-identically, simulate only missing ones")
-    pr.add_argument("--shard-rows", type=int, default=None, metavar="N",
-                    help="rows per store shard (with --out; default 256)")
-    pr.add_argument("--task", choices=("mnist", "har", "okg"), nargs="+",
-                    help="tasks to run (default: the study's own)")
-    pr.add_argument("--seed", type=int, default=0, help="study seed")
-    pr.add_argument("--full", action="store_true",
-                    help="full training profile (table2)")
-    pr.add_argument("--samples", type=int, default=4,
-                    help="samples per scenario session (fleet)")
-    pr.add_argument("--corpus", nargs="*", metavar="NAME", default=None,
-                    help="sweep corpus-backed supplies (fleet; no names = "
-                         "whole corpus)")
     pr.add_argument("--metrics", metavar="OUT",
                     help="enable observability and write the merged "
                          "counters/durations snapshot (workers included) "
                          "as JSON")
-    pr.add_argument("--faults", metavar="FILE",
-                    help="chaos testing: arm a JSON FaultPlan "
-                         "(repro.faults) for this run")
     pr.add_argument("--trace", metavar="OUT",
                     help="enable observability and write spans as Chrome "
                          "trace-event JSON (open in Perfetto)")
@@ -544,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="second directory to compare medians against")
 
     pv = sub.add_parser(
-        "serve",
+        "serve", parents=[store],
         help="run the concurrent study service (HTTP JSON API)")
     pv.add_argument("--host", default="127.0.0.1",
                     help="bind address (default 127.0.0.1)")
@@ -553,45 +567,17 @@ def build_parser() -> argparse.ArgumentParser:
                          "printed on startup)")
     pv.add_argument("--workers", type=int, default=2,
                     help="concurrent job executions (default 2)")
-    pv.add_argument("--out", metavar="DIR",
-                    help="durable result store backing the service "
-                         "(scenario results stream in, finished tables "
-                         "are archived)")
-    pv.add_argument("--resume", action="store_true",
-                    help="reuse an existing --out store")
-    pv.add_argument("--shard-rows", type=int, default=None, metavar="N",
-                    help="rows per store shard (with --out; default 256)")
-    pv.add_argument("--faults", metavar="FILE",
-                    help="chaos testing: arm a JSON FaultPlan "
-                         "(repro.faults) for this server")
     pv.add_argument("--metrics", action="store_true",
                     help="enable observability (served at GET /metrics)")
     pv.add_argument("--verbose", action="store_true",
                     help="log each HTTP request to stderr")
 
     pm = sub.add_parser(
-        "submit",
+        "submit", parents=[study],
         help="submit one study job to a running 'repro serve'")
     pm.add_argument("study", help="study name (see 'repro list')")
     pm.add_argument("--url", default="http://127.0.0.1:8321",
                     help="service base URL (default http://127.0.0.1:8321)")
-    pm.add_argument("--engine", choices=("reference", "fast"),
-                    default="reference",
-                    help="simulation engine (fast = precompiled replay, "
-                         "bit-identical results)")
-    pm.add_argument("--workers", type=int, default=None,
-                    help="fleet worker processes for this job")
-    pm.add_argument("--serial", action="store_true",
-                    help="force serial execution for this job")
-    pm.add_argument("--task", choices=("mnist", "har", "okg"), nargs="+",
-                    help="tasks to run (default: the study's own)")
-    pm.add_argument("--seed", type=int, default=0, help="study seed")
-    pm.add_argument("--full", action="store_true",
-                    help="full training profile (table2)")
-    pm.add_argument("--samples", type=int, default=4,
-                    help="samples per scenario session (fleet)")
-    pm.add_argument("--corpus", nargs="*", metavar="NAME", default=None,
-                    help="sweep corpus-backed supplies (fleet)")
     pm.add_argument("--job-timeout", type=float, default=None, metavar="S",
                     help="server-side execution timeout for this job")
     pm.add_argument("--timeout", type=float, default=None, metavar="S",

@@ -56,7 +56,7 @@ class TrajectoryMemo:
     DNFs) is a function of its compiled program and its supply and
     session knobs; a sample reaches only its logits.  So the key is the
     program that :data:`~repro.sim.fastsim.PROGRAM_CACHE` returned (by
-    identity: fresh seeds share it through the content tier, and the
+    identity: fresh seeds share it through its content key, and the
     entry holds it, so its id is never reused) and the scenario with
     ``name``, ``seed`` and ``model_seed`` blanked.  A bounded LRU,
     guarded by one lock; :meth:`get` and :meth:`put` copy, so no caller

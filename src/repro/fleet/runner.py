@@ -382,7 +382,7 @@ class FleetRunner:
             from repro.store.cache import scenario_key
             from repro.store.records import decode_result
 
-            keys = [scenario_key(s, self.engine) for s in scenarios]
+            keys = [scenario_key(s) for s in scenarios]
             # One call for the whole run: a serve worker's store is a
             # pipe away, and this makes it one round trip.
             payloads = store.lookup(keys)
@@ -412,7 +412,7 @@ class FleetRunner:
             if store is not None:
                 with _spans.span("fleet.commit",
                                  scenario=result.scenario.name):
-                    store.put(keys[index], result, engine=self.engine)
+                    store.put(keys[index], result)
 
         use_pool = self.parallel and self.workers > 1 and len(to_run) > 1
         if _obs.ENABLED and cached:

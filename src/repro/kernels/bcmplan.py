@@ -19,9 +19,8 @@ product tensor per batch.  A :class:`BCMPlan` fixes both:
 Bit-identity: value-for-value equal to ``QuantBCM.forward_reference`` in
 all three ``bcm_mode`` settings, including ``OverflowMonitor`` end
 states.  Plans are cached per layer *identity* (``id``-keyed, evicted by
-a weakref finalizer, mirroring ``repro.sim.fastsim.ProgramCache``); a
-quantized layer is treated as immutable once built, which is the same
-purity contract the program cache already relies on.  Plans are never
+a weakref finalizer); a quantized layer is treated as immutable once
+built, which is the same purity contract the program cache relies on.  Plans are never
 pickled — fleet workers rebuild them lazily on first forward.
 """
 
@@ -232,7 +231,7 @@ class BCMPlan:
         return out16
 
 
-#: id-keyed plan cache with weakref eviction (the ProgramCache pattern).
+#: id-keyed plan cache with weakref eviction.
 _PLANS: Dict[int, BCMPlan] = {}
 #: Guards the build path (double-checked; see repro.concurrency).
 _PLANS_LOCK = ForkSafeLock()

@@ -9,7 +9,7 @@ the submission synchronously instead of occupying a worker.
 :class:`JobQueue` runs specs through a bounded pool of worker threads
 in FIFO order, with **in-flight dedup**: a submission whose content
 address (:func:`~repro.store.cache.study_table_key` over study +
-profile + engine + code version — the same key the durable store
+profile + simulation semantics — the same key the durable store
 archives finished tables under) matches a queued or running job
 *coalesces* onto that execution.  Both submitters get their own
 :class:`Job` record and job id, but exactly one ``run_study`` happens,
@@ -107,15 +107,15 @@ class JobSpec:
         Exactly :func:`~repro.store.cache.study_table_key`: the key the
         durable store archives the table under, so in-flight dedup, the
         service's memory cache, and the on-disk archive all agree on
-        what "the same job" means.  Execution options (``workers``,
-        ``parallel``, ``timeout_s``, ``on_error``) are excluded — they
-        cannot change a single output bit (the fleet determinism
-        contract), so two submissions differing only there still share
-        one execution.
+        what "the same job" means.  Execution options (``engine``,
+        ``workers``, ``parallel``, ``timeout_s``, ``on_error``) are
+        excluded — they cannot change a single output bit (the fleet
+        determinism contract; the engines are bit-identical), so two
+        submissions differing only there still share one execution.
         """
         from repro.store.cache import study_table_key
 
-        return study_table_key(self.study, self.profile, self.engine)
+        return study_table_key(self.study, self.profile)
 
     def to_dict(self) -> dict:
         payload = dataclasses.asdict(self)

@@ -111,8 +111,8 @@ class _StoreProxy:
     def lookup(self, keys):
         return self._call("lookup", keys)
 
-    def put(self, key, result, *, engine: str = "") -> None:
-        self._conn.send(("put", key, encode_record(result), engine))
+    def put(self, key, result) -> None:
+        self._conn.send(("put", key, encode_record(result)))
 
     def flush(self) -> None:
         self._call("flush")
@@ -242,9 +242,9 @@ class ServeWorker:
                     continue
                 if msg[0] == "put":
                     if put_error is None:
-                        _, key, record, engine = msg
+                        _, key, record = msg
                         try:
-                            store.put(key, record, engine=engine)
+                            store.put(key, record)
                         except Exception as exc:
                             put_error = exc
                     continue

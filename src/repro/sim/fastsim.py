@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import marshal
 import math
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
@@ -57,7 +56,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro import ENGINES
-from repro.concurrency import ForkSafeLock
+from repro.concurrency import ForkSafeLock, KeyedLocks
 from repro.errors import ConfigurationError
 from repro.hw.board import (
     Device,
@@ -465,7 +464,7 @@ def _group_bookings(stream: List[Tuple]) -> Tuple[Dict, Dict]:
 # ---------------------------------------------------------------------------
 
 
-#: Distinct compiled programs the content tier keeps alive.  At the
+#: Distinct compiled programs a :class:`ProgramCache` keeps alive.  At the
 #: default profile the seven engine-aware studies together compile 19.
 _SHARED_PROGRAMS = 32
 
@@ -510,85 +509,57 @@ def content_key(runtime: InferenceRuntime) -> bytes:
 
 
 class ProgramCache:
-    """Memoized :func:`compile_program` in two tiers.
+    """Memoized :func:`compile_program`, keyed on :func:`content_key`.
 
-    The *identity* tier mirrors :class:`repro.fleet.cache.ModelCache`:
-    keys anchor on the runtime's ``qmodel`` identity plus the attributes
-    that shape its atom program (type, ``use_dma``, ``bcm_mode``); hits
-    are lock-free, and a weakref finalizer evicts an entry when its model
-    is collected.  On an identity miss the *content* tier looks the
-    program up by :func:`content_key`, so runtimes over models that
-    differ only in weights (another seed) share one program; only a
-    content miss builds atoms and compiles.  The content tier is an LRU of
-    ``_SHARED_PROGRAMS`` programs.  Sharing across models and threads is
-    safe because replay never writes to a program (see
-    :class:`CompiledProgram`).  Runtimes without a ``qmodel`` attribute
-    (e.g. test toys with ad-hoc atom lists) are compiled uncached —
-    callers keep their own reference.
+    Runtimes whose programs are equal share one compiled program,
+    whatever model, seed or channel names they came from, so a lookup
+    costs one key and only a new program compiles.  The cache is an LRU
+    of ``_SHARED_PROGRAMS`` programs.  Sharing across models and threads
+    is safe because replay never writes to a program (see
+    :class:`CompiledProgram`).  Racing first requests for one key
+    compile once: the miss path re-checks under that key's lock, so a
+    hit or another key's compile never waits behind it.
     """
 
     def __init__(self) -> None:
-        self._programs: Dict[Tuple, CompiledProgram] = {}
-        self._shared: "OrderedDict[bytes, CompiledProgram]" = OrderedDict()
+        self._programs: "OrderedDict[bytes, CompiledProgram]" = OrderedDict()
         self.hits = 0
-        self.shared = 0
         self.misses = 0
-        # Double-checked build path: hit lookups stay lock-free; racing
-        # first requests resolve exactly once per key (see
-        # repro.concurrency for the convention).
+        # Guards the LRU and the counters (so both are exact); compiles
+        # run outside it, under a lock per key.
         self._lock = ForkSafeLock()
+        self._compiling = KeyedLocks()
 
     def __len__(self) -> int:
         return len(self._programs)
 
     def get(self, runtime: InferenceRuntime) -> CompiledProgram:
-        anchor = getattr(runtime, "qmodel", None)
-        if anchor is None:
-            return self._compile(runtime)
-        key = (
-            type(runtime).__module__,
-            type(runtime).__qualname__,
-            id(anchor),
-            getattr(runtime, "use_dma", None),
-            getattr(runtime, "bcm_mode", None),
-        )
-        program = self._programs.get(key)
+        key = content_key(runtime)
+        program = self._hit(key)
         if program is None:
-            # Outside the lock: a thread whose program is already shared
-            # should not queue behind another thread's compile.
-            content = content_key(runtime)
-            with self._lock:
-                program = self._programs.get(key)
+            with self._compiling.lock(key):
+                program = self._hit(key)
                 if program is None:
-                    program = self._programs[key] = self._by_content(
-                        runtime, content)
-                    try:
-                        weakref.finalize(anchor, self._programs.pop, key, None)
-                    except TypeError:  # pragma: no cover - non-weakref-able anchor
-                        pass
-                    return program
-        self.hits += 1
+                    program = self._compile(runtime)
+                    with self._lock:
+                        self.misses += 1
+                        self._programs[key] = program
+                        if len(self._programs) > _SHARED_PROGRAMS:
+                            self._programs.popitem(last=False)
+        return program
+
+    def _hit(self, key: bytes) -> Optional[CompiledProgram]:
+        with self._lock:
+            program = self._programs.get(key)
+            if program is None:
+                return None
+            self._programs.move_to_end(key)
+            self.hits += 1
         if _obs.ENABLED:
             _obs.count("sim.program_cache.hits")
         return program
 
-    def _by_content(self, runtime: InferenceRuntime,
-                    key: bytes) -> CompiledProgram:
-        """The content tier (the caller holds the lock)."""
-        program = self._shared.get(key)
-        if program is not None:
-            self._shared.move_to_end(key)
-            self.shared += 1
-            if _obs.ENABLED:
-                _obs.count("sim.program_cache.shared")
-            return program
-        program = self._shared[key] = self._compile(runtime)
-        if len(self._shared) > _SHARED_PROGRAMS:
-            self._shared.popitem(last=False)
-        return program
-
     def _compile(self, runtime: InferenceRuntime) -> CompiledProgram:
-        self.misses += 1
         if _obs.ENABLED:
             _obs.count("sim.program_cache.misses")
             with _spans.span("sim.program.compile", runtime=runtime.name):
@@ -597,9 +568,8 @@ class ProgramCache:
 
     def summary(self) -> str:
         return (
-            f"program cache: {len(self._shared)} compiled programs for "
-            f"{len(self)} models, {self.hits} hits / {self.shared} shared "
-            f"/ {self.misses} misses"
+            f"program cache: {len(self)} compiled programs, "
+            f"{self.hits} hits / {self.misses} misses"
         )
 
 
@@ -1454,15 +1424,7 @@ class FastMachine:
         :meth:`~repro.sim.runtime.InferenceRuntime.compute_logits_batch`).
         """
         if self._needs_fallback():
-            if self._fallback is None:
-                self._fallback = IntermittentMachine(
-                    self.device,
-                    self.runtime,
-                    monitor=self.monitor,
-                    stall_limit=self.stall_limit,
-                    max_reboots=self.max_reboots,
-                )
-            return self._fallback.run(x), False
+            return self._reference().run(x), False
         if self._program is None:
             self._program = self._cache.get(self.runtime)
         if self.device.supply is None:
@@ -1494,20 +1456,24 @@ class FastMachine:
         than in the first sample's latency.
         """
         if self._needs_fallback():
-            if self._fallback is None:
-                self._fallback = IntermittentMachine(
-                    self.device,
-                    self.runtime,
-                    monitor=self.monitor,
-                    stall_limit=self.stall_limit,
-                    max_reboots=self.max_reboots,
-                )
-            self._fallback.warm()
+            self._reference().warm()
             return
         if self._program is None:
             self._program = self._cache.get(self.runtime)
 
     # -- internals ----------------------------------------------------------
+
+    def _reference(self) -> IntermittentMachine:
+        """The reference machine runs fall back to (built on first use)."""
+        if self._fallback is None:
+            self._fallback = IntermittentMachine(
+                self.device,
+                self.runtime,
+                monitor=self.monitor,
+                stall_limit=self.stall_limit,
+                max_reboots=self.max_reboots,
+            )
+        return self._fallback
 
     def _needs_fallback(self) -> bool:
         """Exact replay only covers the stock simulator classes.

@@ -10,8 +10,9 @@ layer underneath streaming fleet execution:
   shards + an atomic JSON manifest, bit-identical round trips,
   self-verifying recovery from a torn final shard);
 * :mod:`repro.store.cache` — :class:`ResultStore`, the content-addressed
-  per-scenario result cache (BLAKE2b over the frozen scenario + engine +
-  code version, the :mod:`repro.kernels.spectra` keying idiom) plus the
+  per-scenario result cache (BLAKE2b over the frozen scenario + the
+  version of the simulated bits, the :mod:`repro.kernels.spectra` keying
+  idiom; the engine is not an input) plus the
   finished-table archive, with hit/miss counters;
 * :mod:`repro.store.records` — the lossless
   :class:`~repro.fleet.report.ScenarioResult` JSON codec a bit-identical

@@ -3,12 +3,15 @@
 Keys follow the :mod:`repro.kernels.spectra` idiom — a BLAKE2b digest of
 *content*, not identity.  Here the content is the frozen simulation
 spec: the full :class:`~repro.fleet.scenario.Scenario` dataclass (trace
-spec included), the engine name, and :data:`repro.SIM_SEMANTICS`, the
-version of the simulated bits.  Two runs that would produce
-bit-identical results by the fleet determinism contract therefore share
-a key; anything that could change a single output bit — a different
-seed, capacitor, trace parameter, engine, or simulation semantics —
-changes the key and misses.
+spec included) and :data:`repro.SIM_SEMANTICS`, the version of the
+simulated bits.  Two runs that would produce bit-identical results by
+the fleet determinism contract therefore share a key; anything that
+could change a single output bit — a different seed, capacitor, trace
+parameter, or simulation semantics — changes the key and misses.  The
+engine is not an input: both engines compute the same bits (the fastsim
+conformance suite and the scenario fuzz pin it), so it is an execution
+option like ``workers``, and a result one engine stored is a hit for
+the other.
 
 :class:`ResultStore` is the durable root directory a study run writes
 into (``repro run <study> --out DIR``)::
@@ -46,7 +49,6 @@ from repro.study.table import ResultTable
 RESULT_COLUMNS = (
     ("key", "str"),
     ("scenario", "str"),
-    ("engine", "str"),
     ("payload", "str"),
 )
 
@@ -59,10 +61,8 @@ def _digest(payload: object) -> str:
     return hashlib.blake2b(blob.encode("utf-8"), digest_size=16).hexdigest()
 
 
-def scenario_key(
-    scenario: Scenario, engine: str, *, semantics: int = SIM_SEMANTICS
-) -> str:
-    """Content address of one scenario's result under one engine.
+def scenario_key(scenario: Scenario, *, semantics: int = SIM_SEMANTICS) -> str:
+    """Content address of one scenario's result.
 
     Pure function of the frozen spec: the same scenario yields the same
     key in any process on any host, which is what lets a killed run's
@@ -77,7 +77,6 @@ def scenario_key(
         "kind": "scenario-result",
         "format": RECORD_FORMAT,
         "scenario": spec,
-        "engine": engine,
         "semantics": semantics,
     })
 
@@ -107,14 +106,13 @@ def encode_record(result: ScenarioResult) -> EncodedResult:
     return EncodedResult(result.scenario.name, encode_result(result))
 
 
-def study_table_key(study: str, profile, engine: str) -> str:
+def study_table_key(study: str, profile) -> str:
     """Content address of a finished study table (any study shape)."""
     return _digest({
         "kind": "study-table",
         "format": RECORD_FORMAT,
         "study": study,
         "profile": dataclasses.asdict(profile),
-        "engine": engine,
         "semantics": SIM_SEMANTICS,
     })
 
@@ -189,17 +187,14 @@ class ResultStore:
         return payloads[0] if isinstance(keys, str) else payloads
 
     def put(
-        self, key: str, result: Union[ScenarioResult, EncodedResult], *,
-        engine: str = "",
+        self, key: str, result: Union[ScenarioResult, EncodedResult]
     ) -> None:
         """Record one finished scenario (buffered; see :meth:`flush`).
 
         ``result`` is a :class:`ScenarioResult`, encoded here by
         :func:`encode_record` (which refuses failed results), or a record
-        that function already made.  ``engine`` is recorded alongside the
-        payload for human inspection; the key already encodes it.
-        Thread-safe: concurrent puts of the same key write one record
-        (the index check and append are atomic).
+        that function already made.  Thread-safe: concurrent puts of the
+        same key write one record (the index check and append are atomic).
         """
         record = (result if isinstance(result, EncodedResult)
                   else encode_record(result))
@@ -209,7 +204,6 @@ class ResultStore:
             self._shards.append(
                 key=key,
                 scenario=record.scenario,
-                engine=engine,
                 payload=record.payload,
             )
             self._index[key] = record.payload

@@ -312,8 +312,9 @@ def run_study(
 
     ``store`` (a :class:`~repro.store.cache.ResultStore`) makes the run
     durable and resumable.  A finished table whose content address
-    (study + profile + engine + code version) is already archived is
-    returned without executing anything; otherwise a fleet-executed
+    (study + profile + simulation semantics; not the engine, which
+    cannot change a bit) is already archived is returned without
+    executing anything, whichever engine archived it; otherwise a fleet-executed
     study streams per-scenario results through the store — replaying the
     cells a previous (possibly killed) run already finished and
     simulating only the missing ones — and the finished table is
@@ -337,7 +338,7 @@ def run_study(
     if store is not None:
         from repro.store.cache import study_table_key
 
-        table_key = study_table_key(study.name, profile, engine)
+        table_key = study_table_key(study.name, profile)
         archived = store.load_table(table_key)
         if archived is not None:
             return StudyRun(

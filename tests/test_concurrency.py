@@ -13,7 +13,6 @@ pool and asserts the build count.
 import threading
 import time
 import types
-import weakref
 
 import numpy as np
 import pytest
@@ -185,22 +184,16 @@ class TestSpectraCacheRaces:
 
 
 class TestProgramCacheRaces:
-    def test_one_compile_per_anchor(self, monkeypatch):
+    def test_one_compile_per_key(self, monkeypatch):
         from repro.sim import fastsim
 
         compiled = object()
         counting = _Counting(lambda runtime: compiled)
         monkeypatch.setattr(fastsim, "compile_program", counting)
         cache = fastsim.ProgramCache()
-
-        class Anchor:
-            pass
-
-        anchor = Anchor()
         atoms = [Atom("a0", 0, "cpu", 10.0)]
         runtime = types.SimpleNamespace(
-            qmodel=anchor, use_dma=False, bcm_mode="fft", name="toy",
-            build_atoms=lambda: atoms, snapshot_on_warning=False,
+            name="toy", build_atoms=lambda: atoms, snapshot_on_warning=False,
             commit_enabled=True,
         )
         programs = _hammer(lambda i: cache.get(runtime))
@@ -208,11 +201,42 @@ class TestProgramCacheRaces:
         assert all(p is compiled for p in programs)
         assert cache.misses == 1
         assert cache.hits == len(programs) - 1
-        # The weakref eviction still works through the locked path.
-        ref = weakref.ref(anchor)
-        del anchor, runtime
-        if ref() is None:  # pragma: no branch - CPython refcounting
-            assert len(cache) == 0
+        assert len(cache) == 1
+
+    def test_a_hit_does_not_wait_behind_another_keys_compile(
+            self, monkeypatch):
+        """While one thread compiles key A, a hit on key B and the
+        compile of key C both finish."""
+        from repro.sim import fastsim
+
+        started, release = threading.Event(), threading.Event()
+
+        def compile_program(runtime):
+            if runtime.name == "slow":
+                started.set()
+                assert release.wait(10)
+            return runtime.name
+
+        monkeypatch.setattr(fastsim, "compile_program", compile_program)
+        cache = fastsim.ProgramCache()
+
+        def toy(name, cycles):
+            atoms = [Atom("a0", 0, "cpu", cycles)]
+            return types.SimpleNamespace(
+                name=name, build_atoms=lambda: atoms,
+                snapshot_on_warning=False, commit_enabled=True)
+
+        cache.get(toy("warm", 1.0))
+        slow = threading.Thread(target=cache.get, args=(toy("slow", 2.0),))
+        slow.start()
+        try:
+            assert started.wait(10)
+            assert cache.get(toy("hit", 1.0)) == "warm"
+            assert cache.get(toy("other", 3.0)) == "other"
+        finally:
+            release.set()
+            slow.join(10)
+        assert cache.misses == 3 and cache.hits == 1
 
     def test_one_compile_per_distinct_content(self, monkeypatch):
         """16 threads over 4 models whose atoms differ only in their
@@ -223,14 +247,9 @@ class TestProgramCacheRaces:
         counting = _Counting(lambda runtime: compiled)
         monkeypatch.setattr(fastsim, "compile_program", counting)
         cache = fastsim.ProgramCache()
-
-        class Anchor:
-            pass
-
-        anchors = [Anchor() for _ in range(4)]
         runtimes = [
             types.SimpleNamespace(
-                qmodel=anchors[m], use_dma=False, bcm_mode="fft", name="toy",
+                name="toy",
                 build_atoms=lambda m=m: [Atom(f"m{m}.conv", 0, "lea", 10.0),
                                          Atom(f"m{m}.fc", 1, "cpu", 5.0)],
                 snapshot_on_warning=False, commit_enabled=True,
@@ -241,9 +260,8 @@ class TestProgramCacheRaces:
         assert counting.calls == 1
         assert all(p is compiled for p in programs)
         assert cache.misses == 1
-        assert cache.shared == 3
-        assert cache.hits == len(programs) - 4
-        assert len(cache) == 4
+        assert cache.hits == len(programs) - 1
+        assert len(cache) == 1
 
 
 class TestSharedProgramReplay:
@@ -275,7 +293,7 @@ class TestSharedProgramReplay:
             return FastMachine(Device(), runtimes[i], cache=cache)
 
         serial = [self._runs(machine(i), x) for i in range(len(runtimes))]
-        assert cache.misses == 1 and cache.shared == len(runtimes) - 1
+        assert cache.misses == 1 and cache.hits == len(runtimes) - 1
         machines = [machine(i) for i in range(len(runtimes))]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -361,7 +379,7 @@ class TestStoreRaces:
         # must record each key exactly once.
         def put(i):
             key = f"key-{i % 4}"
-            store.put(key, result(f"s{i % 4}"), engine="fast")
+            store.put(key, result(f"s{i % 4}"))
             assert store.lookup(key) is not None
 
         _hammer(put, threads=16)

@@ -521,12 +521,18 @@ class TestFallbackAndPlumbing:
         m3.run(np.zeros((1, 28, 28)))
         assert cache.misses == 2
 
-    def test_toy_runtimes_compile_uncached(self):
+    def test_toy_runtimes_share_by_content(self):
         cache = ProgramCache()
         machine = FastMachine(Device(), ToyRuntime([cpu_atom(10)]), cache=cache)
         machine.run(np.zeros(2))
-        machine.run(np.zeros(2))  # per-machine memo: one compile, no cache
-        assert len(cache) == 0 and cache.misses == 1
+        machine.run(np.zeros(2))  # per-machine memo: one lookup
+        twin = FastMachine(Device(), ToyRuntime([cpu_atom(10)]), cache=cache)
+        twin.run(np.zeros(2))
+        other = FastMachine(Device(), ToyRuntime([cpu_atom(11)]), cache=cache)
+        other.run(np.zeros(2))
+        assert twin.program is machine.program
+        assert other.program is not machine.program
+        assert len(cache) == 2 and cache.misses == 2 and cache.hits == 1
 
 
 # ---------------------------------------------------------------------------

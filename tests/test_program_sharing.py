@@ -1,5 +1,5 @@
-"""The program cache's content tier: one compiled program per distinct
-atom program, whatever model, seed or channel names it came from.
+"""The program cache: one compiled program per distinct atom program,
+whatever model, seed or channel names it came from.
 
 :func:`repro.sim.fastsim.program_key` leaves ``Atom.label`` out, so the
 proof obligation is that the compiled tables never depend on a label;
@@ -97,13 +97,13 @@ class TestLabelFreeKey:
         programs = [cache.get(make_runtime(name, models[task, seed]))
                     for seed in SEEDS]
         assert cache.misses == 1
-        assert cache.shared == len(SEEDS) - 1
+        assert cache.hits == len(SEEDS) - 1
         assert all(p is programs[0] for p in programs)
-        assert len(cache) == len(SEEDS)
+        assert len(cache) == 1
 
 
 class TestPlanSignature:
-    """The content tier keys planner runtimes on their plan signature,
+    """The cache keys planner runtimes on their plan signature,
     which must split programs exactly where the label-free atoms do."""
 
     def test_signature_key_partitions_like_the_atom_key(self):
@@ -127,7 +127,7 @@ class TestPlanSignature:
         twin = make_runtime("ACE+FLEX", models["okg", 1])
         monkeypatch.setattr(type(twin), "build_atoms", None)
         assert cache.get(twin) is not None
-        assert cache.shared == 1
+        assert cache.hits == 1
 
     def test_runtimes_without_a_planner_key_on_atoms(self):
         toy = ModelRuntime(toy_program(100.0))
@@ -139,7 +139,7 @@ class TestContentLru:
     def test_evicts_least_recently_used_past_the_bound(self):
         cache = ProgramCache()
         bound = fastsim._SHARED_PROGRAMS
-        keep = []  # anchors stay alive: the identity tier keeps its entries
+        keep = []
         for i in range(bound):
             keep.append(ModelRuntime(toy_program(100.0 + i)))
             cache.get(keep[-1])
@@ -147,15 +147,14 @@ class TestContentLru:
         # A new model with program 0 touches it; program 1 is now oldest.
         keep.append(ModelRuntime(toy_program(100.0)))
         cache.get(keep[-1])
-        assert cache.shared == 1
+        assert cache.hits == 1
         keep.append(ModelRuntime(toy_program(100.0 + bound)))
         cache.get(keep[-1])
         assert cache.misses == bound + 1
-        assert f"{bound} compiled programs for {bound + 2} models" in (
-            cache.summary())
+        assert f"{bound} compiled programs, 1 hits" in cache.summary()
         # Program 0 survived; program 1 was evicted and recompiles.
         cache.get(ModelRuntime(toy_program(100.0)))
-        assert cache.shared == 2 and cache.misses == bound + 1
+        assert cache.hits == 2 and cache.misses == bound + 1
         again = cache.get(ModelRuntime(toy_program(101.0)))
         assert cache.misses == bound + 2
         assert table_bytes(again) == table_bytes(compile_program(keep[1]))
@@ -173,11 +172,11 @@ class TestContentLru:
             obs.reset()
             obs.disable()
         assert counters["sim.program_cache.misses"] == 1
-        assert counters["sim.program_cache.shared"] == 1
-        assert "1 shared / 1 misses" in cache.summary()
-        # Disabled, the tier still shares but the registry stays empty.
+        assert counters["sim.program_cache.hits"] == 1
+        assert "1 hits / 1 misses" in cache.summary()
+        # Disabled, the cache still shares but the registry stays empty.
         cache.get(ModelRuntime(toy_program(5.0)))
-        assert cache.shared == 2 and obs.snapshot()["counters"] == {}
+        assert cache.hits == 2 and obs.snapshot()["counters"] == {}
 
 
 def test_shared_program_replays_each_models_logits(models):
@@ -194,5 +193,5 @@ def test_shared_program_replays_each_models_logits(models):
         results.append(FastMachine(Device(), runtime, cache=cache).run(x))
         np.testing.assert_array_equal(results[-1].logits,
                                       runtime.compute_logits(x))
-    assert cache.shared == 1
+    assert cache.hits == 1
     assert results[0].energy_j == results[1].energy_j

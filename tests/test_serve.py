@@ -116,9 +116,7 @@ class TestJobSpec:
 
     def test_dedup_key_is_the_store_table_key(self, toy_study):
         spec = _spec(seed=3)
-        assert spec.dedup_key() == study_table_key(
-            TOY, Profile(seed=3), "reference"
-        )
+        assert spec.dedup_key() == study_table_key(TOY, Profile(seed=3))
         # Execution options do not enter the key (bit-identity contract).
         assert _spec(seed=3, timeout_s=5.0).dedup_key() == spec.dedup_key()
         assert _spec(seed=4).dedup_key() != spec.dedup_key()
@@ -160,6 +158,23 @@ class TestDedup:
         assert toy_study["runs"] == [5]
         assert svc.counters()["dedup_hits"] == 1
         svc.close()
+
+    def test_a_reference_spec_after_an_equal_fast_one_is_a_hit(self):
+        """The engine is an execution option, not part of the key: both
+        engines compute the same bits, so they share one execution."""
+        svc = StudyService(workers=1)
+        try:
+            fast = svc.submit(JobSpec("fig8", engine="fast"))
+            table = svc.result(fast.id, timeout=60)
+            ref = svc.submit(JobSpec("fig8", engine="reference"))
+            assert ref.key == fast.key
+            assert ref.state == DONE and ref.from_cache is True
+            assert svc.result(ref.id) is table
+            counters = svc.counters()
+            assert counters["executions"] == 1
+            assert counters["dedup_hits"] == 1
+        finally:
+            svc.close()
 
 
 class TestLifecycleEdges:
@@ -510,7 +525,7 @@ obs.enable()
 svc = StudyService(workers=2, warm="cold" not in sys.argv)
 methods = [p.start_method for p in svc._procs]
 warmed = {"compiled": fastsim.PROGRAM_CACHE.misses,
-          "kept": len(fastsim.PROGRAM_CACHE._shared),
+          "kept": len(fastsim.PROGRAM_CACHE),
           "bound": fastsim._SHARED_PROGRAMS}
 fault_calls = inject.stats()["calls"]
 obs.reset()
@@ -551,7 +566,7 @@ class TestProgramWarm:
         assert warmed_service["methods"] == ["fork", "fork"]
         assert warmed_service["equal"]
         assert counters.get("sim.program_cache.misses", 0) == 0
-        assert counters["sim.program_cache.shared"] > 0
+        assert counters["sim.program_cache.hits"] > 0
 
     def test_warm_starts_no_thread_and_draws_no_fault(self, warmed_service):
         assert warmed_service["warm"]["threads"] == []
@@ -729,7 +744,7 @@ class TestWorkerProcesses:
         raised at the worker's next round trip (the run's flush)."""
         from repro.faults import RetryPolicy
 
-        def full_disk(self, key, result, *, engine=""):
+        def full_disk(self, key, result):
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(ResultStore, "put", full_disk)
@@ -1159,7 +1174,7 @@ class TestServeSignals:
             with pytest.raises(ProcessLookupError):
                 os.killpg(pid, 0)  # no process left in its group
         table = ResultStore(str(out)).load_table(
-            study_table_key("fig7", spec.profile, "fast"))
+            study_table_key("fig7", spec.profile))
         assert table is not None
         assert table.to_json() == run_study(
             "fig7", engine="fast", parallel=False,

@@ -9,6 +9,7 @@ serves archived tables, and the CLI's artifact sinks never destroy a
 previous good artifact (including a write that dies mid-stream).
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -312,38 +313,30 @@ class TestResultCodec:
 class TestKeys:
     def test_key_is_deterministic(self):
         s = _scenario()
-        assert scenario_key(s, "fast") == scenario_key(s, "fast")
+        assert scenario_key(s) == scenario_key(s)
 
     def test_key_covers_every_axis(self):
-        import dataclasses
-
         s = _scenario()
-        base = scenario_key(s, "fast")
-        assert scenario_key(s, "reference") != base
-        assert scenario_key(s, "fast", semantics=SIM_SEMANTICS + 1) != base
-        assert scenario_key(dataclasses.replace(s, seed=1), "fast") != base
-        assert scenario_key(dataclasses.replace(s, cap_uf=101.0),
-                            "fast") != base
+        base = scenario_key(s)
+        assert scenario_key(s, semantics=SIM_SEMANTICS + 1) != base
+        assert scenario_key(dataclasses.replace(s, seed=1)) != base
+        assert scenario_key(dataclasses.replace(s, cap_uf=101.0)) != base
         assert scenario_key(
-            dataclasses.replace(s, trace=TraceSpec("square", 6e-3)),
-            "fast") != base
+            dataclasses.replace(s, trace=TraceSpec("square", 6e-3))) != base
 
     def test_key_ignores_name(self):
         # The name is a label, not simulation input: two differently
         # named but physically identical scenarios share a result.
-        import dataclasses
-
         s = _scenario()
         renamed = dataclasses.replace(s, name="other/name")
-        assert scenario_key(s, "fast") == scenario_key(renamed, "fast")
+        assert scenario_key(s) == scenario_key(renamed)
 
     def test_study_table_key(self):
         p = Profile()
-        base = study_table_key("fig8", p, "reference")
-        assert study_table_key("fig8", p, "reference") == base
-        assert study_table_key("fig7", p, "reference") != base
-        assert study_table_key("fig8", p, "fast") != base
-        assert study_table_key("fig8", Profile(seed=1), "reference") != base
+        base = study_table_key("fig8", p)
+        assert study_table_key("fig8", p) == base
+        assert study_table_key("fig7", p) != base
+        assert study_table_key("fig8", Profile(seed=1)) != base
 
 
 # ---------------------------------------------------------------------------
@@ -355,14 +348,14 @@ class TestResultStore:
     def test_put_lookup_counters(self, tmp_path):
         store = ResultStore(tmp_path / "st", shard_rows=2)
         scenario = _scenario()
-        key = scenario_key(scenario, "reference")
+        key = scenario_key(scenario)
         assert store.lookup(key) is None
         assert (store.hits, store.misses) == (0, 1)
         result = ScenarioResult(
             scenario=scenario,
             stats=SessionStats(runtime="ACE+FLEX", results=[_run_result()]),
         )
-        store.put(key, result, engine="reference")
+        store.put(key, result)
         assert store.lookup(key) == encode_result(result)
         assert (store.hits, store.misses) == (1, 1)
         assert len(store) == 1 and key in store
@@ -370,8 +363,8 @@ class TestResultStore:
     def test_lookup_takes_a_batch(self, tmp_path):
         store = ResultStore(tmp_path / "st")
         scenario = _scenario()
-        key = scenario_key(scenario, "reference")
-        other = scenario_key(scenario, "fast")
+        key = scenario_key(scenario)
+        other = scenario_key(dataclasses.replace(scenario, seed=1))
         result = ScenarioResult(
             scenario=scenario,
             stats=SessionStats(runtime="ACE+FLEX", results=[_run_result()]),
@@ -385,7 +378,7 @@ class TestResultStore:
     def test_put_of_an_encoded_record_equals_put_of_the_result(
             self, tmp_path):
         scenario = _scenario()
-        key = scenario_key(scenario, "reference")
+        key = scenario_key(scenario)
         result = ScenarioResult(
             scenario=scenario,
             stats=SessionStats(runtime="ACE+FLEX", results=[_run_result()]),
@@ -393,7 +386,7 @@ class TestResultStore:
         for name, value in (("live", result), ("encoded",
                                                encode_record(result))):
             store = ResultStore(tmp_path / name)
-            store.put(key, value, engine="reference")
+            store.put(key, value)
             store.flush()
         a, b = (list(ShardStore(tmp_path / n).iter_rows())
                 for n in ("live", "encoded"))
@@ -402,6 +395,16 @@ class TestResultStore:
         with pytest.raises(ConfigurationError, match="refusing to cache"):
             encode_record(failure)
 
+    def test_a_store_keyed_by_engine_is_refused(self, tmp_path):
+        """A store written while the engine was part of every key (with
+        an ``engine`` column) holds rows no key reaches any more: opening
+        it is a schema error, not a store that silently misses."""
+        old = (("key", "str"), ("scenario", "str"), ("engine", "str"),
+               ("payload", "str"))
+        ShardStore(tmp_path / "st", old, meta={"kind": "scenario-results"})
+        with pytest.raises(ConfigurationError, match="schema"):
+            ResultStore(tmp_path / "st")
+
     def test_put_is_buffered_until_flush(self, tmp_path):
         store = ResultStore(tmp_path / "st", shard_rows=100)
         scenario = _scenario()
@@ -409,7 +412,7 @@ class TestResultStore:
             scenario=scenario,
             stats=SessionStats(runtime="ACE+FLEX", results=[_run_result()]),
         )
-        store.put(scenario_key(scenario, "reference"), result)
+        store.put(scenario_key(scenario), result)
         assert len(ResultStore(tmp_path / "st")) == 0  # not yet durable
         store.flush()
         assert len(ResultStore(tmp_path / "st")) == 1
@@ -417,7 +420,7 @@ class TestResultStore:
     def test_duplicate_put_is_idempotent(self, tmp_path):
         store = ResultStore(tmp_path / "st")
         scenario = _scenario()
-        key = scenario_key(scenario, "reference")
+        key = scenario_key(scenario)
         result = ScenarioResult(
             scenario=scenario,
             stats=SessionStats(runtime="ACE+FLEX", results=[_run_result()]),
@@ -432,13 +435,13 @@ class TestResultStore:
         scenario = _scenario()
         failure = _failure_result(scenario, RuntimeError("transient"))
         with pytest.raises(ConfigurationError, match="refusing to cache"):
-            store.put(scenario_key(scenario, "reference"), failure)
+            store.put(scenario_key(scenario), failure)
 
     def test_table_archive_counters(self, tmp_path):
         store = ResultStore(tmp_path / "st")
         table = ResultTable(COLUMNS)
         table.append(name="a", value=float("nan"), count=1)
-        key = study_table_key("fig8", Profile(), "reference")
+        key = study_table_key("fig8", Profile())
         assert store.load_table(key) is None
         store.save_table(key, table)
         assert store.load_table(key) == table
@@ -452,7 +455,7 @@ class TestResultStore:
             scenario=scenario,
             stats=SessionStats(runtime="ACE+FLEX", results=[_run_result()]),
         )
-        store.put(scenario_key(scenario, "reference"), result)
+        store.put(scenario_key(scenario), result)
         store.flush()
         shard = tmp_path / "st" / SHARD_DIR / "shard-000000.npz"
         shard.write_bytes(b"torn")
@@ -612,7 +615,7 @@ class TestRunStudyWithStore:
         profile = Profile(tasks=("mnist",), samples=1)
         store = ResultStore(tmp_path / "st")
         run_study("fleet", parallel=False, profile=profile, store=store)
-        key = study_table_key("fleet", profile, "reference")
+        key = study_table_key("fleet", profile)
         (tmp_path / "st" / "tables" / f"{key}.npz").unlink()
         store2 = ResultStore(tmp_path / "st")
         second = run_study("fleet", parallel=False, profile=profile,
@@ -620,6 +623,24 @@ class TestRunStudyWithStore:
         assert second.report is not None
         assert second.report.from_cache == len(second.report)
         assert store2.table_misses == 1
+
+    def test_a_table_one_engine_archived_is_a_hit_for_the_other(
+            self, tmp_path):
+        profile = Profile(tasks=("mnist",), samples=1)
+        store = ResultStore(tmp_path / "st")
+        fast = run_study("fleet", engine="fast", parallel=False,
+                         profile=profile, store=store)
+        reference = run_study("fleet", engine="reference", parallel=False,
+                              profile=profile, store=store)
+        assert reference.from_table_cache is True
+        assert reference.table.to_json() == fast.table.to_json()
+        # Without the table, every scenario row is a hit too.
+        key = study_table_key("fleet", profile)
+        (tmp_path / "st" / "tables" / f"{key}.npz").unlink()
+        again = run_study("fleet", engine="reference", parallel=False,
+                          profile=profile, store=store)
+        assert again.report.from_cache == len(again.report)
+        assert again.table.to_json() == fast.table.to_json()
 
     def test_direct_study_uses_table_archive(self, tmp_path):
         store = ResultStore(tmp_path / "st")

@@ -18,17 +18,16 @@ import sys
 import numpy as np
 import pytest
 
-from repro.experiments.common import TASKS
 from repro.fleet import (
     TRACE_KINDS, FleetRunner, ModelCache, Scenario, TraceSpec,
     execute_scenario,
 )
 from repro.fleet import cache as fleet_cache
 from repro.fleet.cache import TrajectoryMemo
-from repro.power import CORPUS
 from repro.sim.results import RunResult
 from repro.store.records import encode_result
 from repro.study import Profile, get_study, run_study, study_names
+from tests.sampler import FUZZ_SEED, sample_scenarios, scenario_json
 
 FLEET_STUDIES = [n for n in study_names() if get_study(n).fleet_executed]
 SPEC = dict(engine="fast", parallel=False)
@@ -228,58 +227,9 @@ class TestMemo:
 # A seeded fuzz over whole scenarios
 # ---------------------------------------------------------------------------
 
-#: The committed fuzz budget: sampler seed and sampled specs (each runs
-#: under two model seeds).
-FUZZ_SEED = 20261019
+#: The committed fuzz budget: sampled specs (each runs under two model
+#: seeds).
 FUZZ_COUNT = 150
-
-
-def _sample_trace(rng: random.Random, kind: str) -> TraceSpec:
-    power = rng.choice((2e-3, 4e-3, 8e-3))
-    period = rng.choice((0.02, 0.05, 0.2))
-    if kind == "mains":
-        return TraceSpec("mains")
-    if kind == "constant":
-        return TraceSpec("constant", power)
-    if kind == "square":
-        return TraceSpec("square", power, period, rng.choice((0.3, 0.6, 1.0)))
-    if kind == "rf":
-        return TraceSpec("rf", power, period, rng.choice((0.3, 0.6)),
-                         seed=rng.randrange(3))
-    if kind == "solar":
-        return TraceSpec("solar", power, period)
-    name = rng.choice(CORPUS.names())
-    seed = rng.randrange(3) if CORPUS.entry(name).seeded else 0
-    return TraceSpec("corpus", rng.choice((0.0, power)), seed=seed,
-                     corpus=name)
-
-
-def sample_scenarios(seed: int, count: int):
-    """``count`` specs over every trace kind, every runtime and the
-    capacitor, ``v_warn`` and stall knobs, drawn from small pools so
-    that some specs repeat a key."""
-    rng = random.Random(seed)
-    kinds = list(TRACE_KINDS) * (count // len(TRACE_KINDS) + 1)
-    runtimes = list(RUNTIMES) * (count // len(RUNTIMES) + 1)
-    rng.shuffle(kinds)
-    rng.shuffle(runtimes)
-    out = []
-    for i in range(count):
-        trace = _sample_trace(rng, kinds[i])
-        out.append(Scenario(
-            f"fuzz{i}",
-            task=rng.choice(TASKS),
-            runtime=runtimes[i],
-            trace=trace,
-            cap_uf=(100.0 if trace.kind == "mains"
-                    else rng.choice((47.0, 100.0, 470.0))),
-            n_samples=rng.randrange(1, 4),
-            seed=rng.randrange(2 ** 16),
-            stall_limit=rng.choice((1, 3, 6)),
-            give_up_after_dnf=rng.choice((1, 2)),
-            v_warn=rng.choice((None, 2.0, 2.6)),
-        ))
-    return out
 
 
 def test_sampler_covers_the_spec_space():
@@ -304,7 +254,7 @@ def test_fuzz_shared_memo_equals_unmemoized_runs():
         want = unmemoized(got.scenario, cache)
         if encode_result(got) != encode_result(want):
             pytest.fail("memoized result differs for scenario "
-                        + json.dumps(dataclasses.asdict(got.scenario)))
+                        + scenario_json(got.scenario))
     memo = cache.trajectories
     assert memo.hits + memo.misses == len(scenarios)
     assert memo.hits >= len(specs)  # every spec's second model seed
