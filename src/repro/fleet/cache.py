@@ -25,12 +25,10 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.concurrency import ForkSafeLock, KeyedLocks
+from repro.concurrency import KeyedLocks, Memo
 from repro.fleet.scenario import Scenario
-from repro.obs import metrics as _obs
 from repro.obs import spans as _spans
 from repro.rad.quantize import QuantizedModel
 from repro.sim.results import RunResult
@@ -48,7 +46,7 @@ def _logits_free(run: RunResult) -> RunResult:
         energy_by_component=dict(run.energy_by_component))
 
 
-class TrajectoryMemo:
+class TrajectoryMemo(Memo):
     """Logits-free :class:`~repro.sim.results.RunResult` lists of fast
     harvested or continuous sessions, keyed on what the replay reads.
 
@@ -58,21 +56,14 @@ class TrajectoryMemo:
     program that :data:`~repro.sim.fastsim.PROGRAM_CACHE` returned (by
     identity: fresh seeds share it through its content key, and the
     entry holds it, so its id is never reused) and the scenario with
-    ``name``, ``seed`` and ``model_seed`` blanked.  A bounded LRU,
-    guarded by one lock; :meth:`get` and :meth:`put` copy, so no caller
-    shares a result object with the memo or with another caller.
+    ``name``, ``seed`` and ``model_seed`` blanked.  A
+    :class:`~repro.concurrency.Memo` of ``TRAJECTORY_MEMO_SIZE`` entries;
+    :meth:`get` and :meth:`put` copy, so no caller shares a result
+    object with the memo or with another caller.
     """
 
     def __init__(self) -> None:
-        #: key -> (the program, its logits-free results)
-        self._entries: "OrderedDict[Tuple, Tuple]" = OrderedDict()
-        self._lock = ForkSafeLock()
-        self.size = TRAJECTORY_MEMO_SIZE
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
+        super().__init__(TRAJECTORY_MEMO_SIZE, "fleet.trajectory_memo")
 
     @staticmethod
     def _key(program, scenario: Scenario) -> Tuple:
@@ -81,17 +72,7 @@ class TrajectoryMemo:
 
     def get(self, program, scenario: Scenario) -> Optional[List[RunResult]]:
         """Fresh logits-free copies of the trajectory, or ``None``."""
-        key = self._key(program, scenario)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-            else:
-                self._entries.move_to_end(key)
-                self.hits += 1
-        if _obs.ENABLED:
-            _obs.count("fleet.trajectory_memo."
-                       + ("misses" if entry is None else "hits"))
+        entry = super().get(self._key(program, scenario))
         if entry is None:
             return None
         return [_logits_free(run) for run in entry[1]]
@@ -99,23 +80,20 @@ class TrajectoryMemo:
     def put(self, program, scenario: Scenario,
             results: Sequence[RunResult]) -> None:
         """Keep ``results`` (copied, logits dropped) under the key."""
-        entry = (program, tuple(_logits_free(run) for run in results))
-        key = self._key(program, scenario)
-        with self._lock:
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.size:
-                self._entries.popitem(last=False)
+        # The entry holds the program, so its id in the key is never reused.
+        super().put(self._key(program, scenario),
+                    (program, tuple(_logits_free(run) for run in results)))
 
 
-class ModelCache:
+class ModelCache(Memo):
     """Memoized ``prepare_quantized`` keyed by :attr:`Scenario.model_key`.
 
-    Thread-safe: racing first requests for the *same* key build exactly
-    once (the loser waits on a per-key lock and picks up the winner's
-    model), while distinct keys build fully concurrently — model builds
-    run for seconds, so one global build lock would serialize a
-    service's unrelated jobs.  Hits stay lock-free.
+    An unbounded :class:`~repro.concurrency.Memo` with exact
+    ``hits``/``misses``: racing first requests for the *same* key build
+    exactly once (the others wait and take the winner's model), while
+    distinct keys build fully concurrently — model builds run for
+    seconds, so one global build lock would serialize a service's
+    unrelated jobs.
 
     ``trajectories`` is the :class:`TrajectoryMemo` to own (a fresh one
     by default): a serve worker that drops its models keeps its memo,
@@ -123,16 +101,10 @@ class ModelCache:
     """
 
     def __init__(self, trajectories: Optional[TrajectoryMemo] = None) -> None:
-        self._models: Dict[Tuple, QuantizedModel] = {}
-        self.hits = 0
-        self.misses = 0
-        self._build_locks = KeyedLocks()
+        super().__init__(None, "fleet.model_cache")
         self._execution_locks = KeyedLocks()
         self.trajectories = (trajectories if trajectories is not None
                              else TrajectoryMemo())
-
-    def __len__(self) -> int:
-        return len(self._models)
 
     def execution_lock(self, key: Tuple) -> threading.Lock:
         """Per-model-key lock serializing *execution* on a shared model.
@@ -147,38 +119,22 @@ class ModelCache:
 
     def get(self, scenario: Scenario) -> QuantizedModel:
         """The scenario's prepared model, building it on first request."""
-        key = scenario.model_key
-        model = self._models.get(key)
-        if model is not None:
-            self.hits += 1
-            if _obs.ENABLED:
-                _obs.count("fleet.model_cache.hits")
-            return model
-        # Imported lazily: experiments.common pulls in every runtime.
-        from repro.experiments.common import prepare_quantized
+        def build() -> QuantizedModel:
+            # Imported lazily: experiments.common pulls in every runtime.
+            from repro.experiments.common import prepare_quantized
 
-        with self._build_locks.lock(key):
-            model = self._models.get(key)
-            if model is not None:
-                self.hits += 1
-                if _obs.ENABLED:
-                    _obs.count("fleet.model_cache.hits")
-                return model
-            self.misses += 1
-            if _obs.ENABLED:
-                _obs.count("fleet.model_cache.misses")
             with _spans.span("fleet.model_build", task=scenario.task,
                              compressed=scenario.compressed,
                              pruned=scenario.pruned):
-                model = prepare_quantized(
+                return prepare_quantized(
                     scenario.task,
                     compressed=scenario.compressed,
                     pruned=scenario.pruned,
                     seed=scenario.model_seed,
                     calib_n=scenario.calib_n,
                 )
-            self._models[key] = model
-            return model
+
+        return self.get_or_build(scenario.model_key, build)
 
     def summary(self) -> str:
         return (

@@ -16,12 +16,11 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_right
-from collections import OrderedDict
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.concurrency import ForkSafeLock
+from repro.concurrency import ForkSafeLock, Memo
 from repro.errors import ConfigurationError
 
 
@@ -364,8 +363,8 @@ class _RFSegments:
 #: Tables some thread is drawing into right now.
 _DRAWING: "set[_RFSegments]" = set()
 
-_RF_TABLES: "OrderedDict[tuple, _RFSegments]" = OrderedDict()
-_RF_TABLES_LOCK = ForkSafeLock()
+#: RF parameter tuple -> its shared segment table.
+_RF_TABLES = Memo(RF_TABLE_LIMIT)
 
 
 def _reset_tables_in_child() -> None:  # pragma: no cover - runs after fork
@@ -382,24 +381,10 @@ if hasattr(os, "register_at_fork"):  # pragma: no branch - CPython >= 3.7
     os.register_at_fork(after_in_child=_reset_tables_in_child)
 
 
-def _rf_segments(key: tuple) -> _RFSegments:
-    """The process's shared segment table for an RF parameter tuple."""
-    with _RF_TABLES_LOCK:
-        table = _RF_TABLES.get(key)
-        if table is None:
-            table = _RF_TABLES[key] = _RFSegments(*key)
-            if len(_RF_TABLES) > RF_TABLE_LIMIT:
-                _RF_TABLES.popitem(last=False)
-        else:
-            _RF_TABLES.move_to_end(key)
-        return table
-
-
 def clear_rf_segments() -> None:
     """Forget every shared RF segment table (traces built earlier keep
     theirs)."""
-    with _RF_TABLES_LOCK:
-        _RF_TABLES.clear()
+    _RF_TABLES.clear()
 
 
 class StochasticRFTrace(PowerTrace):
@@ -425,7 +410,8 @@ class StochasticRFTrace(PowerTrace):
         self.mean_power_w = mean_power_w
         self._args = (mean_power_w, mean_on_s, mean_off_s, seed, horizon_s)
         self._nominal_s = horizon_s
-        self._table = _rf_segments(self._args)
+        self._table = _RF_TABLES.get_or_build(
+            self._args, lambda: _RFSegments(*self._args))
 
     def __reduce__(self):
         # The segments are rebuilt (or shared) from the arguments.

@@ -24,13 +24,12 @@ overflow-protection strategy:
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.concurrency import ForkSafeLock
+from repro.concurrency import Memo
 from repro.errors import ConfigurationError, QuantizationError
 from repro.fixedpoint import (
     INT16_MAX,
@@ -55,7 +54,6 @@ from repro.nn.layers import (
 )
 from repro.nn.layers.conv import im2col
 from repro.nn.model import Sequential
-from repro.obs import metrics as _obs
 from repro.rad.normalize import layer_output_peaks
 
 BCM_MODES = ("stage", "prescale", "none")
@@ -389,21 +387,17 @@ class QuantizedModel:
     monitor: OverflowMonitor = field(default_factory=OverflowMonitor)
 
     def __post_init__(self) -> None:
-        self._init_memo()
-
-    def _init_memo(self) -> None:
         #: key -> (read-only logits, the forward's monitor records)
-        self._memo: "OrderedDict[Tuple, Tuple[np.ndarray, tuple]]" = OrderedDict()
-        self._memo_lock = ForkSafeLock()
+        self._memo = Memo(LOGITS_MEMO_SIZE, "kernels.logits_memo")
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        del state["_memo"], state["_memo_lock"]
+        del state["_memo"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._init_memo()
+        self.__post_init__()
 
     def forward_raw(
         self,
@@ -455,26 +449,15 @@ class QuantizedModel:
         digest = hashlib.blake2b(np.ascontiguousarray(x).data,
                                  digest_size=16).digest()
         key = (bcm_mode, x.shape, digest)
-        with self._memo_lock:
-            hit = self._memo.get(key)
-            if hit is not None:
-                self._memo.move_to_end(key)
+        hit = self._memo.get(key)
         if hit is not None:
-            if _obs.ENABLED:
-                _obs.count("kernels.logits_memo.hits")
             logits, calls = hit
             _replay(calls, monitor)
             return logits.copy()
-        if _obs.ENABLED:
-            _obs.count("kernels.logits_memo.misses")
         logits, calls = self._forward(x, monitor, bcm_mode)
         kept = logits.copy()
         kept.flags.writeable = False
-        with self._memo_lock:
-            self._memo[key] = (kept, calls)
-            self._memo.move_to_end(key)
-            while len(self._memo) > LOGITS_MEMO_SIZE:
-                self._memo.popitem(last=False)
+        self._memo.put(key, (kept, calls))
         return logits
 
     def _forward(self, x, monitor: OverflowMonitor,

@@ -45,9 +45,9 @@ from __future__ import annotations
 
 import multiprocessing
 import threading
-from collections import OrderedDict
 from typing import List, Optional, Tuple
 
+from repro.concurrency import Memo
 from repro.errors import (
     ConfigurationError,
     JobFailedError,
@@ -96,9 +96,8 @@ class StudyService:
         #: timeout, injected faults).  Other exceptions — bad studies,
         #: real bugs — still fail the job on the first attempt.
         self.retry = retry if retry is not None else RetryPolicy()
-        #: key -> finished ResultTable; touched only under the queue
-        #: lock (the lookup/publish callbacks run with it held).
-        self._tables: "OrderedDict[str, ResultTable]" = OrderedDict()
+        #: key -> finished ResultTable (the queue's lookup/publish).
+        self._tables = Memo(self.TABLE_CACHE)
         #: Each queue thread's worker process: one forked here and not
         #: yet claimed by a thread (``_idle``), or one the thread
         #: spawns on its first fleet-executed job.  ``_procs`` holds
@@ -126,8 +125,8 @@ class StudyService:
         self.queue = JobQueue(
             self._execute,
             workers=workers,
-            lookup=self._cache_lookup,
-            publish=self._cache_publish,
+            lookup=self._tables.get,
+            publish=self._tables.put,
             retry=self.retry,
         )
 
@@ -212,20 +211,6 @@ class StudyService:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    # -- queue callbacks (run under the queue lock) ---------------------------
-
-    def _cache_lookup(self, key: str) -> Optional[ResultTable]:
-        table = self._tables.get(key)
-        if table is not None:
-            self._tables.move_to_end(key)
-        return table
-
-    def _cache_publish(self, key: str, table: ResultTable) -> None:
-        self._tables[key] = table
-        self._tables.move_to_end(key)
-        while len(self._tables) > self.TABLE_CACHE:
-            self._tables.popitem(last=False)
 
     # -- execution (worker threads) -------------------------------------------
 

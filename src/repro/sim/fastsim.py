@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import marshal
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
@@ -56,7 +55,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro import ENGINES
-from repro.concurrency import ForkSafeLock, KeyedLocks
+from repro.concurrency import Memo
 from repro.errors import ConfigurationError
 from repro.hw.board import (
     Device,
@@ -508,63 +507,29 @@ def content_key(runtime: InferenceRuntime) -> bytes:
          signature), 2)
 
 
-class ProgramCache:
+class ProgramCache(Memo):
     """Memoized :func:`compile_program`, keyed on :func:`content_key`.
 
     Runtimes whose programs are equal share one compiled program,
     whatever model, seed or channel names they came from, so a lookup
-    costs one key and only a new program compiles.  The cache is an LRU
-    of ``_SHARED_PROGRAMS`` programs.  Sharing across models and threads
+    costs one key and only a new program compiles.  The cache is a
+    :class:`~repro.concurrency.Memo` of ``_SHARED_PROGRAMS`` programs
+    with exact ``hits``/``misses``.  Sharing across models and threads
     is safe because replay never writes to a program (see
     :class:`CompiledProgram`).  Racing first requests for one key
-    compile once: the miss path re-checks under that key's lock, so a
-    hit or another key's compile never waits behind it.
+    compile once, and a hit or another key's compile never waits
+    behind it.
     """
 
     def __init__(self) -> None:
-        self._programs: "OrderedDict[bytes, CompiledProgram]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        # Guards the LRU and the counters (so both are exact); compiles
-        # run outside it, under a lock per key.
-        self._lock = ForkSafeLock()
-        self._compiling = KeyedLocks()
-
-    def __len__(self) -> int:
-        return len(self._programs)
+        super().__init__(_SHARED_PROGRAMS, "sim.program_cache")
 
     def get(self, runtime: InferenceRuntime) -> CompiledProgram:
-        key = content_key(runtime)
-        program = self._hit(key)
-        if program is None:
-            with self._compiling.lock(key):
-                program = self._hit(key)
-                if program is None:
-                    program = self._compile(runtime)
-                    with self._lock:
-                        self.misses += 1
-                        self._programs[key] = program
-                        if len(self._programs) > _SHARED_PROGRAMS:
-                            self._programs.popitem(last=False)
-        return program
-
-    def _hit(self, key: bytes) -> Optional[CompiledProgram]:
-        with self._lock:
-            program = self._programs.get(key)
-            if program is None:
-                return None
-            self._programs.move_to_end(key)
-            self.hits += 1
-        if _obs.ENABLED:
-            _obs.count("sim.program_cache.hits")
-        return program
-
-    def _compile(self, runtime: InferenceRuntime) -> CompiledProgram:
-        if _obs.ENABLED:
-            _obs.count("sim.program_cache.misses")
+        def build() -> CompiledProgram:
             with _spans.span("sim.program.compile", runtime=runtime.name):
                 return compile_program(runtime)
-        return compile_program(runtime)
+
+        return self.get_or_build(content_key(runtime), build)
 
     def summary(self) -> str:
         return (

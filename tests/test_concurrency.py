@@ -17,7 +17,7 @@ import types
 import numpy as np
 import pytest
 
-from repro.concurrency import ForkSafeLock, KeyedLocks
+from repro.concurrency import ForkSafeLock, KeyedLocks, Memo
 from repro.errors import ConfigurationError
 from repro.fleet.cache import ModelCache
 from repro.fleet.scenario import Scenario
@@ -395,3 +395,169 @@ class TestStoreRaces:
     def test_shard_store_rejects_bad_shard_rows(self, tmp_path):
         with pytest.raises(ConfigurationError):
             ShardStore(tmp_path / "x", self.SCHEMA, shard_rows=0)
+
+
+def _toy_runtime(cycles):
+    """A runtime stub whose one-atom program's content key is ``cycles``."""
+    atoms = [Atom("a0", 0, "cpu", float(cycles))]
+    return types.SimpleNamespace(
+        name="toy", build_atoms=lambda: atoms, snapshot_on_warning=False,
+        commit_enabled=True)
+
+
+class TestMemo:
+    def test_program_cache_is_bounded_with_no_wait_entries(self, monkeypatch):
+        """200 distinct programs leave the LRU's 32 and no per-key wait
+        entry: a long-lived service fed many shapes holds a bounded table."""
+        from repro.sim import fastsim
+
+        monkeypatch.setattr(fastsim, "compile_program",
+                            lambda runtime: object())
+        cache = fastsim.ProgramCache()
+        for i in range(200):
+            cache.get(_toy_runtime(i + 1))
+        assert len(cache) == cache.size == 32
+        assert cache.misses == 200
+        assert not cache._building
+
+    def test_model_cache_keeps_no_wait_entries(self, monkeypatch):
+        import repro.experiments.common as common
+
+        monkeypatch.setattr(common, "prepare_quantized",
+                            _Counting(lambda task, **kw: object()))
+        cache = ModelCache()
+        scenarios = [Scenario(name=f"s{i}", model_seed=i % 4)
+                     for i in range(16)]
+        _hammer(lambda i: cache.get(scenarios[i]))
+        assert len(cache) == 4
+        assert not cache._building
+
+    def test_rebuild_drops_in_flight_builds_and_keeps_entries(self):
+        """The after-fork hook in miniature: with another thread mid-build
+        on ``k``, the rebuild keeps the stored entries (forked serve
+        workers inherit the warmed programs) and a caller then builds
+        ``k`` itself instead of waiting on a builder a child lacks."""
+        memo = Memo(4)
+        memo.get_or_build("kept", lambda: "stored")
+        started, release = threading.Event(), threading.Event()
+
+        def slow():
+            started.set()
+            release.wait(10)
+            return "builder"
+
+        builder = threading.Thread(target=memo.get_or_build, args=("k", slow))
+        got = []
+        caller = threading.Thread(
+            target=lambda: got.append(memo.get_or_build("k", lambda: "own")))
+        builder.start()
+        try:
+            assert started.wait(10)
+            memo._rebuild()
+            assert memo.get("kept") == "stored"
+            caller.start()
+            caller.join(5)
+            assert got == ["own"], "the caller waits on the dropped build"
+        finally:
+            release.set()
+            builder.join(10)
+            caller.join(10)
+        assert not builder.is_alive() and not caller.is_alive()
+        assert not memo._building
+
+
+def _program_cache(monkeypatch, request):
+    from repro.sim import fastsim
+
+    monkeypatch.setattr(fastsim, "compile_program", lambda runtime: object())
+    cache = fastsim.ProgramCache()
+    return cache, lambda i: cache.get(_toy_runtime(i + 1))
+
+
+def _model_cache(monkeypatch, request):
+    import repro.experiments.common as common
+
+    monkeypatch.setattr(common, "prepare_quantized",
+                        lambda task, **kw: object())
+    cache = ModelCache()
+    return cache, lambda i: cache.get(Scenario(name="s", model_seed=i))
+
+
+def _trajectory_memo(monkeypatch, request):
+    from repro.fleet.cache import TrajectoryMemo
+    from repro.sim.results import RunResult
+
+    memo = TrajectoryMemo()
+    program = object()
+
+    def lookup(i):
+        scenario = Scenario(name="s", n_samples=i + 1)
+        if memo.get(program, scenario) is None:
+            memo.put(program, scenario, [RunResult("ACE+FLEX", True)])
+
+    return memo, lookup
+
+
+def _logits_memo(monkeypatch, request):
+    from repro.rad.quantize import QuantizedModel
+
+    model = QuantizedModel(layers=[], input_frac=0, input_shape=(1,),
+                           num_classes=1)
+    model._forward = lambda x, monitor, mode: (x.copy(), ())
+    return model._memo, lambda i: model.forward(np.full((1, 1), float(i)))
+
+
+def _rf_registry(monkeypatch, request):
+    from repro.power import traces
+
+    traces.clear_rf_segments()
+    request.addfinalizer(traces.clear_rf_segments)
+    return traces._RF_TABLES, lambda i: traces.StochasticRFTrace(
+        1.5e-3, seed=i)
+
+
+def _service_tables(monkeypatch, request):
+    from repro.serve import StudyService
+
+    service = StudyService(workers=1)
+    request.addfinalizer(service.close)
+    tables = service._tables
+
+    def lookup(i):
+        if tables.get(f"k{i}") is None:
+            tables.put(f"k{i}", object())
+
+    return tables, lookup
+
+
+MEMO_USERS = [_program_cache, _model_cache, _trajectory_memo, _logits_memo,
+              _rf_registry, _service_tables]
+
+
+@pytest.mark.parametrize("user", MEMO_USERS,
+                         ids=[u.__name__.lstrip("_") for u in MEMO_USERS])
+def test_memo_counts_are_exact_and_bounded(user, monkeypatch, request):
+    """16 threads racing over 4 keys count every lookup exactly once
+    (``hits + misses == calls``); ``size + 3`` more keys leave ``size``."""
+    import sys
+
+    memo, lookup = user(monkeypatch, request)
+    keys, rounds, threads = 4, 25, 16
+    before = memo.hits + memo.misses
+
+    def work(i):
+        for r in range(rounds):
+            lookup((i + r) % keys)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _hammer(work, threads=threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert memo.hits + memo.misses - before == threads * rounds
+    extra = (memo.size or 0) + 3
+    for j in range(extra):
+        lookup(keys + j)
+    assert len(memo) == (memo.size or keys + extra)
+    assert not memo._building
