@@ -43,8 +43,10 @@ def digest(text: str) -> str:
     return hashlib.blake2b(text.encode("utf-8"), digest_size=16).hexdigest()
 
 
-def read_ledger(path: str) -> Tuple[Dict[str, str], Dict[str, List[str]]]:
-    """``(header fields, {"<study> <engine>": digests})`` of a ledger."""
+def read_ledger(path: str, key_fields: int = 2
+                ) -> Tuple[Dict[str, str], Dict[str, List[str]]]:
+    """``(header fields, {run id: digests})`` of a ledger, a run id being
+    a line's first ``key_fields`` fields (``"<study> <engine>"`` here)."""
     header = {}
     runs = {}
     with open(path) as fh:
@@ -54,7 +56,7 @@ def read_ledger(path: str) -> Tuple[Dict[str, str], Dict[str, List[str]]]:
                 if len(fields) == 3:
                     header[fields[1]] = fields[2]
             elif fields:
-                runs[" ".join(fields[:2])] = fields[2:]
+                runs[" ".join(fields[:key_fields])] = fields[key_fields:]
     return header, runs
 
 

@@ -49,7 +49,7 @@ class ExperimentProfile:
 FAST = ExperimentProfile(n_samples=360, epochs=6, admm_iterations=1,
                          finetune_epochs=2)
 
-#: Fuller profile for the recorded EXPERIMENTS.md numbers.
+#: Fuller profile: ``repro run table2 --full`` trains with it.
 FULL = ExperimentProfile(n_samples=2400, epochs=12, admm_iterations=3,
                          admm_epochs=2, finetune_epochs=4, calib_n=64)
 

@@ -162,13 +162,11 @@ class CompiledProgram:
     ev_snap_atom: List[int] = field(default_factory=list)
     #: Next event index ``>= j`` that is a snapshot candidate under
     #: straight-line durable tracking from the program start (len
-    #: ``n_events + 2``, sentinel ``n_events``), plus the same
-    #: candidacy as a boolean mask.  These are *batch-sizing hints*,
-    #: not correctness gates: the replay's live ``durable_atom`` test
-    #: still decides every event; the hints only keep a mid-batch
-    #: candidate from invalidating a long precomputed clock tail.
+    #: ``n_events + 2``, sentinel ``n_events``).  A *batch-sizing hint*,
+    #: not a correctness gate: the replay's live ``durable_atom`` test
+    #: still decides every event; the hint only keeps a nearby candidate
+    #: from invalidating a long precomputed clock tail.
     ev_next_snap: List[int] = field(default_factory=list)
-    ev_snap_cand: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
     ev_bookings: List[list] = field(default_factory=list)
     #: Flat concatenation of every event's booking tuples, in replay order.
     book_stream: List[Tuple] = field(default_factory=list)
@@ -188,10 +186,9 @@ class CompiledProgram:
     #: the time cumsum because ``t + 0.0 == t`` on the non-negative
     #: accumulator).  The span replay cumsums the sub-slice a flushed
     #: event range covers (the reference's per-key add sequence).
-    #: item: (key, cnt, pos, e_arr, t_arr, t_zero, e_list, t_list) — the
-    #: list mirrors serve the short-range scalar-add path in ``flush``.
+    #: item: (key, cnt, pos, e_arr, t_arr, t_zero).
     key_items: List[Tuple] = field(default_factory=list)
-    purpose_items: List[Tuple] = field(default_factory=list)  # (key, cnt, pos, e_arr, e_list)
+    purpose_items: List[Tuple] = field(default_factory=list)  # (key, cnt, pos, e_arr)
     #: Per-capacitance discharge tables (see :meth:`draw_tables`); a lazy
     #: memo, idempotent like the two below.
     _draw_tables: Dict[float, Tuple] = field(default_factory=dict)
@@ -384,7 +381,7 @@ def _event_tables(p: CompiledProgram, draws: List[Tuple]) -> None:
 
 
 def _snapshot_hints(p: CompiledProgram) -> None:
-    """The snapshot-candidacy operand and the straight-line candidate hints.
+    """The snapshot-candidacy operand and the straight-line candidate hint.
 
     Replay the durable cursor over the events once (commits of
     volatile-free atoms advance it) and mark the exec events it lags
@@ -409,7 +406,6 @@ def _snapshot_hints(p: CompiledProgram) -> None:
         if cand[j]:
             nxt = j
         p.ev_next_snap[j] = nxt
-    p.ev_snap_cand = np.asarray(cand, dtype=bool)
 
 
 def _booking_key_index(p: CompiledProgram) -> None:
@@ -424,11 +420,11 @@ def _booking_key_index(p: CompiledProgram) -> None:
     p.key_items = [
         (key, counts(pos), pos, np.asarray(e_terms, dtype=np.float64),
          np.asarray(t_terms, dtype=np.float64),
-         all(t == 0.0 for t in t_terms), e_terms, t_terms)
+         all(t == 0.0 for t in t_terms))
         for key, (pos, e_terms, t_terms) in by_key.items()
     ]
     p.purpose_items = [
-        (key, counts(pos), pos, np.asarray(e_terms, dtype=np.float64), e_terms)
+        (key, counts(pos), pos, np.asarray(e_terms, dtype=np.float64))
         for key, (pos, e_terms) in by_purpose.items()
     ]
 
@@ -914,9 +910,8 @@ class _Replay:
             # straight-line candidate, or (above the warning level) the
             # zero-harvest drain horizon, whichever is farther — is within
             # the break-even window, hop to it in scalar form.  Otherwise
-            # take the whole span; the predictive cut below trims it to
-            # the first *projected* trigger, so a mid-batch snapshot
-            # almost never discards a computed tail.
+            # take the whole span; :meth:`exact_walk` rewinds to a
+            # candidate that turns low mid-batch.
             lim = p.ev_next_snap[e_idx + 1]
             v = self.v
             if v > self.sv_warn:
@@ -954,30 +949,10 @@ class _Replay:
         seg[1:] = dts
         clocks = np.cumsum(seg)
         h = self.energy_batch(clocks[:B], dts) * eff
-        chg_np = (2.0 * h) / cap_f
-        if self.snapshot_on and k0 < B:
-            # Predictive cut: project the squared voltage over the batch
-            # (charge minus drain, no clamp/rounding — drift is ulps
-            # against a margin of volts) and end the batch just before the
-            # first candidate event projected at or below the warning
-            # level.  The exact walk still decides; a misprediction only
-            # costs one rewind.  A test-free prefix spanning the batch
-            # cannot fire (charge only raises the proven floor), so the
-            # projection is skipped then.
-            cum = self.drw_cum
-            v = self.v
-            pred = (v * v + float(cum[e_idx])) + np.cumsum(chg_np)
-            pred -= cum[e_idx + 1:e_idx + 1 + B]
-            trig = (pred[:B - 1] <= self.warn_sq) \
-                & p.ev_snap_cand[e_idx + 1:e_idx + B]
-            am = int(trig.argmax())
-            if trig[am]:
-                B = am + 1
-                if k0 > B:
-                    k0 = B
+        chg = ((2.0 * h) / cap_f).tolist()
         # Only the per-event charge is walked; clocks and harvests are
         # read at break points alone, so they stay arrays.
-        return B, k0, chg_np[:B].tolist(), clocks, h
+        return B, k0, chg, clocks, h
 
     def free_prefix(self, v: float, e: int, n: int) -> int:
         """How many of events ``[e, e + n)`` provably fire no test when
@@ -1113,11 +1088,10 @@ class _Replay:
         executed-cycle adds.
 
         Dict values are independent accumulators, so each key replays
-        its own adds in stream order — directly for short ranges, else as
-        a ``np.add.accumulate`` seeded with the running value (the same
-        sequential IEEE-754 adds).  Keys new to a dict enter in
-        first-booking order, so the dicts match the reference's key order
-        too.
+        its own adds in stream order as a ``np.add.accumulate`` seeded
+        with the running value (the same sequential IEEE-754 adds).  Keys
+        new to a dict enter in first-booking order, so the dicts match
+        the reference's key order too.
         """
         if e0 >= e1:
             return
@@ -1128,38 +1102,20 @@ class _Replay:
         e_get = e_by.get
         t_get = t_by.get
         p_get = p_by.get
-        b0 = p.ev_book_start[e0]
-        b1 = p.ev_book_start[e1]
-        if b1 - b0 <= 80:
-            sub_exec = self.sub_exec
-            cycles_l = p.cycles
-            ev_atom_l = p.ev_atom
-            ev_exec_l = p.ev_is_exec
-            for ev in range(e0, e1):
-                if ev_exec_l[ev]:
-                    sub_exec += cycles_l[ev_atom_l[ev]]
-            self.sub_exec = sub_exec
-            book_stream = p.book_stream
-            for s in range(b0, b1):
-                compo, t, e, purpose = book_stream[s]
-                e_by[compo] = e_get(compo, 0.0) + e
-                t_by[compo] = t_get(compo, 0.0) + t
-                p_by[purpose] = p_get(purpose, 0.0) + e
-            return
         # Commit events intersperse cycles of 0.0; "+ 0.0" is exact on
         # the non-negative running sum.
-        self.sub_exec = self._add_seq(self.sub_exec, None, p.ev_cycles, e0, e1)
         add_seq = self._add_seq
+        self.sub_exec = add_seq(self.sub_exec, p.ev_cycles, e0, e1)
         e_ins = []
         t_ins = []
         p_ins = []
-        for key, cnt, pos, earr, tarr, t_zero, e_tl, t_tl in p.key_items:
+        for key, cnt, pos, earr, tarr, t_zero in p.key_items:
             klo = cnt[e0]
             khi = cnt[e1]
             if khi <= klo:
                 continue
             first = pos[klo]
-            e_val = add_seq(e_get(key, 0.0), e_tl, earr, klo, khi)
+            e_val = add_seq(e_get(key, 0.0), earr, klo, khi)
             if key in e_by:
                 e_by[key] = e_val
             else:
@@ -1170,17 +1126,17 @@ class _Replay:
                 if key not in t_by:
                     t_ins.append((first, key, 0.0))
                 continue
-            t_val = add_seq(t_get(key, 0.0), t_tl, tarr, klo, khi)
+            t_val = add_seq(t_get(key, 0.0), tarr, klo, khi)
             if key in t_by:
                 t_by[key] = t_val
             else:
                 t_ins.append((first, key, t_val))
-        for key, cnt, pos, earr, e_tl in p.purpose_items:
+        for key, cnt, pos, earr in p.purpose_items:
             klo = cnt[e0]
             khi = cnt[e1]
             if khi <= klo:
                 continue
-            p_val = add_seq(p_get(key, 0.0), e_tl, earr, klo, khi)
+            p_val = add_seq(p_get(key, 0.0), earr, klo, khi)
             if key in p_by:
                 p_by[key] = p_val
             else:
@@ -1193,17 +1149,11 @@ class _Replay:
                 for _, key, val in ins:
                     by[key] = val
 
-    def _add_seq(self, start: float, terms_l, terms, lo: int,
-                 hi: int) -> float:
-        """``start`` plus ``terms[lo:hi]``, added left to right.  Few terms
-        take the scalar adds (they beat numpy call overhead); more take a
+    def _add_seq(self, start: float, terms, lo: int, hi: int) -> float:
+        """``start`` plus ``terms[lo:hi]``, added left to right: a
         ``np.add.accumulate`` seeded with ``start`` — the same sequential
         IEEE-754 adds (not ``sum()``, whose compensated summation would
         not be bit-equal)."""
-        if terms_l is not None and hi - lo <= 48:
-            for x in terms_l[lo:hi]:
-                start = start + x
-            return start
         kb = self.kbuf[:hi - lo + 1]
         kb[0] = start
         kb[1:] = terms[lo:hi]
@@ -1221,13 +1171,8 @@ class _Replay:
         timeout only nonzero-charge steps move ``v`` (a zero charge
         leaves it bit-unchanged), so the exit walk visits those alone;
         the reference first observes ``v >= v_on`` at the step *after*
-        the one that crossed it.  A test-free prefix runs first: the
-        chain is monotone and tracks the charge prefix sum to a few ulps
-        per step, so while ``v**2 + cum_charge`` stays a relative ``1e-9``
-        below ``v_on**2`` (orders of magnitude above the drift) no step
-        can cross ``v_on`` — nor, since ``v_on <= v_max``, reach the
-        ``v_max`` clamp.  Blocks that can reach the timeout take every
-        step with both exit tests.
+        the one that crossed it.  Blocks that can reach the timeout take
+        every step with both exit tests.
         """
         v = self.v
         clock = self.clock
@@ -1271,15 +1216,8 @@ class _Replay:
                 # No step in this block can reach the timeout.  Clocks and
                 # waits are read at the exit step alone, so the arrays are
                 # indexed directly instead of exported wholesale.
-                nz_np = np.nonzero(chg_np)[0]
-                kf = int(np.cumsum(chg_np).searchsorted(
-                    v_on * v_on * (1.0 - 1e-9) - v * v))
-                pos = int(nz_np.searchsorted(kf)) if kf > 0 else 0
-                nz = nz_np.tolist()
-                for k in nz[:pos]:
-                    v = sqrt(v ** 2 + chg[k])
                 k1 = B
-                for k in nz[pos:]:
+                for k in np.flatnonzero(chg_np).tolist():
                     root = sqrt(v ** 2 + chg[k])
                     v = root if root < v_max else v_max
                     if v >= v_on:

@@ -13,6 +13,12 @@ kernel set's digest added — records it with ``scripts/study_digests.py
 --write``, bumps ``SIM_SEMANTICS`` (so durable stores and service
 caches stop serving the old bits) and appends the new fingerprint
 below.
+
+``tests/golden/scenario_digests.txt`` does the same for the results of
+the 300 scenarios the fuzz sampler draws (``scripts/scenario_digests.py``),
+so a bit change that shows only at another seed, trace kind, capacitor
+or monitor setting fails too, under the same header and fingerprint
+rule.
 """
 
 import hashlib
@@ -28,6 +34,7 @@ from repro import SIM_SEMANTICS
 
 ROOT = Path(__file__).resolve().parents[1]
 LEDGER = ROOT / "tests" / "golden" / "study_digests.txt"
+SCENARIO_LEDGER = ROOT / "tests" / "golden" / "scenario_digests.txt"
 
 #: Fingerprint of the ledger's digest lines under each ``SIM_SEMANTICS``
 #: value.  Entries are only ever appended.
@@ -35,12 +42,17 @@ LEDGER_FINGERPRINTS = {
     1: "8e57ea0a5ca430a38d18b09d80d9fc94",
 }
 
+#: The same for the scenario ledger.
+SCENARIO_FINGERPRINTS = {
+    1: "68afd2a749df659ad60117fd8fc31522",
+}
 
-def read_ledger():
-    """``(header fields, digest lines)`` of the committed ledger."""
+
+def read_ledger(path=LEDGER):
+    """``(header fields, digest lines)`` of a committed ledger."""
     header = {}
     lines = []
-    for line in LEDGER.read_text().splitlines():
+    for line in path.read_text().splitlines():
         fields = line.split()
         if line.startswith("#"):
             if len(fields) == 3:
@@ -65,8 +77,22 @@ def test_sim_semantics_names_the_ledger():
     assert len(set(LEDGER_FINGERPRINTS.values())) == len(LEDGER_FINGERPRINTS)
 
 
-def test_every_study_matches_the_ledger():
-    header, _ = read_ledger()
+def test_sim_semantics_names_the_scenario_ledger():
+    header, lines = read_ledger(SCENARIO_LEDGER)
+    assert header["sim_semantics"] == str(SIM_SEMANTICS)
+    assert SCENARIO_FINGERPRINTS.get(SIM_SEMANTICS) == fingerprint(lines), (
+        f"the scenario ledger's digest lines changed under SIM_SEMANTICS "
+        f"{SIM_SEMANTICS}: bump repro.SIM_SEMANTICS and record the new "
+        f"fingerprint {fingerprint(lines)}")
+    assert len(lines) == 300
+    assert len(set(SCENARIO_FINGERPRINTS.values())) == len(
+        SCENARIO_FINGERPRINTS)
+
+
+def check_ledger(script, ledger):
+    """Run ``scripts/<script> --check <ledger>``: its exit code and
+    stderr (skipped unless numpy is the version the ledger names)."""
+    header, _ = read_ledger(ledger)
     if header["numpy"] != np.__version__:
         pytest.skip(f"ledger recorded under numpy {header['numpy']}, "
                     f"this is numpy {np.__version__}")
@@ -74,8 +100,19 @@ def test_every_study_matches_the_ledger():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "study_digests.py"),
-         "--check", str(LEDGER)],
+        [sys.executable, str(ROOT / "scripts" / script), "--check",
+         str(ledger)],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=900)
-    assert proc.returncode == 0, (
-        "study tables differ from the golden ledger:\n" + proc.stderr)
+    return proc.returncode, proc.stderr
+
+
+def test_every_study_matches_the_ledger():
+    code, stderr = check_ledger("study_digests.py", LEDGER)
+    assert code == 0, "study tables differ from the golden ledger:\n" + stderr
+
+
+def test_every_sampled_scenario_matches_the_ledger():
+    code, stderr = check_ledger("scenario_digests.py", SCENARIO_LEDGER)
+    assert code == 0, (
+        "sampled scenario results differ from the scenario ledger:\n"
+        + stderr)

@@ -3,9 +3,10 @@
 The conformance suite checks whole runs against the reference machine;
 these tests pin single phases of ``_Replay`` against the scalar
 recurrence each one replaces — the scalar draw, recharge, the deferred
-meter flush, the test-free prefix proof, and the square-wave scalar twin
-— so a broken phase fails here, by name, before it shows up as a diff
-deep inside a harvested run.
+meter flush, a whole span walk with its snapshot rewind, the span's
+test-free prefix proof, and the square-wave scalar twin — so a broken
+phase fails here, by name, before it shows up as a diff deep inside a
+harvested run.
 """
 
 import math
@@ -152,7 +153,7 @@ class TestRecharge:
         "constant-clamp-binds": (lambda: ConstantTrace(0.5),
                                  {"v_on": 3.6}, 600.0),
         # One step near the solar peak lifts v_on**2 past v_max**2: the
-        # walk after the test-free prefix must clamp.
+        # exit walk must clamp.
         "solar-clamp-binds": (lambda: SolarTrace(0.5, period_s=0.5), {},
                               600.0),
         "dead": (lambda: ConstantTrace(0.0), {}, 0.5),
@@ -275,6 +276,94 @@ class TestFlush:
             for got, exp in zip((r.e_by, r.t_by, r.p_by), want):
                 assert got == exp, (e0, e1)
                 assert list(got) == list(exp), (e0, e1)  # key order
+
+
+def sparse_snapshot_program(n=300):
+    """``n`` committing atoms, one in 60 with volatile words: its commit
+    leaves progress un-durable, so only the atom after it is a snapshot
+    candidate.  Candidates sit ~120 events apart, farther than the
+    scalar hop reaches, so a batch runs across them."""
+    atoms = [
+        cpu_atom(4000.0 + 150.0 * (i % 7), commit=True,
+                 volatile=16 if i % 60 == 0 else 0, label=f"a{i}", layer=i,
+                 component=("cpu", "lea", "dma")[i % 3],
+                 fram_reads=i % 11, fram_writes=i % 5, sram=i % 13,
+                 purpose=("compute", "data")[i % 2])
+        for i in range(n)
+    ]
+    return compile_program(ToyRuntime(atoms, snapshot_on_warning=True))
+
+
+class TestSpan:
+    """``_Replay.span`` == a plain scalar walk of the span's events
+    (``draw``, with a ``checkpoint`` before each candidate under a low
+    monitor), from start voltages that drain a candidate below ``v_warn``
+    mid-batch: the case only :meth:`_Replay.exact_walk`'s rewind
+    handles."""
+
+    @staticmethod
+    def scalar_span(r, ca):
+        p = r.p
+        for e in range(p.atom_event_lo[ca], p.atom_event_lo[p.span_end_atom[ca]]):
+            a = p.ev_atom[e]
+            if (r.v <= r.sv_warn and r.durable_atom < p.ev_snap_atom[e]
+                    and not r.checkpoint(a, 0)):
+                r.cursor_atom, r.cursor_it = a, 0
+                return False
+            if not r.draw(p.ev_bookings[e], p.ev_dt_l[e], p.ev_total_l[e]):
+                r.cursor_atom = a if p.ev_is_exec[e] else a + 1
+                r.cursor_it = 0
+                return False
+            if p.ev_is_exec[e]:
+                r.sub_exec += p.cycles[a]
+            if p.ev_durable_to[e] >= 0:
+                r.durable_atom, r.durable_it = p.ev_durable_to[e], 0
+        r.cursor_atom, r.cursor_it = p.span_end_atom[ca], 0
+        return True
+
+    STATE = ("v", "clock", "failures", "warnings", "durable_atom",
+             "durable_it", "cursor_atom", "cursor_it", "sub_exec")
+
+    @pytest.mark.parametrize("kind", sorted(TRACES))
+    def test_matches_scalar_walk(self, kind):
+        program = sparse_snapshot_program()
+        rewinds = 0
+        outcomes = set()
+        for i, v0 in enumerate(np.linspace(2.45, 3.6, 29)):
+            ca = (0, 61, 181)[i % 3]
+            replays = []
+            for _ in range(2):
+                supply = EnergyHarvester(TRACES[kind](),
+                                         Capacitor((100e-6, 470e-6)[i % 2]))
+                r = replay(program, supply,
+                           monitor=VoltageMonitor(supply, v_warn=2.4))
+                r.v = float(v0)
+                r.clock = 0.0173 * i
+                r.durable_atom = r.cursor_atom = ca
+                replays.append(r)
+            fast, scalar = replays
+            walk = fast.exact_walk
+
+            def spy(e_idx, e_flush, p0, B, *rest):
+                nonlocal rewinds
+                out = walk(e_idx, e_flush, p0, B, *rest)
+                rewinds += not out[2] and out[0] < e_idx + B
+                return out
+
+            fast.exact_walk = spy
+            ok = fast.span(ca)
+            assert ok is self.scalar_span(scalar, ca), (kind, v0)
+            outcomes.add(ok)
+            for name in self.STATE:
+                assert getattr(fast, name) == getattr(scalar, name), (
+                    kind, v0, name)
+            for got, exp in ((fast.e_by, scalar.e_by), (fast.t_by, scalar.t_by),
+                             (fast.p_by, scalar.p_by)):
+                assert got == exp, (kind, v0)
+                assert list(got) == list(exp), (kind, v0)  # key order
+        # The start voltages reach the rewind, and both span outcomes.
+        assert rewinds
+        assert outcomes == {True, False}
 
 
 class TestFreePrefix:
